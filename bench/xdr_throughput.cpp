@@ -3,7 +3,9 @@
 // Decode-and-copy term of the §4.2 model in isolation — plus the bulk
 // fast path (one put_bytes/get_bytes memcpy of a pointer-free primitive
 // array, the same-architecture PNEW body) against the per-element
-// canonical loop it replaces.
+// canonical loop it replaces — and the integrity hashes every migration
+// pays per byte (sliced CRC-32, fused StreamDigest) against a memcpy of
+// the same buffer.
 //
 // Writes BENCH_xdr.json (hpm-bench-v1; override with --json PATH). With
 // --smoke, skips google-benchmark and times one small encode/decode pass.
@@ -12,8 +14,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
+#include "common/crc32.hpp"
 #include "emit.hpp"
+#include "msrm/stream.hpp"
 #include "xdr/value.hpp"
 
 namespace {
@@ -159,6 +164,46 @@ void measured_bulk_pass(hpm::bench::BenchReport& report, std::size_t n) {
               canonical_s / bulk_s, n);
 }
 
+/// Integrity-pass throughput over one `n`-byte buffer, best-of-5 each:
+/// the frame/trailer CRC-32, the end-to-end digest (FNV-1a 64 fused with
+/// CRC-32: the FNV multiply chain is its floor), and memcpy as the
+/// memory-speed reference both are read against.
+void measured_integrity_pass(hpm::bench::BenchReport& report, std::size_t n) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<std::uint8_t> src(n);
+  std::uint32_t x = 1;
+  for (std::uint8_t& b : src) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  std::vector<std::uint8_t> dst(n);
+  auto best_of_5 = [](auto&& pass) {
+    double best = 1e9;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = Clock::now();
+      pass();
+      best = std::min(best, std::chrono::duration<double>(Clock::now() - t0).count());
+    }
+    return best;
+  };
+  const double memcpy_s = best_of_5([&] {
+    std::memcpy(dst.data(), src.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  });
+  const double crc_s =
+      best_of_5([&] { benchmark::DoNotOptimize(hpm::Crc32::of(src.data(), n)); });
+  const double digest_s =
+      best_of_5([&] { benchmark::DoNotOptimize(hpm::msrm::StreamDigest::of(src)); });
+  const double bytes = static_cast<double>(n);
+  report.add("integrity.memcpy.bytes_per_second", bytes / memcpy_s, "bytes/second");
+  report.add("integrity.crc32.bytes_per_second", bytes / crc_s, "bytes/second");
+  report.add("integrity.stream_digest.bytes_per_second", bytes / digest_s, "bytes/second");
+  std::printf(
+      "integrity over %zu bytes: memcpy %.2f ms, crc32 %.2f ms, stream digest %.2f ms\n", n,
+      memcpy_s * 1e3, crc_s * 1e3, digest_s * 1e3);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,6 +219,7 @@ int main(int argc, char** argv) {
   // throughput rows plus the xdr.encode/decode stream counters.
   measured_pass(report, args.smoke ? (1u << 12) : (1u << 20));
   measured_bulk_pass(report, args.smoke ? (1u << 14) : (1u << 20));
+  measured_integrity_pass(report, args.smoke ? (1u << 20) : (8u << 20));
   report.add_percentiles("xdr.encode.stream_bytes");
   return report.write(args.json_path) ? 0 : 1;
 }

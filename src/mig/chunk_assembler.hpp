@@ -69,10 +69,12 @@ class ChunkAssembler {
   void mark_resumed();
 
   /// Orderly end of stream: verifies the chunk count and byte total
-  /// against what actually arrived and retains `info` (its end-to-end
-  /// digest is checked by the restoring context, not here — transport
-  /// validates structure, msrm validates content). A mismatch or a
-  /// second StateEnd poisons the assembler instead of completing it.
+  /// against what actually arrived and retains `info`. Its end-to-end
+  /// digest is not checked here — transport validates structure, msrm
+  /// validates content: the restoring MigContext digests the bytes as
+  /// fetch() hands them to its decoder and compares at the migration
+  /// point. A mismatch or a second StateEnd poisons the assembler
+  /// instead of completing it.
   void finish(const net::StateEndInfo& info);
 
   /// Poison the assembler: every waiting or future consumer call throws

@@ -200,10 +200,18 @@ void MigContext::do_migration(std::uint32_t label) {
   for (const LocalVar& var : globals_) roots.push_back(var.addr);
   msrm::collect_roots(space_, enc, roots, collect_threads_);
 
-  msrm::finish_stream(enc);
+  // One hash pass per stream: the digest's running CRC already covers
+  // everything the tap saw (or, unstreamed, the payload hashed here), so
+  // the trailer CRC only adds the unflushed remainder.
+  std::size_t hashed = enc.flushed();
+  if (!collect_sink_) {
+    digest.update({enc.bytes().data(), enc.size()});
+    hashed = enc.size();
+  }
+  msrm::finish_stream(enc, digest.crc(), hashed);
   enc.flush_sink();  // sub-chunk remainder (incl. the trailer) goes out too
   stream_ = enc.take();
-  if (!collect_sink_) digest.update({stream_.data(), stream_.size()});
+  if (!collect_sink_) digest.update({stream_.data() + hashed, stream_.size() - hashed});
   collect_digest_ = digest.value();
   span.arg("stream_bytes", std::uint64_t{stream_.size()});
   metrics_.collect_seconds = span.finish();
@@ -233,17 +241,30 @@ void MigContext::begin_restore_streaming(ChunkAssembler& assembler) {
   restore_span_ = std::make_unique<obs::Span>("mig.restore");
   restore_before_ = obs::Registry::process().snapshot();
   restore_stream_.clear();
+  restore_digest_ = msrm::StreamDigest{};
+  restore_hashed_ = 0;
   // The decoder starts empty and pulls bytes from the assembler on
   // demand; restore_stream_ is consumer-owned, so the rebase after each
-  // fetch is single-threaded. End-to-end stream checks run at the
-  // migration point, once the whole stream has arrived.
+  // fetch is single-threaded. Each refill also feeds the end-to-end
+  // digest while the fetched bytes are cache-hot; the checks themselves
+  // run at the migration point, once the whole stream has arrived.
   dec_.emplace(std::span<const std::uint8_t>{});
   dec_->set_refill([this](std::size_t min_total) {
     if (!assembler_->fetch(restore_stream_, min_total)) return false;
     dec_->rebase({restore_stream_.data(), restore_stream_.size()});
+    hash_fetched();
     return true;
   });
   restore_from_decoder();
+}
+
+void MigContext::hash_fetched() {
+  // Hold back the last five bytes: they may be the trailer, and the
+  // trailer check needs the digest's CRC as it stood just before it.
+  const std::size_t upto = restore_stream_.size() > 5 ? restore_stream_.size() - 5 : 0;
+  if (upto <= restore_hashed_) return;
+  restore_digest_.update({restore_stream_.data() + restore_hashed_, upto - restore_hashed_});
+  restore_hashed_ = upto;
 }
 
 /// Shared restore prologue: header, type table, execution state, restorer,
@@ -331,17 +352,23 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     // stream against our own — FIRST, so corruption that slipped past
     // every frame CRC is named for what it is — then run the serial
     // path's trailer check. Exactly the 5-byte trailer may stay undecoded.
+    // The refills already hashed all but the tail, and the trailer's CRC
+    // is the digest's own CRC just before the last five bytes.
     const std::uint64_t total = assembler_->await_complete();
     while (restore_stream_.size() < total && assembler_->fetch(restore_stream_, total)) {
     }
     dec_->rebase({restore_stream_.data(), restore_stream_.size()});
-    restored_digest = msrm::StreamDigest::of({restore_stream_.data(), restore_stream_.size()});
+    hash_fetched();
+    const std::uint32_t payload_crc = restore_digest_.crc().value();
+    restore_digest_.update(
+        {restore_stream_.data() + restore_hashed_, restore_stream_.size() - restore_hashed_});
+    restored_digest = restore_digest_.value();
     if (restored_digest != assembler_->end_info().digest) {
       throw MigrationError(
           "end-to-end digest mismatch: canonical stream damaged between "
           "collection and restoration despite intact frame CRCs");
     }
-    msrm::check_stream(restore_stream_);
+    msrm::check_stream(restore_stream_, payload_crc);
     if (dec_->remaining() != 5) {
       throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
                            " bytes after the last record (expected the 5-byte trailer)");

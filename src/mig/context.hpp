@@ -25,6 +25,7 @@
 #include "msr/host_space.hpp"
 #include "msrm/collect.hpp"
 #include "msrm/restore.hpp"
+#include "msrm/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "ti/describe.hpp"
@@ -163,9 +164,10 @@ class MigContext {
   [[nodiscard]] const Bytes& stream() const noexcept { return stream_; }
 
   /// End-to-end digest (msrm::StreamDigest) of the last collected stream,
-  /// accumulated chunk-by-chunk as collection streams through the sink.
-  /// Carried in StateEnd and re-verified on the destination before it may
-  /// vote in the commit phase.
+  /// accumulated chunk-by-chunk as collection streams through the sink
+  /// (or in one pass after an unstreamed collection); the same pass's CRC
+  /// seals the stream trailer. Carried in StateEnd and re-verified on the
+  /// destination before it may vote in the commit phase.
   [[nodiscard]] std::uint64_t stream_digest() const noexcept { return collect_digest_; }
 
   /// Pipelined collection: stream the encoded state through `sink` in
@@ -220,6 +222,8 @@ class MigContext {
                  std::uint32_t count);
   void do_migration(std::uint32_t label);
   void restore_from_decoder();
+  /// Feed restore_digest_ every fetched byte except the last five.
+  void hash_fetched();
   void finish_restore(Frame& frame, std::uint32_t label);
   void bind_saved(const SavedVar& saved, const LocalVar& dest);
 
@@ -248,6 +252,10 @@ class MigContext {
   ChunkAssembler* assembler_ = nullptr;  ///< non-null while restoring a chunked stream
   obs::MetricsSnapshot restore_before_;
   Bytes restore_stream_;
+  /// End-to-end digest of restore_stream_[0, restore_hashed_), fed by
+  /// the chunked restore's refills (hash_fetched).
+  msrm::StreamDigest restore_digest_;
+  std::size_t restore_hashed_ = 0;
   std::optional<xdr::Decoder> dec_;
   std::unique_ptr<msrm::Restorer> restorer_;
   ExecutionState exec_;

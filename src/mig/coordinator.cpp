@@ -20,7 +20,6 @@
 #include "mig/port.hpp"
 #include "mig/serial_transfer.hpp"
 #include "mig/source_txn.hpp"
-#include "msrm/stream.hpp"
 #include "obs/span.hpp"
 
 namespace hpm::mig {
@@ -242,6 +241,7 @@ MigrationReport run_migration_impl(const RunOptions& options) {
       join_scheduler();
       collected = true;
       stream = ctx.stream();  // buffered for replay across attempts
+      report.stream_digest = ctx.stream_digest();
       report.stream_bytes = stream.size();
       report.collect_seconds = ctx.metrics().collect_seconds;
       report.source_arch = ctx.space().arch().name;
@@ -279,8 +279,9 @@ MigrationReport run_migration_impl(const RunOptions& options) {
       if (txn_ran) {
         // The transaction's pipelined leg failed but its serial fallback
         // carried the same state across: close the transaction so
-        // recovery reads "destination owns, completed".
-        const std::uint64_t d = msrm::StreamDigest::of({stream.data(), stream.size()});
+        // recovery reads "destination owns, completed". The pipelined
+        // leg's collection already digested this very stream.
+        const std::uint64_t d = report.stream_digest;
         src_journal.append({JournalRecordType::Commit, txn, d, 1, "serial fallback"});
         src_journal.append({JournalRecordType::Done, txn, d, 1, "serial fallback"});
         TxnMetrics::get().commits.add(1);

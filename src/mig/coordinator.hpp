@@ -282,9 +282,10 @@ struct MigrationReport {
   std::uint64_t txn_id = 0;
 
   /// End-to-end msrm::StreamDigest of the canonical stream (0 = no stream
-  /// was collected). When `migrated` is true the destination verified its
-  /// reassembled stream against this value before voting, so equal
-  /// digests across two runs certify bit-identical restored state.
+  /// was collected), reported on every path, File and serial fallback
+  /// included. When a pipelined transaction migrated, the destination
+  /// verified its reassembled stream against this value before voting, so
+  /// equal digests across two runs certify bit-identical restored state.
   std::uint64_t stream_digest = 0;
 
   /// --- failover accounting (failover.standbys set; 0 otherwise) ------------

@@ -25,13 +25,22 @@ StreamHeader read_header(xdr::Decoder& dec) {
   return header;
 }
 
-void finish_stream(xdr::Encoder& enc) {
-  const std::uint32_t crc = Crc32::of(enc.bytes().data(), enc.bytes().size());
+void finish_stream(xdr::Encoder& enc) { finish_stream(enc, Crc32{}, 0); }
+
+void finish_stream(xdr::Encoder& enc, Crc32 prefix_crc, std::size_t prefix_len) {
+  const Bytes& bytes = enc.bytes();
+  prefix_crc.update(bytes.data() + prefix_len, bytes.size() - prefix_len);
   enc.put_u8(kTrailerTag);
-  enc.put_u32(crc);
+  enc.put_u32(prefix_crc.value());
 }
 
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream) {
+  const std::size_t payload_len = stream.size() < 5 ? 0 : stream.size() - 5;
+  return check_stream(stream, Crc32::of(stream.data(), payload_len));
+}
+
+std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
+                                           std::uint32_t payload_crc) {
   if (stream.size() < 5) throw WireError("stream too short to contain a trailer");
   const std::size_t payload_len = stream.size() - 5;
   if (stream[payload_len] != kTrailerTag) {
@@ -39,19 +48,35 @@ std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream)
   }
   std::uint32_t stored = 0;
   for (int i = 0; i < 4; ++i) stored = (stored << 8) | stream[payload_len + 1 + i];
-  const std::uint32_t computed = Crc32::of(stream.data(), payload_len);
-  if (stored != computed) {
+  if (stored != payload_crc) {
     throw WireError("stream checksum mismatch: transfer corrupted");
   }
   return stream.subspan(0, payload_len);
 }
 
 void StreamDigest::update(std::span<const std::uint8_t> bytes) noexcept {
-  for (const std::uint8_t b : bytes) {
-    fnv_ ^= b;
-    fnv_ *= 0x100000001b3ull;  // FNV-1a 64 prime
+  // One pass: each 16-byte block is CRC'd (sixteen independent table
+  // lookups) and then run through the FNV-1a chain while it sits in
+  // registers. The lookups carry no dependency on the FNV state, so they
+  // execute in the shadow of its serial multiply chain — the digest costs
+  // FNV-1a alone, not FNV-1a plus a CRC pass.
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;  // FNV-1a 64 prime
+  std::uint64_t h = fnv_;
+  const std::uint8_t* p = bytes.data();
+  std::size_t left = bytes.size();
+  for (; left >= 16; left -= 16, p += 16) {
+    crc_.update16(p);
+    for (int i = 0; i < 16; ++i) {
+      h ^= p[i];
+      h *= kPrime;
+    }
   }
-  crc_.update(bytes.data(), bytes.size());
+  crc_.update(p, left);
+  for (; left > 0; --left, ++p) {
+    h ^= *p;
+    h *= kPrime;
+  }
+  fnv_ = h;
 }
 
 std::uint64_t StreamDigest::value() const noexcept {

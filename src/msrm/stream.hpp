@@ -78,9 +78,19 @@ StreamHeader read_header(xdr::Decoder& dec);
 /// Append the CRC trailer; call once, after all payload.
 void finish_stream(xdr::Encoder& enc);
 
+/// Same trailer, when a running CRC over the stream's first `prefix_len`
+/// bytes already exists (the collect tap's StreamDigest::crc()): only the
+/// bytes after the prefix are hashed here.
+void finish_stream(xdr::Encoder& enc, Crc32 prefix_crc, std::size_t prefix_len);
+
 /// Validate the trailer and return the payload span (header included,
 /// trailer excluded). Throws hpm::WireError on corruption or truncation.
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream);
+
+/// Same checks against a `payload_crc` the caller computed over every
+/// byte but the last five in its own pass over the stream.
+std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
+                                           std::uint32_t payload_crc);
 
 /// Running end-to-end digest over the canonical stream: FNV-1a 64 composed
 /// with a CRC-32, folded into one u64. The two mix functions have
@@ -88,7 +98,10 @@ std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream)
 /// CRC-32 is a polynomial code — so a corruption crafted to pass one
 /// (e.g. a frame whose trailing CRC was recomputed in flight) still trips
 /// the other. The source taps collection chunk by chunk; the destination
-/// recomputes over the reassembled stream and compares before Commit.
+/// hashes bytes as its decoder pulls them in and compares before Commit.
+/// The source and the pipelined destination also read the stream
+/// trailer's CRC off the digest's own CRC (crc()), so each walks the
+/// stream once.
 ///
 /// Also the content address of the dedup'd transfer: a chunk's
 /// mig::ChunkAddr is `of(body)` plus the body length (DESIGN.md §15),
@@ -100,6 +113,9 @@ class StreamDigest {
   /// Digest of everything fed so far. Stable across update() granularity:
   /// one call over the whole stream equals many calls over its chunks.
   [[nodiscard]] std::uint64_t value() const noexcept;
+  /// The CRC-32 half, over exactly the bytes fed so far: equal to
+  /// Crc32::of() over them, so it can seal a stream trailer.
+  [[nodiscard]] const Crc32& crc() const noexcept { return crc_; }
 
   static std::uint64_t of(std::span<const std::uint8_t> bytes) noexcept {
     StreamDigest d;

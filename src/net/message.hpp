@@ -108,7 +108,8 @@ TaggedMessage recv_any_message(ByteChannel& ch, std::size_t max_payload = 1ull <
 /// carries a sequence number (gap/reorder detection on top of the frame
 /// CRC); StateEnd carries the totals plus the end-to-end digest over the
 /// *entire* canonical stream (msrm::StreamDigest), which the destination
-/// recomputes and must match before it may vote in the commit phase.
+/// computes as its decoder pulls the chunks in and must match before it
+/// may vote in the commit phase.
 
 struct StateBeginInfo {
   std::uint32_t chunk_bytes = 0;

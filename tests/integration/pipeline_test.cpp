@@ -50,6 +50,8 @@ TEST_P(PipelineTransport, PipelinedRunMatchesTheSerialRun) {
   EXPECT_EQ(piped_result.sum_after, serial_result.sum_after);
   // Chunking must not change what goes over the wire, only how.
   EXPECT_EQ(p.stream_bytes, s.stream_bytes);
+  EXPECT_NE(s.stream_digest, 0u) << "the serial path reports its digest too";
+  EXPECT_EQ(p.stream_digest, s.stream_digest);
   EXPECT_GT(p.metrics.counter("mig.pipeline.chunks"), 1u);
   EXPECT_GE(p.overlap_ratio, 0.0);
   EXPECT_LE(p.overlap_ratio, 1.0);
@@ -106,6 +108,29 @@ TEST(Pipeline, FileTransportStaysSerial) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(report.overlap_ratio, 0.0);
   EXPECT_EQ(report.metrics.counter("mig.pipeline.chunks"), 0u);
+}
+
+TEST(Pipeline, FileAndPipelinedMemoryReportTheSameDigest) {
+  // One process state, two paths: the spooled serial File transfer and
+  // the pipelined Memory transfer must name the same canonical stream.
+  apps::BitonicResult file_result;
+  RunOptions file;
+  file.transport = Transport::File;
+  file.spool_path = "/tmp/hpm_pipeline_digest_spool.bin";
+  const MigrationReport f = run_bitonic(file, file_result);
+  ASSERT_EQ(f.outcome, MigrationOutcome::Migrated);
+
+  apps::BitonicResult mem_result;
+  RunOptions mem;
+  mem.transport = Transport::Memory;
+  mem.pipeline = true;
+  mem.chunk_bytes = 2048;
+  const MigrationReport m = run_bitonic(mem, mem_result);
+  ASSERT_EQ(m.outcome, MigrationOutcome::Migrated);
+
+  EXPECT_NE(f.stream_digest, 0u);
+  EXPECT_EQ(f.stream_digest, m.stream_digest);
+  EXPECT_EQ(mem_result.sum_after, file_result.sum_after);
 }
 
 TEST(Pipeline, SingleChunkStateStillRoundTrips) {

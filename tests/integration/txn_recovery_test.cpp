@@ -301,6 +301,43 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }
 
+TEST(Digest, SerialFallbackJournalsTheCollectedDigest) {
+  // A veto on the pipelined leg degrades to the serial path, whose
+  // Commit/Done records close the transaction: they must carry the digest
+  // the collection computed (and the report names), not a recomputation.
+  apps::BitonicResult probe_result;
+  RunOptions probe = streaming_options(probe_result);
+  const MigrationReport p = run_migration(probe);
+  ASSERT_EQ(p.outcome, MigrationOutcome::Migrated);
+  const std::uint64_t stream = p.stream_bytes;
+  const std::uint64_t chunks = (stream + 511) / 512;
+  const std::uint64_t last_len = stream - (chunks - 1) * 512;
+  ASSERT_GT(last_len, 4u);
+
+  apps::BitonicResult result;
+  RunOptions options = streaming_options(result);
+  options.fault_plan.kind = net::FaultKind::CorruptMasked;
+  options.fault_plan.offset =
+      kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
+  options.journal_dir = (std::filesystem::temp_directory_path() /
+                         ("hpm_digest_fallback_" + std::to_string(::getpid())))
+                            .string();
+  std::filesystem::remove_all(options.journal_dir);
+  const MigrationReport report = run_migration(options);
+  ASSERT_EQ(report.outcome, MigrationOutcome::Migrated);
+  ASSERT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.stream_digest, p.stream_digest);
+  int fallback_records = 0;
+  for (const JournalRecord& r :
+       Journal::replay(options.journal_dir + "/" + kSourceJournalName)) {
+    if (r.note != "serial fallback") continue;
+    ++fallback_records;
+    EXPECT_EQ(r.digest, report.stream_digest) << journal_record_name(r.type);
+  }
+  EXPECT_EQ(fallback_records, 2) << "Commit and Done";
+  std::filesystem::remove_all(options.journal_dir);
+}
+
 TEST(Digest, CleanStreamsCarryTheDigestEndToEnd) {
   apps::BitonicResult result;
   RunOptions options = streaming_options(result);

@@ -73,6 +73,57 @@ TEST_F(ChunkStoreTest, PutLoadRoundTrip) {
   EXPECT_EQ(store.entries(), 1u);
 }
 
+// One entry exactly as the store wrote it before the sliced CRC-32 and
+// fused digest: 'HPMC' | digest 120458c4aad92685 | length 40 | the 40-byte
+// body | CRC-32 aa 5c a9 0e, in the file its address names. Caches on disk
+// outlive the code that wrote them, so this must load and re-put byte for
+// byte under the same name.
+constexpr char kGoldenName[] = "120458c4aad92685-40.chunk";
+constexpr std::uint8_t kGoldenEntry[] = {
+    0x48, 0x50, 0x4d, 0x43, 0x12, 0x04, 0x58, 0xc4, 0xaa, 0xd9, 0x26, 0x85,
+    0x00, 0x00, 0x00, 0x28, 0x75, 0xcd, 0x25, 0x4b, 0x84, 0xe2, 0xea, 0xf2,
+    0xa6, 0x81, 0x20, 0x67, 0x43, 0x34, 0xb2, 0x6e, 0x4b, 0xe2, 0x99, 0x54,
+    0x73, 0x76, 0x7f, 0xf1, 0xcc, 0x75, 0x99, 0x8d, 0x1e, 0xab, 0xce, 0xdb,
+    0x97, 0x39, 0x65, 0x6e, 0xca, 0x98, 0xc3, 0x71, 0xaa, 0x5c, 0xa9, 0x0e,
+};
+constexpr std::size_t kGoldenBodyAt = 16;
+constexpr std::size_t kGoldenBodyLen = 40;
+
+TEST_F(ChunkStoreTest, GoldenEntryLoadsAndReputsByteForByte) {
+  const std::vector<std::uint8_t> entry(std::begin(kGoldenEntry), std::end(kGoldenEntry));
+  const Bytes body(entry.begin() + kGoldenBodyAt,
+                   entry.begin() + kGoldenBodyAt + kGoldenBodyLen);
+  const ChunkAddr addr{0x120458c4aad92685ull, kGoldenBodyLen};
+  EXPECT_EQ(ChunkStore::address_of(body), addr);
+
+  fs::create_directories(dir_);
+  {
+    std::FILE* f = std::fopen((dir_ + "/" + kGoldenName).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(entry.data(), 1, entry.size(), f), entry.size());
+    std::fclose(f);
+  }
+  {
+    ChunkStore store(dir_);
+    store.open();
+    ASSERT_TRUE(store.contains(addr));
+    Bytes out;
+    ASSERT_TRUE(store.load(addr, out)) << "a pre-existing entry must stay a hit";
+    EXPECT_EQ(out, body);
+  }
+
+  const std::string fresh = dir_ + "/fresh";
+  ChunkStore store(fresh);
+  store.open();
+  store.put(body);
+  std::FILE* f = std::fopen((fresh + "/" + kGoldenName).c_str(), "rb");
+  ASSERT_NE(f, nullptr) << "re-put must land under the same address";
+  std::vector<std::uint8_t> written(entry.size() + 1);
+  written.resize(std::fread(written.data(), 1, written.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(written, entry);
+}
+
 TEST_F(ChunkStoreTest, SurvivesReopen) {
   {
     ChunkStore store(dir_);

@@ -3,8 +3,13 @@
 // annotation contract).
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "mig/annotate.hpp"
+#include "mig/chunk_assembler.hpp"
 #include "mig/context.hpp"
+#include "msrm/stream.hpp"
 #include "ti/describe.hpp"
 
 namespace hpm::mig {
@@ -194,6 +199,116 @@ TEST(MigContext, RestoreRejectsTruncatedStream) {
   cut.resize(cut.size() - 1);
   MigContext dst(t);
   EXPECT_THROW(dst.begin_restore(cut), WireError);
+}
+
+/// Collect counter_program at poll 7, streaming through a sink of
+/// `chunk_bytes` (0 = no sink); the sink's chunks land in *chunks.
+void collect_counter(MigContext& src, std::size_t chunk_bytes, std::vector<Bytes>* chunks) {
+  if (chunk_bytes != 0) {
+    src.set_collect_sink(chunk_bytes, [chunks](std::span<const std::uint8_t> bytes) {
+      chunks->emplace_back(bytes.begin(), bytes.end());
+    });
+  }
+  src.set_migrate_at_poll(7);
+  int done = 0;
+  EXPECT_THROW(counter_program(src, 10, &done), MigrationExit);
+}
+
+TEST(MigContext, StreamedCollectionSealsAndDigestsLikeTheUnstreamedOne) {
+  // The tap's running CRC seals the trailer and its digest is the
+  // report's: both must equal a one-shot pass over the whole stream, for
+  // chunk sizes below, around and above the 16-byte CRC block and the
+  // stream itself (all-remainder).
+  ti::TypeTable t;
+  MigContext plain(t);
+  collect_counter(plain, 0, nullptr);
+  const Bytes& want = plain.stream();
+  EXPECT_NO_THROW(msrm::check_stream(want));
+  EXPECT_EQ(plain.stream_digest(), msrm::StreamDigest::of(want));
+  for (const std::size_t chunk : {1u, 5u, 16u, 17u, 64u, 1u << 20}) {
+    std::vector<Bytes> chunks;
+    MigContext src(t);
+    collect_counter(src, chunk, &chunks);
+    EXPECT_EQ(src.stream(), want) << "chunk " << chunk;
+    EXPECT_EQ(src.stream_digest(), plain.stream_digest()) << "chunk " << chunk;
+    Bytes joined;
+    for (const Bytes& c : chunks) joined.insert(joined.end(), c.begin(), c.end());
+    EXPECT_EQ(joined, want) << "chunk " << chunk;
+  }
+}
+
+/// Restore `chunks` through a ChunkAssembler whose StateEnd announces
+/// `digest`; returns the digest the commit gate saw. Throws whatever the
+/// restore throws.
+std::uint64_t restore_chunked(ti::TypeTable& t, const std::vector<Bytes>& chunks,
+                              std::uint64_t digest, bool threaded) {
+  ChunkAssembler assembler;
+  std::uint64_t total = 0;
+  for (const Bytes& c : chunks) total += c.size();
+  const net::StateEndInfo end{static_cast<std::uint32_t>(chunks.size()), total, digest};
+  auto produce = [&] {
+    for (std::uint32_t i = 0; i < chunks.size(); ++i) {
+      assembler.append(i, chunks[i]);
+      if (threaded) std::this_thread::yield();
+    }
+    assembler.finish(end);
+  };
+  std::thread producer;
+  if (threaded) {
+    producer = std::thread(produce);
+  } else {
+    produce();
+  }
+  std::uint64_t gated = 0;
+  MigContext dst(t);
+  dst.set_commit_gate([&gated](std::uint64_t d) { gated = d; });
+  int done = 0;
+  try {
+    dst.begin_restore_streaming(assembler);
+    counter_program(dst, 10, &done);
+  } catch (...) {
+    if (producer.joinable()) producer.join();
+    throw;
+  }
+  if (producer.joinable()) producer.join();
+  EXPECT_EQ(done, 10);
+  return gated;
+}
+
+TEST(MigContext, ChunkedRestoreDigestsAsItFetches) {
+  // Refills feed the destination digest incrementally; whatever the
+  // chunking and however fetches interleave with arrivals, the digest
+  // handed to the commit gate is the source's.
+  ti::TypeTable t;
+  for (const std::size_t chunk : {1u, 16u, 33u, 4096u}) {
+    std::vector<Bytes> chunks;
+    MigContext src(t);
+    collect_counter(src, chunk, &chunks);
+    for (const bool threaded : {false, true}) {
+      EXPECT_EQ(restore_chunked(t, chunks, src.stream_digest(), threaded), src.stream_digest())
+          << "chunk " << chunk << " threaded " << threaded;
+    }
+  }
+}
+
+TEST(MigContext, ChunkedRestoreChecksDigestFirstThenTrailer) {
+  ti::TypeTable t;
+  std::vector<Bytes> chunks;
+  MigContext src(t);
+  collect_counter(src, 16, &chunks);
+  Bytes stream = src.stream();
+
+  // A damaged trailer CRC against the source's digest: the digest check
+  // runs first and names the damage.
+  std::vector<Bytes> bad_trailer = chunks;
+  bad_trailer.back().back() ^= 0x01;
+  EXPECT_THROW(restore_chunked(t, bad_trailer, src.stream_digest(), false), MigrationError);
+
+  // The same damage with a digest forged to match it: the trailer check,
+  // fed the payload CRC from the same pass, still objects.
+  stream.back() ^= 0x01;
+  EXPECT_THROW(restore_chunked(t, bad_trailer, msrm::StreamDigest::of(stream), false),
+               WireError);
 }
 
 TEST(MigContext, RestoredHeapBlocksCanBeFreedNormally) {

@@ -63,6 +63,40 @@ TEST_F(JournalTest, AppendReplayRoundTrip) {
   }
 }
 
+// One v2 record exactly as the journal wrote it before the sliced CRC-32:
+// Commit, txn 0x0123456789ABCDEF, digest 0xFEDCBA9876543210, incarnation 2,
+// note "serial fallback", sealed by CRC-32 04 7b 00 23. Journals on disk
+// outlive the code that wrote them, so this must replay and re-encode
+// byte for byte.
+constexpr std::uint8_t kGoldenRecord[] = {
+    0x48, 0x50, 0x4d, 0x4b, 0x03, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd,
+    0xef, 0xfe, 0xdc, 0xba, 0x98, 0x76, 0x54, 0x32, 0x10, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x0f, 0x73, 0x65, 0x72, 0x69, 0x61, 0x6c, 0x20,
+    0x66, 0x61, 0x6c, 0x6c, 0x62, 0x61, 0x63, 0x6b, 0x04, 0x7b, 0x00, 0x23,
+};
+
+TEST_F(JournalTest, GoldenRecordReplaysAndReencodesByteForByte) {
+  const std::string golden = path("golden.journal");
+  {
+    std::ofstream out(golden, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(kGoldenRecord), sizeof(kGoldenRecord));
+  }
+  const std::vector<JournalRecord> read = Journal::replay(golden);
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(read[0].type, JournalRecordType::Commit);
+  EXPECT_EQ(read[0].txn_id, 0x0123456789ABCDEFull);
+  EXPECT_EQ(read[0].digest, 0xFEDCBA9876543210ull);
+  EXPECT_EQ(read[0].incarnation, 2u);
+  EXPECT_EQ(read[0].note, "serial fallback");
+
+  const std::string again = write("again.journal", read);
+  std::ifstream in(again, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes,
+            std::vector<std::uint8_t>(std::begin(kGoldenRecord), std::end(kGoldenRecord)));
+}
+
 TEST_F(JournalTest, MissingFileReplaysEmpty) {
   EXPECT_TRUE(Journal::replay(path("never_written.journal")).empty());
 }

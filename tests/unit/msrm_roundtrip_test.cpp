@@ -385,6 +385,29 @@ TEST_F(RoundTrip, StreamSealDetectsCorruptionAndTruncation) {
   EXPECT_THROW(check_stream(tiny), WireError);
 }
 
+TEST_F(RoundTrip, TrailerFromARunningCrcMatchesTheOneShotSeal) {
+  // The collect tap seals the stream from its digest's running CRC over
+  // the flushed prefix plus the unflushed rest; every split must give
+  // the bytes the one-shot finish_stream gives.
+  xdr::Encoder whole;
+  write_header(whole, {"native", 42});
+  for (std::uint32_t i = 0; i < 100; ++i) whole.put_u32(i * 2654435761u);
+  const Bytes payload = whole.bytes();
+  finish_stream(whole);
+  const Bytes sealed = whole.take();
+  for (std::size_t prefix = 0; prefix <= payload.size(); prefix += 7) {
+    xdr::Encoder enc;
+    enc.put_bytes(payload.data(), payload.size());
+    StreamDigest tap;
+    tap.update({payload.data(), prefix});
+    finish_stream(enc, tap.crc(), prefix);
+    EXPECT_EQ(enc.bytes(), sealed) << "prefix " << prefix;
+  }
+  const std::uint32_t payload_crc = Crc32::of(payload.data(), payload.size());
+  EXPECT_EQ(check_stream(sealed, payload_crc).size(), payload.size());
+  EXPECT_THROW(check_stream(sealed, payload_crc ^ 1u), WireError);
+}
+
 TEST_F(RoundTrip, HeaderMagicAndVersionAreEnforced) {
   xdr::Encoder enc;
   enc.put_u32(0x12345678);
