@@ -350,7 +350,7 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     // verified chunk count and byte total), pull every remaining byte,
     // compare the end-to-end digest the source computed over the canonical
     // stream against our own — FIRST, so corruption that slipped past
-    // every frame CRC is named for what it is — then run the serial
+    // every frame CRC is named for what it is — then run the whole-buffer
     // path's trailer check. Exactly the 5-byte trailer may stay undecoded.
     // The refills already hashed all but the tail, and the trailer's CRC
     // is the digest's own CRC just before the last five bytes.

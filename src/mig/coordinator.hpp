@@ -2,16 +2,17 @@
 // protocol (§2), hardened for unreliable transports.
 //
 // run_migration() models one migration event end-to-end on a single
-// physical machine: a source host runs the program to its trigger and
-// collects; then, per transfer attempt, a destination host is brought up
-// first and waits for the execution and memory states; the source
-// transmits over a real channel (in-memory, TCP loopback, or shared file —
-// optionally throttled to a modeled Ethernet). A damaged, stalled, or
-// disconnected transfer is retried with capped exponential backoff; when
-// the retry budget is exhausted the source abandons migration and finishes
-// the computation locally, so a failed migration never kills the workload.
-// The report carries the paper's Collect / Tx / Restore split plus the
-// attempt history.
+// physical machine: a destination host is brought up first and waits for
+// the execution and memory states; the source runs the program to its
+// trigger, collects, and transmits over a real channel (in-memory or TCP
+// loopback — optionally throttled to a modeled Ethernet) as one two-phase
+// transaction. A damaged, stalled, or disconnected transfer is resumed or
+// retried with capped exponential backoff; when the retry budget is
+// exhausted the source abandons migration and finishes the computation
+// locally, so a failed migration never kills the workload. The simplex
+// shared-file transport has no reverse path to vote on, so it spools the
+// collected stream per attempt instead. The report carries the paper's
+// Collect / Tx / Restore split plus the attempt history.
 //
 // DEPRECATED as a public include path: embedders should include
 // hpm/migrate.hpp (or hpm/hpm.hpp), which re-exports this header's
@@ -55,18 +56,11 @@ struct DestinationCandidate {
   net::FaultPlan dest_fault_plan{};
 };
 
-/// Ordered candidate destinations plus the dial budgets a failover is
-/// allowed to spend on each before moving to the next.
+/// Ordered candidate destinations for a failover. Each candidate is
+/// dialed up to 1 + RunOptions::max_retries times, paced by the
+/// retry_backoff_* delays, before the next one is tried.
 struct FailoverPolicy {
   std::vector<DestinationCandidate> standbys;
-
-  /// Connect attempts per candidate before it is skipped.
-  int dial_attempts = 3;
-
-  /// Delay before re-dialing a candidate; doubles per attempt, capped
-  /// below. Deterministic (no jitter), like the retry backoff.
-  double dial_backoff_seconds = 0.01;
-  double dial_backoff_cap_seconds = 0.25;
 
   [[nodiscard]] bool enabled() const noexcept { return !standbys.empty(); }
 };
@@ -108,15 +102,16 @@ struct RunOptions {
 
   /// --- pipelined transfer -------------------------------------------------
 
-  /// Overlap Collect / Tx / Restore: the destination comes up before the
-  /// program runs and the collection DFS streams fixed-size chunks
-  /// (StateBegin/StateChunk/StateEnd) while still walking the graph; the
-  /// destination restores each prefix as it lands. File transport has no
-  /// duplex rendezvous, so it always takes the serial path. A failed
-  /// pipelined attempt is retried serially from the retained stream.
+  /// Overlap on/off. Every duplex transport runs the same transaction
+  /// (StateBegin/StateChunk/StateEnd, then Prepare/Commit) with the
+  /// destination up before the program runs. True: the collection DFS
+  /// streams fixed-size chunks while still walking the graph, and the
+  /// destination restores each prefix as it lands. False: collect first,
+  /// then send the retained stream. File transport has no reverse path,
+  /// so it always spools the collected stream and ignores this flag.
   bool pipeline = false;
 
-  /// Chunk payload size for the pipelined path.
+  /// Chunk payload size of the transaction's StateChunks.
   std::uint32_t chunk_bytes = 64 * 1024;
 
   /// Benchmark hook forwarded to every restoring context: unwind as soon
@@ -128,7 +123,9 @@ struct RunOptions {
 
   /// Extra transfer attempts after the first one fails (timeout, CRC
   /// mismatch, disconnect, destination Error/Nack). max_retries + 1 total
-  /// attempts; each replays the stream buffered at collection time.
+  /// attempts, each a resume from the acked watermark or a replay of the
+  /// stream retained at collection time; also the per-candidate dial
+  /// budget of a failover.
   int max_retries = 2;
 
   /// Deadline applied to every channel send/recv of the transfer protocol
@@ -144,8 +141,9 @@ struct RunOptions {
   /// call's deadline while the transfer runs.
   std::shared_ptr<net::DeadlinePolicy> deadline_policy;
 
-  /// Delay before the first retry; doubles per retry, capped below.
-  /// Deterministic (no jitter) so failure schedules are reproducible.
+  /// Delay before the first retry (or failover re-dial); doubles per
+  /// retry, capped below. Deterministic (no jitter) so failure schedules
+  /// are reproducible.
   double retry_backoff_seconds = 0.01;
   double retry_backoff_cap_seconds = 0.25;
 
@@ -159,7 +157,7 @@ struct RunOptions {
   net::FaultPlan dest_fault_plan{};
 
   /// --- transactional handoff ----------------------------------------------
-  /// The pipelined path runs as a resumable, exactly-once transaction:
+  /// Every duplex transfer runs as a resumable, exactly-once transaction:
   /// the destination acks a chunk watermark every `ack_every_chunks`
   /// chunks; a retryable mid-stream failure reconnects and resumes from
   /// the last watermark out of the retained stream instead of
@@ -168,8 +166,8 @@ struct RunOptions {
   /// journaled (fsync'd) on both ends when `journal_dir` is set, so
   /// Coordinator::recover() can arbitrate ownership after a crash.
 
-  /// Chunk-watermark ack cadence for the pipelined path (0 = no acks, so
-  /// a resume would restart from chunk 0).
+  /// Chunk-watermark ack cadence of the transaction (0 = no acks, so a
+  /// resume would restart from chunk 0).
   std::uint32_t ack_every_chunks = 8;
 
   /// Directory for the two intent journals (source.journal /
@@ -183,7 +181,7 @@ struct RunOptions {
   std::uint64_t txn_id = 0;
 
   /// --- content-addressed dedup (DESIGN.md §15) -----------------------------
-  /// When `chunk_cache_dir` names a directory, the pipelined path runs
+  /// When `chunk_cache_dir` names a directory, the transaction runs
   /// dedup'd: the source announces the stream's ordered chunk address
   /// list (ManifestBegin/ManifestChunk), the destination answers with the
   /// indices its persistent ChunkStore in that directory cannot produce
@@ -251,7 +249,8 @@ struct MigrationReport {
   /// Transfer attempts made (0 when no migration was triggered).
   int attempts = 0;
   /// One entry per FAILED attempt, in order, e.g.
-  /// "attempt 1: destination rejected the State frame (Nack): ...".
+  /// "attempt 1: destination restore failed: stream digest mismatch ...",
+  /// or "failover to standby-1: ..." for a failed failover candidate.
   std::vector<std::string> failure_causes;
 
   std::uint64_t stream_bytes = 0;
@@ -268,9 +267,9 @@ struct MigrationReport {
   std::string source_arch;  ///< architecture name carried in the stream
 
   /// 1 − wall / (collect + tx + restore), clamped to [0, 1], for a
-  /// successful pipelined attempt (wall runs from the first chunk leaving
-  /// collection to the destination's acknowledgement). 0 when the serial
-  /// path ran — the phases are strictly sequential there.
+  /// successful overlapped attempt (wall runs from the first chunk leaving
+  /// collection to the destination's acknowledgement). 0 with overlap off
+  /// (pipeline false, or File) — collection ends before Tx begins.
   double overlap_ratio = 0;
 
   /// Chunk sequence the transfer resumed from on the last resume attempt
@@ -278,12 +277,12 @@ struct MigrationReport {
   /// out of the retained stream.
   std::int64_t resumed_from_seq = -1;
 
-  /// Transaction id of the pipelined handoff (0 = no transaction ran).
+  /// Transaction id of the handoff (0 = no transaction ran: File).
   std::uint64_t txn_id = 0;
 
   /// End-to-end msrm::StreamDigest of the canonical stream (0 = no stream
-  /// was collected), reported on every path, File and serial fallback
-  /// included. When a pipelined transaction migrated, the destination
+  /// was collected), reported on every path, File included. When a
+  /// transaction migrated, the destination
   /// verified its reassembled stream against this value before voting, so
   /// equal digests across two runs certify bit-identical restored state.
   std::uint64_t stream_digest = 0;
@@ -293,7 +292,8 @@ struct MigrationReport {
   /// fires, then the number of re-targets (1 = the first standby won).
   int failovers = 0;
   /// Incarnation of the destination that finally owned the commit phase
-  /// (1 = the primary; 0 = no pipelined transaction ran).
+  /// (1 = the primary's first binding, higher after a primary retry or a
+  /// failover; 0 = no transaction ran).
   std::uint32_t dest_incarnation = 0;
   /// Wall-clock seconds from declaring the previous destination dead to
   /// the winning destination's commit — the availability gap a failover
@@ -326,10 +326,9 @@ MigrationReport run_migration(const RunOptions& options);
 /// Run one migration as a session over caller-provided wiring — the entry
 /// point sched::migrate_many drives once per concurrent session, with
 /// every wiring.connect() binding a fresh epoch of a shared routed
-/// channel. Always takes the pipelined transactional path (a routed
-/// channel has no serial v3 fallback: untagged frames cannot share the
-/// wire), so a transaction that exhausts its attempts degrades straight
-/// to local completion. Journals are keyed by transaction id
+/// channel. Runs the same transaction as run_migration does on an
+/// exclusive channel, primary retries and local degradation included.
+/// Journals are keyed by transaction id
 /// (keyed_source_journal_name) so concurrent sessions can share one
 /// journal_dir; recover with Coordinator::recover(dir, txn). The report's
 /// registry-delta `metrics` overlaps between concurrent sessions — the

@@ -265,7 +265,14 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
       // The port died mid-stream, but the stream itself is resumable from
       // the assembler's watermark: park for a replacement port. The
       // source retransmits every chunk from that watermark raw — former
-      // cache hits included — so splice-ahead must stop now.
+      // cache hits included — so splice-ahead must stop now. The port is
+      // wounded first: a damaged frame or a recv deadline leaves the link
+      // itself up, and on an exclusive channel the abort lets the source
+      // see the loss now rather than at its own next deadline.
+      try {
+        current()->abort();
+      } catch (...) {
+      }
       assembler.mark_resumed();
       session_.park();
       if (!adopt_replacement()) {

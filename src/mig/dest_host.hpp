@@ -1,4 +1,4 @@
-// Destination endpoint of the transactional pipelined transfer.
+// Destination endpoint of the transactional handoff.
 #pragma once
 
 #include <atomic>
@@ -17,8 +17,8 @@
 
 namespace hpm::mig {
 
-/// Unlike the serial path's per-attempt destination, this host SURVIVES
-/// link failures: its rx loop parks on a port error and adopts the
+/// One destination incarnation of the transaction. It SURVIVES link
+/// failures: its rx loop parks on a port error and adopts the
 /// replacement the source offers, announcing its chunk watermark in
 /// ResumeHello — one restoration spanning several physical bindings.
 /// Restoration is bracketed by the commit gate (Prepare/PrepareAck then

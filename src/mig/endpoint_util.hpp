@@ -1,12 +1,16 @@
 // Small helpers shared by the migration layer's endpoint drivers
-// (serial_transfer, source_txn, dest_host, coordinator).
+// (spool_transfer, source_txn, dest_host, coordinator).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "mig/coordinator.hpp"
 #include "net/faulty_channel.hpp"
@@ -18,6 +22,76 @@ namespace hpm::mig {
 /// Deadline applied when fault injection is on but the caller set none:
 /// an injected stall/truncation must never hang the run.
 inline constexpr double kFaultInjectionDefaultTimeout = 5.0;
+
+/// The per-IO deadline policy of a run: options.deadline_policy when set,
+/// else a fixed policy from io_timeout_seconds (kFaultInjectionDefaultTimeout
+/// when faults are armed and no timeout was given).
+inline std::shared_ptr<net::DeadlinePolicy> io_deadline(const RunOptions& options) {
+  if (options.deadline_policy != nullptr) return options.deadline_policy;
+  const bool faults_armed =
+      options.fault_plan.enabled() || options.dest_fault_plan.enabled();
+  const double io_s = options.io_timeout_seconds > 0
+                          ? options.io_timeout_seconds
+                          : (faults_armed ? kFaultInjectionDefaultTimeout : 0);
+  return net::DeadlinePolicy::fixed(
+      std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0))));
+}
+
+/// The one retry delay: retry_backoff_seconds before the first retry,
+/// doubling per retry up to retry_backoff_cap_seconds. Deterministic (no
+/// jitter) so failure schedules are reproducible. Paces the spool
+/// attempts, the transaction's resumes and primary retries, and each
+/// failover candidate's dials.
+class RetryBackoff {
+ public:
+  explicit RetryBackoff(const RunOptions& options)
+      : delay_(options.retry_backoff_seconds), cap_(options.retry_backoff_cap_seconds) {}
+
+  void wait() {
+    if (delay_ > 0) std::this_thread::sleep_for(std::chrono::duration<double>(delay_));
+    delay_ = std::min(delay_ * 2, cap_);
+  }
+
+ private:
+  double delay_;
+  double cap_;
+};
+
+/// Run the program on the source host until it completes (false) or the
+/// migration trigger fires and the state is collected into `ctx` (true).
+/// The paper's scheduler sends the migration request asynchronously;
+/// request_after_seconds models it with a timer thread that pokes the
+/// context's request flag. Anything else the program throws propagates.
+inline bool run_source_program(const RunOptions& options, MigContext& ctx) {
+  std::atomic<bool> program_done{false};
+  std::thread scheduler;
+  if (options.request_after_seconds > 0) {
+    scheduler = std::thread([&ctx, &program_done, delay = options.request_after_seconds] {
+      const auto fire_at =
+          std::chrono::steady_clock::now() + std::chrono::duration<double>(delay);
+      while (!program_done.load(std::memory_order_relaxed) &&
+             std::chrono::steady_clock::now() < fire_at) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      if (!program_done.load(std::memory_order_relaxed)) ctx.request_migration();
+    });
+  }
+  auto join_scheduler = [&] {
+    program_done.store(true, std::memory_order_relaxed);
+    if (scheduler.joinable()) scheduler.join();
+  };
+  try {
+    options.program(ctx);
+  } catch (const MigrationExit&) {
+    join_scheduler();
+    return true;
+  } catch (...) {
+    join_scheduler();  // never leave the timer thread joinable
+    throw;
+  }
+  join_scheduler();
+  return false;
+}
 
 inline void remove_spool(const std::string& path) {
   std::remove(path.c_str());

@@ -324,9 +324,10 @@ RecoveryVerdict recover_from_journals(const std::string& source_path,
   }
 
   // The LAST decisive record of the latest transaction wins: an early
-  // Abort followed by a committed serial retry ends at Commit/Done, and a
-  // failed-over Commit carries the standby's incarnation — the fencing
-  // token that disowns every earlier destination.
+  // Abort followed by a committed retry ends at Commit/Done, and the
+  // Commit carries the incarnation of the destination that voted for it
+  // (a primary retry or a failover standby) — the fencing token that
+  // disowns every earlier destination.
   bool src_commit = false, src_done = false;
   std::uint32_t commit_inc = 0;
   for (const JournalRecord& r : src) {

@@ -16,8 +16,9 @@
 //                                   source Commit)
 //              = Source       otherwise (presumed abort)
 //
-// The decisive record is the LAST one: a transaction that aborted its
-// pipelined leg and then committed a serial retry ends at Commit/Done.
+// The decisive record is the LAST one: a transaction whose first
+// incarnation aborted and whose retry at a fresh incarnation committed
+// ends at that incarnation's Commit/Done.
 // Replay tolerates a torn tail — a record cut short or CRC-damaged by a
 // crash mid-append is ignored along with everything after it, exactly
 // the prefix-durability a write-ahead log needs.

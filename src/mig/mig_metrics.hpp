@@ -1,5 +1,5 @@
 // Process-wide mig.* metric singletons, shared by the migration layer's
-// split translation units (serial_transfer, source_txn, dest_host,
+// split translation units (spool_transfer, source_txn, dest_host,
 // coordinator). Each struct resolves its instruments once against the
 // obs::Registry; get() hands every caller the same references.
 #pragma once

@@ -49,8 +49,8 @@ class RetainedStream {
   /// errors (a truncated spill must fail loudly, not replay garbage).
   void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
-  /// The whole stream as a fresh in-memory copy — the serial-fallback and
-  /// local-completion paths restore from a contiguous buffer.
+  /// The whole stream as a fresh in-memory copy — local completion
+  /// restores from a contiguous buffer.
   [[nodiscard]] Bytes materialize() const;
 
   /// Unlink the spill file (if any) and drop the memory copy. Called once

@@ -293,10 +293,10 @@ void SourceSession::redirect_decided(std::uint32_t next_incarnation) {
   // collected) stream to a standby exactly as it would mid-protocol.
   // Redirecting likewise: a STANDBY that dies before its own Hello parks
   // the machine here, and moving on to the next candidate is the same
-  // decision again under the next incarnation.
-  if (state_ != SessionState::Idle && state_ != SessionState::Streaming &&
-      state_ != SessionState::Prepared && state_ != SessionState::Resuming &&
-      state_ != SessionState::Redirecting) {
+  // decision again under the next incarnation. Aborted too: a veto ends
+  // one incarnation, not the transaction — a primary retry replays the
+  // stream to a fresh incarnation that votes anew.
+  if (state_ == SessionState::Hello || state_ == SessionState::Committed) {
     illegal_event_locked("redirect_decided");
   }
   if (next_incarnation <= incarnation_) illegal_event_locked("redirect_decided");

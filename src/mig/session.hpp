@@ -10,8 +10,9 @@
 //                      ↓
 //                  Prepared → Committed
 //        (any live state) → Aborted
-//   Streaming/Prepared/Resuming → Redirecting → Hello   (source only:
-//        destination failover re-targets the stream to a standby)
+//   Streaming/Prepared/Resuming/Aborted → Redirecting → Hello   (source
+//        only: a primary retry or a failover re-targets the stream to a
+//        fresh destination incarnation)
 //
 // with ONE wire entry point, on_frame(frame), that validates the frame
 // against the current state, applies the transition, and returns the new
@@ -47,8 +48,9 @@ enum class SessionState : std::uint8_t {
   Committed,  ///< ownership transferred to the destination (terminal)
   Aborted,    ///< handoff over without a transfer of ownership (terminal)
   /// Source only: the destination was declared dead (supervisor verdict
-  /// or exhausted resume budget) and the stream is being re-targeted at
-  /// a standby under the next incarnation. Appended after the terminal
+  /// or exhausted resume budget) or vetoed the handoff, and the stream is
+  /// being re-targeted at a fresh destination under the next
+  /// incarnation. Appended after the terminal
   /// states so the numeric gauge values of the original states persist
   /// across the v5 bump.
   Redirecting,
@@ -124,13 +126,14 @@ class SourceSession : public SessionMachine {
   void commit_decided();              ///< Prepared → Committed (durable Commit record)
   void abort_decided(std::string why);///< any live state → Aborted (no throw)
 
-  /// Failover: the current destination is presumed dead and the stream is
-  /// being re-targeted at a standby under `next_incarnation`. Legal from
-  /// Idle (a primary dead before its Hello), Streaming/Prepared/Resuming,
-  /// and Redirecting itself (a standby dead before ITS Hello — the next
-  /// candidate is the same decision again); resets the per-destination
+  /// Redirect: the current destination is dead or vetoed the handoff, and
+  /// the stream is being re-targeted — at a standby, or at a fresh primary
+  /// incarnation — under `next_incarnation`. Legal from Idle (a primary
+  /// dead before its Hello), Streaming/Prepared/Resuming, Aborted (a veto
+  /// ends the incarnation, not the transaction), and Redirecting itself (a
+  /// destination dead before ITS Hello); resets the per-destination
   /// transfer state (watermark, manifest ack) while keeping the retained
-  /// stream's totals, and re-opens the machine for the standby's Hello.
+  /// stream's totals, and re-opens the machine for the new destination's Hello.
   void redirect_decided(std::uint32_t next_incarnation);
 
   /// Collection finished: arms ResumeHello validation (a destination may

@@ -1,8 +1,6 @@
 #include "mig/source_txn.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -122,37 +120,77 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
   return CommitResult::Unconfirmed;
 }
 
+/// One destination incarnation: its host plus the config and journal the
+/// host borrows for its whole life.
+struct Destination {
+  Destination(const RunOptions& dest_options, MigrationReport& report,
+              const std::string& journal_path, const std::string& source_journal_path,
+              const net::DeadlinePolicy& deadline, std::uint32_t session_id)
+      : options(dest_options),
+        host(options, report, journal, source_journal_path, deadline, session_id) {
+    if (!journal_path.empty()) journal.open(journal_path);
+  }
+
+  RunOptions options;
+  Journal journal;
+  DestinationHost host;
+};
+
 }  // namespace
 
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
-    const SessionWiring& wiring, const net::DeadlinePolicy& deadline,
-    Journal& src_journal, Journal& dst_journal,
-    const std::function<std::string(std::uint32_t)>& standby_journal_path,
-    std::uint64_t txn, int total_attempts, int& attempts_used) {
+    const SessionWiring& wiring, const net::DeadlinePolicy& deadline, Journal& src_journal,
+    const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn) {
   TxnMetrics::get().begins.add(1);
   report.txn_id = txn;
+  const int total_attempts = 1 + std::max(0, options.max_retries);
 
   SourceSession session(wiring.session_id, txn);
+  std::unique_ptr<MessagePort> src_port;
+  std::unique_ptr<ControlInbox> inbox;
+  /// The incarnation the stream currently addresses.
+  std::unique_ptr<Destination> dest;
+  /// Some incarnation ran the workload (fencing lets at most one).
+  bool dest_finished = false;
 
-  PortPair ports = wiring.connect();
-  std::unique_ptr<MessagePort> src_port = std::move(ports.source);
-  src_port->set_timeout(deadline.current());
+  auto open_destination = [&](const RunOptions& dest_options, std::uint32_t inc,
+                              std::unique_ptr<MessagePort> port) {
+    dest = std::make_unique<Destination>(
+        dest_options, report, dest_journal_path ? dest_journal_path(inc) : std::string(),
+        src_journal.path(), deadline, wiring.session_id);
+    dest->host.start(std::move(port));
+  };
+  /// Tear the current destination down completely, so no straggler of it
+  /// can race the next incarnation's frames.
+  auto close_destination = [&] {
+    if (inbox != nullptr) {
+      inbox->stop();
+      inbox.reset();  // the pump must be gone before its port is
+    }
+    if (dest != nullptr) {
+      dest->host.close();
+      dest->host.join();
+      dest_finished = dest_finished || dest->host.finished();
+      dest.reset();
+    }
+    try {
+      if (src_port != nullptr) src_port->close();
+    } catch (...) {
+    }
+    src_port.reset();
+  };
 
-  DestinationHost dest(options, report, dst_journal, src_journal.path(), deadline,
-                       wiring.session_id);
-  dest.start(std::move(ports.destination));
-
+  int attempts_used = 1;
   CoordinatorMetrics::get().attempts.add(1);
-  attempts_used = 1;
   report.attempts = 1;
 
   const std::size_t cb = std::max<std::size_t>(1, options.chunk_bytes);
   // Dedup'd transfer (DESIGN.md §15): the manifest needs every chunk
   // address up front, so the stream is collected in full before anything
-  // but StateBegin goes out — no sender thread, no collect sink.
+  // but StateBegin goes out — no sender thread, no collect sink. With
+  // pipeline off the same collect-first order holds, minus the manifest.
   const bool dedup = !options.chunk_cache_dir.empty();
-  std::unique_ptr<ControlInbox> inbox;
 
   ChunkQueue queue(kChunkQueueCapacity);
   std::exception_ptr sender_error;
@@ -185,14 +223,14 @@ TxnResult run_pipelined_transaction(
   std::exception_ptr source_error;
   /// Set when options.program itself throws (anything but MigrationExit):
   /// a workload failure is the caller's to see, never a retryable
-  /// transport fault — rethrown after teardown, matching the serial path.
+  /// transport fault — rethrown after teardown.
   std::exception_ptr program_error;
   double measured_tx = 0;
   bool collected = false;
-  /// False when the primary died before its Hello ever arrived: attempt 1
-  /// then runs the program sink-less (full in-memory collection) and the
-  /// failover block replays the retained stream at a standby — without
-  /// standbys the Hello failure stays fatal for the attempt, as before.
+  /// False when the primary could not be reached or died before its Hello
+  /// arrived: attempt 1 then runs the program sink-less (full in-memory
+  /// collection) and a failover or primary retry replays the retained
+  /// stream at a fresh incarnation.
   bool rendezvoused = false;
   bool killed = false;
   bool attempt_ok = false;
@@ -214,12 +252,31 @@ TxnResult run_pipelined_transaction(
     return {chunk_buf.data(), len};
   };
 
+  /// Chunks [from, end) of the retained stream, then StateEnd, on the
+  /// current port. `coded` frames every chunk with the dedup codec tag
+  /// (raw, tag 0), which a destination that negotiated a manifest expects
+  /// — former cache hits included, since a resumed destination stops
+  /// splicing when the link drops.
+  auto send_chunks = [&](std::uint64_t from, bool coded) {
+    PipelineMetrics& pm = PipelineMetrics::get();
+    for (std::uint64_t seq = from; seq < end.chunk_count; ++seq) {
+      const std::span<const std::uint8_t> body = read_chunk(seq);
+      const auto seq32 = static_cast<std::uint32_t>(seq);
+      src_port->send(net::MsgType::StateChunk,
+                     coded ? net::encode_state_chunk_coded(seq32, 0, body)
+                           : net::encode_state_chunk(seq32, body));
+      pm.chunks.add(1);
+      pm.chunk_bytes.record(static_cast<double>(body.size()));
+    }
+    src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
+  };
+
   /// Dedup negotiation + residual transfer on the CURRENT port/inbox:
   /// announce the manifest, learn the destination's miss set, ship only
-  /// the misses (codec-compressed when it pays), then StateEnd. Used by
-  /// attempt 1 against the primary and by a failover replay against a
-  /// warm standby — the standby answers with its OWN store's misses, so a
-  /// warm cache turns the full [0, end) replay into a trickle.
+  /// the misses (codec-compressed when it pays), then StateEnd. Run
+  /// against every destination configured with a chunk store — the
+  /// primary, a primary retry, or a warm standby, each of which answers
+  /// with its OWN store's misses.
   auto negotiate_and_send = [&] {
     DedupMetrics& dm = DedupMetrics::get();
     const std::uint32_t nchunks = end.chunk_count;
@@ -299,23 +356,84 @@ TxnResult run_pipelined_transaction(
     report.dedup_wire_bytes = wire;
   };
 
+  /// The collect-first transfer to the current destination incarnation:
+  /// Begin journaled write-ahead (the incarnation exists on disk before
+  /// any frame names it on the wire), StateBegin, then the manifest
+  /// negotiation or the whole stream, then the commit phase.
+  auto send_collected = [&](const std::string& note) {
+    const std::uint32_t inc = session.incarnation();
+    {
+      obs::Span tx_span("mig.tx");
+      tx_span.arg("transport", std::string(net::transport_name(options.transport)));
+      tx_span.arg("incarnation", std::uint64_t{inc});
+      src_journal.append({JournalRecordType::Begin, txn, 0, inc, note});
+      src_port->send(net::MsgType::StateBegin,
+                     net::encode_state_begin({options.chunk_bytes, txn, inc}));
+      if (!dest->options.chunk_cache_dir.empty()) {
+        negotiate_and_send();
+      } else {
+        send_chunks(0, false);
+      }
+      measured_tx += tx_span.finish();
+    }
+    const CommitResult r =
+        source_commit_phase(*src_port, *inbox, session, deadline, txn, digest, src_journal);
+    unconfirmed = (r == CommitResult::Unconfirmed);
+    attempt_ok = true;
+  };
+
+  /// Record a failed attempt and stop its port, classifying a source crash.
+  auto attempt_failed = [&](const std::string& label, const Error& e) {
+    if (dynamic_cast<const KilledError*>(&e) != nullptr) killed = true;
+    report.failure_causes.push_back(label + ": " + e.what());
+    fail_channel();
+  };
+
+  /// Re-target the stream at a fresh destination incarnation over `fresh`:
+  /// start its host, take its Hello, and run send_collected against it —
+  /// a full replay from chunk 0, or a negotiation against the
+  /// destination's own chunk store when it has one.
+  auto redirect = [&](PortPair fresh, std::uint32_t inc, const RunOptions& dest_options,
+                      const std::string& label) {
+    close_destination();
+    try {
+      session.redirect_decided(inc);
+      src_port = std::move(fresh.source);
+      src_port->set_timeout(deadline.current());
+      open_destination(dest_options, inc, std::move(fresh.destination));
+      session.on_frame(src_port->recv());  // the new incarnation's own Hello
+      session.begin_streaming();
+      inbox = std::make_unique<ControlInbox>(*src_port, session);
+      send_collected(label);
+    } catch (const Error& e) {
+      attempt_failed(label, e);
+    }
+  };
+
   // --- attempt 1: stream while collecting ----------------------------------
   try {
     try {
+      PortPair ports = wiring.connect();
+      src_port = std::move(ports.source);
+      src_port->set_timeout(deadline.current());
+      open_destination(options, 1, std::move(ports.destination));
       session.on_frame(src_port->recv());  // Hello: version-checked by the machine
       rendezvoused = true;
     } catch (const KilledError&) {
       throw;  // an injected SOURCE death is a crash, never a dead primary
     } catch (const Error& e) {
-      if (!options.failover.enabled() || wiring.connect_standby == nullptr) throw;
       report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
     }
+    // Overlap collect/tx/restore only with a live primary: without one the
+    // sender thread never starts, and a bounded queue would block
+    // collection at capacity.
+    const bool overlap = rendezvoused && options.pipeline && !dedup;
     if (rendezvoused) {
       session.begin_streaming();
       inbox = std::make_unique<ControlInbox>(*src_port, session);
     }
 
-    if (!dedup && rendezvoused) sender = std::thread([&] {
+    if (overlap) sender = std::thread([&] {
       try {
         PipelineMetrics& pm = PipelineMetrics::get();
         std::unique_ptr<obs::Span> tx_span;
@@ -351,45 +469,20 @@ TxnResult run_pipelined_transaction(
     MigContext ctx(types, options.search);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
-    if (!dedup && rendezvoused) {
-      // No sink without a live primary: the sender thread never started,
-      // so a bounded queue would block collection at capacity.
+    if (overlap) {
       ctx.set_collect_sink(options.chunk_bytes, [&](std::span<const std::uint8_t> bytes) {
         if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();
         queue.push(Bytes(bytes.begin(), bytes.end()));
       });
     }
-
-    std::atomic<bool> program_done{false};
-    std::thread scheduler;
-    if (options.request_after_seconds > 0) {
-      scheduler = std::thread([&ctx, &program_done, delay = options.request_after_seconds] {
-        const auto fire_at = Clock::now() + std::chrono::duration<double>(delay);
-        while (!program_done.load(std::memory_order_relaxed) && Clock::now() < fire_at) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        if (!program_done.load(std::memory_order_relaxed)) ctx.request_migration();
-      });
-    }
-    auto join_scheduler = [&] {
-      program_done.store(true, std::memory_order_relaxed);
-      if (scheduler.joinable()) scheduler.join();
-    };
     try {
-      try {
-        options.program(ctx);
-      } catch (const MigrationExit&) {
-        join_scheduler();
-        throw;
-      } catch (...) {
-        join_scheduler();
-        program_error = std::current_exception();
-        throw;
-      }
-      join_scheduler();
-    } catch (const MigrationExit&) {
-      collected = true;
-      stream.set(ctx.stream());  // retained for resumes, failover, serial retries
+      collected = run_source_program(options, ctx);
+    } catch (...) {
+      program_error = std::current_exception();
+      throw;
+    }
+    if (collected) {
+      stream.set(ctx.stream());  // retained for resumes, retries, failover
       digest = ctx.stream_digest();
       report.stream_digest = digest;
       report.stream_bytes = stream.size();
@@ -419,35 +512,20 @@ TxnResult run_pipelined_transaction(
       end.total_bytes = stream.size();
       end.digest = digest;
       session.set_stream(end.chunk_count, digest);
-      if (!rendezvoused) {
-        // Nothing to send the dead primary: attempt 1 is over (its Hello
-        // failure is already recorded) and the failover block replays the
-        // retained stream at a standby.
-        queue.close(std::nullopt);
-        join_sender();
-      } else if (!dedup) {
+      if (overlap) {
         queue.close(end);
         join_sender();
         if (sender_error != nullptr) std::rethrow_exception(sender_error);
-      } else {
-        // --- dedup: announce addresses, learn the miss set, ship only it ---
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("dedup", std::uint64_t{1});
-        pipeline_start = Clock::now();
-        src_journal.append({JournalRecordType::Begin, txn, 0, 1, "source"});
-        src_port->send(net::MsgType::StateBegin,
-                       net::encode_state_begin({options.chunk_bytes, txn, 1}));
-        negotiate_and_send();
-        measured_tx = tx_span.finish();
-      }
-      if (rendezvoused) {
-        const CommitResult r =
-            source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                                src_journal);
+        const CommitResult r = source_commit_phase(*src_port, *inbox, session, deadline,
+                                                   txn, digest, src_journal);
         unconfirmed = (r == CommitResult::Unconfirmed);
         attempt_ok = true;
+      } else if (rendezvoused) {
+        if (dedup) pipeline_start = Clock::now();
+        send_collected("source");
       }
+      // Without a rendezvous attempt 1 is over (its failure is already
+      // recorded): the retry loop replays the retained stream.
     }
   } catch (...) {
     source_error = std::current_exception();
@@ -457,249 +535,159 @@ TxnResult run_pipelined_transaction(
     fail_channel();
   }
 
-  // Classify the attempt-1 failure before deciding whether to resume.
+  // Classify the attempt-1 failure before deciding how to retry.
   bool fatal_other = false;  // non-hpm exception: propagate after teardown
   if (source_error != nullptr && program_error == nullptr) {
     try {
       std::rethrow_exception(source_error);
-    } catch (const KilledError& e) {
-      killed = true;
-      if (collected) report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
     } catch (const Error& e) {
-      if (collected) report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
+      if (collected) {
+        attempt_failed("attempt 1", e);
+      } else {
+        killed = dynamic_cast<const KilledError*>(&e) != nullptr;
+      }
     } catch (...) {
       fatal_other = true;
     }
   }
 
-  // --- resume attempts: retransmit only past the acked watermark -----------
-  const std::uint64_t total_chunks = collected ? (stream.size() + cb - 1) / cb : 0;
-  double backoff = options.retry_backoff_seconds;
-  while (rendezvoused && collected && !attempt_ok && !unconfirmed && !killed &&
-         !fatal_other && program_error == nullptr && attempts_used < total_attempts &&
-         !session.terminal() && dest.resumable()) {
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2, options.retry_backoff_cap_seconds);
-    }
+  // --- retries, on one budget ----------------------------------------------
+  // A destination that merely lost its link resumes from its acked
+  // watermark. A dead one fails over to the standbys, once. Past both —
+  // or after a veto, which ends an incarnation but not the transaction —
+  // the stream replays from chunk 0 to a fresh primary incarnation from
+  // wiring.connect(), which votes anew before anything is committed.
+  RetryBackoff backoff(options);
+  std::uint32_t next_inc = 2;
+  bool failed_over = false;
+  /// Count one more attempt; returns the label its failure cause carries.
+  auto next_attempt = [&] {
     ++attempts_used;
     report.attempts = attempts_used;
     CoordinatorMetrics::get().attempts.add(1);
-    CoordinatorMetrics::get().retries.add(1);
-    try {
-      note_link_lost();  // the machine must be Resuming to accept ResumeHello
-      PortPair fresh = wiring.connect();
-      if (!dest.offer(std::move(fresh.destination))) {
-        report.failure_causes.push_back("attempt " + std::to_string(attempts_used) +
-                                        ": destination no longer accepts a resume channel");
-        break;
-      }
-      if (inbox != nullptr) {
-        inbox->stop();
-        inbox.reset();  // the pump must be gone before its port is
-      }
-      src_port = std::move(fresh.source);
-      src_port->set_timeout(deadline.current());
-      session.on_frame(src_port->recv());  // ResumeHello: version/txn/bound-checked
-      const std::uint32_t next_seq = session.resume_next_seq();
-      ResumeMetrics::get().attempts.add(1);
-      ResumeMetrics::get().chunks_skipped.add(next_seq);
-      report.resumed_from_seq = static_cast<std::int64_t>(next_seq);
-      inbox = std::make_unique<ControlInbox>(*src_port, session);
-      {
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("resumed_from", std::uint64_t{next_seq});
-        PipelineMetrics& pm = PipelineMetrics::get();
-        for (std::uint64_t seq = next_seq; seq < total_chunks; ++seq) {
-          const std::span<const std::uint8_t> body = read_chunk(seq);
-          // A dedup stream's chunk payloads carry a codec tag byte; resume
-          // retransmits everything raw (tag 0) — former cache hits included,
-          // since the destination stopped splicing when the link dropped.
-          src_port->send(net::MsgType::StateChunk,
-                         dedup ? net::encode_state_chunk_coded(
-                                     static_cast<std::uint32_t>(seq), 0, body)
-                               : net::encode_state_chunk(
-                                     static_cast<std::uint32_t>(seq), body));
-          pm.chunks.add(1);
-          pm.chunk_bytes.record(static_cast<double>(body.size()));
-        }
-        src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
-        measured_tx += tx_span.finish();
-      }
-      const CommitResult r =
-          source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                              src_journal);
-      unconfirmed = (r == CommitResult::Unconfirmed);
-      attempt_ok = true;
-    } catch (const KilledError& e) {
-      killed = true;
-      report.failure_causes.push_back("attempt " + std::to_string(attempts_used) + ": " +
-                                      e.what());
-      fail_channel();
-    } catch (const Error& e) {
-      report.failure_causes.push_back("attempt " + std::to_string(attempts_used) + ": " +
-                                      e.what());
-      fail_channel();
-    }
-  }
-
-  // --- destination failover: re-target the stream at a standby --------------
-  // The primary is now presumed dead (resume budget exhausted, host
-  // crashed, or the session was supervisor-cancelled). A terminal session
-  // is excluded on purpose: a destination that REJECTED the handoff
-  // (Nack, digest mismatch) made a protocol decision, and re-playing the
-  // same stream at a standby would just re-earn it.
-  bool standby_finished = false;
-  if (collected && !attempt_ok && !unconfirmed && !killed && !fatal_other &&
-      program_error == nullptr && !session.terminal() &&
-      options.failover.enabled() && wiring.connect_standby != nullptr) {
-    const Clock::time_point declared_dead = Clock::now();
-    FailoverMetrics::get().triggered.add(1);
-    // Tear the primary endpoint down completely before any standby frame
-    // can race its stragglers.
-    if (inbox != nullptr) {
-      inbox->stop();
-      inbox.reset();
-    }
-    dest.close();
-    dest.join();
-    try {
-      if (src_port != nullptr) src_port->close();
-    } catch (...) {
-    }
-    src_port.reset();
-
-    const FailoverPolicy& fo = options.failover;
-    for (std::size_t k = 0; k < fo.standbys.size() && !session.terminal(); ++k) {
-      const DestinationCandidate& cand = fo.standbys[k];
-      const std::string label =
-          cand.name.empty() ? "standby-" + std::to_string(k + 1) : cand.name;
-      const auto inc = static_cast<std::uint32_t>(k + 2);
-
-      // Dial under the policy's per-candidate budget.
-      PortPair fresh;
-      bool dialed = false;
-      std::string dial_cause = "dial budget is zero";
-      double dial_backoff = fo.dial_backoff_seconds;
-      for (int d = 0; d < std::max(1, fo.dial_attempts); ++d) {
-        if (d > 0 && dial_backoff > 0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(dial_backoff));
-          dial_backoff = std::min(dial_backoff * 2, fo.dial_backoff_cap_seconds);
-        }
-        try {
-          fresh = wiring.connect_standby(k);
-          dialed = true;
-          break;
-        } catch (const Error& e) {
-          dial_cause = e.what();
-        }
-      }
-      if (!dialed) {
-        FailoverMetrics::get().dial_failures.add(1);
-        report.failure_causes.push_back("failover to " + label + ": " + dial_cause);
-        continue;
-      }
-
-      ++attempts_used;
-      report.attempts = attempts_used;
-      CoordinatorMetrics::get().attempts.add(1);
-      FailoverMetrics::get().redirects.add(1);
-      ++report.failovers;
-      session.redirect_decided(inc);
-
-      // The candidate runs under its own destination config (its own
-      // chunk store, its own chaos script) and its own intent journal —
-      // the incarnation-suffixed file arbitration scans alongside the
-      // primary's.
-      RunOptions cand_options = options;
-      cand_options.chunk_cache_dir = cand.chunk_cache_dir;
-      cand_options.dest_fault_plan = cand.dest_fault_plan;
-      Journal cand_journal;
-      if (standby_journal_path) {
-        const std::string path = standby_journal_path(inc);
-        if (!path.empty()) cand_journal.open(path);
-      }
-      DestinationHost standby(cand_options, report, cand_journal, src_journal.path(),
-                              deadline, wiring.session_id);
-      standby.start(std::move(fresh.destination));
-      src_port = std::move(fresh.source);
-      src_port->set_timeout(deadline.current());
+    return "attempt " + std::to_string(attempts_used);
+  };
+  while (collected && !attempt_ok && !unconfirmed && !killed && !fatal_other &&
+         program_error == nullptr) {
+    const SessionState state = session.state();
+    const bool linked = state == SessionState::Streaming ||
+                        state == SessionState::Prepared || state == SessionState::Resuming;
+    if (attempts_used < total_attempts && linked && dest != nullptr &&
+        dest->host.resumable()) {
+      // --- resume: retransmit only past the acked watermark
+      backoff.wait();
+      const std::string label = next_attempt();
+      CoordinatorMetrics::get().retries.add(1);
       try {
-        session.on_frame(src_port->recv());  // the standby's own Hello
-        session.begin_streaming();
-        inbox = std::make_unique<ControlInbox>(*src_port, session);
-        // Write-ahead: the redirect exists on disk before any frame names
-        // the new incarnation on the wire.
-        src_journal.append(
-            {JournalRecordType::Begin, txn, 0, inc, "failover to " + label});
-        src_port->send(net::MsgType::StateBegin,
-                       net::encode_state_begin({options.chunk_bytes, txn, inc}));
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("failover_incarnation", std::uint64_t{inc});
-        if (!cand.chunk_cache_dir.empty()) {
-          // Warm standby: negotiate against ITS store; only misses travel.
-          negotiate_and_send();
-        } else {
-          PipelineMetrics& pm = PipelineMetrics::get();
-          for (std::uint64_t seq = 0; seq < total_chunks; ++seq) {
-            const std::span<const std::uint8_t> body = read_chunk(seq);
-            src_port->send(net::MsgType::StateChunk,
-                           net::encode_state_chunk(static_cast<std::uint32_t>(seq),
-                                                   body));
-            pm.chunks.add(1);
-            pm.chunk_bytes.record(static_cast<double>(body.size()));
-          }
-          src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
+        note_link_lost();  // the machine must be Resuming to accept ResumeHello
+        PortPair fresh = wiring.connect();
+        if (!dest->host.offer(std::move(fresh.destination))) {
+          // The destination died meanwhile; the next round replays.
+          report.failure_causes.push_back(label +
+                                          ": destination no longer accepts a resume channel");
+          continue;
         }
-        measured_tx += tx_span.finish();
-        const CommitResult r =
-            source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                                src_journal);
+        if (inbox != nullptr) {
+          inbox->stop();
+          inbox.reset();  // the pump must be gone before its port is
+        }
+        src_port = std::move(fresh.source);
+        src_port->set_timeout(deadline.current());
+        session.on_frame(src_port->recv());  // ResumeHello: version/txn/bound-checked
+        const std::uint32_t next_seq = session.resume_next_seq();
+        ResumeMetrics::get().attempts.add(1);
+        ResumeMetrics::get().chunks_skipped.add(next_seq);
+        report.resumed_from_seq = static_cast<std::int64_t>(next_seq);
+        inbox = std::make_unique<ControlInbox>(*src_port, session);
+        {
+          obs::Span tx_span("mig.tx");
+          tx_span.arg("transport", std::string(net::transport_name(options.transport)));
+          tx_span.arg("resumed_from", std::uint64_t{next_seq});
+          send_chunks(next_seq, !dest->options.chunk_cache_dir.empty());
+          measured_tx += tx_span.finish();
+        }
+        const CommitResult r = source_commit_phase(*src_port, *inbox, session, deadline,
+                                                   txn, digest, src_journal);
         unconfirmed = (r == CommitResult::Unconfirmed);
         attempt_ok = true;
-      } catch (const KilledError& e) {
-        killed = true;
-        report.failure_causes.push_back("failover to " + label + ": " + e.what());
-        fail_channel();
       } catch (const Error& e) {
-        report.failure_causes.push_back("failover to " + label + ": " + e.what());
-        fail_channel();
+        attempt_failed(label, e);
       }
-      if (inbox != nullptr) {
-        inbox->stop();
-        inbox.reset();
-      }
-      standby.close();
-      standby.join();
-      try {
-        if (src_port != nullptr) src_port->close();
-      } catch (...) {
-      }
-      src_port.reset();
-      if (attempt_ok || unconfirmed || killed) {
-        standby_finished = standby.finished();
+    } else if (!failed_over && !session.terminal() && options.failover.enabled() &&
+               wiring.connect_standby != nullptr) {
+      // --- destination failover: re-target the stream at each standby.
+      // A terminal session is excluded on purpose: a destination that
+      // REJECTED the handoff (Nack, digest mismatch) made a protocol
+      // decision, and a standby would just re-earn it.
+      failed_over = true;
+      const Clock::time_point declared_dead = Clock::now();
+      FailoverMetrics::get().triggered.add(1);
+      close_destination();
+      const FailoverPolicy& fo = options.failover;
+      for (std::size_t k = 0; k < fo.standbys.size(); ++k) {
+        const DestinationCandidate& cand = fo.standbys[k];
+        const std::string label =
+            "failover to " +
+            (cand.name.empty() ? "standby-" + std::to_string(k + 1) : cand.name);
+        const std::uint32_t inc = next_inc++;
+
+        // Dial under the run's retry budget, per candidate.
+        PortPair fresh;
+        bool dialed = false;
+        std::string dial_cause;
+        RetryBackoff dial_backoff(options);
+        for (int d = 0; d < total_attempts && !dialed; ++d) {
+          if (d > 0) dial_backoff.wait();
+          try {
+            fresh = wiring.connect_standby(k);
+            dialed = true;
+          } catch (const Error& e) {
+            dial_cause = e.what();
+          }
+        }
+        if (!dialed) {
+          FailoverMetrics::get().dial_failures.add(1);
+          report.failure_causes.push_back(label + ": " + dial_cause);
+          continue;
+        }
+
+        next_attempt();
+        FailoverMetrics::get().redirects.add(1);
+        ++report.failovers;
+        // The candidate runs under its own destination config (its own
+        // chunk store, its own chaos script) and its own intent journal.
+        RunOptions cand_options = options;
+        cand_options.chunk_cache_dir = cand.chunk_cache_dir;
+        cand_options.dest_fault_plan = cand.dest_fault_plan;
+        redirect(std::move(fresh), inc, cand_options, label);
         if (attempt_ok || unconfirmed) {
           const double downtime =
               std::chrono::duration<double>(Clock::now() - declared_dead).count();
           report.failover_downtime_seconds = downtime;
           FailoverMetrics::get().downtime.record(downtime);
         }
-        break;
+        if (attempt_ok || unconfirmed || killed) break;
       }
+    } else if (attempts_used < total_attempts) {
+      // --- primary retry: a fresh incarnation from wiring.connect()
+      close_destination();
+      backoff.wait();
+      const std::string label = next_attempt();
+      CoordinatorMetrics::get().retries.add(1);
+      try {
+        redirect(wiring.connect(), next_inc++, options, label);
+      } catch (const Error& e) {
+        // The dial itself failed: as retryable as a failure mid-transfer.
+        attempt_failed(label, e);
+      }
+    } else {
+      break;
     }
   }
   const Clock::time_point pipeline_end = Clock::now();
 
   // --- teardown -------------------------------------------------------------
-  if (inbox != nullptr) inbox->stop();
-  dest.close();
-  dest.join();
-  try {
-    if (src_port != nullptr) src_port->close();
-  } catch (...) {
-  }
+  close_destination();
 
   if (program_error != nullptr) std::rethrow_exception(program_error);
   if (fatal_other) std::rethrow_exception(source_error);
@@ -710,7 +698,6 @@ TxnResult run_pipelined_transaction(
     return TxnResult::CompletedLocally;
   }
   report.dest_incarnation = session.incarnation();
-  const bool dest_finished = dest.finished() || standby_finished;
   if (killed) {
     report.migrated = dest_finished;
     return TxnResult::SourceCrashed;
@@ -724,11 +711,12 @@ TxnResult run_pipelined_transaction(
     report.tx_seconds =
         options.throttle ? measured_tx : options.link.transfer_seconds(stream.size());
     // Overlap: wall-clock from the first chunk leaving collection to the
-    // acknowledged restore, vs. the sum of the three phase timings. Fully
-    // serial execution gives 0; perfect overlap approaches 1.
+    // acknowledged restore, vs. the sum of the three phase timings. Overlap
+    // off gives 0 (no first chunk left collection); perfect overlap
+    // approaches 1.
     const double wall = std::chrono::duration<double>(pipeline_end - pipeline_start).count();
     const double phases = report.collect_seconds + measured_tx + report.restore_seconds;
-    if (wall > 0 && phases > 0) {
+    if (pipeline_start != Clock::time_point{} && wall > 0 && phases > 0) {
       report.overlap_ratio = std::clamp(1.0 - wall / phases, 0.0, 1.0);
     }
     PipelineMetrics::get().overlap.record(report.overlap_ratio);

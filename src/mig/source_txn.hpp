@@ -1,4 +1,4 @@
-// Source endpoint of the transactional pipelined transfer.
+// Source endpoint of the transactional handoff.
 #pragma once
 
 #include <cstdint>
@@ -11,41 +11,43 @@
 
 namespace hpm::mig {
 
-/// Outcome of the transactional pipelined transfer.
+/// Outcome of the transaction.
 enum class TxnResult : std::uint8_t {
   CompletedLocally,      ///< program finished without migrating
   Migrated,              ///< committed and confirmed
   CommittedUnconfirmed,  ///< committed; the destination's confirmation was lost
   SourceCrashed,         ///< injected source crash; journals arbitrate ownership
-  Failed,                ///< retryable; the retained stream may replay serially
+  Failed,                ///< every attempt failed; the caller completes locally
 };
 
-/// The transactional pipelined transfer: one destination host, one
-/// transaction, up to `total_attempts` port epochs obtained from
-/// `wiring.connect()`. Attempt 1 streams chunks while the collection DFS
-/// is still walking the graph; each further attempt resumes from the
-/// destination's acked watermark out of the retained stream. Restoration
-/// is bracketed by the two-phase commit. The protocol's legality is
-/// enforced by a SourceSession machine on this side and a DestSession
-/// machine inside the DestinationHost; `wiring.session_id` names both.
+/// The transactional handoff, the only one on a duplex transport: one
+/// transaction, up to 1 + options.max_retries attempts. Attempt 1 dials
+/// `wiring.connect()` and, with options.pipeline, streams chunks while the
+/// collection DFS is still walking the graph; with pipeline off (or
+/// dedup) it collects first and then sends the retained stream. A
+/// destination that lost its link resumes from its acked watermark; a
+/// dead or vetoing one is replaced by a fresh primary incarnation from
+/// `wiring.connect()`, replayed from chunk 0, that votes anew. Restoration
+/// is bracketed by the two-phase commit, so the source journals Commit
+/// only after a real PrepareAck. The protocol's legality is enforced by a
+/// SourceSession machine on this side and a DestSession machine inside
+/// each DestinationHost; `wiring.session_id` names both.
 ///
-/// Destination failover (DESIGN.md §16): when the primary destination is
-/// declared dead past the resume budget — or its session was cancelled by
-/// a supervisor — and both options.failover and wiring.connect_standby
-/// are armed, the transaction re-targets each standby candidate in policy
-/// order under the next incarnation (fencing token), replaying [0, end)
-/// of the retained stream and re-running the commit phase there.
-/// `standby_journal_path(incarnation)` names the standby's own intent
-/// journal inside the run's journal_dir (null/empty = journaling off).
+/// Destination failover (DESIGN.md §16): when the primary is declared
+/// dead past the resume budget — or its session was cancelled by a
+/// supervisor — and both options.failover and wiring.connect_standby are
+/// armed, the transaction re-targets each standby candidate in policy
+/// order under the next incarnation (fencing token), each dialed up to
+/// 1 + options.max_retries times. Primary retries use the budget left
+/// after that.
 ///
-/// On return `stream` holds the retained canonical stream (resident or
-/// spilled per options.retain_dir); the caller materializes it for serial
-/// fallback or local completion.
+/// `dest_journal_path(incarnation)` names each destination incarnation's
+/// intent journal (null = journaling off). On return `stream` holds the
+/// retained canonical stream (resident or spilled per options.retain_dir);
+/// the caller materializes it for local completion.
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
-    const SessionWiring& wiring, const net::DeadlinePolicy& deadline,
-    Journal& src_journal, Journal& dst_journal,
-    const std::function<std::string(std::uint32_t)>& standby_journal_path,
-    std::uint64_t txn, int total_attempts, int& attempts_used);
+    const SessionWiring& wiring, const net::DeadlinePolicy& deadline, Journal& src_journal,
+    const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn);
 
 }  // namespace hpm::mig

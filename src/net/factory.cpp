@@ -35,7 +35,6 @@ ChannelPair make_channel_pair(Transport transport, const ChannelOptions& options
     case Transport::File: {
       pair.source = std::make_unique<FileWriterChannel>(options.spool_path);
       pair.destination = std::make_unique<FileReaderChannel>(options.spool_path);
-      pair.duplex_ = false;
       break;
     }
     default:

@@ -39,13 +39,6 @@ struct ChannelPair {
   std::unique_ptr<ByteChannel> source;
   std::unique_ptr<ByteChannel> destination;
   std::unique_ptr<SocketListener> listener;
-
-  /// File transport has no destination->source byte path.
-  [[nodiscard]] bool duplex() const noexcept { return duplex_; }
-
- private:
-  friend ChannelPair make_channel_pair(Transport, const ChannelOptions&);
-  bool duplex_ = true;
 };
 
 /// Build a connected pair over `transport`. Throws hpm::NetError when the

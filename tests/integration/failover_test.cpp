@@ -1,6 +1,6 @@
 // Destination failover (DESIGN.md §16), attacked at every protocol state.
 //
-// Four suites:
+// Five suites:
 //  - FailoverMatrix: the primary destination is killed at each protocol
 //    state — before its Hello, streaming (early / mid / after its last
 //    chunk ack), casting its vote, and mid-manifest-negotiation — and the
@@ -19,6 +19,9 @@
 //  - SupervisorFailover: a wedged (blackholed) routed session is convicted
 //    by the SessionSupervisor and, with a standby configured, re-targets
 //    instead of degrading to local completion.
+//  - FailoverDial: a standby that cannot be dialed is tried exactly
+//    1 + max_retries times, counted as a dial failure, and skipped for the
+//    next candidate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -110,8 +113,7 @@ class FailoverMatrix : public ::testing::Test {
     DestinationCandidate standby;
     standby.name = "standby-a";
     options.failover.standbys.push_back(standby);
-    options.failover.dial_attempts = 2;
-    options.failover.dial_backoff_seconds = 0.001;
+    options.retry_backoff_seconds = 0.001;
     return options;
   }
 
@@ -431,8 +433,7 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   DestinationCandidate standby;
   standby.name = "standby-a";
   jobs[0].options.failover.standbys.push_back(standby);
-  jobs[0].options.failover.dial_attempts = 2;
-  jobs[0].options.failover.dial_backoff_seconds = 0.001;
+  jobs[0].options.retry_backoff_seconds = 0.001;
   jobs[0].stall_after_frames = 12;
 
   sched::FleetOptions fleet;
@@ -460,6 +461,73 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   const RecoveryVerdict v = Coordinator::recover(journal_dir, kTxn);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 2u) << v.reason;
+  EXPECT_EQ(v.committed_destinations, 1u);
+  std::filesystem::remove_all(journal_dir);
+}
+
+// --- failover dial budget ---------------------------------------------------
+
+/// A fresh in-memory port pair; `dest_plan` scripts the destination's sends.
+PortPair memory_pair(const net::FaultPlan& dest_plan = {}) {
+  net::ChannelPair channels = net::make_channel_pair(net::Transport::Memory);
+  std::unique_ptr<net::ByteChannel> dest = std::move(channels.destination);
+  if (dest_plan.enabled()) {
+    dest = std::make_unique<net::FaultyChannel>(std::move(dest), dest_plan,
+                                                std::make_shared<net::FaultState>());
+  }
+  PortPair pair;
+  pair.source = std::make_unique<DirectPort>(std::move(channels.source));
+  pair.destination = std::make_unique<DirectPort>(std::move(dest));
+  return pair;
+}
+
+TEST(FailoverDial, UnreachableStandbyIsDialedOnTheRetryBudgetThenSkipped) {
+  // The primary dies sending its Hello; standby-a refuses every dial;
+  // standby-b finishes. One retry budget governs the dials: standby-a is
+  // tried exactly 1 + max_retries times before the failover moves on.
+  const std::string journal_dir = "/tmp/hpm_failover_dial_" + std::to_string(::getpid());
+  std::filesystem::remove_all(journal_dir);
+  apps::BitonicResult result;
+  RunOptions options = base_options(result);
+  options.max_retries = 1;
+  options.retry_backoff_seconds = 0.001;
+  options.journal_dir = journal_dir;
+  options.txn_id = kTxn;
+  options.failover.standbys = {{.name = "standby-a"}, {.name = "standby-b"}};
+
+  int standby_a_dials = 0;
+  SessionWiring wiring;
+  wiring.session_id = 9401;
+  wiring.connect = [] { return memory_pair(net::FaultPlan::kill_after(0)); };
+  wiring.connect_standby = [&standby_a_dials](std::size_t k) {
+    if (k == 0) {
+      ++standby_a_dials;
+      throw NetError("connection refused by standby-a");
+    }
+    return memory_pair();
+  };
+
+  const MigrationReport report = run_routed_migration(options, wiring);
+  EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
+  EXPECT_TRUE(report.migrated);
+  EXPECT_EQ(standby_a_dials, 1 + options.max_retries);
+  EXPECT_EQ(report.failovers, 1) << "only a dialed candidate counts as a redirect";
+  EXPECT_EQ(report.dest_incarnation, 3u) << "standby-b is the second candidate";
+  EXPECT_EQ(report.metrics.counter("mig.failover.dial_failures"), 1u);
+  bool cause_recorded = false;
+  for (const std::string& c : report.failure_causes) {
+    cause_recorded = cause_recorded ||
+                     c == "failover to standby-a: connection refused by standby-a";
+  }
+  EXPECT_TRUE(cause_recorded);
+
+  // Bit-identical restore on standby-b alone.
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.sum_after, baseline().sum);
+  EXPECT_EQ(report.stream_digest, baseline().digest);
+  const RecoveryVerdict v = Coordinator::recover(journal_dir, kTxn);
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_EQ(v.incarnation, 3u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
   std::filesystem::remove_all(journal_dir);
 }

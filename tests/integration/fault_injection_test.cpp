@@ -3,14 +3,19 @@
 // succeeds within the retry budget, or the source abandons it and finishes
 // the computation locally. Never a hang (each attempt is deadline-bounded)
 // and never a lost workload (the result always matches a no-migration run).
+// On the duplex transports every handoff is the voted transaction: each
+// source Commit record is matched by a destination Prepared record.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/journal.hpp"
 
 namespace hpm {
 namespace {
@@ -52,6 +57,32 @@ std::string case_name(const ::testing::TestParamInfo<FaultCase>& info) {
 
 class FaultMatrix : public ::testing::TestWithParam<FaultCase> {};
 
+/// Every source Commit names a vote: some destination journal holds a
+/// Prepared record with the same txn, incarnation and digest.
+void expect_every_commit_voted(const std::string& journal_dir) {
+  const std::vector<mig::JournalRecord> src =
+      mig::Journal::replay(journal_dir + "/" + mig::kSourceJournalName);
+  std::vector<mig::JournalRecord> prepared;
+  for (const std::string& path : mig::dest_journal_paths(journal_dir, 0)) {
+    for (const mig::JournalRecord& r : mig::Journal::replay(path)) {
+      if (r.type == mig::JournalRecordType::Prepared) prepared.push_back(r);
+    }
+  }
+  int commits = 0;
+  for (const mig::JournalRecord& c : src) {
+    if (c.type != mig::JournalRecordType::Commit) continue;
+    ++commits;
+    bool voted = false;
+    for (const mig::JournalRecord& p : prepared) {
+      voted = voted || (p.txn_id == c.txn_id && p.incarnation == c.incarnation &&
+                        p.digest == c.digest);
+    }
+    EXPECT_TRUE(voted) << "source Commit for incarnation " << c.incarnation
+                       << " has no matching destination Prepared record";
+  }
+  EXPECT_EQ(commits, 1);
+}
+
 TEST_P(FaultMatrix, OneFaultIsAbsorbedByRetry) {
   const FaultCase fc = GetParam();
   apps::BitonicResult result;
@@ -59,6 +90,13 @@ TEST_P(FaultMatrix, OneFaultIsAbsorbedByRetry) {
   options.transport = fc.transport;
   options.spool_path = std::string("/tmp/hpm_fault_spool_") +
                        net::fault_kind_name(fc.kind) + ".bin";
+  const std::string journal_dir =
+      (std::filesystem::temp_directory_path() /
+       ("hpm_fault_journal_" + std::to_string(::getpid()) + "_" +
+        net::fault_kind_name(fc.kind) + "_" + short_transport_name(fc.transport)))
+          .string();
+  std::filesystem::remove_all(journal_dir);
+  options.journal_dir = journal_dir;
   options.io_timeout_seconds = 0.25;
   options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = fc.kind;
@@ -74,6 +112,8 @@ TEST_P(FaultMatrix, OneFaultIsAbsorbedByRetry) {
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("attempt 1"), std::string::npos)
       << report.failure_causes[0];
+  if (fc.transport != mig::Transport::File) expect_every_commit_voted(journal_dir);
+  std::filesystem::remove_all(journal_dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,10 +164,10 @@ INSTANTIATE_TEST_SUITE_P(Transports, PersistentFault,
                            return short_transport_name(info.param);
                          });
 
-TEST(FaultInjection, CorruptedStateFrameIsNackedAndRetransmitted) {
-  // The acceptance path for the CRC trailer: a damaged State frame must be
-  // detected, nacked, and retransmitted — visible as a second attempt —
-  // and never silently restored into the destination.
+TEST(FaultInjection, CorruptedFrameIsCaughtByItsCrcAndRetransmitted) {
+  // The acceptance path for the CRC trailer: a damaged frame must be
+  // detected by the frame CRC and retransmitted — visible as a second
+  // attempt — and never silently restored into the destination.
   apps::BitonicResult result;
   mig::RunOptions options;
   options.io_timeout_seconds = 1.0;
@@ -140,10 +180,10 @@ TEST(FaultInjection, CorruptedStateFrameIsNackedAndRetransmitted) {
   EXPECT_EQ(report.outcome, mig::MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
   ASSERT_EQ(report.failure_causes.size(), 1u);
-  EXPECT_NE(report.failure_causes[0].find("Nack"), std::string::npos)
+  EXPECT_NE(report.failure_causes[0].find("attempt 1"), std::string::npos)
       << report.failure_causes[0];
-  EXPECT_NE(report.failure_causes[0].find("CRC"), std::string::npos)
-      << report.failure_causes[0];
+  EXPECT_GE(report.metrics.counter("net.frames.crc_failures"), 1u)
+      << "the damage must be a frame-CRC catch";
 }
 
 TEST(FaultInjection, SeededRandomPlansNeverLoseTheWorkload) {

@@ -12,6 +12,7 @@
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/frame_router.hpp"
 #include "sched/cluster.hpp"
 
 namespace hpm::sched {
@@ -142,6 +143,62 @@ TEST(MigrateMany, SingleRoutedSessionResumesAfterSeverance) {
   EXPECT_EQ(outcomes[0].report.outcome, MigrationOutcome::Migrated);
   EXPECT_GE(outcomes[0].report.resumed_from_seq, 0);
   EXPECT_TRUE(result.ok());
+}
+
+TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
+  // A single-byte corruption that passes the frame CRC (CorruptMasked) is
+  // vetoed by the destination's end-to-end digest check. A routed session
+  // retries like an exclusive one: the retained stream is replayed to a
+  // fresh incarnation that votes on it. migrate_many has no byte-level
+  // fault hook — a byte fault on the shared channel hits every session — so
+  // this drives run_routed_migration, the per-session entry migrate_many
+  // runs, over the same FrameRouter pair with the fault on the source's
+  // side of the shared channel.
+  apps::BitonicResult probe_result;
+  const RunOptions probe = bitonic_options(Transport::Memory, 9, &probe_result);
+  const MigrationReport p = mig::run_migration(probe);
+  ASSERT_EQ(p.outcome, MigrationOutcome::Migrated);
+  const std::uint64_t cb = probe.chunk_bytes;
+  const std::uint64_t chunks = (p.stream_bytes + cb - 1) / cb;
+  const std::uint64_t last_len = p.stream_bytes - (chunks - 1) * cb;
+  ASSERT_GT(last_len, 4u);
+  // Tagged frames: 7-byte session tag + type(1)/len(4) header + CRC(4).
+  // StateBegin carries 16 payload bytes, a StateChunk a 4-byte seq + body;
+  // aim at the second-to-last stream byte, which only the digest checks.
+  constexpr std::uint64_t kTag = 7, kFrame = 9;
+  net::FaultPlan plan;
+  plan.kind = net::FaultKind::CorruptMasked;
+  plan.offset = (kTag + kFrame + 16) + (chunks - 1) * (kTag + kFrame + 4 + cb) + kTag + 5 +
+                4 + (last_len - 2);
+
+  net::ChannelPair channels = net::make_channel_pair(Transport::Memory);
+  mig::FrameRouter src_router(std::make_unique<net::FaultyChannel>(
+      std::move(channels.source), plan, std::make_shared<net::FaultState>()));
+  mig::FrameRouter dst_router(std::move(channels.destination));
+  mig::SessionWiring wiring;
+  wiring.session_id = 1;
+  wiring.connect = [&] {
+    mig::PortPair pair;
+    pair.source = src_router.open(1);
+    pair.destination = dst_router.open(1);
+    return pair;
+  };
+
+  apps::BitonicResult result;
+  RunOptions options = bitonic_options(Transport::Memory, 9, &result);
+  options.io_timeout_seconds = 2.0;
+  options.retry_backoff_seconds = 0.001;
+  const MigrationReport report = mig::run_routed_migration(options, wiring);
+  EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.dest_incarnation, 2u);
+  ASSERT_EQ(report.failure_causes.size(), 1u);
+  EXPECT_NE(report.failure_causes[0].find("digest"), std::string::npos)
+      << report.failure_causes[0];
+  EXPECT_EQ(report.metrics.counter("net.frames.crc_failures"), 0u);
+  EXPECT_EQ(report.stream_digest, p.stream_digest);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }
 
 TEST(MigrateMany, FileTransportIsRejected) {

@@ -1,9 +1,9 @@
-// Pipelined chunked transfer, end to end: the overlapped path must be
-// observationally identical to the serial one — same workload result,
-// same logical stream on the wire — while actually chunking (telemetry
-// proves it) and while keeping the serial path's failure semantics:
+// Overlap on vs off, end to end: the overlapped transaction must be
+// observationally identical to the collect-first one — same workload
+// result, same logical stream on the wire — while actually chunking
+// (telemetry proves it) and while keeping the same failure semantics:
 // clean shutdown when no migration triggers, workload exceptions
-// propagate, File transport quietly stays serial.
+// propagate, File transport quietly ignores the flag and spools.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,7 +35,7 @@ TEST_P(PipelineTransport, PipelinedRunMatchesTheSerialRun) {
   const MigrationReport s = run_bitonic(serial, serial_result);
   ASSERT_EQ(s.outcome, MigrationOutcome::Migrated);
   ASSERT_TRUE(serial_result.ok());
-  EXPECT_EQ(s.overlap_ratio, 0.0) << "serial phases are strictly sequential";
+  EXPECT_EQ(s.overlap_ratio, 0.0) << "overlap off: collection ends before Tx begins";
 
   apps::BitonicResult piped_result;
   RunOptions piped;
@@ -50,7 +50,7 @@ TEST_P(PipelineTransport, PipelinedRunMatchesTheSerialRun) {
   EXPECT_EQ(piped_result.sum_after, serial_result.sum_after);
   // Chunking must not change what goes over the wire, only how.
   EXPECT_EQ(p.stream_bytes, s.stream_bytes);
-  EXPECT_NE(s.stream_digest, 0u) << "the serial path reports its digest too";
+  EXPECT_NE(s.stream_digest, 0u) << "the overlap-off run reports its digest too";
   EXPECT_EQ(p.stream_digest, s.stream_digest);
   EXPECT_GT(p.metrics.counter("mig.pipeline.chunks"), 1u);
   EXPECT_GE(p.overlap_ratio, 0.0);
@@ -96,8 +96,8 @@ TEST(Pipeline, WorkloadExceptionPropagatesLikeTheSerialPath) {
 }
 
 TEST(Pipeline, FileTransportStaysSerial) {
-  // File has no duplex rendezvous; pipeline=true must quietly take the
-  // serial path and still migrate correctly.
+  // File has no reverse path; pipeline=true must quietly take the
+  // simplex spool and still migrate correctly.
   apps::BitonicResult result;
   RunOptions options;
   options.transport = Transport::File;
@@ -111,8 +111,8 @@ TEST(Pipeline, FileTransportStaysSerial) {
 }
 
 TEST(Pipeline, FileAndPipelinedMemoryReportTheSameDigest) {
-  // One process state, two paths: the spooled serial File transfer and
-  // the pipelined Memory transfer must name the same canonical stream.
+  // One process state, two paths: the simplex File spool and the
+  // pipelined Memory transaction must name the same canonical stream.
   apps::BitonicResult file_result;
   RunOptions file;
   file.transport = Transport::File;

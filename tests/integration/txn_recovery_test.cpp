@@ -11,8 +11,9 @@
 //    retransmitted, and the restored state is identical to a clean run.
 //  - Digest: a single-byte corruption of the canonical stream that passes
 //    the frame CRC (CorruptMasked) is caught by the end-to-end digest
-//    before the destination may vote, then degrades per the PR-1 failure
-//    model (clean serial retry).
+//    before the destination may vote; the vetoed incarnation is replaced
+//    by a fresh one that votes on the clean replay, and only that vote is
+//    committed.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -45,7 +46,7 @@ class TxnTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// Transactional pipelined bitonic run with the crash-matrix shape:
-  /// one chunk, no watermark acks, no serial fallback — so every source
+  /// one chunk, no watermark acks, no retries — so every source
   /// frame index names one protocol state (0 StateBegin, 1 StateChunk,
   /// 2 StateEnd, 3 Prepare, 4 Commit) and every destination frame index
   /// too (0 Hello, 1 PrepareAck, 2 final Ack).
@@ -288,10 +289,11 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
   const MigrationReport report = run_migration(options);
   // Attempt 1: every frame CRC passes, the destination assembles the full
   // stream, restores — and the digest comparison vetoes the handoff
-  // before the destination may vote. Attempt 2 degrades to the serial
-  // path per the PR-1 failure model and succeeds cleanly.
+  // before the destination may vote. Attempt 2 replays the retained
+  // stream to a fresh incarnation, which verifies it and votes.
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.dest_incarnation, 2u) << "the retry is a new incarnation";
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("digest"), std::string::npos)
       << "caught by: " << report.failure_causes[0];
@@ -301,10 +303,11 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }
 
-TEST(Digest, SerialFallbackJournalsTheCollectedDigest) {
-  // A veto on the pipelined leg degrades to the serial path, whose
-  // Commit/Done records close the transaction: they must carry the digest
-  // the collection computed (and the report names), not a recomputation.
+TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
+  // A veto ends incarnation 1, not the transaction: the retry replays the
+  // retained stream to incarnation 2, and the source commits only after
+  // that destination's PrepareAck. Both sides journal the digest the
+  // collection computed, and arbitration names incarnation 2 alone.
   apps::BitonicResult probe_result;
   RunOptions probe = streaming_options(probe_result);
   const MigrationReport p = run_migration(probe);
@@ -319,22 +322,46 @@ TEST(Digest, SerialFallbackJournalsTheCollectedDigest) {
   options.fault_plan.kind = net::FaultKind::CorruptMasked;
   options.fault_plan.offset =
       kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
+  options.txn_id = 4242;
   options.journal_dir = (std::filesystem::temp_directory_path() /
-                         ("hpm_digest_fallback_" + std::to_string(::getpid())))
+                         ("hpm_digest_veto_" + std::to_string(::getpid())))
                             .string();
   std::filesystem::remove_all(options.journal_dir);
   const MigrationReport report = run_migration(options);
   ASSERT_EQ(report.outcome, MigrationOutcome::Migrated);
   ASSERT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.dest_incarnation, 2u);
   EXPECT_EQ(report.stream_digest, p.stream_digest);
-  int fallback_records = 0;
+  EXPECT_TRUE(result.ok());
+
+  int decisions = 0;
   for (const JournalRecord& r :
        Journal::replay(options.journal_dir + "/" + kSourceJournalName)) {
-    if (r.note != "serial fallback") continue;
-    ++fallback_records;
+    if (r.type != JournalRecordType::Commit && r.type != JournalRecordType::Done) continue;
+    ++decisions;
+    EXPECT_EQ(r.incarnation, 2u) << journal_record_name(r.type);
     EXPECT_EQ(r.digest, report.stream_digest) << journal_record_name(r.type);
   }
-  EXPECT_EQ(fallback_records, 2) << "Commit and Done";
+  EXPECT_EQ(decisions, 2) << "Commit and Done, both for incarnation 2";
+
+  int votes = 0;
+  for (const JournalRecord& r :
+       Journal::replay(options.journal_dir + "/" + dest_journal_name(2))) {
+    if (r.type != JournalRecordType::Prepared && r.type != JournalRecordType::Committed) {
+      continue;
+    }
+    ++votes;
+    EXPECT_EQ(r.incarnation, 2u) << journal_record_name(r.type);
+    EXPECT_EQ(r.digest, report.stream_digest) << journal_record_name(r.type);
+  }
+  EXPECT_EQ(votes, 2) << "Prepared and Committed in dest.i2.journal";
+
+  const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_EQ(v.txn_id, 4242u);
+  EXPECT_EQ(v.incarnation, 2u) << v.reason;
+  EXPECT_EQ(v.committed_destinations, 1u) << v.reason;
+  EXPECT_TRUE(v.completed) << v.reason;
   std::filesystem::remove_all(options.journal_dir);
 }
 

@@ -1,6 +1,6 @@
 // Property test of the chunked pipeline: for random heap graphs, the
 // destination state after a pipelined transfer is bit-identical to the
-// serial transfer's — at every chunk size from the pathological (1-byte
+// overlap-off transfer's — at every chunk size from the pathological (1-byte
 // payloads, so every frame boundary splits a token) to the degenerate
 // (one chunk holds the whole stream). A corrupted chunk must be caught
 // by the per-chunk frame CRC and cost exactly one retryable attempt.
@@ -118,7 +118,7 @@ TEST(ChunkPipeline, CorruptedChunkIsOneRetryableFailure) {
   // Flip bytes inside chunk ~4 of the pipelined stream. The frame CRC on
   // that StateChunk must catch it and attempt 2 must land the retained
   // stream — since the transactional handoff, as a RESUME from the
-  // destination's chunk watermark rather than a full serial replay —
+  // destination's chunk watermark rather than a full replay —
   // deterministically two attempts, never a hang (the suite's ctest
   // TIMEOUT enforces that).
   GraphOutcome out;
@@ -142,8 +142,8 @@ TEST(ChunkPipeline, CorruptedChunkIsOneRetryableFailure) {
 }
 
 TEST(ChunkPipeline, PersistentCorruptionDegradesToLocalCompletion) {
-  // The fault never clears: the pipelined attempt and every serial retry
-  // fail, and the source must still finish the workload locally.
+  // The fault never clears: the pipelined attempt and every retry fail,
+  // and the source must still finish the workload locally.
   GraphOutcome out;
   RunOptions options;
   options.pipeline = true;
@@ -157,7 +157,7 @@ TEST(ChunkPipeline, PersistentCorruptionDegradesToLocalCompletion) {
   const MigrationReport report = run_graph(options, 11, 120, out);
   EXPECT_EQ(report.outcome, MigrationOutcome::AbortedContinuedLocally);
   EXPECT_FALSE(report.migrated);
-  EXPECT_EQ(report.attempts, 2);  // pipelined attempt + 1 serial retry
+  EXPECT_EQ(report.attempts, 2);  // pipelined attempt + 1 retry
   EXPECT_EQ(report.failure_causes.size(), 2u);
   ASSERT_TRUE(out.done) << "local continuation must still produce the result";
   EXPECT_EQ(out.fingerprint, unmigrated_fingerprint(11, 120));

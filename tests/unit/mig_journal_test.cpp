@@ -200,13 +200,15 @@ TEST_F(JournalTest, VerdictDoneMarksTheHandoffComplete) {
 }
 
 TEST_F(JournalTest, VerdictAbortThenCommitLastDecisionWins) {
-  // The pipelined leg aborted, a serial retry of the SAME transaction
-  // committed: the last decisive record governs.
+  // Incarnation 1 aborted, a retry of the SAME transaction at a fresh
+  // incarnation committed: the last decisive record governs.
   const std::string src = write("s5", {{JournalRecordType::Begin, 5, 0, 1, ""},
-                                       {JournalRecordType::Abort, 5, 0, 1, "pipelined leg"},
-                                       {JournalRecordType::Commit, 5, 9, 1, "serial retry"}});
+                                       {JournalRecordType::Abort, 5, 0, 1, "vetoed"},
+                                       {JournalRecordType::Begin, 5, 0, 2, "attempt 2"},
+                                       {JournalRecordType::Commit, 5, 9, 2, ""}});
   const RecoveryVerdict v = recover_from_journals(src, path("d5_missing"));
   EXPECT_EQ(v.owner, TxnOwner::Destination);
+  EXPECT_EQ(v.incarnation, 2u);
 }
 
 TEST_F(JournalTest, VerdictAbortAfterCommitNeverHappensButResolvesToSource) {
