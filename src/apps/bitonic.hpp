@@ -7,7 +7,8 @@
 // in-order traversal yields them sorted. The MSR profile is the opposite
 // of linpack's: a very large number of very small memory blocks, so the
 // MSRLT search term O(n log n) dominates collection while restoration
-// pays only the O(n) update term — the divergence Figure 2(b) shows.
+// pays no per-block search — one id-table probe and one index insert per
+// node — the divergence Figure 2(b) shows.
 #pragma once
 
 #include <cstdint>

@@ -54,9 +54,7 @@ msr::Address ImageSpace::allocate(std::uint64_t size) {
 
 msr::BlockId ImageSpace::create_block(msr::Segment seg, ti::TypeId type, std::uint32_t count,
                                       std::string name) {
-  const std::uint64_t size = block_size(type, count);
-  const msr::Address base = allocate(size);
-  return msrlt_.register_block(seg, base, size, type, count, std::move(name));
+  return new_block(seg, type, count, std::move(name)).id;
 }
 
 xdr::PrimValue ImageSpace::read_leaf(msr::BlockId id, std::uint64_t ordinal) const {

@@ -57,7 +57,7 @@ class ImageSpace final : public msr::MemorySpace {
   /// machine would be out of address space too).
   msr::Address allocate(std::uint64_t size) override;
 
-  /// Convenience: allocate + register a block in one step (tests and the
+  /// Convenience: new_block() returning the id (tests and the
   /// heterogeneity benchmarks create image-resident variables this way).
   msr::BlockId create_block(msr::Segment seg, ti::TypeId type, std::uint32_t count,
                             std::string name);

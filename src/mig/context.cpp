@@ -1,7 +1,6 @@
 #include "mig/context.hpp"
 
 #include <cstring>
-#include <new>
 
 #include "mig/chunk_assembler.hpp"
 #include "msrm/par_collect.hpp"
@@ -10,36 +9,19 @@
 
 namespace hpm::mig {
 
-namespace {
-
-void* aligned_zeroed(std::uint64_t size) {
-  void* p = ::operator new(size, std::align_val_t{16});
-  std::memset(p, 0, size);
-  return p;
-}
-
-void aligned_free(void* p) { ::operator delete(p, std::align_val_t{16}); }
-
-}  // namespace
-
-MigContext::~MigContext() {
-  for (void* p : heap_owned_) aligned_free(p);
-  for (const LocalVar& g : globals_) aligned_free(reinterpret_cast<void*>(g.addr));
-}
-
 void* MigContext::make_global(const char* name, ti::TypeId type, std::uint32_t count) {
   if (!frames_.empty()) {
     throw MigrationError("globals must be created before any migratable frame is entered");
   }
-  const std::uint64_t size = space_.block_size(type, count);
-  void* storage = aligned_zeroed(size);
+  const msr::MemoryBlock& block = space_.new_block(msr::Segment::Global, type, count, name);
+  void* storage = reinterpret_cast<void*>(block.base);
+  std::memset(storage, 0, block.size);
   LocalVar var;
   var.name = name;
-  var.addr = reinterpret_cast<msr::Address>(storage);
+  var.addr = block.base;
   var.type = type;
   var.count = count;
-  var.block = space_.msrlt().register_block(msr::Segment::Global, var.addr, size, type,
-                                            count, name);
+  var.block = block.id;
   if (mode_ == Mode::Restoring) {
     if (globals_bound_ >= exec_.globals.size()) {
       throw MigrationError("destination registered more globals than the stream carries");
@@ -51,23 +33,24 @@ void* MigContext::make_global(const char* name, ti::TypeId type, std::uint32_t c
 }
 
 void* MigContext::heap_alloc_raw(ti::TypeId type, std::uint32_t count, const char* name) {
-  const std::uint64_t size = space_.block_size(type, count);
-  void* storage = aligned_zeroed(size);
-  space_.msrlt().register_block(msr::Segment::Heap,
-                                reinterpret_cast<msr::Address>(storage), size, type, count,
-                                name);
-  heap_owned_.insert(storage);
+  const msr::MemoryBlock& block = space_.new_block(msr::Segment::Heap, type, count, name);
+  void* storage = reinterpret_cast<void*>(block.base);
+  std::memset(storage, 0, block.size);
   return storage;
 }
 
 void MigContext::heap_free(void* p) {
-  const auto it = heap_owned_.find(p);
-  if (it == heap_owned_.end()) {
+  // The MSRLT is the heap's only ledger: an owned Heap block based
+  // exactly at p is a live allocation of this context (heap_alloc'd or
+  // restored). Stack locals, globals, interior pointers and freed blocks
+  // all fail the lookup.
+  const auto base = reinterpret_cast<msr::Address>(p);
+  const msr::MemoryBlock* block = space_.msrlt().find_base(base);
+  if (block == nullptr || block->segment != msr::Segment::Heap || !block->owned) {
     throw MigrationError("heap_free: pointer was not allocated by this context");
   }
-  space_.msrlt().unregister(reinterpret_cast<msr::Address>(p));
-  heap_owned_.erase(it);
-  aligned_free(p);
+  space_.msrlt().unregister(base);
+  space_.deallocate(base);
 }
 
 void MigContext::enter_frame(Frame& frame) {
@@ -377,12 +360,6 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
                          " undecoded bytes after restoration");
   }
-
-  // Adopt restored heap blocks into the migratable heap so the program
-  // can free them normally. Every allocation the space made during this
-  // restoration is a heap block (stack/global records bind to existing
-  // storage), so a bulk ownership transfer is exact — and O(1).
-  heap_owned_.merge(space_.take_all_owned());
 
   restore_span_->arg("stream_bytes", std::uint64_t{restore_stream_.size()});
   metrics_.restore_seconds = restore_span_->finish();

@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "mig/frame.hpp"
@@ -74,8 +73,6 @@ class MigContext {
                       msr::SearchStrategy strategy = msr::SearchStrategy::OrderedMap)
       : types_(&types), space_(types, strategy) {}
 
-  ~MigContext();
-
   MigContext(const MigContext&) = delete;
   MigContext& operator=(const MigContext&) = delete;
 
@@ -101,6 +98,8 @@ class MigContext {
   }
 
   /// Free a heap_alloc'd (or restored) block: unregisters and releases.
+  /// Throws MigrationError for anything else — a stack or global address,
+  /// an interior pointer, an already freed block.
   void heap_free(void* p);
 
   /// --- annotation hooks (called via the HPM_* macros) --------------------
@@ -213,7 +212,11 @@ class MigContext {
   ti::TypeTable& types() noexcept { return *types_; }
   [[nodiscard]] const MigrationMetrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] std::size_t frame_depth() const noexcept { return frames_.size(); }
-  [[nodiscard]] std::size_t live_heap_blocks() const noexcept { return heap_owned_.size(); }
+  /// Migratable heap blocks alive in this context (heap_alloc'd or
+  /// restored, not yet freed): the MSRLT's Heap-segment count.
+  [[nodiscard]] std::size_t live_heap_blocks() const noexcept {
+    return space_.msrlt().block_count(msr::Segment::Heap);
+  }
 
  private:
   void* make_global(const char* name, ti::TypeId type, std::uint32_t count);
@@ -232,7 +235,6 @@ class MigContext {
 
   std::vector<Frame*> frames_;
   std::vector<LocalVar> globals_;
-  std::unordered_set<void*> heap_owned_;
 
   std::atomic<bool> requested_{false};
   std::uint64_t migrate_at_poll_ = 0;

@@ -108,9 +108,10 @@ class MapIndex final : public AddressIndex {
 /// after deleting the block. Searches linear-scan the pending run (kept
 /// small) and binary-search the merged array; `settle()` sorts and folds
 /// the pending run in — and drops tombstones — whenever it outgrows an
-/// adaptive threshold, so bulk registration phases (restore) pay O(1)
-/// amortized per insert and search phases (collect) see one contiguous
-/// sorted array.
+/// adaptive threshold, so search phases (collect) see one contiguous
+/// sorted array. Settles are amortized, but each insert's overlap check
+/// scans the pending run (up to 64 + n/8 entries), so bulk registration
+/// (restore) is O(n^2) overall — see address_index.hpp.
 ///
 /// Tombstone correctness: entries of `main_` were all live simultaneously
 /// at the last settle, hence pairwise disjoint. If the binary search's

@@ -10,10 +10,13 @@
 //  * OrderedMap / LinearScan — the reference `std::map` structure (and its
 //    deliberately degraded linear ablation), exactly the seed behavior.
 //  * FlatArray — a flat sorted interval array searched with a branchless
-//    binary search. Inserts append to a small unsorted pending run and are
+//    binary search. Inserts append to an unsorted pending run and are
 //    merged amortized; erases tombstone in place and are compacted
-//    amortized, so mass registration (restore) and mass free (teardown)
-//    both stay O(n log n) total while searches touch one contiguous array.
+//    amortized, so searches touch one contiguous array. Mass registration
+//    is NOT cheap: every insert's overlap check scans the whole pending
+//    run (up to 64 + n/8 entries), so registering n blocks in a row (a
+//    restore) costs O(n^2) — a bitonic 2^17 restore runs ~10x slower
+//    than under OrderedMap. Fixing that check is open work.
 //
 // All implementations guarantee:
 //  * MemoryBlock storage is pointer-stable until the block is erased

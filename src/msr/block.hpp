@@ -51,6 +51,10 @@ using Address = std::uint64_t;
 struct MemoryBlock {
   BlockId id = kInvalidBlock;
   Segment segment = Segment::Heap;
+  /// The storage came from the tracking space's allocate() and is the
+  /// space's to release (MemorySpace::new_block): freed by deallocate()
+  /// when the block is dropped, or when the space is destroyed.
+  bool owned = false;
   Address base = 0;          ///< first byte, in the owning space's addressing
   std::uint64_t size = 0;    ///< total bytes under the owning space's layout
   ti::TypeId type = ti::kInvalidType;  ///< element type

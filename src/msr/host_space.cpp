@@ -7,7 +7,9 @@
 namespace hpm::msr {
 
 HostSpace::~HostSpace() {
-  for (void* p : owned_) free_raw(p);
+  msrlt_.for_each_block([this](const MemoryBlock& block) {
+    if (block.owned) deallocate(block.base);
+  });
 }
 
 xdr::PrimValue HostSpace::read_prim(Address addr, xdr::PrimKind k) const {
@@ -31,19 +33,14 @@ void HostSpace::write_pointer(Address addr, Address value) {
 }
 
 Address HostSpace::allocate(std::uint64_t size) {
-  // No zero-fill: allocate() only feeds restoration, which decodes every
-  // data leaf of the block; padding bytes stay unspecified, as in any
-  // locally constructed C object.
-  void* p = ::operator new(size, std::align_val_t{16});
-  owned_.insert(p);
-  return reinterpret_cast<Address>(p);
+  // No zero-fill: restoration decodes every data leaf of the block, and
+  // the migratable heap zeroes its own; padding bytes stay unspecified,
+  // as in any locally constructed C object.
+  return reinterpret_cast<Address>(::operator new(size, std::align_val_t{16}));
 }
 
-void HostSpace::release_ownership(Address base) {
-  void* p = reinterpret_cast<void*>(base);
-  const auto it = owned_.find(p);
-  if (it == owned_.end()) throw MsrError("release_ownership: storage not owned by space");
-  owned_.erase(it);
+void HostSpace::deallocate(Address base) noexcept {
+  ::operator delete(reinterpret_cast<void*>(base), std::align_val_t{16});
 }
 
 }  // namespace hpm::msr

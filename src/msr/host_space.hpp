@@ -4,10 +4,14 @@
 // straight to memory using the native architecture descriptor (which
 // mirrors the compiler's own layout, validated at registration time by
 // ti::StructBuilder::commit).
+//
+// Storage the space allocates for new_block() is recorded only by the
+// `owned` bit of its MSRLT entry: the destructor frees every owned block
+// still tracked, and whoever unregisters an owned block earlier (e.g.
+// MigContext::heap_free) calls deallocate() for it.
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 
 #include "msr/space.hpp"
 
@@ -48,6 +52,7 @@ class HostSpace final : public MemorySpace {
   }
 
   Address allocate(std::uint64_t size) override;
+  void deallocate(Address base) noexcept override;
 
   /// Track an existing host object. Returns its new block id.
   template <typename T>
@@ -57,34 +62,18 @@ class HostSpace final : public MemorySpace {
                                  block_size(type, count), type, count, std::move(name));
   }
 
-  /// Track raw storage (mig heap, arrays).
+  /// Track raw storage the caller owns (arrays, external buffers).
   BlockId track_raw(Segment seg, void* base, ti::TypeId type, std::uint32_t count,
                     std::string name) {
     return msrlt_.register_block(seg, reinterpret_cast<Address>(base),
                                  block_size(type, count), type, count, std::move(name));
   }
 
-  /// Hand ownership of storage obtained via allocate() to the caller
-  /// (e.g. the migratable heap adopting a restored block). The pointer
-  /// must later be released with HostSpace::free_raw.
-  void release_ownership(Address base);
-
-  /// Free storage previously obtained from allocate().
-  static void free_raw(void* p) { ::operator delete(p, std::align_val_t{16}); }
-
-  /// Transfer ownership of every allocation at once (the migratable heap
-  /// adopting all restored blocks) — O(1), unlike per-block release.
-  std::unordered_set<void*> take_all_owned() noexcept { return std::move(owned_); }
-
-  /// Number of allocations still owned by the space (leak checking).
-  [[nodiscard]] std::size_t owned_allocations() const noexcept { return owned_.size(); }
-
  private:
   const ti::TypeTable* types_;
   ti::LayoutMap layouts_;
   ti::LeafIndex leaves_;
   Msrlt msrlt_;
-  std::unordered_set<void*> owned_;
 };
 
 }  // namespace hpm::msr

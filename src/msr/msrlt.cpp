@@ -15,32 +15,37 @@ Msrlt::Msrlt(SearchStrategy strategy)
       blocks_gauge_(obs::Registry::process().gauge("msr.msrlt.blocks")) {}
 
 MemoryBlock* Msrlt::insert_checked(MemoryBlock block) {
-  const auto id_it = by_id_.find(block.id);
-  if (id_it != by_id_.end()) {
+  if (static_cast<int>(block.segment) > 2) throw MsrError("register: bad segment tag");
+  if (by_id_.find(block.id) != nullptr) {
     throw MsrError("duplicate block id " + std::to_string(block.id));
   }
-  const std::uint64_t size = block.size;
   MemoryBlock* stored = index_->insert(std::move(block));  // throws on overlap
-  by_id_.emplace(stored->id, stored);
-  tracked_bytes_ += size;
+  try {
+    by_id_.insert(stored->id, stored);
+  } catch (...) {
+    index_->erase(stored->base);
+    throw;
+  }
+  tracked_bytes_ += stored->size;
+  ++segment_blocks_[static_cast<int>(stored->segment)];
   registrations_.add(1);
   blocks_gauge_.add(1);
   return stored;
 }
 
-BlockId Msrlt::register_block(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
-                              std::uint32_t count, std::string name) {
-  const BlockId id = make_block_id(seg, next_seq_[static_cast<int>(seg)]++);
+const MemoryBlock& Msrlt::add(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
+                              std::uint32_t count, std::string name, bool owned) {
+  if (static_cast<int>(seg) > 2) throw MsrError("register: bad segment tag");
   MemoryBlock block;
-  block.id = id;
+  block.id = make_block_id(seg, next_seq_[static_cast<int>(seg)]++);
   block.segment = seg;
+  block.owned = owned;
   block.base = base;
   block.size = size;
   block.type = type;
   block.count = count;
   block.name = std::move(name);
-  insert_checked(std::move(block));
-  return id;
+  return *insert_checked(std::move(block));
 }
 
 void Msrlt::register_with_id(BlockId id, Segment seg, Address base, std::uint64_t size,
@@ -70,6 +75,7 @@ void Msrlt::unregister(Address base) {
   }
   by_id_.erase(block->id);
   tracked_bytes_ -= block->size;
+  --segment_blocks_[static_cast<int>(block->segment)];
   ++cache_epoch_;  // some cached entry may point at the erased block
   index_->erase(base);
   removals_.add(1);
@@ -103,16 +109,22 @@ const MemoryBlock* Msrlt::find_containing(Address addr) const {
 
 const MemoryBlock* Msrlt::find_id(BlockId id) const {
   id_lookups_.add(1);
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+  return by_id_.find(id);
 }
 
 bool Msrlt::try_mark(BlockId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) throw MsrError("try_mark: unknown block id");
+  MemoryBlock* block = by_id_.find(id);
+  if (block == nullptr) throw MsrError("try_mark: unknown block id");
+  return try_mark(*block);
+}
+
+bool Msrlt::try_mark(const MemoryBlock& block) noexcept {
   marks_.add(1);
-  if (it->second->visit_epoch == epoch_) return false;
-  it->second->visit_epoch = epoch_;
+  // Every block this MSRLT tracks lives in its index as a non-const
+  // object; callers only ever see it through const handles.
+  MemoryBlock& b = const_cast<MemoryBlock&>(block);
+  if (b.visit_epoch == epoch_) return false;
+  b.visit_epoch = epoch_;
   return true;
 }
 

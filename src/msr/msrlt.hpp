@@ -8,26 +8,33 @@
 //
 // Complexity contract (paper §4.2): with n tracked blocks, one address
 // search costs O(log n) (ordered-map and flat-array strategies), so
-// collecting n blocks costs O(n log n) in search time; restoration never
-// searches — migrated blocks arrive with their logical id attached — so
-// MSRLT updates during restore are O(1) amortized each, O(n) total.
-// Statistics counters expose both terms so benchmarks can validate the
-// model directly.
+// collecting n blocks costs O(n log n) in search time. Restoration does
+// no address search per block — migrated blocks arrive with their logical
+// id attached, so binding one is an O(1) expected probe of a flat id
+// table (msr/id_table.hpp); its only counted searches are the one root
+// check per variable record. Each block it creates is still inserted
+// into the address index: O(log n) comparisons under OrderedMap (a
+// std::map insert), and under FlatArray an overlap scan of the pending
+// run, which makes bulk registration O(n^2) there (address_index.hpp).
+// So restore is O(n) id-table updates plus n index inserts, not O(n)
+// overall. Statistics counters expose the search term so benchmarks can
+// validate the model directly.
 //
 // Storage and search are delegated to an AddressIndex
 // (msr/address_index.hpp) selected by SearchStrategy; the MSRLT itself
-// owns the id table, the visit-epoch marking, the statistics counters,
-// and a small set-associative lookup cache consulted before any strategy.
+// owns the id table, the per-segment block counts, the visit-epoch
+// marking, the statistics counters, and a small set-associative lookup
+// cache consulted before any strategy.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "msr/address_index.hpp"
 #include "msr/block.hpp"
+#include "msr/id_table.hpp"
 #include "obs/metrics.hpp"
 
 namespace hpm::msr {
@@ -42,7 +49,16 @@ class Msrlt {
   /// Track a new block with a freshly assigned id. Throws hpm::MsrError if
   /// the byte range overlaps an existing block or size is zero.
   BlockId register_block(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
-                         std::uint32_t count, std::string name = {});
+                         std::uint32_t count, std::string name = {}) {
+    return add(seg, base, size, type, count, std::move(name)).id;
+  }
+
+  /// register_block returning the stored block, which stays put until it
+  /// is unregistered: callers that go on to fill the block keep this
+  /// handle instead of looking its id up again. `owned` marks storage the
+  /// tracking space allocated (MemorySpace::new_block).
+  const MemoryBlock& add(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
+                         std::uint32_t count, std::string name = {}, bool owned = false);
 
   /// Track a new block under an externally chosen id (restoration binds
   /// the *source's* id to destination storage). Throws on id collision or
@@ -67,6 +83,11 @@ class Msrlt {
   /// Find a block by logical id; nullptr if unknown.
   const MemoryBlock* find_id(BlockId id) const;
 
+  /// The block based exactly at `base`; nullptr if none starts there.
+  /// Serves ownership checks (MigContext::heap_free), not collection, so
+  /// it is not counted as a search and bypasses the lookup cache.
+  const MemoryBlock* find_base(Address base) const noexcept { return index_->find_base(base); }
+
   /// Begin a new depth-first traversal: invalidates all previous marks in
   /// O(1) by bumping the epoch.
   void begin_traversal() noexcept { ++epoch_; }
@@ -74,8 +95,15 @@ class Msrlt {
   /// Mark the block visited in the current traversal; returns true the
   /// first time, false if already visited (the paper's duplicate guard).
   bool try_mark(BlockId id);
+  /// try_mark for a block already in hand (the collector's resolve found
+  /// it): no id lookup. `block` must be tracked by this MSRLT.
+  bool try_mark(const MemoryBlock& block) noexcept;
 
   [[nodiscard]] std::size_t block_count() const noexcept { return index_->size(); }
+  /// Tracked blocks of one segment.
+  [[nodiscard]] std::size_t block_count(Segment seg) const noexcept {
+    return segment_blocks_[static_cast<int>(seg)];
+  }
 
   /// Sum of the byte sizes of all tracked blocks. Collection pre-sizes
   /// its encoder from this total, so large heaps stream without
@@ -101,8 +129,9 @@ class Msrlt {
 
   SearchStrategy strategy_;
   std::unique_ptr<AddressIndex> index_;
-  std::unordered_map<BlockId, MemoryBlock*> by_id_;
+  IdTable<MemoryBlock> by_id_;
   std::uint64_t next_seq_[3] = {1, 1, 1};  // per segment
+  std::size_t segment_blocks_[3] = {0, 0, 0};
   std::uint64_t epoch_ = 1;
   std::uint64_t tracked_bytes_ = 0;
 

@@ -62,9 +62,31 @@ class MemorySpace {
   }
 
   /// --- restoration support ------------------------------------------------
-  /// Obtain `size` bytes of fresh storage in this space (not yet
-  /// registered in the MSRLT; the caller registers under the incoming id).
+  /// Obtain `size` bytes of fresh, uninitialized storage in this space
+  /// (not yet registered in the MSRLT). Prefer new_block(), which
+  /// registers it and hands its release to the space.
   virtual Address allocate(std::uint64_t size) = 0;
+
+  /// Return storage obtained from allocate(). Spaces whose storage is an
+  /// arena released as a whole ignore it (the default).
+  virtual void deallocate(Address base) noexcept { (void)base; }
+
+  /// Allocate storage for `count` elements of `type` and register it
+  /// under a fresh id in `seg`, marked owned: the space releases it when
+  /// the space itself goes away (or earlier through deallocate(), once
+  /// the caller unregisters the block). Storage whose registration throws
+  /// is released before the exception propagates.
+  const MemoryBlock& new_block(Segment seg, ti::TypeId type, std::uint32_t count,
+                               std::string name = {}) {
+    const std::uint64_t size = block_size(type, count);
+    const Address base = allocate(size);
+    try {
+      return msrlt().add(seg, base, size, type, count, std::move(name), /*owned=*/true);
+    } catch (...) {
+      deallocate(base);
+      throw;
+    }
+  }
 
   /// Total bytes of one block of `count` elements of `type` in this space.
   std::uint64_t block_size(ti::TypeId type, std::uint32_t count) const {

@@ -77,18 +77,18 @@ void CollectorBase::encode_ptr_value(msr::Address target) {
     ++tally_nulls_;
     return;
   }
-  const msr::LogicalPointer lp = resolve(target);
-  if (!visit(lp.block)) {
+  const msr::ResolvedPointer rp = resolve(target);
+  const msr::MemoryBlock* block = rp.block;
+  if (!visit(*block)) {
     enc_.put_u8(kPtrRef);
-    enc_.put_u64(lp.block);
-    enc_.put_u64(lp.leaf);
+    enc_.put_u64(block->id);
+    enc_.put_u64(rp.leaf);
     ++tally_refs_;
     return;
   }
-  const msr::MemoryBlock* block = block_of(lp.block);
   enc_.put_u8(kPtrNew);
-  enc_.put_u64(lp.block);
-  enc_.put_u64(lp.leaf);
+  enc_.put_u64(block->id);
+  enc_.put_u64(rp.leaf);
   enc_.put_u8(static_cast<std::uint8_t>(block->segment));
   enc_.put_u32(block->type);
   enc_.put_u32(block->count);

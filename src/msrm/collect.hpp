@@ -8,7 +8,7 @@
 // format is recursively nested.
 //
 // The traversal/encoding engine lives in CollectorBase with three policy
-// hooks — visited marking, address resolution, and id lookup — so the
+// hooks — visited marking, address resolution, and root lookup — so the
 // serial Collector (live MSRLT) and the parallel per-root collectors
 // (frozen index + ownership table, msrm/par_collect.hpp) emit
 // bit-identical streams from one engine.
@@ -45,12 +45,12 @@ class CollectorBase {
   CollectorBase(msr::MemorySpace& space, xdr::Encoder& enc, LeafCache& leaves);
 
   /// --- policy hooks --------------------------------------------------------
-  /// First visit of `id` in this traversal? (true exactly once per block.)
-  virtual bool visit(msr::BlockId id) = 0;
   /// Address -> (block, leaf ordinal); throws MsrError off the data model.
-  virtual msr::LogicalPointer resolve(msr::Address addr) const = 0;
-  /// Block by id (known-present after resolve).
-  virtual const msr::MemoryBlock* block_of(msr::BlockId id) const = 0;
+  /// The block handle it returns is the one visit() then marks: each
+  /// pointer is resolved once, never looked up again by id.
+  virtual msr::ResolvedPointer resolve(msr::Address addr) const = 0;
+  /// First visit of `block` in this traversal? (true exactly once per block.)
+  virtual bool visit(const msr::MemoryBlock& block) = 0;
   /// Containing-block lookup for root validation.
   virtual const msr::MemoryBlock* containing(msr::Address addr) const = 0;
 
@@ -128,13 +128,10 @@ class Collector final : private detail::OwnedLeafCache, public CollectorBase {
   Collector(msr::MemorySpace& space, xdr::Encoder& enc);
 
  protected:
-  bool visit(msr::BlockId id) override { return space_.msrlt().try_mark(id); }
-  msr::LogicalPointer resolve(msr::Address addr) const override {
-    return msr::resolve_pointer(space_, addr);
+  msr::ResolvedPointer resolve(msr::Address addr) const override {
+    return msr::resolve_in(space_, space_.msrlt().find_containing(addr), addr);
   }
-  const msr::MemoryBlock* block_of(msr::BlockId id) const override {
-    return space_.msrlt().find_id(id);
-  }
+  bool visit(const msr::MemoryBlock& block) override { return space_.msrlt().try_mark(block); }
   const msr::MemoryBlock* containing(msr::Address addr) const override {
     return space_.msrlt().find_containing(addr);
   }

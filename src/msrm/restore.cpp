@@ -1,12 +1,34 @@
 #include "msrm/restore.hpp"
 
 #include <cstring>
+#include <iterator>
+#include <new>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "xdr/batch.hpp"
 #include "xdr/value.hpp"
 
 namespace hpm::msrm {
+
+namespace {
+
+/// Registry names of the Restorer's tallies, in Tally order.
+constexpr const char* kTallyNames[] = {
+    "msrm.restore.blocks_created",       "msrm.restore.blocks_bound",
+    "msrm.restore.refs_resolved",        "msrm.restore.nulls_restored",
+    "msrm.restore.prim_leaves",          "msrm.restore.ptr_leaves",
+    "msrm.restore.bulk_bodies",          "msrm.restore.bulk_bytes",
+    "msrm.restore.staged_runs",          "msrm.restore.staged_run_bytes",
+    "msrm.restore.staged_scalar_leaves",
+};
+
+[[noreturn]] void throw_unallocatable(std::uint64_t bytes) {
+  throw WireError("corrupt stream: PNEW block of " + std::to_string(bytes) +
+                  " bytes cannot be allocated");
+}
+
+}  // namespace
 
 Restorer::Restorer(msr::MemorySpace& space, xdr::Decoder& dec)
     : Restorer(space, dec, space.arch()) {}
@@ -19,18 +41,21 @@ Restorer::Restorer(msr::MemorySpace& space, xdr::Decoder& dec,
       src_arch_(&source_arch),
       src_layouts_(space.types(), source_arch),
       same_model_(source_arch.same_data_model(space.arch())),
-      blocks_created_(obs::Registry::process().counter("msrm.restore.blocks_created")),
-      blocks_bound_(obs::Registry::process().counter("msrm.restore.blocks_bound")),
-      refs_resolved_(obs::Registry::process().counter("msrm.restore.refs_resolved")),
-      nulls_restored_(obs::Registry::process().counter("msrm.restore.nulls_restored")),
-      prim_leaves_(obs::Registry::process().counter("msrm.restore.prim_leaves")),
-      ptr_leaves_(obs::Registry::process().counter("msrm.restore.ptr_leaves")),
-      bulk_bodies_(obs::Registry::process().counter("msrm.restore.bulk_bodies")),
-      bulk_bytes_(obs::Registry::process().counter("msrm.restore.bulk_bytes")),
-      staged_runs_(obs::Registry::process().counter("msrm.restore.staged_runs")),
-      staged_run_bytes_(obs::Registry::process().counter("msrm.restore.staged_run_bytes")),
-      staged_scalar_leaves_(obs::Registry::process().counter("msrm.restore.staged_scalar_leaves")),
-      depth_hist_(obs::Registry::process().histogram("msrm.restore.depth")) {}
+      depth_hist_(obs::Registry::process().histogram("msrm.restore.depth")) {
+  static_assert(std::size(kTallyNames) == kTallyCount);
+  for (std::size_t i = 0; i < kTallyCount; ++i) {
+    counters_[i] = &obs::Registry::process().counter(kTallyNames[i]);
+  }
+}
+
+void Restorer::flush_instruments() noexcept {
+  for (std::size_t i = 0; i < kTallyCount; ++i) {
+    if (tally_[i] != 0) counters_[i]->add(tally_[i]);
+  }
+  tally_.fill(0);
+  depth_hist_.record_batch(tally_depths_.data(), tally_depths_.size());
+  tally_depths_.clear();
+}
 
 void Restorer::bind(msr::BlockId source_id, msr::BlockId dest_id, ti::TypeId type,
                     std::uint32_t count) {
@@ -40,14 +65,8 @@ void Restorer::bind(msr::BlockId source_id, msr::BlockId dest_id, ti::TypeId typ
     throw MsrError("bind: destination block '" + dest->name +
                    "' does not match the migrated variable's type/count");
   }
-  if (!binding_.emplace(source_id, dest_id).second) {
-    throw MsrError("bind: source id already bound");
-  }
-}
-
-msr::BlockId Restorer::dest_of(msr::BlockId source_id) const {
-  const auto it = binding_.find(source_id);
-  return it == binding_.end() ? msr::kInvalidBlock : it->second;
+  if (source_id == msr::kInvalidBlock) throw MsrError("bind: invalid source id");
+  if (!binding_.insert(source_id, dest)) throw MsrError("bind: source id already bound");
 }
 
 msr::BlockId Restorer::restore_variable() {
@@ -63,6 +82,7 @@ msr::BlockId Restorer::restore_variable() {
 msr::Address Restorer::restore_pointer() {
   const msr::Address addr = decode_ptr_value();
   drain();
+  flush_instruments();
   return addr;
 }
 
@@ -70,45 +90,62 @@ const msr::MemoryBlock& Restorer::materialize_pnew(msr::BlockId src_id, std::uin
                                                    ti::TypeId type, std::uint32_t count) {
   const auto seg = static_cast<msr::Segment>(segment);
   if (segment > 2) throw WireError("corrupt stream: bad segment tag");
-  const auto it = binding_.find(src_id);
-  if (it != binding_.end()) {
-    const msr::MemoryBlock* dest = space_.msrlt().find_id(it->second);
-    if (dest == nullptr) throw MsrError("bound destination block vanished");
+  if (const msr::MemoryBlock* dest = binding_.find(src_id)) {
     if (dest->type != type || dest->count != count) {
       throw WireError("PNEW type/count disagrees with bound destination block '" +
                       dest->name + "'");
     }
-    blocks_bound_.add(1);
+    ++tally_[kBlocksBound];
     return *dest;
   }
+  if (src_id == msr::kInvalidBlock) throw WireError("corrupt stream: PNEW with invalid id");
   if (seg != msr::Segment::Heap && !auto_bind_) {
     throw MsrError("PNEW for unbound " + std::string(msr::segment_name(seg)) +
                    " block: the destination frame/global was not re-registered");
   }
-  const std::uint64_t size = space_.block_size(type, count);
-  const msr::Address base = space_.allocate(size);
-  const msr::BlockId dest_id =
-      space_.msrlt().register_block(seg, base, size, type, count, std::string{});
-  binding_.emplace(src_id, dest_id);
-  blocks_created_.add(1);
-  return *space_.msrlt().find_id(dest_id);
+  // Reject a block that could never be filled before allocating it: every
+  // leaf takes at least one stream byte, so when the decoder holds the
+  // whole stream its remaining bytes bound the element count. A streaming
+  // decoder cannot know that bound; there an impossible size surfaces as
+  // an allocation failure, mapped to the same typed error below.
+  const std::uint64_t per_elem = space_.leaves().count(type);
+  if (dec_.bounded() && per_elem != 0 && count > dec_.remaining() / per_elem) {
+    throw WireError("corrupt stream: PNEW of " + std::to_string(count) +
+                    " elements cannot fit in the " + std::to_string(dec_.remaining()) +
+                    " bytes left");
+  }
+  const std::uint64_t elem_size = space_.layouts().of(type).size;
+  if (elem_size != 0 && count > UINT64_MAX / elem_size) {
+    throw WireError("corrupt stream: PNEW block size overflows");
+  }
+  const msr::MemoryBlock* dest = nullptr;
+  try {
+    dest = &space_.new_block(seg, type, count);
+  } catch (const std::bad_alloc&) {
+    throw_unallocatable(elem_size * count);
+  } catch (const std::length_error&) {  // an arena space's vector growth
+    throw_unallocatable(elem_size * count);
+  }
+  binding_.insert(src_id, dest);
+  ++tally_[kBlocksCreated];
+  return *dest;
 }
 
 msr::Address Restorer::decode_ptr_value() {
   const std::uint8_t tag = dec_.get_u8();
   switch (tag) {
     case kPtrNull:
-      nulls_restored_.add(1);
+      ++tally_[kNullsRestored];
       return 0;
     case kPtrRef: {
       const msr::BlockId src_id = dec_.get_u64();
       const std::uint64_t leaf = dec_.get_u64();
-      const msr::BlockId dest = dest_of(src_id);
-      if (dest == msr::kInvalidBlock) {
+      const msr::MemoryBlock* dest = binding_.find(src_id);
+      if (dest == nullptr) {
         throw WireError("PREF to a block that was never transferred (corrupt stream)");
       }
-      refs_resolved_.add(1);
-      return msr::address_of(space_, msr::LogicalPointer{dest, leaf});
+      ++tally_[kRefsResolved];
+      return msr::address_of(space_, *dest, leaf);
     }
     case kPtrNew: {
       const msr::BlockId src_id = dec_.get_u64();
@@ -118,7 +155,7 @@ msr::Address Restorer::decode_ptr_value() {
       const std::uint32_t count = dec_.get_u32();
       space_.types().at(type);  // validate id against the shared TI table
       const msr::MemoryBlock& dest = materialize_pnew(src_id, segment, type, count);
-      const msr::Address target = msr::address_of(space_, msr::LogicalPointer{dest.id, leaf});
+      const msr::Address target = msr::address_of(space_, dest, leaf);
       if (space_.types().bulk_eligible(type)) {
         decode_flat(dest);
       } else {
@@ -129,7 +166,7 @@ msr::Address Restorer::decode_ptr_value() {
         p.elem_idx = 0;
         p.leaf_idx = 0;
         stack_.push_back(p);
-        depth_hist_.record(static_cast<double>(stack_.size()));
+        tally_depths_.push_back(static_cast<double>(stack_.size()));
       }
       return target;
     }
@@ -227,9 +264,9 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
     }
     if (std::uint8_t* out = space_.raw_mut(block.base, block.size)) {
       dec_.get_bytes(out, block.size);
-      bulk_bodies_.add(1);
-      bulk_bytes_.add(nbytes);
-      prim_leaves_.add(leaf_total);
+      ++tally_[kBulkBodies];
+      tally_[kBulkBytes] += nbytes;
+      tally_[kPrimLeaves] += leaf_total;
       return;
     }
   }
@@ -267,9 +304,9 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
         }
       }
     }
-    staged_runs_.add(std::uint64_t{plan.run_ops} * block.count);
-    staged_run_bytes_.add(plan.run_bytes * block.count);
-    staged_scalar_leaves_.add(std::uint64_t{plan.scalar_ops} * block.count);
+    tally_[kStagedRuns] += std::uint64_t{plan.run_ops} * block.count;
+    tally_[kStagedRunBytes] += plan.run_bytes * block.count;
+    tally_[kStagedScalar] += std::uint64_t{plan.scalar_ops} * block.count;
   } else {
     // No contiguous destination storage: scalar conversion per leaf.
     for (std::uint32_t e = 0; e < block.count; ++e) {
@@ -281,9 +318,9 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
                                         src_list[i].prim));
       }
     }
-    staged_scalar_leaves_.add(leaf_total);
+    tally_[kStagedScalar] += leaf_total;
   }
-  prim_leaves_.add(leaf_total);
+  tally_[kPrimLeaves] += leaf_total;
 }
 
 void Restorer::decode_flat_type(msr::Address base, ti::TypeId type) {
@@ -291,7 +328,7 @@ void Restorer::decode_flat_type(msr::Address base, ti::TypeId type) {
   switch (info.kind) {
     case ti::TypeKind::Primitive:
       space_.write_prim(base, info.prim, xdr::decode_canonical(dec_, info.prim));
-      prim_leaves_.add(1);
+      ++tally_[kPrimLeaves];
       return;
     case ti::TypeKind::Pointer:
       throw MsrError("decode_flat_type reached a pointer (contains_pointer lied)");
@@ -330,9 +367,9 @@ void Restorer::drain() {
       stack_[my_index].leaf_idx = cur.leaf_idx + 1;
       if (!ref.is_pointer) {
         space_.write_prim(cell, ref.prim, xdr::decode_canonical(dec_, ref.prim));
-        prim_leaves_.add(1);
+        ++tally_[kPrimLeaves];
       } else {
-        ptr_leaves_.add(1);
+        ++tally_[kPtrLeaves];
         const msr::Address value = decode_ptr_value();
         space_.write_pointer(cell, value);
         if (stack_.size() > my_index + 1) {

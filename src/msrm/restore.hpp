@@ -2,10 +2,16 @@
 //
 // A Restorer rebuilds memory blocks in a destination MemorySpace from the
 // PtrVal grammar. Because every migrated block carries its logical id,
-// restoration never searches the MSRLT by address — it binds the source
-// id to destination storage in O(1) and decodes contents in place. That
-// is the paper's O(n) MSRLT-update term, versus the O(n log n) search
-// term on the collection side.
+// restoration never searches the MSRLT by address to place a block: a
+// PNEW binds the source id to the destination block handle in a flat id
+// table (msr/id_table.hpp, one O(1) expected probe, no allocation), and
+// a PREF resolves through the same table straight to the block. The only
+// address searches are one root check per variable record. Each block
+// the stream creates is still registered in the destination MSRLT, whose
+// address index insert is O(log n) under OrderedMap — so the per-block
+// cost is one table probe plus one index insert, not the collection
+// side's O(log n) search per pointer (paper §4.2's O(n) update term
+// against the O(n log n) search term).
 //
 // Binding rules:
 //  * Stack and Global blocks exist on the destination a priori (the
@@ -14,11 +20,19 @@
 //    auto-bind mode is enabled (used by tests and image round trips).
 //  * Heap blocks are created on demand when their PNEW header is read —
 //    before the body is decoded, so back/cross references always resolve.
+//    The destination space owns their storage (MemorySpace::new_block),
+//    so a restore that fails midway leaks nothing.
+//  * A PNEW whose block could never be filled — its leaves cannot fit in
+//    the rest of a whole-buffer stream, its size overflows, or the space
+//    cannot allocate it — is rejected with hpm::WireError before (or
+//    instead of) allocating.
 #pragma once
 
+#include <array>
 #include <unordered_map>
 #include <vector>
 
+#include "msr/id_table.hpp"
 #include "msr/resolve.hpp"
 #include "msr/space.hpp"
 #include "msrm/leaf_cache.hpp"
@@ -41,6 +55,11 @@ class Restorer {
   Restorer(msr::MemorySpace& space, xdr::Decoder& dec,
            const xdr::ArchDescriptor& source_arch);
 
+  ~Restorer() { flush_instruments(); }
+
+  Restorer(const Restorer&) = delete;
+  Restorer& operator=(const Restorer&) = delete;
+
   /// Pre-bind a source block id to existing destination storage (a
   /// re-registered stack local or global). Validates element type and
   /// count against the destination block.
@@ -60,9 +79,6 @@ class Restorer {
   /// Decode one PtrVal and return the destination address it denotes
   /// (0 for null). (Paper: `p = Restore_pointer()`.)
   msr::Address restore_pointer();
-
-  /// Destination id bound to `source_id`; kInvalidBlock if none.
-  [[nodiscard]] msr::BlockId dest_of(msr::BlockId source_id) const;
 
  private:
   struct Pending {
@@ -111,10 +127,17 @@ class Restorer {
   const msr::MemoryBlock& materialize_pnew(msr::BlockId src_id, std::uint8_t segment,
                                            ti::TypeId type, std::uint32_t count);
 
+  /// Push the local tallies into the process registry and zero them.
+  /// Called at the end of each restore_pointer (so once per variable
+  /// record); the destructor flushes whatever an exception left behind.
+  void flush_instruments() noexcept;
+
   msr::MemorySpace& space_;
   xdr::Decoder& dec_;
   LeafCache leaves_;
-  std::unordered_map<msr::BlockId, msr::BlockId> binding_;
+  /// Source block id -> destination block. Handles stay valid for the
+  /// restore: nothing is unregistered while a stream is being decoded.
+  msr::IdTable<const msr::MemoryBlock> binding_;
   std::vector<Pending> stack_;
   bool auto_bind_ = false;
 
@@ -129,19 +152,27 @@ class Restorer {
   std::vector<std::uint8_t> raw_buf_;
 
   // `msrm.restore.*` instruments (process-wide registry) and the
-  // traversal-depth histogram.
-  obs::Counter& blocks_created_;
-  obs::Counter& blocks_bound_;
-  obs::Counter& refs_resolved_;
-  obs::Counter& nulls_restored_;
-  obs::Counter& prim_leaves_;
-  obs::Counter& ptr_leaves_;
-  obs::Counter& bulk_bodies_;   ///< BODY_RAW bodies memcpy'd
-  obs::Counter& bulk_bytes_;    ///< bytes those bodies carried
-  obs::Counter& staged_runs_;          ///< batched run ops executed
-  obs::Counter& staged_run_bytes_;     ///< bytes those runs converted
-  obs::Counter& staged_scalar_leaves_; ///< leaves that stayed scalar
+  // traversal-depth histogram, fed from the local tallies below: a
+  // registry counter is a shared atomic and the histogram takes a mutex,
+  // too dear to pay per block.
+  enum Tally : std::size_t {
+    kBlocksCreated,
+    kBlocksBound,
+    kRefsResolved,
+    kNullsRestored,
+    kPrimLeaves,
+    kPtrLeaves,
+    kBulkBodies,      ///< BODY_RAW bodies memcpy'd
+    kBulkBytes,       ///< bytes those bodies carried
+    kStagedRuns,      ///< batched run ops executed
+    kStagedRunBytes,  ///< bytes those runs converted
+    kStagedScalar,    ///< leaves that stayed scalar
+    kTallyCount
+  };
+  std::array<obs::Counter*, kTallyCount> counters_;
+  std::array<std::uint64_t, kTallyCount> tally_{};
   obs::Histogram& depth_hist_;  ///< `msrm.restore.depth`
+  std::vector<double> tally_depths_;
 };
 
 }  // namespace hpm::msrm

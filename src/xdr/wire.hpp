@@ -133,6 +133,9 @@ class Decoder {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
+  /// True when the current view is the whole stream (no refill armed), so
+  /// remaining() is exactly what is left to decode.
+  [[nodiscard]] bool bounded() const noexcept { return !refill_; }
 
   /// Peek at the next byte without consuming it.
   std::uint8_t peek_u8();

@@ -3,13 +3,17 @@
 // annotation contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "apps/bitonic.hpp"
 #include "mig/annotate.hpp"
 #include "mig/chunk_assembler.hpp"
 #include "mig/context.hpp"
 #include "msrm/stream.hpp"
+#include "obs/metrics.hpp"
 #include "ti/describe.hpp"
 
 namespace hpm::mig {
@@ -77,6 +81,32 @@ TEST(MigContext, HeapAllocRegistersAndFreeUnregisters) {
   EXPECT_EQ(ctx.live_heap_blocks(), 0u);
   int untracked = 0;
   EXPECT_THROW(ctx.heap_free(&untracked), MigrationError);
+}
+
+TEST(MigContext, HeapFreeRejectsWhatTheHeapDoesNotOwn) {
+  // The MSRLT is the heap's ledger: only the base of a live heap block
+  // may be freed.
+  ti::TypeTable t;
+  register_pair(t);
+  MigContext ctx(t);
+  Pair& global = ctx.global<Pair>("global");
+  Pair* p = ctx.heap_alloc<Pair>(2, "p");
+  {
+    FrameGuard guard(ctx, "f");
+    Pair local{};
+    ctx.local(guard.frame(), "local", local);
+    EXPECT_THROW(ctx.heap_free(&local), MigrationError);  // tracked stack local
+  }
+  int untracked = 0;
+  EXPECT_THROW(ctx.heap_free(&untracked), MigrationError);  // untracked stack
+  EXPECT_THROW(ctx.heap_free(&global), MigrationError);     // a global
+  EXPECT_THROW(ctx.heap_free(&p[1]), MigrationError);       // interior, element-aligned
+  EXPECT_THROW(ctx.heap_free(&p->b), MigrationError);       // interior, mid-element
+  EXPECT_EQ(ctx.live_heap_blocks(), 1u);
+  ctx.heap_free(p);
+  EXPECT_EQ(ctx.live_heap_blocks(), 0u);
+  EXPECT_THROW(ctx.heap_free(p), MigrationError);  // double free
+  EXPECT_EQ(ctx.space().msrlt().block_count(), 1u);  // the global stays
 }
 
 TEST(MigContext, ProgramRunsToCompletionWithoutTrigger) {
@@ -399,6 +429,118 @@ TEST(MigrationMetrics, CollectStatsMatchTheStreamedGraph) {
   EXPECT_EQ(src.metrics().collect.counter("msrm.collect.refs_saved"), 1u);
 }
 
+
+/// Bitonic 2^10 (2047 heap nodes), collected at its first poll-point.
+Bytes bitonic_stream(ti::TypeTable& t) {
+  MigContext src(t);
+  src.set_migrate_at_poll(1);
+  apps::BitonicResult result;
+  EXPECT_THROW(apps::bitonic_program(src, 10, 7, &result), MigrationExit);
+  return src.stream();
+}
+
+/// Re-seal an edited payload (a stream minus its 5-byte trailer), so the
+/// damage reaches the decoder instead of failing the trailer check.
+Bytes reseal(std::span<const std::uint8_t> payload) {
+  xdr::Encoder enc;
+  enc.put_bytes(payload.data(), payload.size());
+  msrm::finish_stream(enc);
+  return enc.take();
+}
+
+TEST(MigrationMetrics, RestoreCountersAreExactForBitonic) {
+  // The Restorer tallies locally and flushes once per variable record:
+  // the registry must see every event exactly once. At the first poll the
+  // frozen stack holds 14 frames' locals — 28 variables, 14 of them
+  // pointers (root, ten sort_rec nodes, merge_rec's node, cswap's x, y).
+  ti::TypeTable t;
+  apps::bitonic_register_types(t);
+  const Bytes stream = bitonic_stream(t);
+
+  auto depth_count = [] {
+    const obs::MetricsSnapshot now = obs::Registry::process().snapshot();
+    const obs::HistogramSummary* h = now.histogram("msrm.restore.depth");
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const std::uint64_t depth_before = depth_count();
+  MigContext dst(t);
+  dst.begin_restore(stream);
+  dst.set_stop_after_restore(true);
+  apps::BitonicResult result;
+  EXPECT_THROW(apps::bitonic_program(dst, 10, 7, &result), MigrationExit);
+  const obs::MetricsSnapshot& m = dst.metrics().restore;
+  EXPECT_EQ(m.counter("msrm.restore.blocks_created"), 2047u);  // 2^11 - 1 nodes
+  EXPECT_EQ(m.counter("msrm.restore.blocks_bound"), 28u);      // every local
+  // Two links per node, plus the 14 pointer locals.
+  EXPECT_EQ(m.counter("msrm.restore.ptr_leaves"), 2u * 2047 + 14);
+  EXPECT_EQ(m.counter("msrm.restore.nulls_restored"), 2048u);  // both links of 1024 leaves
+  // One depth sample per pushed (non-flat) block: nodes and pointer locals.
+  const obs::HistogramSummary* depth = m.histogram("msrm.restore.depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->count - depth_before, 2047u + 14);
+  EXPECT_EQ(dst.live_heap_blocks(), 2047u);
+}
+
+TEST(MigContext, FailedRestoresLeakNothing) {
+  // Whatever a failed restore allocated stays on the destination heap's
+  // books (the MSRLT) and is freed with the context; LeakSanitizer checks
+  // the asan build. Three failures: a stream cut midway through the
+  // tree, a zero-count PNEW, and a PNEW claiming 2^32-1 nodes.
+  ti::TypeTable t;
+  apps::bitonic_register_types(t);
+  const Bytes stream = bitonic_stream(t);
+  const std::span<const std::uint8_t> payload(stream.data(), stream.size() - 5);
+
+  // The first heap-node PNEW: ...u8 segment, u32 type, u32 count = 1.
+  auto pnew_tail = [&t](std::uint32_t count) {
+    xdr::Encoder enc;
+    enc.put_u8(static_cast<std::uint8_t>(msr::Segment::Heap));
+    enc.put_u32(ti::native_type_id<apps::BitonicNode>(t));
+    enc.put_u32(count);
+    return enc.take();
+  };
+  const Bytes tail = pnew_tail(1);
+  const auto at = std::search(payload.begin(), payload.end(), tail.begin(), tail.end());
+  ASSERT_NE(at, payload.end());
+  const auto tail_off = static_cast<std::size_t>(at - payload.begin());
+  ASSERT_GE(tail_off, 17u);
+  ASSERT_EQ(payload[tail_off - 17], msrm::kPtrNew);  // u8 tag, u64 id, u64 leaf
+
+  struct Case {
+    const char* name;
+    Bytes stream;
+    bool allocates;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"truncated", reseal(payload.first(payload.size() / 2)), true});
+  for (const std::uint32_t count : {0u, 0xFFFFFFFFu}) {
+    Bytes edited(payload.begin(), payload.end());
+    const Bytes bad = pnew_tail(count);
+    std::copy(bad.begin(), bad.end(), edited.begin() + static_cast<std::ptrdiff_t>(tail_off));
+    cases.push_back({count == 0 ? "zero count" : "hostile count", reseal(edited), false});
+  }
+  for (const Case& c : cases) {
+    const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
+    std::size_t live = 0;
+    {
+      MigContext dst(t);
+      apps::BitonicResult result;
+      EXPECT_THROW(
+          {
+            dst.begin_restore(c.stream);
+            apps::bitonic_program(dst, 10, 7, &result);
+          },
+          Error)
+          << c.name;
+      live = dst.live_heap_blocks();
+    }
+    // The Restorer's tallies flush when the context drops it, failure or not.
+    const std::uint64_t created = obs::Registry::process().snapshot().delta_since(before).counter(
+        "msrm.restore.blocks_created");
+    EXPECT_EQ(live, created) << c.name;
+    EXPECT_EQ(created > 0, c.allocates) << c.name;
+  }
+}
 
 TEST(MigrationMetrics, DeadBlocksStayBehind) {
   // A heap block unreachable from any live variable is dead data: the

@@ -2,6 +2,9 @@
 // the statistics counters the complexity experiments rely on.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/rng.hpp"
 #include "msr/msrlt.hpp"
 #include "obs/metrics.hpp"
 #include "ti/table.hpp"
@@ -175,6 +178,66 @@ TEST(Msrlt, LinearScanStrategyGivesIdenticalAnswers) {
   const std::uint64_t ordered_steps = s1.delta_since(s0).counter("msr.msrlt.search_steps");
   const std::uint64_t both_steps = s2.delta_since(s1).counter("msr.msrlt.search_steps");
   EXPECT_GT(both_steps - ordered_steps, ordered_steps);
+}
+
+TEST(Msrlt, PerSegmentCountsFollowRegistrations) {
+  Msrlt t;
+  t.register_block(Segment::Global, 0x1000, 16, 1, 1, "g");
+  t.register_block(Segment::Heap, 0x2000, 16, 1, 1, "h1");
+  t.register_block(Segment::Heap, 0x3000, 16, 1, 1, "h2");
+  EXPECT_EQ(t.block_count(Segment::Global), 1u);
+  EXPECT_EQ(t.block_count(Segment::Stack), 0u);
+  EXPECT_EQ(t.block_count(Segment::Heap), 2u);
+  t.unregister(0x2000);
+  EXPECT_EQ(t.block_count(Segment::Heap), 1u);
+  EXPECT_EQ(t.block_count(), 2u);
+}
+
+TEST(Msrlt, FindBaseIsExactAndUncounted) {
+  Msrlt t;
+  const BlockId id = t.register_block(Segment::Heap, 0x1000, 64, 1, 1, "");
+  const obs::MetricsSnapshot before = snap();
+  ASSERT_NE(t.find_base(0x1000), nullptr);
+  EXPECT_EQ(t.find_base(0x1000)->id, id);
+  EXPECT_EQ(t.find_base(0x1008), nullptr);  // interior
+  EXPECT_EQ(t.find_base(0x2000), nullptr);  // untracked
+  EXPECT_EQ(snap().delta_since(before).counter("msr.msrlt.searches"), 0u);
+}
+
+TEST(IdTable, MatchesAReferenceMapUnderRandomChurn) {
+  // Random inserts, erases and lookups against std::unordered_map, with
+  // ids from a small range so probe runs collide, wrap and get
+  // backward-shifted on erase.
+  IdTable<MemoryBlock> table;
+  std::unordered_map<BlockId, MemoryBlock*> ref;
+  std::vector<MemoryBlock> blocks(512);
+  Rng rng(42);
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t seq = rng.next_below(512);
+    const BlockId id = make_block_id(Segment::Heap, seq + 1);
+    MemoryBlock* value = &blocks[seq];
+    switch (rng.next_below(3)) {
+      case 0:
+        ASSERT_EQ(table.insert(id, value), ref.emplace(id, value).second) << step;
+        break;
+      case 1:
+        ASSERT_EQ(table.erase(id), ref.erase(id) == 1) << step;
+        break;
+      default: {
+        const auto it = ref.find(id);
+        ASSERT_EQ(table.find(id), it == ref.end() ? nullptr : it->second) << step;
+      }
+    }
+    ASSERT_EQ(table.size(), ref.size());
+  }
+  for (std::uint64_t seq = 1; seq <= 512; ++seq) {
+    const BlockId id = make_block_id(Segment::Heap, seq);
+    const auto it = ref.find(id);
+    EXPECT_EQ(table.find(id), it == ref.end() ? nullptr : it->second) << id;
+  }
+  EXPECT_FALSE(table.insert(kInvalidBlock, &blocks[0]));
+  EXPECT_EQ(table.find(kInvalidBlock), nullptr);
+  EXPECT_FALSE(table.erase(kInvalidBlock));
 }
 
 }  // namespace

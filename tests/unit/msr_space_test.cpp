@@ -70,14 +70,32 @@ TEST_F(HostSpaceTest, AddressOfBeyondBlockEndThrows) {
   EXPECT_THROW(address_of(space_, LogicalPointer{id, 2}), Error);
 }
 
-TEST_F(HostSpaceTest, AllocateOwnsAndReleases) {
-  const Address a = space_.allocate(64);
-  EXPECT_NE(a, 0u);
-  EXPECT_EQ(space_.owned_allocations(), 1u);
-  space_.release_ownership(a);
-  EXPECT_EQ(space_.owned_allocations(), 0u);
-  HostSpace::free_raw(reinterpret_cast<void*>(a));
-  EXPECT_THROW(space_.release_ownership(a), MsrError);
+TEST_F(HostSpaceTest, NewBlocksAreOwnedAndTrackedOnesAreNot) {
+  // The owned bit of the MSRLT entry is the space's only record of its
+  // allocations: the destructor frees exactly the owned blocks still
+  // tracked (LeakSanitizer checks the asan build), never tracked ones.
+  Node local{};
+  const BlockId tracked = space_.track(Segment::Heap, local, "local", node_type_, 1);
+  EXPECT_FALSE(space_.msrlt().find_id(tracked)->owned);
+  const MemoryBlock& fresh = space_.new_block(Segment::Heap, node_type_, 3, "fresh");
+  EXPECT_TRUE(fresh.owned);
+  EXPECT_NE(fresh.base, 0u);
+  EXPECT_EQ(fresh.size, 3 * sizeof(Node));
+  EXPECT_EQ(space_.msrlt().block_count(Segment::Heap), 2u);
+
+  // An owner that drops a block early unregisters it and deallocates.
+  const MemoryBlock& early = space_.new_block(Segment::Global, node_type_, 1);
+  const Address base = early.base;
+  space_.msrlt().unregister(base);
+  space_.deallocate(base);
+  EXPECT_EQ(space_.msrlt().block_count(Segment::Global), 0u);
+}
+
+TEST_F(HostSpaceTest, NewBlockFreesStorageWhoseRegistrationThrows) {
+  // Zero elements: allocate() hands out storage, registration rejects the
+  // zero-sized block, and new_block must release what it allocated.
+  EXPECT_THROW(space_.new_block(Segment::Heap, node_type_, 0), MsrError);
+  EXPECT_EQ(space_.msrlt().block_count(), 0u);
 }
 
 TEST_F(HostSpaceTest, GraphSnapshotCapturesEdgesAndSharing) {

@@ -3,6 +3,7 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <new>
 #include <vector>
 
 #include "msr/host_space.hpp"
@@ -23,6 +24,38 @@ using msr::Segment;
 struct Cell {
   long value;
   Cell* next;
+};
+
+/// Forwards to a HostSpace but refuses allocations above `cap` bytes with
+/// std::bad_alloc: a deterministic stand-in for an exhausted allocator
+/// (asking a sanitizer-instrumented allocator for 64 GiB aborts instead).
+class CappedSpace final : public msr::MemorySpace {
+ public:
+  CappedSpace(HostSpace& host, std::uint64_t cap) : host_(host), cap_(cap) {}
+
+  const xdr::ArchDescriptor& arch() const noexcept override { return host_.arch(); }
+  const ti::TypeTable& types() const noexcept override { return host_.types(); }
+  const ti::LayoutMap& layouts() const noexcept override { return host_.layouts(); }
+  const ti::LeafIndex& leaves() const noexcept override { return host_.leaves(); }
+  msr::Msrlt& msrlt() noexcept override { return host_.msrlt(); }
+  const msr::Msrlt& msrlt() const noexcept override { return host_.msrlt(); }
+  xdr::PrimValue read_prim(Address addr, xdr::PrimKind k) const override {
+    return host_.read_prim(addr, k);
+  }
+  void write_prim(Address addr, xdr::PrimKind k, const xdr::PrimValue& v) override {
+    host_.write_prim(addr, k, v);
+  }
+  Address read_pointer(Address addr) const override { return host_.read_pointer(addr); }
+  void write_pointer(Address addr, Address value) override { host_.write_pointer(addr, value); }
+  Address allocate(std::uint64_t size) override {
+    if (size > cap_) throw std::bad_alloc();
+    return host_.allocate(size);
+  }
+  void deallocate(Address base) noexcept override { host_.deallocate(base); }
+
+ private:
+  HostSpace& host_;
+  std::uint64_t cap_;
 };
 
 class RoundTrip : public ::testing::Test {
@@ -48,6 +81,19 @@ class RoundTrip : public ::testing::Test {
     restorer_->set_auto_bind(true);
     const BlockId dest = restorer_->restore_variable();
     return dst_.msrlt().find_id(dest)->base;
+  }
+
+  /// A lone 26-byte PNEW header: one heap block of `count` cells whose
+  /// body never follows.
+  Bytes cell_pnew(std::uint32_t count) const {
+    xdr::Encoder enc;
+    enc.put_u8(kPtrNew);
+    enc.put_u64(msr::make_block_id(Segment::Heap, 1));
+    enc.put_u64(0);
+    enc.put_u8(static_cast<std::uint8_t>(Segment::Heap));
+    enc.put_u32(cell_type_);
+    enc.put_u32(count);
+    return enc.take();
   }
 
   ti::TypeTable table_;
@@ -364,6 +410,45 @@ TEST_F(RoundTrip, BoundBlockShapeMismatchIsRejected) {
   Restorer restorer(dst_, dec);
   const BlockId src_id = src_.msrlt().find_containing(reinterpret_cast<Address>(&c))->id;
   EXPECT_THROW(restorer.bind(src_id, dest_id, cell_type_, 1), MsrError);
+}
+
+TEST_F(RoundTrip, HostilePnewCountIsRejectedBeforeAllocating) {
+  // Whole-buffer restore: every leaf takes at least one stream byte, so a
+  // count whose leaves outrun the bytes left is refused before any
+  // storage exists — 2^32-1 cells (64 GiB) as much as 2^28 (4 GiB, which
+  // an allocator would grant before the truncation showed).
+  for (const std::uint32_t count : {0xFFFFFFFFu, 1u << 28}) {
+    const Bytes bytes = cell_pnew(count);
+    ASSERT_EQ(bytes.size(), 26u);
+    xdr::Decoder dec(bytes);
+    Restorer restorer(dst_, dec);
+    EXPECT_THROW(restorer.restore_pointer(), WireError) << count;
+    EXPECT_EQ(dst_.msrlt().block_count(), 0u) << count;
+  }
+}
+
+TEST_F(RoundTrip, AllocationFailureIsAWireError) {
+  // A streaming decoder cannot bound the count by the bytes left, so the
+  // oversized block reaches the allocator; its std::bad_alloc must come
+  // back as a typed WireError, with nothing registered.
+  CappedSpace capped(dst_, 1u << 20);
+  const Bytes bytes = cell_pnew(0xFFFFFFFFu);
+  xdr::Decoder dec(bytes);
+  dec.set_refill([](std::size_t) { return false; });
+  Restorer restorer(capped, dec);
+  EXPECT_THROW(restorer.restore_pointer(), WireError);
+  EXPECT_EQ(dst_.msrlt().block_count(), 0u);
+}
+
+TEST_F(RoundTrip, ZeroCountPnewIsRejectedAndFreed) {
+  // Zero cells fit any stream; the space allocates, registration refuses
+  // the zero-sized block, and the storage goes back (LeakSanitizer
+  // checks the asan build).
+  const Bytes bytes = cell_pnew(0);
+  xdr::Decoder dec(bytes);
+  Restorer restorer(dst_, dec);
+  EXPECT_THROW(restorer.restore_pointer(), Error);
+  EXPECT_EQ(dst_.msrlt().block_count(), 0u);
 }
 
 TEST_F(RoundTrip, StreamSealDetectsCorruptionAndTruncation) {
