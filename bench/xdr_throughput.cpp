@@ -4,7 +4,7 @@
 // fast path (one put_bytes/get_bytes memcpy of a pointer-free primitive
 // array, the same-architecture PNEW body) against the per-element
 // canonical loop it replaces — and the integrity hashes every migration
-// pays per byte (sliced CRC-32, fused StreamDigest) against a memcpy of
+// pays per byte (sliced CRC-32, multi-lane StreamDigest) against a memcpy of
 // the same buffer.
 //
 // Writes BENCH_xdr.json (hpm-bench-v1; override with --json PATH). With
@@ -165,9 +165,9 @@ void measured_bulk_pass(hpm::bench::BenchReport& report, std::size_t n) {
 }
 
 /// Integrity-pass throughput over one `n`-byte buffer, best-of-5 each:
-/// the frame/trailer CRC-32, the end-to-end digest (FNV-1a 64 fused with
-/// CRC-32: the FNV multiply chain is its floor), and memcpy as the
-/// memory-speed reference both are read against.
+/// the frame/record CRC-32, the stream digest (trailer seal, end-to-end
+/// digest and chunk address: four independent multiply lanes), and
+/// memcpy as the memory-speed reference both are read against.
 void measured_integrity_pass(hpm::bench::BenchReport& report, std::size_t n) {
   using Clock = std::chrono::steady_clock;
   std::vector<std::uint8_t> src(n);

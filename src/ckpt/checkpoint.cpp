@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <span>
 
-#include "common/crc32.hpp"
 #include "mig/chunk_store.hpp"
 #include "msrm/stream.hpp"
 #include "xdr/wire.hpp"

@@ -8,7 +8,7 @@
 // canonical format migration uses.
 //
 // File format: the migration stream (header + TI table + execution state
-// + data + CRC trailer), preceded by a small checkpoint preamble with a
+// + data + digest trailer), preceded by a small checkpoint preamble with a
 // wall-clock-free sequence number so a restart manager can pick the
 // newest of several checkpoint files.
 #pragma once

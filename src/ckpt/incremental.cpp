@@ -15,7 +15,7 @@ namespace hpm::ckpt {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x48434B49;  // "HCKI"
-constexpr std::uint16_t kVersion = 1;
+constexpr std::uint16_t kVersion = 2;  // v1 carried the CRC-32 stream trailer
 
 Bytes read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -12,7 +12,8 @@
 // image, so the entire restoration path (binding, skeleton re-execution,
 // resume) is reused unchanged.
 //
-// File format (canonical encoding, CRC-sealed like migration streams):
+// File format (canonical encoding, sealed with the migration stream's
+// digest trailer; version 2 since that trailer became the u64 StreamDigest):
 //
 //   File    := u32 'HCKI' | u16 version | u64 seq | str arch | u64 ti-sig
 //            | [seq==0: TI table]

@@ -1,5 +1,7 @@
 #include "common/crc32.hpp"
 
+#include <array>
+
 namespace hpm {
 namespace {
 
@@ -24,14 +26,33 @@ constexpr std::array<Table, 16> make_tables() {
   return t;
 }
 
-}  // namespace
+/// Slice-by-16 tables. Table 0 is the classic byte-at-a-time table;
+/// table k holds the CRC contribution of a byte followed by k zero bytes.
+constinit const std::array<Table, 16> kTables = make_tables();
 
-constinit const std::array<std::array<std::uint32_t, 256>, 16> Crc32::kTables = make_tables();
+/// Little-endian u32 at `p`, assembled from bytes: no alignment or host
+/// byte-order assumption (compilers fold this into one load on LE hosts).
+inline std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// The four lookups for one word whose last byte sits `k` bytes before
+/// the end of its 16-byte block.
+inline std::uint32_t fold_word(std::uint32_t w, std::size_t k) noexcept {
+  return kTables[k + 3][w & 0xFFu] ^ kTables[k + 2][(w >> 8) & 0xFFu] ^
+         kTables[k + 1][(w >> 16) & 0xFFu] ^ kTables[k][w >> 24];
+}
+
+}  // namespace
 
 void Crc32::update(const void* data, std::size_t len) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (; len >= 16; len -= 16, p += 16) update16(p);
   std::uint32_t c = state_;
+  for (; len >= 16; len -= 16, p += 16) {
+    c = fold_word(load_le32(p) ^ c, 12) ^ fold_word(load_le32(p + 4), 8) ^
+        fold_word(load_le32(p + 8), 4) ^ fold_word(load_le32(p + 12), 0);
+  }
   for (; len > 0; --len, ++p) {
     c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }

@@ -4,7 +4,9 @@
 // A chunk's address is the msrm::StreamDigest of its canonical body plus
 // the body length — stable across runs because the canonical stream is
 // deterministic for a given process state (logical block ids, not raw
-// addresses). The store is a directory of addressed chunk files with an
+// addresses). Entries named by an earlier digest (FNV-1a, protocol v5)
+// keep their record layout but can never be asked for again, so they age
+// out by LRU. The store is a directory of addressed chunk files with an
 // in-memory index and LRU eviction to a byte budget. Durability mirrors
 // the intent journal's hardening: every record is CRC-sealed and fsync'd,
 // open() tolerates torn entries (dropped, not fatal), and load() verifies

@@ -183,15 +183,15 @@ void MigContext::do_migration(std::uint32_t label) {
   for (const LocalVar& var : globals_) roots.push_back(var.addr);
   msrm::collect_roots(space_, enc, roots, collect_threads_);
 
-  // One hash pass per stream: the digest's running CRC already covers
-  // everything the tap saw (or, unstreamed, the payload hashed here), so
-  // the trailer CRC only adds the unflushed remainder.
+  // One hash pass per stream: the digest already covers everything the
+  // tap saw (or, unstreamed, the payload hashed here), so sealing the
+  // trailer only adds the unflushed remainder.
   std::size_t hashed = enc.flushed();
   if (!collect_sink_) {
     digest.update({enc.bytes().data(), enc.size()});
     hashed = enc.size();
   }
-  msrm::finish_stream(enc, digest.crc(), hashed);
+  msrm::finish_stream(enc, digest, hashed);
   enc.flush_sink();  // sub-chunk remainder (incl. the trailer) goes out too
   stream_ = enc.take();
   if (!collect_sink_) digest.update({stream_.data() + hashed, stream_.size() - hashed});
@@ -242,9 +242,10 @@ void MigContext::begin_restore_streaming(ChunkAssembler& assembler) {
 }
 
 void MigContext::hash_fetched() {
-  // Hold back the last five bytes: they may be the trailer, and the
-  // trailer check needs the digest's CRC as it stood just before it.
-  const std::size_t upto = restore_stream_.size() > 5 ? restore_stream_.size() - 5 : 0;
+  // Hold back the last kTrailerBytes: they may be the trailer, and the
+  // trailer check needs the digest's value as it stood just before it.
+  const std::size_t size = restore_stream_.size();
+  const std::size_t upto = size > msrm::kTrailerBytes ? size - msrm::kTrailerBytes : 0;
   if (upto <= restore_hashed_) return;
   restore_digest_.update({restore_stream_.data() + restore_hashed_, upto - restore_hashed_});
   restore_hashed_ = upto;
@@ -334,15 +335,15 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     // compare the end-to-end digest the source computed over the canonical
     // stream against our own — FIRST, so corruption that slipped past
     // every frame CRC is named for what it is — then run the whole-buffer
-    // path's trailer check. Exactly the 5-byte trailer may stay undecoded.
-    // The refills already hashed all but the tail, and the trailer's CRC
-    // is the digest's own CRC just before the last five bytes.
+    // path's trailer check. Exactly the 9-byte trailer may stay undecoded.
+    // The refills already hashed all but the tail, and the trailer's seal
+    // is the digest's own value just before the trailer.
     const std::uint64_t total = assembler_->await_complete();
     while (restore_stream_.size() < total && assembler_->fetch(restore_stream_, total)) {
     }
     dec_->rebase({restore_stream_.data(), restore_stream_.size()});
     hash_fetched();
-    const std::uint32_t payload_crc = restore_digest_.crc().value();
+    const std::uint64_t payload_digest = restore_digest_.value();
     restore_digest_.update(
         {restore_stream_.data() + restore_hashed_, restore_stream_.size() - restore_hashed_});
     restored_digest = restore_digest_.value();
@@ -351,10 +352,10 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
           "end-to-end digest mismatch: canonical stream damaged between "
           "collection and restoration despite intact frame CRCs");
     }
-    msrm::check_stream(restore_stream_, payload_crc);
-    if (dec_->remaining() != 5) {
+    msrm::check_stream(restore_stream_, payload_digest);
+    if (dec_->remaining() != msrm::kTrailerBytes) {
       throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
-                           " bytes after the last record (expected the 5-byte trailer)");
+                           " bytes after the last record (expected the 9-byte trailer)");
     }
   } else if (!dec_->at_end()) {
     throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +

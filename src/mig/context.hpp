@@ -164,9 +164,10 @@ class MigContext {
 
   /// End-to-end digest (msrm::StreamDigest) of the last collected stream,
   /// accumulated chunk-by-chunk as collection streams through the sink
-  /// (or in one pass after an unstreamed collection); the same pass's CRC
-  /// seals the stream trailer. Carried in StateEnd and re-verified on the
-  /// destination before it may vote in the commit phase.
+  /// (or in one pass after an unstreamed collection); the same pass's
+  /// value just before the trailer seals it. Carried in StateEnd and
+  /// re-verified on the destination before it may vote in the commit
+  /// phase.
   [[nodiscard]] std::uint64_t stream_digest() const noexcept { return collect_digest_; }
 
   /// Pipelined collection: stream the encoded state through `sink` in
@@ -188,7 +189,7 @@ class MigContext {
 
   /// Streaming variant: decode the stream incrementally as chunks land in
   /// `assembler` (which must outlive restoration). Blocks whenever the
-  /// decoder outruns the network. End-to-end checks (digest, trailer CRC,
+  /// decoder outruns the network. End-to-end checks (digest, trailer seal,
   /// byte totals) run once the stream completes, at the migration
   /// poll-point.
   void begin_restore_streaming(ChunkAssembler& assembler);

@@ -1,6 +1,9 @@
 #include "msrm/stream.hpp"
 
-#include "common/crc32.hpp"
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/error.hpp"
 
 namespace hpm::msrm {
@@ -25,64 +28,102 @@ StreamHeader read_header(xdr::Decoder& dec) {
   return header;
 }
 
-void finish_stream(xdr::Encoder& enc) { finish_stream(enc, Crc32{}, 0); }
-
-void finish_stream(xdr::Encoder& enc, Crc32 prefix_crc, std::size_t prefix_len) {
+void finish_stream(xdr::Encoder& enc, StreamDigest prefix, std::size_t prefix_len) {
   const Bytes& bytes = enc.bytes();
-  prefix_crc.update(bytes.data() + prefix_len, bytes.size() - prefix_len);
+  prefix.update({bytes.data() + prefix_len, bytes.size() - prefix_len});
   enc.put_u8(kTrailerTag);
-  enc.put_u32(prefix_crc.value());
+  enc.put_u64(prefix.value());
 }
 
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream) {
-  const std::size_t payload_len = stream.size() < 5 ? 0 : stream.size() - 5;
-  return check_stream(stream, Crc32::of(stream.data(), payload_len));
+  const std::size_t payload_len = stream.size() < kTrailerBytes ? 0 : stream.size() - kTrailerBytes;
+  return check_stream(stream, StreamDigest::of(stream.first(payload_len)));
 }
 
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
-                                           std::uint32_t payload_crc) {
-  if (stream.size() < 5) throw WireError("stream too short to contain a trailer");
-  const std::size_t payload_len = stream.size() - 5;
+                                           std::uint64_t payload_digest) {
+  if (stream.size() < kTrailerBytes) throw WireError("stream too short to contain a trailer");
+  const std::size_t payload_len = stream.size() - kTrailerBytes;
   if (stream[payload_len] != kTrailerTag) {
     throw WireError("stream trailer tag missing (truncated transfer?)");
   }
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) stored = (stored << 8) | stream[payload_len + 1 + i];
-  if (stored != payload_crc) {
-    throw WireError("stream checksum mismatch: transfer corrupted");
+  std::uint64_t stored = 0;
+  for (std::size_t i = 1; i < kTrailerBytes; ++i) stored = (stored << 8) | stream[payload_len + i];
+  if (stored != payload_digest) {
+    throw WireError("stream digest mismatch: transfer corrupted");
   }
   return stream.subspan(0, payload_len);
 }
 
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;  // xxHash64's primes
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+
+/// Little-endian u64 at `p`, assembled from bytes like Crc32's load_le32:
+/// no alignment or host byte-order assumption (one load on LE hosts).
+inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(p[0]) | (static_cast<std::uint64_t>(p[1]) << 8) |
+         (static_cast<std::uint64_t>(p[2]) << 16) | (static_cast<std::uint64_t>(p[3]) << 24) |
+         (static_cast<std::uint64_t>(p[4]) << 32) | (static_cast<std::uint64_t>(p[5]) << 40) |
+         (static_cast<std::uint64_t>(p[6]) << 48) | (static_cast<std::uint64_t>(p[7]) << 56);
+}
+
+inline std::uint64_t lane_round(std::uint64_t acc, std::uint64_t w) noexcept {
+  return std::rotl(acc + w * kP2, 31) * kP1;
+}
+
+}  // namespace
+
 void StreamDigest::update(std::span<const std::uint8_t> bytes) noexcept {
-  // One pass: each 16-byte block is CRC'd (sixteen independent table
-  // lookups) and then run through the FNV-1a chain while it sits in
-  // registers. The lookups carry no dependency on the FNV state, so they
-  // execute in the shadow of its serial multiply chain — the digest costs
-  // FNV-1a alone, not FNV-1a plus a CRC pass.
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;  // FNV-1a 64 prime
-  std::uint64_t h = fnv_;
   const std::uint8_t* p = bytes.data();
   std::size_t left = bytes.size();
-  for (; left >= 16; left -= 16, p += 16) {
-    crc_.update16(p);
-    for (int i = 0; i < 16; ++i) {
-      h ^= p[i];
-      h *= kPrime;
-    }
+  if (left == 0) return;
+  const std::size_t fill = total_ % kStripe;
+  total_ += left;
+  if (fill != 0) {
+    // Complete the carried partial stripe first, so the lanes see the
+    // same 32-byte stripes however the input is split.
+    const std::size_t take = std::min(kStripe - fill, left);
+    std::memcpy(carry_ + fill, p, take);
+    p += take;
+    left -= take;
+    if (fill + take < kStripe) return;
+    for (int i = 0; i < 4; ++i) lane_[i] = lane_round(lane_[i], load_le64(carry_ + 8 * i));
   }
-  crc_.update(p, left);
-  for (; left > 0; --left, ++p) {
-    h ^= *p;
-    h *= kPrime;
+  // Four independent multiply chains in named locals (the input bytes may
+  // alias lane_): one stripe's rounds overlap in the pipeline instead of
+  // serializing like a byte-at-a-time hash.
+  std::uint64_t a = lane_[0], b = lane_[1], c = lane_[2], d = lane_[3];
+  for (; left >= kStripe; left -= kStripe, p += kStripe) {
+    a = lane_round(a, load_le64(p));
+    b = lane_round(b, load_le64(p + 8));
+    c = lane_round(c, load_le64(p + 16));
+    d = lane_round(d, load_le64(p + 24));
   }
-  fnv_ = h;
+  lane_[0] = a, lane_[1] = b, lane_[2] = c, lane_[3] = d;
+  if (left != 0) std::memcpy(carry_, p, left);
 }
 
 std::uint64_t StreamDigest::value() const noexcept {
-  // Fold the CRC into the FNV state through a golden-ratio multiply so
-  // the two codes cannot cancel byte-for-byte.
-  return fnv_ ^ (static_cast<std::uint64_t>(crc_.value()) * 0x9E3779B97F4A7C15ull);
+  std::uint64_t h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) + std::rotl(lane_[2], 12) +
+                    std::rotl(lane_[3], 18);
+  for (const std::uint64_t lane : lane_) h = (h ^ lane_round(0, lane)) * kP1 + kP4;
+  h += total_;
+  // The tail (< one stripe), zero-padded to whole words; the length folded
+  // in above keeps padded and unpadded inputs apart.
+  const std::size_t tail = total_ % kStripe;
+  std::uint8_t padded[kStripe] = {};
+  std::memcpy(padded, carry_, tail);
+  for (std::size_t i = 0; i < tail; i += 8) {
+    h = std::rotl(h ^ lane_round(0, load_le64(padded + i)), 27) * kP1 + kP4;
+  }
+  // Avalanche finalizer (xxHash64's).
+  h = (h ^ (h >> 33)) * kP2;
+  h = (h ^ (h >> 29)) * kP3;
+  return h ^ (h >> 32);
 }
 
 }  // namespace hpm::msrm

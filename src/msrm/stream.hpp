@@ -4,7 +4,7 @@
 //
 //   Stream  := Header ...payload... Trailer
 //   Header  := u32 'HPMG' | u16 version | str source-arch | u64 ti-signature
-//   Trailer := u8 0x7E | u32 crc32(everything before the trailer)
+//   Trailer := u8 0x7E | u64 StreamDigest(everything before the trailer)
 //
 //   PtrVal  := u8 PNULL
 //            | u8 PREF  u64 block-id u64 leaf-ordinal
@@ -37,18 +37,19 @@
 // boundaries are byte-positional and carry no grammar significance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 
-#include "common/crc32.hpp"
 #include "xdr/wire.hpp"
 
 namespace hpm::msrm {
 
 inline constexpr std::uint32_t kMagic = 0x48504D47;  // "HPMG"
-// v2 added the self-describing FlatBody tag for pointer-free PNEW bodies.
-inline constexpr std::uint16_t kVersion = 2;
+// v2 added the self-describing FlatBody tag for pointer-free PNEW bodies;
+// v3 seals the stream with the u64 StreamDigest (v2's trailer was CRC-32).
+inline constexpr std::uint16_t kVersion = 3;
 
 /// Pointer-value tags.
 enum : std::uint8_t {
@@ -64,6 +65,7 @@ enum : std::uint8_t {
 };
 
 inline constexpr std::uint8_t kTrailerTag = 0x7E;
+inline constexpr std::size_t kTrailerBytes = 9;  ///< tag + u64 payload digest
 
 struct StreamHeader {
   std::string source_arch;
@@ -75,47 +77,25 @@ void write_header(xdr::Encoder& enc, const StreamHeader& header);
 /// Reads and validates magic + version; throws hpm::WireError on mismatch.
 StreamHeader read_header(xdr::Decoder& dec);
 
-/// Append the CRC trailer; call once, after all payload.
-void finish_stream(xdr::Encoder& enc);
-
-/// Same trailer, when a running CRC over the stream's first `prefix_len`
-/// bytes already exists (the collect tap's StreamDigest::crc()): only the
-/// bytes after the prefix are hashed here.
-void finish_stream(xdr::Encoder& enc, Crc32 prefix_crc, std::size_t prefix_len);
-
-/// Validate the trailer and return the payload span (header included,
-/// trailer excluded). Throws hpm::WireError on corruption or truncation.
-std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream);
-
-/// Same checks against a `payload_crc` the caller computed over every
-/// byte but the last five in its own pass over the stream.
-std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
-                                           std::uint32_t payload_crc);
-
-/// Running end-to-end digest over the canonical stream: FNV-1a 64 composed
-/// with a CRC-32, folded into one u64. The two mix functions have
-/// independent failure modes — FNV-1a is order-sensitive byte hashing,
-/// CRC-32 is a polynomial code — so a corruption crafted to pass one
-/// (e.g. a frame whose trailing CRC was recomputed in flight) still trips
-/// the other. The source taps collection chunk by chunk; the destination
-/// hashes bytes as its decoder pulls them in and compares before Commit.
-/// The source and the pipelined destination also read the stream
-/// trailer's CRC off the digest's own CRC (crc()), so each walks the
-/// stream once.
+/// The stream's one hash: the trailer seal (digest of the payload), the
+/// end-to-end digest (of the whole stream, trailer included) and the chunk
+/// address (mig::ChunkAddr, DESIGN.md §15 — stable only because the
+/// canonical stream is deterministic for a given process state). The
+/// source taps collection chunk by chunk and the destination hashes bytes
+/// as its decoder pulls them in; each reads the payload value just before
+/// the trailer and hashes on through it, so each side walks the stream once.
 ///
-/// Also the content address of the dedup'd transfer: a chunk's
-/// mig::ChunkAddr is `of(body)` plus the body length (DESIGN.md §15),
-/// which is why the canonical stream must stay deterministic for a given
-/// process state — addresses are only stable because the bytes are.
+/// Four independent 64-bit lanes over 32-byte stripes, each round
+/// `acc = rotl(acc + w*P2, 31) * P1` (xxHash64's round and primes), words
+/// read little-endian from bytes so the value is host-independent; value()
+/// folds the lanes, the length and the zero-padded tail through an
+/// avalanche finalizer.
 class StreamDigest {
  public:
   void update(std::span<const std::uint8_t> bytes) noexcept;
   /// Digest of everything fed so far. Stable across update() granularity:
   /// one call over the whole stream equals many calls over its chunks.
   [[nodiscard]] std::uint64_t value() const noexcept;
-  /// The CRC-32 half, over exactly the bytes fed so far: equal to
-  /// Crc32::of() over them, so it can seal a stream trailer.
-  [[nodiscard]] const Crc32& crc() const noexcept { return crc_; }
 
   static std::uint64_t of(std::span<const std::uint8_t> bytes) noexcept {
     StreamDigest d;
@@ -124,8 +104,27 @@ class StreamDigest {
   }
 
  private:
-  std::uint64_t fnv_ = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  Crc32 crc_;
+  static constexpr std::size_t kStripe = 32;
+
+  /// xxHash64's seed-0 lanes: P1 + P2, P2, 0, -P1.
+  std::uint64_t lane_[4] = {0x60EA27EEADC0B5D6ull, 0xC2B2AE3D27D4EB4Full, 0,
+                            0x61C8864E7A143579ull};
+  std::uint64_t total_ = 0;           ///< bytes fed so far
+  std::uint8_t carry_[kStripe] = {};  ///< the first total_ % kStripe bytes of a stripe
 };
+
+/// Append the trailer; call once, after all payload. `prefix` is a digest
+/// that has already seen the stream's first `prefix_len` bytes (the
+/// collect tap's), so only the bytes after them are hashed here.
+void finish_stream(xdr::Encoder& enc, StreamDigest prefix = {}, std::size_t prefix_len = 0);
+
+/// Validate the trailer and return the payload span (header included,
+/// trailer excluded). Throws hpm::WireError on corruption or truncation.
+std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream);
+
+/// Same checks against a `payload_digest` the caller computed over every
+/// byte but the last kTrailerBytes in its own pass over the stream.
+std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
+                                           std::uint64_t payload_digest);
 
 }  // namespace hpm::msrm

@@ -24,9 +24,11 @@ namespace hpm::net {
 /// over one channel), to 5 for destination failover (an incarnation
 /// fencing token rides StateBegin, Prepare/Commit/Abort, and
 /// PrepareAck; decoders still accept the shorter v4 payloads as
-/// incarnation 1); a mismatch aborts the attempt before any state
+/// incarnation 1), and to 6 for Digest v2 (the StateEnd digest and
+/// manifest addresses are the multi-lane StreamDigest, and the stream
+/// trailer is its u64); a mismatch aborts the attempt before any state
 /// moves.
-inline constexpr std::uint8_t kProtocolVersion = 5;
+inline constexpr std::uint8_t kProtocolVersion = 6;
 
 /// Message type tags used by the migration coordinator.
 enum class MsgType : std::uint8_t {

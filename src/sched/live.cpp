@@ -14,7 +14,12 @@ LiveCluster::LiveCluster(int nodes, RegisterTypes register_types)
 }
 
 LiveCluster::~LiveCluster() {
-  shutdown_.store(true);
+  {
+    // Under mu_: a worker between its wait predicate and blocking holds
+    // mu_, so an unlocked store could land in that gap and lose the notify.
+    std::lock_guard lk(mu_);
+    shutdown_.store(true);
+  }
   cv_.notify_all();
   for (Node& node : nodes_) {
     if (node.worker.joinable()) node.worker.join();

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -73,36 +74,57 @@ TEST_F(ChunkStoreTest, PutLoadRoundTrip) {
   EXPECT_EQ(store.entries(), 1u);
 }
 
-// One entry exactly as the store wrote it before the sliced CRC-32 and
-// fused digest: 'HPMC' | digest 120458c4aad92685 | length 40 | the 40-byte
-// body | CRC-32 aa 5c a9 0e, in the file its address names. Caches on disk
-// outlive the code that wrote them, so this must load and re-put byte for
-// byte under the same name.
-constexpr char kGoldenName[] = "120458c4aad92685-40.chunk";
+// Both golden entries below carry this 40-byte body at this offset.
+constexpr std::size_t kGoldenBodyAt = 16;
+constexpr std::size_t kGoldenBodyLen = 40;
+
+// One entry exactly as the store writes it under Digest v2: 'HPMC' |
+// digest ca63de59188f1981 | length 40 | the 40-byte body | CRC-32
+// b8 ce 2d 8e, in the file its address names. Caches on disk outlive the
+// code that wrote them, so this must load and re-put byte for byte under
+// the same name.
+constexpr char kGoldenName[] = "ca63de59188f1981-40.chunk";
 constexpr std::uint8_t kGoldenEntry[] = {
+    0x48, 0x50, 0x4d, 0x43, 0xca, 0x63, 0xde, 0x59, 0x18, 0x8f, 0x19, 0x81,
+    0x00, 0x00, 0x00, 0x28, 0x75, 0xcd, 0x25, 0x4b, 0x84, 0xe2, 0xea, 0xf2,
+    0xa6, 0x81, 0x20, 0x67, 0x43, 0x34, 0xb2, 0x6e, 0x4b, 0xe2, 0x99, 0x54,
+    0x73, 0x76, 0x7f, 0xf1, 0xcc, 0x75, 0x99, 0x8d, 0x1e, 0xab, 0xce, 0xdb,
+    0x97, 0x39, 0x65, 0x6e, 0xca, 0x98, 0xc3, 0x71, 0xb8, 0xce, 0x2d, 0x8e,
+};
+
+// The same body as the store wrote it under the FNV-1a digest (protocol
+// v5): the same record layout, named by the retired address
+// 120458c4aad92685. Digest v2 abandons that address format on purpose.
+constexpr char kFnvEraName[] = "120458c4aad92685-40.chunk";
+constexpr std::uint8_t kFnvEraEntry[] = {
     0x48, 0x50, 0x4d, 0x43, 0x12, 0x04, 0x58, 0xc4, 0xaa, 0xd9, 0x26, 0x85,
     0x00, 0x00, 0x00, 0x28, 0x75, 0xcd, 0x25, 0x4b, 0x84, 0xe2, 0xea, 0xf2,
     0xa6, 0x81, 0x20, 0x67, 0x43, 0x34, 0xb2, 0x6e, 0x4b, 0xe2, 0x99, 0x54,
     0x73, 0x76, 0x7f, 0xf1, 0xcc, 0x75, 0x99, 0x8d, 0x1e, 0xab, 0xce, 0xdb,
     0x97, 0x39, 0x65, 0x6e, 0xca, 0x98, 0xc3, 0x71, 0xaa, 0x5c, 0xa9, 0x0e,
 };
-constexpr std::size_t kGoldenBodyAt = 16;
-constexpr std::size_t kGoldenBodyLen = 40;
+constexpr ChunkAddr kFnvEraAddr{0x120458c4aad92685ull, kGoldenBodyLen};
+
+template <std::size_t N>
+void write_entry(const std::string& path, const std::uint8_t (&entry)[N]) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(entry, 1, N, f), N);
+  std::fclose(f);
+}
+
+Bytes golden_body() {
+  return Bytes(kGoldenEntry + kGoldenBodyAt, kGoldenEntry + kGoldenBodyAt + kGoldenBodyLen);
+}
 
 TEST_F(ChunkStoreTest, GoldenEntryLoadsAndReputsByteForByte) {
   const std::vector<std::uint8_t> entry(std::begin(kGoldenEntry), std::end(kGoldenEntry));
-  const Bytes body(entry.begin() + kGoldenBodyAt,
-                   entry.begin() + kGoldenBodyAt + kGoldenBodyLen);
-  const ChunkAddr addr{0x120458c4aad92685ull, kGoldenBodyLen};
+  const Bytes body = golden_body();
+  const ChunkAddr addr{0xca63de59188f1981ull, kGoldenBodyLen};
   EXPECT_EQ(ChunkStore::address_of(body), addr);
 
   fs::create_directories(dir_);
-  {
-    std::FILE* f = std::fopen((dir_ + "/" + kGoldenName).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(entry.data(), 1, entry.size(), f), entry.size());
-    std::fclose(f);
-  }
+  write_entry(dir_ + "/" + kGoldenName, kGoldenEntry);
   {
     ChunkStore store(dir_);
     store.open();
@@ -122,6 +144,45 @@ TEST_F(ChunkStoreTest, GoldenEntryLoadsAndReputsByteForByte) {
   written.resize(std::fread(written.data(), 1, written.size(), f));
   std::fclose(f);
   EXPECT_EQ(written, entry);
+}
+
+TEST_F(ChunkStoreTest, FnvEraEntryIsNeverServedAndAgesOutFirst) {
+  const Bytes body = golden_body();
+  const ChunkAddr addr = ChunkStore::address_of(body);
+  ASSERT_NE(addr, kFnvEraAddr);
+  fs::create_directories(dir_);
+  const std::string old_path = dir_ + "/" + kFnvEraName;
+  write_entry(old_path, kFnvEraEntry);
+  fs::last_write_time(old_path, fs::file_time_type::clock::now() - std::chrono::hours(1));
+
+  ChunkStore store(dir_);
+  store.open();
+  EXPECT_EQ(store.entries(), 1u) << "the old record still parses and is indexed";
+  Bytes out;
+  EXPECT_FALSE(store.contains(addr));
+  EXPECT_FALSE(store.load(addr, out)) << "the old entry must never answer for the new address";
+
+  // Newer entries arrive; the first eviction takes the old entry, whose
+  // name nothing asks for any more.
+  store.put(body);
+  store.put(body_of(1, 40));
+  ASSERT_EQ(store.entries(), 3u);
+  EXPECT_EQ(store.gc(store.bytes() - 1), 1u);
+  EXPECT_FALSE(fs::exists(old_path));
+  EXPECT_FALSE(store.contains(kFnvEraAddr));
+  ASSERT_TRUE(store.load(addr, out));
+  EXPECT_EQ(out, body);
+
+  // Asked for by its own old name, its body no longer hashes to that
+  // name: load()'s digest gate makes it a miss and unlinks it.
+  const std::string again = dir_ + "/again";
+  fs::create_directories(again);
+  write_entry(again + "/" + kFnvEraName, kFnvEraEntry);
+  ChunkStore reopened(again);
+  reopened.open();
+  ASSERT_TRUE(reopened.contains(kFnvEraAddr));
+  EXPECT_FALSE(reopened.load(kFnvEraAddr, out));
+  EXPECT_FALSE(fs::exists(again + "/" + kFnvEraName));
 }
 
 TEST_F(ChunkStoreTest, SurvivesReopen) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "ckpt/incremental.hpp"
+#include "common/crc32.hpp"
+#include "msrm/stream.hpp"
 #include "mig/annotate.hpp"
 #include "ti/describe.hpp"
 
@@ -242,6 +246,44 @@ TEST(Incremental, ChainOrderIsEnforced) {
   std::rename((prefix + ".1").c_str(), (prefix + ".0").c_str());
   std::rename((prefix + ".tmp").c_str(), (prefix + ".1").c_str());
   EXPECT_THROW(synthesize_stream(prefix, 1), WireError);
+}
+
+TEST(Incremental, AFileFromBeforeDigestV2IsATypedError) {
+  // Rewrite a fresh base capture the way the previous format stored it:
+  // HCKI version 1 and the 5-byte CRC-32 trailer in place of the 9-byte
+  // digest one. The chain reader must refuse it with a typed error.
+  const std::string prefix = "/tmp/hpm_inc_prev";
+  wipe_chain(prefix);
+  ti::TypeTable t;
+  register_cell(t);
+  mig::MigContext ctx(t);
+  IncrementalCheckpointer checkpointer(prefix);
+  ctx.set_poll_observer([&](mig::MigContext& c) {
+    if (c.poll_count() == 3) checkpointer.capture(c);
+  });
+  long out = 0;
+  mutating_program(ctx, 10, &out);
+  const std::string path = prefix + ".0";
+  Bytes file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_NO_THROW(synthesize_stream(prefix, 0));
+  ASSERT_GT(file.size(), 6 + msrm::kTrailerBytes);
+  file.resize(file.size() - msrm::kTrailerBytes);
+  file[4] = 0;  // u16 version, after the u32 'HCKI'
+  file[5] = 1;
+  const std::uint32_t crc = Crc32::of(file.data(), file.size());
+  file.push_back(msrm::kTrailerTag);
+  for (int i = 3; i >= 0; --i) file.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  {
+    std::ofstream out_file(path, std::ios::binary | std::ios::trunc);
+    out_file.write(reinterpret_cast<const char*>(file.data()),
+                   static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_THROW(synthesize_stream(prefix, 0), Error);
+  wipe_chain(prefix);
 }
 
 TEST(Incremental, MissingChainFileIsReported) {

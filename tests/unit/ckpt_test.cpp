@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "apps/bitonic.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "common/crc32.hpp"
+#include "msrm/stream.hpp"
 
 namespace hpm::ckpt {
 namespace {
@@ -118,6 +122,43 @@ TEST(Checkpoint, MissingAndCorruptFilesAreRejected) {
   EXPECT_THROW(restart_run([](ti::TypeTable&) {},
                            [&r](mig::MigContext& ctx) { sum_program(ctx, 20, &r); }, path),
                WireError);
+}
+
+TEST(Checkpoint, AFileFromBeforeDigestV2IsATypedError) {
+  // Rewrite a fresh checkpoint the way the previous format stored it:
+  // stream header version 2 and the 5-byte CRC-32 trailer in place of
+  // the 9-byte digest one. Both readers must refuse it with a typed error.
+  const std::string path = "/tmp/hpm_ckpt_test7.ckpt";
+  std::remove(path.c_str());
+  Accumulator acc;
+  checkpoint_run([](ti::TypeTable&) {},
+                 [&acc](mig::MigContext& ctx) { sum_program(ctx, 20, &acc); }, path, 3);
+  Bytes file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kPreamble = 4 + 8 + 4;  // magic | sequence | state length
+  ASSERT_GT(file.size(), kPreamble + msrm::kTrailerBytes);
+  file.resize(file.size() - msrm::kTrailerBytes);
+  file[kPreamble + 4] = 0;  // the stream's u16 version, after its u32 magic
+  file[kPreamble + 5] = 2;
+  const std::uint32_t crc = Crc32::of(file.data() + kPreamble, file.size() - kPreamble);
+  file.push_back(msrm::kTrailerTag);
+  for (int i = 3; i >= 0; --i) file.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  const auto len = static_cast<std::uint32_t>(file.size() - kPreamble);
+  for (int i = 0; i < 4; ++i) file[12 + i] = static_cast<std::uint8_t>(len >> (8 * (3 - i)));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_THROW(inspect(path), Error);
+  Accumulator r;
+  EXPECT_THROW(restart_run([](ti::TypeTable&) {},
+                           [&r](mig::MigContext& ctx) { sum_program(ctx, 20, &r); }, path),
+               Error);
+  EXPECT_EQ(r.completed, 0);
 }
 
 TEST(Checkpoint, ProgramFinishingBeforeTheCheckpointIsAnError) {

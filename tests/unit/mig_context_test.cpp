@@ -245,17 +245,17 @@ void collect_counter(MigContext& src, std::size_t chunk_bytes, std::vector<Bytes
 }
 
 TEST(MigContext, StreamedCollectionSealsAndDigestsLikeTheUnstreamedOne) {
-  // The tap's running CRC seals the trailer and its digest is the
-  // report's: both must equal a one-shot pass over the whole stream, for
-  // chunk sizes below, around and above the 16-byte CRC block and the
-  // stream itself (all-remainder).
+  // The tap's running digest seals the trailer and its final value is
+  // the report's: both must equal a one-shot pass over the whole stream,
+  // for chunk sizes below, around and above the 32-byte digest stripe
+  // and the stream itself (all-remainder).
   ti::TypeTable t;
   MigContext plain(t);
   collect_counter(plain, 0, nullptr);
   const Bytes& want = plain.stream();
   EXPECT_NO_THROW(msrm::check_stream(want));
   EXPECT_EQ(plain.stream_digest(), msrm::StreamDigest::of(want));
-  for (const std::size_t chunk : {1u, 5u, 16u, 17u, 64u, 1u << 20}) {
+  for (const std::size_t chunk : {1u, 5u, 9u, 16u, 17u, 32u, 33u, 64u, 1u << 20}) {
     std::vector<Bytes> chunks;
     MigContext src(t);
     collect_counter(src, chunk, &chunks);
@@ -310,7 +310,7 @@ TEST(MigContext, ChunkedRestoreDigestsAsItFetches) {
   // chunking and however fetches interleave with arrivals, the digest
   // handed to the commit gate is the source's.
   ti::TypeTable t;
-  for (const std::size_t chunk : {1u, 16u, 33u, 4096u}) {
+  for (const std::size_t chunk : {1u, 9u, 16u, 33u, 4096u}) {
     std::vector<Bytes> chunks;
     MigContext src(t);
     collect_counter(src, chunk, &chunks);
@@ -328,14 +328,14 @@ TEST(MigContext, ChunkedRestoreChecksDigestFirstThenTrailer) {
   collect_counter(src, 16, &chunks);
   Bytes stream = src.stream();
 
-  // A damaged trailer CRC against the source's digest: the digest check
+  // A damaged trailer seal against the source's digest: the digest check
   // runs first and names the damage.
   std::vector<Bytes> bad_trailer = chunks;
   bad_trailer.back().back() ^= 0x01;
   EXPECT_THROW(restore_chunked(t, bad_trailer, src.stream_digest(), false), MigrationError);
 
   // The same damage with a digest forged to match it: the trailer check,
-  // fed the payload CRC from the same pass, still objects.
+  // fed the payload digest from the same pass, still objects.
   stream.back() ^= 0x01;
   EXPECT_THROW(restore_chunked(t, bad_trailer, msrm::StreamDigest::of(stream), false),
                WireError);
@@ -439,7 +439,7 @@ Bytes bitonic_stream(ti::TypeTable& t) {
   return src.stream();
 }
 
-/// Re-seal an edited payload (a stream minus its 5-byte trailer), so the
+/// Re-seal an edited payload (a stream minus its 9-byte trailer), so the
 /// damage reaches the decoder instead of failing the trailer check.
 Bytes reseal(std::span<const std::uint8_t> payload) {
   xdr::Encoder enc;
@@ -489,7 +489,8 @@ TEST(MigContext, FailedRestoresLeakNothing) {
   ti::TypeTable t;
   apps::bitonic_register_types(t);
   const Bytes stream = bitonic_stream(t);
-  const std::span<const std::uint8_t> payload(stream.data(), stream.size() - 5);
+  const std::span<const std::uint8_t> payload(stream.data(),
+                                              stream.size() - msrm::kTrailerBytes);
 
   // The first heap-node PNEW: ...u8 segment, u32 type, u32 count = 1.
   auto pnew_tail = [&t](std::uint32_t count) {

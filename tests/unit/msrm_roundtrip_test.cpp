@@ -6,6 +6,8 @@
 #include <new>
 #include <vector>
 
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "msr/host_space.hpp"
 #include "msrm/collect.hpp"
 #include "msrm/restore.hpp"
@@ -470,27 +472,72 @@ TEST_F(RoundTrip, StreamSealDetectsCorruptionAndTruncation) {
   EXPECT_THROW(check_stream(tiny), WireError);
 }
 
-TEST_F(RoundTrip, TrailerFromARunningCrcMatchesTheOneShotSeal) {
-  // The collect tap seals the stream from its digest's running CRC over
-  // the flushed prefix plus the unflushed rest; every split must give
-  // the bytes the one-shot finish_stream gives.
+TEST_F(RoundTrip, TrailerFromARunningDigestMatchesTheOneShotSeal) {
+  // The collect tap seals the stream from its running digest over the
+  // flushed prefix plus the unflushed rest; every split must give the
+  // bytes the one-shot finish_stream gives.
   xdr::Encoder whole;
   write_header(whole, {"native", 42});
   for (std::uint32_t i = 0; i < 100; ++i) whole.put_u32(i * 2654435761u);
   const Bytes payload = whole.bytes();
   finish_stream(whole);
   const Bytes sealed = whole.take();
+  ASSERT_EQ(sealed.size(), payload.size() + kTrailerBytes);
   for (std::size_t prefix = 0; prefix <= payload.size(); prefix += 7) {
     xdr::Encoder enc;
     enc.put_bytes(payload.data(), payload.size());
     StreamDigest tap;
     tap.update({payload.data(), prefix});
-    finish_stream(enc, tap.crc(), prefix);
+    finish_stream(enc, tap, prefix);
     EXPECT_EQ(enc.bytes(), sealed) << "prefix " << prefix;
   }
-  const std::uint32_t payload_crc = Crc32::of(payload.data(), payload.size());
-  EXPECT_EQ(check_stream(sealed, payload_crc).size(), payload.size());
-  EXPECT_THROW(check_stream(sealed, payload_crc ^ 1u), WireError);
+  // The trailer is the tag and the big-endian payload digest.
+  const std::uint64_t payload_digest = StreamDigest::of(payload);
+  EXPECT_EQ(sealed[payload.size()], kTrailerTag);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(sealed[payload.size() + 1 + i],
+              static_cast<std::uint8_t>(payload_digest >> (56 - 8 * i)));
+  }
+  EXPECT_EQ(check_stream(sealed, payload_digest).size(), payload.size());
+  EXPECT_THROW(check_stream(sealed, payload_digest ^ 1u), WireError);
+}
+
+TEST_F(RoundTrip, EverySingleBitFlipFailsTheSeal) {
+  // A 4 KiB stream: a flip in the header, the payload, the tag or the
+  // stored digest must each fail check_stream with a WireError.
+  xdr::Encoder enc;
+  write_header(enc, {"native", 7});
+  Rng rng(16);
+  while (enc.size() < 4096 - kTrailerBytes) enc.put_u8(static_cast<std::uint8_t>(rng.next_u64()));
+  finish_stream(enc);
+  const Bytes good = enc.take();
+  ASSERT_EQ(good.size(), 4096u);
+  ASSERT_NO_THROW(check_stream(good));
+  Bytes bad = good;
+  for (std::size_t bit = 0; bit < bad.size() * 8; ++bit) {
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_THROW(check_stream(bad), WireError) << "bit " << bit;
+    bad[bit / 8] = good[bit / 8];
+  }
+}
+
+TEST_F(RoundTrip, AVersion2StreamIsATypedError) {
+  // A stream as the previous format wrote it: header version 2 and the
+  // 5-byte CRC-32 trailer. It must fail typed at the seal, and a decoder
+  // that skipped the seal still refuses the version.
+  xdr::Encoder enc;
+  enc.put_u32(kMagic);
+  enc.put_u16(2);
+  enc.put_string("native");
+  enc.put_u64(42);
+  for (std::uint32_t i = 0; i < 64; ++i) enc.put_u32(i);
+  const std::uint32_t crc = Crc32::of(enc.bytes().data(), enc.size());
+  enc.put_u8(kTrailerTag);
+  enc.put_u32(crc);
+  const Bytes v2 = enc.take();
+  EXPECT_THROW(check_stream(v2), WireError);
+  xdr::Decoder dec(v2);
+  EXPECT_THROW(read_header(dec), WireError);
 }
 
 TEST_F(RoundTrip, HeaderMagicAndVersionAreEnforced) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "mig/annotate.hpp"
 #include "sched/live.hpp"
@@ -11,8 +12,10 @@ namespace {
 
 void no_types(ti::TypeTable&) {}
 
-/// Busy migratable loop; records which values it accumulated.
-void spin_job(mig::MigContext& ctx, int iters, std::atomic<long>* sink) {
+/// Busy migratable loop; records which values it accumulated. Sets
+/// `*running` (if given) once the loop is under way on some node.
+void spin_job(mig::MigContext& ctx, int iters, std::atomic<long>* sink,
+              std::atomic<bool>* running = nullptr) {
   HPM_FUNCTION(ctx);
   int i;
   long acc;
@@ -24,9 +27,17 @@ void spin_job(mig::MigContext& ctx, int iters, std::atomic<long>* sink) {
   for (i = 0; i < iters; ++i) {
     HPM_POLL(ctx, 1);
     acc += i;
+    if (running != nullptr) running->store(true, std::memory_order_relaxed);
   }
   sink->store(acc);
   HPM_BODY_END(ctx);
+}
+
+/// Wait until a job reports its loop running: an order sent before that
+/// finds it still queued and requeues it without a migration, so a fixed
+/// sleep is not enough on a loaded host.
+void await_running(const std::atomic<bool>& running) {
+  while (!running.load(std::memory_order_relaxed)) std::this_thread::yield();
 }
 
 long expected_sum(int iters) {
@@ -71,11 +82,12 @@ TEST(LiveCluster, QueuedJobMovesWithoutCollection) {
 TEST(LiveCluster, LiveJobMigratesMidLoopAndFinishesElsewhere) {
   LiveCluster cluster(2, no_types);
   std::atomic<long> sink{-1};
-  const int job =
-      cluster.submit([&sink](mig::MigContext& ctx) { spin_job(ctx, 30000000, &sink); }, 0);
+  std::atomic<bool> running{false};
+  const int job = cluster.submit(
+      [&](mig::MigContext& ctx) { spin_job(ctx, 30000000, &sink, &running); }, 0);
   cluster.start();
   // Let it get going, then order the move.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  await_running(running);
   cluster.migrate(job, 1);
   const auto reports = cluster.wait_all();
   EXPECT_EQ(sink.load(), expected_sum(30000000));
@@ -88,10 +100,11 @@ TEST(LiveCluster, LiveJobMigratesMidLoopAndFinishesElsewhere) {
 TEST(LiveCluster, ChainOfOrdersHopsAcrossNodes) {
   LiveCluster cluster(3, no_types);
   std::atomic<long> sink{-1};
-  const int job =
-      cluster.submit([&sink](mig::MigContext& ctx) { spin_job(ctx, 50000000, &sink); }, 0);
+  std::atomic<bool> running{false};
+  const int job = cluster.submit(
+      [&](mig::MigContext& ctx) { spin_job(ctx, 50000000, &sink, &running); }, 0);
   cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  await_running(running);
   cluster.migrate(job, 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   cluster.migrate(job, 2);

@@ -1,6 +1,6 @@
 // Architecture descriptor presets and the common/crc/rng plumbing,
 // including the integrity hashes' equivalence to their reference
-// definitions (sliced CRC-32, fused StreamDigest).
+// definitions (sliced CRC-32, multi-lane StreamDigest).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,21 +135,27 @@ TEST(Crc32, SlicedEqualsBitwiseOnLargeInputs) {
   EXPECT_EQ(Crc32::of(buf.data(), buf.size()), 0x20a42e3cu);
 }
 
-// Known answers of msrm::StreamDigest over lcg_bytes(n), recorded from the
-// byte-serial implementation this one replaced. The digest names chunks in
-// every ChunkStore on disk and rides in every StateEnd and journal record,
-// so these values may never change.
+// Known answers of msrm::StreamDigest (Digest v2) over lcg_bytes(n),
+// recorded from a separate reference implementation of the hash written
+// straight from its definition. The digest names chunks in every
+// ChunkStore on disk and rides in every stream trailer, StateEnd and
+// journal record, so these values may never change without a protocol
+// version bump. The lengths straddle the 8-byte word, the 32-byte stripe
+// and 4 KiB.
 struct DigestAnswer {
   std::size_t n;
   std::uint64_t digest;
 };
 constexpr DigestAnswer kDigestAnswers[] = {
-    {0, 0xcbf29ce484222325ull},     {1, 0xd7460de8dc59bfe6ull},
-    {3, 0x5ca434f90744e497ull},     {15, 0x53d34f0350b5d2ceull},
-    {16, 0x2b24570ea4cdcc3aull},    {17, 0x8f5118d97a413752ull},
-    {255, 0x68c1d5cddb9daeb9ull},   {4095, 0xe4f761ffc30e8026ull},
-    {4096, 0x5a49593d587d8267ull},  {4097, 0x08e321459419b517ull},
-    {12289, 0x52f641f88f7f80e7ull}, {70000, 0x5c539dcad4a6fb2dull},
+    {0, 0x3fdf455f9dcf1e62ull},     {1, 0x3082f3f5abd51d27ull},
+    {3, 0x4bf4541a4a573495ull},     {7, 0x190ada48e65399fdull},
+    {8, 0x34d4e2f19f8f7cd7ull},     {9, 0xa4687e7b79c4a7a8ull},
+    {31, 0x8a920df0966d66c6ull},    {32, 0xaf6e5434b01b0d77ull},
+    {33, 0xee598302c8e5749bull},    {63, 0x5dd8bf5786e1ec68ull},
+    {64, 0x7af64d1c122565b9ull},    {65, 0x871d6060756b3fc7ull},
+    {255, 0xba8c274c8dee1c22ull},   {4095, 0xc41a875d7cd32eefull},
+    {4096, 0x3a92151c939fde12ull},  {4097, 0xba6b62e0044812e9ull},
+    {12289, 0x6e97db555a0c7dedull}, {70000, 0x3055a243baf11306ull},
 };
 
 TEST(StreamDigest, MatchesRecordedKnownAnswers) {
@@ -158,30 +164,91 @@ TEST(StreamDigest, MatchesRecordedKnownAnswers) {
     EXPECT_EQ(msrm::StreamDigest::of(b), a.digest) << "n=" << a.n;
   }
   const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
-  EXPECT_EQ(msrm::StreamDigest::of({check, 9}), 0xf5c6957a4675d5e2ull);
+  EXPECT_EQ(msrm::StreamDigest::of({check, 9}), 0x28ad3061afe40021ull);
+}
+
+/// The Digest v2 definition, fed one byte at a time: bytes are shifted
+/// into little-endian words by arithmetic, a word completes a lane round,
+/// four words a stripe. No carry buffer and no bulk loop, so it shares no
+/// code path with the production update().
+std::uint64_t digest_bytewise(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t P1 = 0x9E3779B185EBCA87ull, P2 = 0xC2B2AE3D27D4EB4Full,
+                          P3 = 0x165667B19E3779F9ull, P4 = 0x85EBCA77C2B2AE63ull;
+  const auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  const auto round = [&](std::uint64_t acc, std::uint64_t w) {
+    return rotl(acc + w * P2, 31) * P1;
+  };
+  std::uint64_t lane[4] = {P1 + P2, P2, 0, 0 - P1};
+  std::uint64_t words[4] = {};  // the current stripe's words, filled byte by byte
+  std::size_t in_stripe = 0;    // bytes of the current stripe seen
+  for (std::size_t i = 0; i < n; ++i) {
+    words[in_stripe / 8] |= static_cast<std::uint64_t>(p[i]) << (8 * (in_stripe % 8));
+    if (++in_stripe == 32) {
+      for (int k = 0; k < 4; ++k) lane[k] = round(lane[k], words[k]);
+      for (std::uint64_t& w : words) w = 0;
+      in_stripe = 0;
+    }
+  }
+  std::uint64_t h = rotl(lane[0], 1) + rotl(lane[1], 7) + rotl(lane[2], 12) + rotl(lane[3], 18);
+  for (const std::uint64_t v : lane) h = (h ^ round(0, v)) * P1 + P4;
+  h += n;
+  for (std::size_t k = 0; k * 8 < in_stripe; ++k) h = rotl(h ^ round(0, words[k]), 27) * P1 + P4;
+  h ^= h >> 33;
+  h *= P2;
+  h ^= h >> 29;
+  h *= P3;
+  h ^= h >> 32;
+  return h;
+}
+
+TEST(StreamDigest, MatchesAByteAtATimeReference) {
+  // Every length up to three stripes past 256, at every word alignment
+  // (the word loads are unaligned at offsets 1-7), then one large input.
+  const std::vector<std::uint8_t> buf = lcg_bytes(352 + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 352; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(msrm::StreamDigest::of({p, len}), digest_bytewise(p, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const std::vector<std::uint8_t> big = lcg_bytes(70000);
+  EXPECT_EQ(msrm::StreamDigest::of(big), digest_bytewise(big.data(), big.size()));
 }
 
 TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
-  const std::vector<std::uint8_t> b = lcg_bytes(70000);
-  const std::uint64_t whole = msrm::StreamDigest::of(b);
-  const std::span<const std::uint8_t> all(b);
-  // Two-way cuts on both sides of the 16-byte kernel and 4 KiB boundaries.
-  for (const std::size_t cut : {1u, 15u, 16u, 17u, 31u, 33u, 4095u, 4096u, 4097u, 8191u, 8193u,
-                                65535u, 65536u, 65537u, 69999u}) {
-    msrm::StreamDigest d;
-    d.update(all.first(cut));
-    d.update(all.subspan(cut));
-    EXPECT_EQ(d.value(), whole) << "cut " << cut;
-    // The CRC half equals a plain CRC-32 of the same bytes.
-    EXPECT_EQ(d.crc().value(), Crc32::of(b.data(), b.size()));
+  // Every three-way split of a 100-byte input (three stripes and a
+  // tail); cut2 == cut gives every two-way split point.
+  const std::vector<std::uint8_t> small = lcg_bytes(100);
+  const std::span<const std::uint8_t> s(small);
+  const std::uint64_t small_whole = msrm::StreamDigest::of(s);
+  for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+    for (std::size_t cut2 = cut; cut2 <= s.size(); ++cut2) {
+      msrm::StreamDigest d;
+      d.update(s.first(cut));
+      d.update(s.subspan(cut, cut2 - cut));
+      d.update(s.subspan(cut2));
+      ASSERT_EQ(d.value(), small_whole) << "cuts " << cut << ", " << cut2;
+    }
   }
-  // Many-way cuts of pseudo-random widths (1..5000 bytes), seeded.
+  // value() is const and repeatable mid-stream: reading it between
+  // updates changes nothing.
+  msrm::StreamDigest peeked;
+  peeked.update(s.first(45));
+  EXPECT_EQ(peeked.value(), msrm::StreamDigest::of(s.first(45)));
+  peeked.update(s.subspan(45));
+  EXPECT_EQ(peeked.value(), small_whole);
+
+  // Random multi-way splits of 64 KiB, widths 0..5000 bytes, seeded.
+  const std::vector<std::uint8_t> b = lcg_bytes(64 * 1024);
+  const std::span<const std::uint8_t> all(b);
+  const std::uint64_t whole = msrm::StreamDigest::of(all);
   Rng rng(2024);
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < 16; ++round) {
     msrm::StreamDigest d;
     std::size_t pos = 0;
     while (pos < b.size()) {
-      const std::size_t n = std::min<std::size_t>(b.size() - pos, 1 + rng.next_below(5000));
+      const std::size_t n = std::min<std::size_t>(b.size() - pos, rng.next_below(5001));
       d.update(all.subspan(pos, n));
       pos += n;
     }
@@ -190,7 +257,7 @@ TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
   // Byte at a time over a prefix that spans a 4 KiB boundary.
   msrm::StreamDigest bytewise;
   for (std::size_t i = 0; i < 4097; ++i) bytewise.update(all.subspan(i, 1));
-  EXPECT_EQ(bytewise.value(), kDigestAnswers[9].digest);
+  EXPECT_EQ(bytewise.value(), kDigestAnswers[15].digest);
 }
 
 TEST(Rng, SameSeedSameSequence) {
