@@ -21,9 +21,8 @@
 // overlap-off run.
 //
 // A third section pairs serial and parallel collection on a many-rooted
-// forest workload: the seed configuration (ordered-map index, one
-// thread) against the flat interval index at collect_threads=4. The two
-// flat-index streams are asserted bit-identical in-bench, and the
+// forest workload: one thread against collect_threads=4 over the same
+// MSRLT. The two streams are asserted bit-identical in-bench, and the
 // emitted `msrlt.search_steps_per_search` / `parcollect.*` rows feed the
 // perf_guard ctest fixture.
 //
@@ -145,11 +144,10 @@ struct Forest {
   std::vector<msr::Address> roots;
 };
 
-std::unique_ptr<Forest> build_forest(msr::SearchStrategy strategy, unsigned trees,
-                                     std::uint32_t nodes_per_tree) {
+std::unique_ptr<Forest> build_forest(unsigned trees, std::uint32_t nodes_per_tree) {
   auto f = std::make_unique<Forest>();
   apps::workload_register_types(f->types);
-  f->ctx = std::make_unique<mig::MigContext>(f->types, strategy);
+  f->ctx = std::make_unique<mig::MigContext>(f->types);
   apps::GraphShape shape;
   shape.nodes = nodes_per_tree;
   shape.edge_density = 0.8;
@@ -281,41 +279,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- serial vs parallel collection, flat index vs seed config -----------
-  // An 8-tree forest collected three ways: the seed path (ordered-map
-  // index, one thread), the flat interval index serial, and the flat
-  // index with four collection workers. The flat serial and parallel
-  // streams must be bit-identical — parallelism is a pure latency
-  // optimization, never a wire-format change.
+  // --- serial vs parallel collection ------------------------------------
+  // An 8-tree forest collected with one thread and with four collection
+  // workers. The two streams must be bit-identical — parallelism is a
+  // pure latency optimization, never a wire-format change.
   {
     const unsigned kTrees = 8;
     const unsigned kThreads = 4;
     const std::uint32_t per_tree = args.smoke ? 1500 : 16000;
-    auto seed_forest = build_forest(msr::SearchStrategy::OrderedMap, kTrees, per_tree);
-    auto flat_forest = build_forest(msr::SearchStrategy::FlatArray, kTrees, per_tree);
+    auto forest = build_forest(kTrees, per_tree);
 
-    const double baseline_s = time_collect(*seed_forest, 1, repeats);
-    Bytes flat_serial_bytes;
+    Bytes serial_bytes;
     const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
-    const double flat_serial_s = time_collect(*flat_forest, 1, repeats, &flat_serial_bytes);
+    const double serial_s = time_collect(*forest, 1, repeats, &serial_bytes);
     const obs::MetricsSnapshot delta =
         obs::Registry::process().snapshot().delta_since(before);
-    Bytes flat_par_bytes;
-    const double flat_par_s = time_collect(*flat_forest, kThreads, repeats, &flat_par_bytes);
+    Bytes par_bytes;
+    const double par_s = time_collect(*forest, kThreads, repeats, &par_bytes);
 
-    const bool identical = flat_serial_bytes == flat_par_bytes;
-    const double thread_speedup = flat_par_s > 0 ? flat_serial_s / flat_par_s : 0;
-    const double total_speedup = flat_par_s > 0 ? baseline_s / flat_par_s : 0;
+    const bool identical = serial_bytes == par_bytes;
+    const double thread_speedup = par_s > 0 ? serial_s / par_s : 0;
     const double searches = static_cast<double>(delta.counter("msr.msrlt.searches"));
     const double steps = static_cast<double>(delta.counter("msr.msrlt.search_steps"));
 
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("\nparallel collection (%u trees x %u nodes, %u threads, %u hw threads):\n",
                 kTrees, per_tree, kThreads, hw);
-    std::printf("  seed (map, serial)   %.4fs\n", baseline_s);
-    std::printf("  flat index, serial   %.4fs\n", flat_serial_s);
-    std::printf("  flat index, %u thr    %.4fs  (%.2fx threads, %.2fx total)\n", kThreads,
-                flat_par_s, thread_speedup, total_speedup);
+    std::printf("  serial      %.4fs\n", serial_s);
+    std::printf("  %u threads   %.4fs  (%.2fx)\n", kThreads, par_s, thread_speedup);
     if (hw < kThreads) {
       std::printf("  (only %u hardware thread%s — the workers time-slice, so the parallel\n"
                   "   path pays its second traversal with no concurrency to buy it back;\n"
@@ -328,11 +319,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    report.add("parcollect.baseline_seconds", baseline_s, "seconds");
-    report.add("parcollect.flat_serial_seconds", flat_serial_s, "seconds");
-    report.add("parcollect.flat_par_seconds", flat_par_s, "seconds");
+    report.add("parcollect.serial_seconds", serial_s, "seconds");
+    report.add("parcollect.par_seconds", par_s, "seconds");
     report.add("parcollect.thread_speedup", thread_speedup, "ratio");
-    report.add("parcollect.total_speedup", total_speedup, "ratio");
     report.add("parcollect.bit_identical", identical ? 1 : 0, "bool");
     report.add("parcollect.hardware_threads", hw, "count");
     report.add_ratio("msrlt.search_steps_per_search", steps, searches, "steps");

@@ -19,13 +19,8 @@ namespace hpm::memimg {
 
 class ImageSpace final : public msr::MemorySpace {
  public:
-  ImageSpace(const ti::TypeTable& types, const xdr::ArchDescriptor& arch,
-             msr::SearchStrategy strategy = msr::SearchStrategy::OrderedMap)
-      : types_(&types),
-        arch_(&arch),
-        layouts_(types, arch),
-        leaves_(types),
-        msrlt_(strategy) {}
+  ImageSpace(const ti::TypeTable& types, const xdr::ArchDescriptor& arch)
+      : types_(&types), arch_(&arch), layouts_(types, arch), leaves_(types) {}
 
   const xdr::ArchDescriptor& arch() const noexcept override { return *arch_; }
   const ti::TypeTable& types() const noexcept override { return *types_; }

@@ -69,9 +69,7 @@ struct MigrationMetrics {
 
 class MigContext {
  public:
-  explicit MigContext(ti::TypeTable& types,
-                      msr::SearchStrategy strategy = msr::SearchStrategy::OrderedMap)
-      : types_(&types), space_(types, strategy) {}
+  explicit MigContext(ti::TypeTable& types) : types_(&types), space_(types) {}
 
   MigContext(const MigContext&) = delete;
   MigContext& operator=(const MigContext&) = delete;
@@ -161,6 +159,10 @@ class MigContext {
 
   /// Stream produced by the last collection (valid after MigrationExit).
   [[nodiscard]] const Bytes& stream() const noexcept { return stream_; }
+  /// Move the collected stream out, leaving stream() empty, so a source
+  /// that discards the context after collecting keeps the stream without
+  /// a second full-size copy.
+  [[nodiscard]] Bytes take_stream() noexcept { return std::move(stream_); }
 
   /// End-to-end digest (msrm::StreamDigest) of the last collected stream,
   /// accumulated chunk-by-chunk as collection streams through the sink

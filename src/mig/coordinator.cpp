@@ -93,7 +93,7 @@ void complete_locally(const RunOptions& options, MigrationReport& report,
   CoordinatorMetrics::get().aborts.add(1);
   ti::TypeTable types;
   options.register_types(types);
-  MigContext ctx(types, options.search);
+  MigContext ctx(types);
   ctx.set_stop_after_restore(options.stop_after_restore);
   ctx.begin_restore(std::move(stream));
   run_destination_program(options, ctx, report);
@@ -121,13 +121,13 @@ MigrationReport run_spool_migration(const RunOptions& options) {
   {
     ti::TypeTable types;
     options.register_types(types);
-    MigContext ctx(types, options.search);
+    MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
     const bool collected = run_source_program(options, ctx);
     report.source_polls = ctx.poll_count();
     if (!collected) return report;  // ran to completion without migrating
-    stream = ctx.stream();  // buffered for replay across attempts
+    stream = ctx.take_stream();  // buffered for replay across attempts
     report.stream_digest = ctx.stream_digest();
     report.stream_bytes = stream.size();
     report.collect_seconds = ctx.metrics().collect_seconds;

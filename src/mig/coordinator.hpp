@@ -93,8 +93,6 @@ struct RunOptions {
   /// matches; if false, Tx is computed analytically from the byte count.
   bool throttle = false;
 
-  msr::SearchStrategy search = msr::SearchStrategy::OrderedMap;
-
   /// Worker threads for the collection DFS. 1 = the paper's serial
   /// traversal (default); >1 partitions the root set across a pool
   /// (msrm::collect_roots) — the stream stays bit-identical to serial.

@@ -146,7 +146,7 @@ void DestinationHost::run() {
   try {
     ti::TypeTable types;
     options_.register_types(types);
-    MigContext ctx(types, options_.search);
+    MigContext ctx(types);
     ctx.set_stop_after_restore(options_.stop_after_restore);
     session_.announce();
     current()->send(net::MsgType::Hello, hello_payload(ctx.space().arch().name));

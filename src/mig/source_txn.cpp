@@ -466,7 +466,7 @@ TxnResult run_pipelined_transaction(
 
     ti::TypeTable types;
     options.register_types(types);
-    MigContext ctx(types, options.search);
+    MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
     if (overlap) {
@@ -482,7 +482,7 @@ TxnResult run_pipelined_transaction(
       throw;
     }
     if (collected) {
-      stream.set(ctx.stream());  // retained for resumes, retries, failover
+      stream.set(ctx.take_stream());  // retained for resumes, retries, failover
       digest = ctx.stream_digest();
       report.stream_digest = digest;
       report.stream_bytes = stream.size();

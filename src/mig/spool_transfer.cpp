@@ -25,7 +25,7 @@ bool spool_transfer(const RunOptions& options, const Bytes& stream, MigrationRep
     try {
       ti::TypeTable types;
       options.register_types(types);
-      MigContext ctx(types, options.search);
+      MigContext ctx(types);
       ctx.set_stop_after_restore(options.stop_after_restore);
       net::Message msg = net::recv_message(*channels.destination);
       if (msg.type != net::MsgType::State) {

@@ -19,12 +19,8 @@ namespace hpm::msr {
 
 class HostSpace final : public MemorySpace {
  public:
-  explicit HostSpace(const ti::TypeTable& types,
-                     SearchStrategy strategy = SearchStrategy::OrderedMap)
-      : types_(&types),
-        layouts_(types, xdr::native_arch()),
-        leaves_(types),
-        msrlt_(strategy) {}
+  explicit HostSpace(const ti::TypeTable& types)
+      : types_(&types), layouts_(types, xdr::native_arch()), leaves_(types) {}
 
   ~HostSpace() override;
 

@@ -1,11 +1,23 @@
 #include "msr/msrlt.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 namespace hpm::msr {
 
-Msrlt::Msrlt(SearchStrategy strategy)
-    : strategy_(strategy),
-      index_(make_address_index(strategy)),
-      registrations_(obs::Registry::process().counter("msr.msrlt.registrations")),
+namespace {
+
+[[noreturn]] void throw_overlap(const MemoryBlock& incoming, const MemoryBlock& existing) {
+  throw MsrError("block [" + std::to_string(incoming.base) + ", +" +
+                 std::to_string(incoming.size) + ") overlaps existing block '" +
+                 existing.name + "'");
+}
+
+}  // namespace
+
+Msrlt::Msrlt()
+    : registrations_(obs::Registry::process().counter("msr.msrlt.registrations")),
       removals_(obs::Registry::process().counter("msr.msrlt.removals")),
       searches_(obs::Registry::process().counter("msr.msrlt.searches")),
       search_steps_(obs::Registry::process().counter("msr.msrlt.search_steps")),
@@ -19,11 +31,29 @@ MemoryBlock* Msrlt::insert_checked(MemoryBlock block) {
   if (by_id_.find(block.id) != nullptr) {
     throw MsrError("duplicate block id " + std::to_string(block.id));
   }
-  MemoryBlock* stored = index_->insert(std::move(block));  // throws on overlap
+  if (block.size == 0) throw MsrError("cannot register zero-sized block");
+  if (block.size > ~block.base) {
+    throw MsrError("block [" + std::to_string(block.base) + ", +" +
+                   std::to_string(block.size) + ") wraps past the end of the address space");
+  }
+  // Neither neighbour may reach into [base, base + size): the first block
+  // at or after base must start at or past its end, and the last block
+  // before base must end at or before it. No stored range wraps, so the
+  // sums cannot overflow.
+  const auto next = by_addr_.lower_bound(block.base);
+  if (next != by_addr_.end() && next->first < block.base + block.size) {
+    throw_overlap(block, next->second);
+  }
+  if (next != by_addr_.begin()) {
+    const MemoryBlock& prev = std::prev(next)->second;
+    if (prev.base + prev.size > block.base) throw_overlap(block, prev);
+  }
+  const auto it = by_addr_.emplace_hint(next, block.base, std::move(block));
+  MemoryBlock* stored = &it->second;
   try {
     by_id_.insert(stored->id, stored);
   } catch (...) {
-    index_->erase(stored->base);
+    by_addr_.erase(it);
     throw;
   }
   tracked_bytes_ += stored->size;
@@ -69,15 +99,16 @@ void Msrlt::register_with_id(BlockId id, Segment seg, Address base, std::uint64_
 }
 
 void Msrlt::unregister(Address base) {
-  MemoryBlock* block = index_->find_base(base);
-  if (block == nullptr) {
+  const auto it = by_addr_.find(base);
+  if (it == by_addr_.end()) {
     throw MsrError("unregister: no block based at " + std::to_string(base));
   }
-  by_id_.erase(block->id);
-  tracked_bytes_ -= block->size;
-  --segment_blocks_[static_cast<int>(block->segment)];
+  const MemoryBlock& block = it->second;
+  by_id_.erase(block.id);
+  tracked_bytes_ -= block.size;
+  --segment_blocks_[static_cast<int>(block.segment)];
   ++cache_epoch_;  // some cached entry may point at the erased block
-  index_->erase(base);
+  by_addr_.erase(it);
   removals_.add(1);
   blocks_gauge_.sub(1);
 }
@@ -96,15 +127,29 @@ const MemoryBlock* Msrlt::find_containing(Address addr) const {
       return e.block;
     }
   }
-  std::uint64_t steps = 0;
-  const MemoryBlock* block = index_->find_containing(addr, steps);
-  search_steps_.add(steps);
+  // The candidate is the last block whose base <= addr. A map search
+  // makes ~log2(n) comparisons; the count is recorded so benches can
+  // confirm the O(n log n) aggregate search term without a profiler.
+  search_steps_.add(std::max<std::uint64_t>(1, std::bit_width(by_addr_.size())));
+  auto it = by_addr_.upper_bound(addr);
+  const MemoryBlock* block = nullptr;
+  if (it != by_addr_.begin()) {
+    const MemoryBlock& candidate = (--it)->second;
+    if (addr - candidate.base < candidate.size) block = &candidate;
+  }
   if (block != nullptr) {
     std::uint8_t& cursor = cache_cursor_[static_cast<std::size_t>(set - cache_.data()) / kCacheWays];
     set[cursor] = CacheEntry{cache_epoch_, block};
     cursor = static_cast<std::uint8_t>((cursor + 1) % kCacheWays);
   }
   return block;
+}
+
+FrozenIndex Msrlt::freeze() const {
+  std::vector<FrozenIndex::Entry> entries;
+  entries.reserve(by_addr_.size());
+  for (const auto& [base, block] : by_addr_) entries.push_back({base, block.size, &block});
+  return FrozenIndex(std::move(entries));
 }
 
 const MemoryBlock* Msrlt::find_id(BlockId id) const {
@@ -120,7 +165,7 @@ bool Msrlt::try_mark(BlockId id) {
 
 bool Msrlt::try_mark(const MemoryBlock& block) noexcept {
   marks_.add(1);
-  // Every block this MSRLT tracks lives in its index as a non-const
+  // Every block this MSRLT tracks lives in its map as a non-const
   // object; callers only ever see it through const handles.
   MemoryBlock& b = const_cast<MemoryBlock&>(block);
   if (b.visit_epoch == epoch_) return false;

@@ -6,34 +6,38 @@
 // translates between machine-specific addresses and machine-independent
 // (block id, offset) pairs.
 //
+// One address index: a std::map from base address to block (paper §4.2's
+// ordered address→block structure). Its nodes never move, so a stored
+// MemoryBlock stays pointer-stable until it is unregistered. Every block
+// is a non-empty range [base, base + size) whose end stays below 2^64 (it
+// never wraps) and that overlaps no tracked block; anything else is
+// rejected with MsrError.
+//
 // Complexity contract (paper §4.2): with n tracked blocks, one address
-// search costs O(log n) (ordered-map and flat-array strategies), so
-// collecting n blocks costs O(n log n) in search time. Restoration does
-// no address search per block — migrated blocks arrive with their logical
-// id attached, so binding one is an O(1) expected probe of a flat id
-// table (msr/id_table.hpp); its only counted searches are the one root
-// check per variable record. Each block it creates is still inserted
-// into the address index: O(log n) comparisons under OrderedMap (a
-// std::map insert), and under FlatArray an overlap scan of the pending
-// run, which makes bulk registration O(n^2) there (address_index.hpp).
-// So restore is O(n) id-table updates plus n index inserts, not O(n)
-// overall. Statistics counters expose the search term so benchmarks can
+// search costs O(log n), so collecting n blocks costs O(n log n) in
+// search time. Restoration does no address search per block — migrated
+// blocks arrive with their logical id attached, so binding one is an
+// O(1) expected probe of a flat id table (msr/id_table.hpp); its only
+// counted searches are the one root check per variable record. Each
+// block it creates is still inserted into the map (O(log n)
+// comparisons), so restore is O(n) id-table updates plus n ordered
+// inserts. Statistics counters expose the search term so benchmarks can
 // validate the model directly.
 //
-// Storage and search are delegated to an AddressIndex
-// (msr/address_index.hpp) selected by SearchStrategy; the MSRLT itself
-// owns the id table, the per-segment block counts, the visit-epoch
-// marking, the statistics counters, and a small set-associative lookup
-// cache consulted before any strategy.
+// Besides the map the MSRLT owns the id table, the per-segment block
+// counts, the visit-epoch marking, the statistics counters, and a small
+// set-associative lookup cache consulted before the map. freeze() copies
+// the map into a FrozenIndex (msr/frozen_index.hpp) for concurrent
+// readers.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <map>
 
 #include "common/error.hpp"
-#include "msr/address_index.hpp"
 #include "msr/block.hpp"
+#include "msr/frozen_index.hpp"
 #include "msr/id_table.hpp"
 #include "obs/metrics.hpp"
 
@@ -41,13 +45,14 @@ namespace hpm::msr {
 
 class Msrlt {
  public:
-  explicit Msrlt(SearchStrategy strategy = SearchStrategy::OrderedMap);
+  Msrlt();
 
   Msrlt(const Msrlt&) = delete;
   Msrlt& operator=(const Msrlt&) = delete;
 
   /// Track a new block with a freshly assigned id. Throws hpm::MsrError if
-  /// the byte range overlaps an existing block or size is zero.
+  /// the byte range overlaps an existing block, size is zero, or base + size
+  /// reaches 2^64.
   BlockId register_block(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
                          std::uint32_t count, std::string name = {}) {
     return add(seg, base, size, type, count, std::move(name)).id;
@@ -76,7 +81,7 @@ class Msrlt {
   /// Pointer collection has strong block locality (consecutive leaves of
   /// one block resolve into the same few blocks), so a small
   /// set-associative cache of recent containing blocks is consulted
-  /// before the strategy's search; hits count one search step under
+  /// before the map search; hits count one search step under
   /// `msr.msrlt.cache_hits`.
   const MemoryBlock* find_containing(Address addr) const;
 
@@ -86,7 +91,10 @@ class Msrlt {
   /// The block based exactly at `base`; nullptr if none starts there.
   /// Serves ownership checks (MigContext::heap_free), not collection, so
   /// it is not counted as a search and bypasses the lookup cache.
-  const MemoryBlock* find_base(Address base) const noexcept { return index_->find_base(base); }
+  const MemoryBlock* find_base(Address base) const noexcept {
+    const auto it = by_addr_.find(base);
+    return it == by_addr_.end() ? nullptr : &it->second;
+  }
 
   /// Begin a new depth-first traversal: invalidates all previous marks in
   /// O(1) by bumping the epoch.
@@ -99,7 +107,7 @@ class Msrlt {
   /// it): no id lookup. `block` must be tracked by this MSRLT.
   bool try_mark(const MemoryBlock& block) noexcept;
 
-  [[nodiscard]] std::size_t block_count() const noexcept { return index_->size(); }
+  [[nodiscard]] std::size_t block_count() const noexcept { return by_addr_.size(); }
   /// Tracked blocks of one segment.
   [[nodiscard]] std::size_t block_count(Segment seg) const noexcept {
     return segment_blocks_[static_cast<int>(seg)];
@@ -110,25 +118,22 @@ class Msrlt {
   /// reallocation churn.
   [[nodiscard]] std::uint64_t tracked_bytes() const noexcept { return tracked_bytes_; }
 
-  [[nodiscard]] SearchStrategy strategy() const noexcept { return strategy_; }
-
   /// Immutable snapshot of the current block set for concurrent readers
   /// (parallel collection). Blocks stay pointer-stable while the snapshot
   /// is in use as long as no block is unregistered.
-  [[nodiscard]] FrozenIndex freeze() const { return index_->freeze(); }
+  [[nodiscard]] FrozenIndex freeze() const;
 
   /// Visit every tracked block in ascending base order (graph building,
   /// leak checks).
   template <typename Fn>
   void for_each_block(Fn&& fn) const {
-    index_->for_each([&fn](const MemoryBlock& block) { fn(block); });
+    for (const auto& [base, block] : by_addr_) fn(block);
   }
 
  private:
   MemoryBlock* insert_checked(MemoryBlock block);
 
-  SearchStrategy strategy_;
-  std::unique_ptr<AddressIndex> index_;
+  std::map<Address, MemoryBlock> by_addr_;
   IdTable<MemoryBlock> by_id_;
   std::uint64_t next_seq_[3] = {1, 1, 1};  // per segment
   std::size_t segment_blocks_[3] = {0, 0, 0};

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "msr/address_index.hpp"
+#include "msr/frozen_index.hpp"
 #include "msr/resolve.hpp"
 #include "msrm/collect.hpp"
 #include "obs/metrics.hpp"

@@ -1,18 +1,19 @@
-// Property-based equivalence of the AddressIndex implementations: the
-// flat sorted interval array (branchless binary search, pending run,
-// tombstoned erase) must be behavior-identical to the std::map reference
-// across randomized insert/erase/lookup sequences — same accept/reject
-// decisions, same containing-block answers (including misses and
-// out-of-range probes), same address-order iteration, and equivalent
-// frozen snapshots. Step counts are strategy-specific and not compared.
+// Property-based check of the MSRLT's one address index against a
+// brute-force oracle: a test-local, unsorted list of live intervals
+// searched by linear scan. Randomized insert/erase/lookup/freeze
+// sequences — zero sizes, overlaps, ranges near 0 and near 2^64 (some
+// wrapping past it), erases of untracked bases — must produce the same
+// accept/reject decisions, the same containing block (misses included),
+// iteration in ascending base order, and a FrozenIndex whose slots are in
+// base order with correct find_id/slot_of answers.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <random>
 #include <vector>
 
 #include "common/error.hpp"
-#include "msr/address_index.hpp"
+#include "msr/msrlt.hpp"
 
 namespace hpm {
 namespace {
@@ -21,141 +22,185 @@ using msr::Address;
 using msr::BlockId;
 using msr::MemoryBlock;
 
-MemoryBlock make_block(BlockId id, Address base, std::uint64_t size) {
-  MemoryBlock b;
-  b.id = id;
-  b.segment = msr::Segment::Heap;
-  b.base = base;
-  b.size = size;
-  b.type = 1;
-  b.count = 1;
-  return b;
-}
+struct Interval {
+  Address base;
+  std::uint64_t size;
+  BlockId id;
+};
 
 class Harness {
  public:
-  Harness()
-      : ref_(msr::make_address_index(msr::SearchStrategy::OrderedMap)),
-        flat_(msr::make_address_index(msr::SearchStrategy::FlatArray)) {}
-
-  /// Insert into both; they must agree on accept vs MsrError.
+  /// Register in the MSRLT; the oracle decides whether it must be accepted.
   void insert(Address base, std::uint64_t size) {
-    const BlockId id = msr::make_block_id(msr::Segment::Heap, next_seq_++);
-    bool ref_ok = true, flat_ok = true;
+    const bool legal = size != 0 && size <= ~base &&
+                       std::none_of(live_.begin(), live_.end(), [&](const Interval& iv) {
+                         return base < iv.base + iv.size && iv.base < base + size;
+                       });
+    const std::size_t count = table_.block_count();
+    const std::uint64_t bytes = table_.tracked_bytes();
+    BlockId id = msr::kInvalidBlock;
+    bool accepted = true;
     try {
-      ref_->insert(make_block(id, base, size));
+      id = table_.register_block(msr::Segment::Heap, base, size, 1, 1);
     } catch (const MsrError&) {
-      ref_ok = false;
+      accepted = false;
     }
-    try {
-      flat_->insert(make_block(id, base, size));
-    } catch (const MsrError&) {
-      flat_ok = false;
+    ASSERT_EQ(accepted, legal) << "insert divergence at base=" << base << " size=" << size;
+    if (accepted) {
+      live_.push_back({base, size, id});
+    } else {
+      ASSERT_EQ(table_.block_count(), count);
+      ASSERT_EQ(table_.tracked_bytes(), bytes);
     }
-    ASSERT_EQ(ref_ok, flat_ok) << "insert divergence at base=" << base << " size=" << size;
-    if (ref_ok) live_.emplace(base, id);
   }
 
   void erase_random(std::mt19937_64& rng) {
     if (live_.empty()) return;
-    auto it = live_.begin();
-    std::advance(it, static_cast<long>(rng() % live_.size()));
-    ref_->erase(it->first);
-    flat_->erase(it->first);
-    live_.erase(it);
+    erase(live_[rng() % live_.size()].base);
+  }
+
+  /// Unregister `base`; must succeed exactly when a live block starts there.
+  void erase(Address base) {
+    const auto it = std::find_if(live_.begin(), live_.end(),
+                                 [&](const Interval& iv) { return iv.base == base; });
+    bool erased = true;
+    try {
+      table_.unregister(base);
+    } catch (const MsrError&) {
+      erased = false;
+    }
+    ASSERT_EQ(erased, it != live_.end()) << "erase divergence at base=" << base;
+    if (erased) live_.erase(it);
   }
 
   void check_lookup(Address addr) {
-    std::uint64_t s1 = 0, s2 = 0;
-    const MemoryBlock* a = ref_->find_containing(addr, s1);
-    const MemoryBlock* b = flat_->find_containing(addr, s2);
-    ASSERT_EQ(a == nullptr, b == nullptr) << "hit/miss divergence at " << addr;
-    if (a != nullptr) {
-      EXPECT_EQ(a->id, b->id);
-      EXPECT_EQ(a->base, b->base);
-      EXPECT_EQ(a->size, b->size);
+    const Interval* want = containing(addr);
+    const MemoryBlock* got = table_.find_containing(addr);
+    ASSERT_EQ(got == nullptr, want == nullptr) << "hit/miss divergence at " << addr;
+    if (got != nullptr) {
+      EXPECT_EQ(got->id, want->id);
+      EXPECT_EQ(got->base, want->base);
+      EXPECT_EQ(got->size, want->size);
     }
-    MemoryBlock* fb1 = ref_->find_base(addr);
-    MemoryBlock* fb2 = flat_->find_base(addr);
-    ASSERT_EQ(fb1 == nullptr, fb2 == nullptr);
-    if (fb1 != nullptr) {
-      EXPECT_EQ(fb1->id, fb2->id);
+    const MemoryBlock* at = table_.find_base(addr);
+    const bool based = want != nullptr && want->base == addr;
+    ASSERT_EQ(at != nullptr, based) << "find_base divergence at " << addr;
+    if (based) {
+      EXPECT_EQ(at->id, want->id);
     }
   }
 
-  void check_full_state() {
-    ASSERT_EQ(ref_->size(), flat_->size());
-    ASSERT_EQ(ref_->size(), live_.size());
-    std::vector<std::pair<Address, BlockId>> ref_order, flat_order;
-    ref_->for_each([&](const MemoryBlock& b) { ref_order.emplace_back(b.base, b.id); });
-    flat_->for_each([&](const MemoryBlock& b) { flat_order.emplace_back(b.base, b.id); });
-    EXPECT_EQ(ref_order, flat_order);
+  /// Iteration order, counts, and the frozen snapshot against the oracle;
+  /// `probes` are also searched in the snapshot.
+  void check_full_state(const std::vector<Address>& probes) {
+    std::vector<Interval> sorted = live_;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Interval& a, const Interval& b) { return a.base < b.base; });
+    ASSERT_EQ(table_.block_count(), sorted.size());
+    std::uint64_t bytes = 0;
+    for (const Interval& iv : sorted) bytes += iv.size;
+    EXPECT_EQ(table_.tracked_bytes(), bytes);
 
-    const msr::FrozenIndex fz_ref = ref_->freeze();
-    const msr::FrozenIndex fz_flat = flat_->freeze();
-    ASSERT_EQ(fz_ref.size(), fz_flat.size());
-    for (const auto& [base, id] : live_) {
-      EXPECT_EQ(fz_ref.slot_of(id), fz_flat.slot_of(id));
-      const MemoryBlock* fa = fz_ref.find_id(id);
-      const MemoryBlock* fb = fz_flat.find_id(id);
-      ASSERT_NE(fa, nullptr);
-      ASSERT_NE(fb, nullptr);
-      EXPECT_EQ(fa->base, base);
-      EXPECT_EQ(fb->base, base);
-      std::uint64_t s1 = 0, s2 = 0;
-      EXPECT_EQ(fz_ref.find_containing(base, s1)->id, id);
-      EXPECT_EQ(fz_flat.find_containing(base, s2)->id, id);
+    std::vector<std::pair<Address, BlockId>> order, want;
+    table_.for_each_block([&](const MemoryBlock& b) { order.emplace_back(b.base, b.id); });
+    for (const Interval& iv : sorted) want.emplace_back(iv.base, iv.id);
+    ASSERT_EQ(order, want);
+
+    const msr::FrozenIndex fz = table_.freeze();
+    ASSERT_EQ(fz.size(), sorted.size());
+    for (std::uint32_t slot = 0; slot < sorted.size(); ++slot) {
+      const Interval& iv = sorted[slot];
+      ASSERT_EQ(fz.block_at(slot)->id, iv.id) << "slot " << slot;
+      EXPECT_EQ(fz.slot_of(iv.id), slot);
+      const MemoryBlock* by_id = fz.find_id(iv.id);
+      ASSERT_NE(by_id, nullptr);
+      EXPECT_EQ(by_id->base, iv.base);
+      EXPECT_EQ(by_id->size, iv.size);
+    }
+    const BlockId unknown = msr::make_block_id(msr::Segment::Heap, 1ull << 40);
+    EXPECT_EQ(fz.find_id(unknown), nullptr);
+    EXPECT_EQ(fz.slot_of(unknown), fz.size());
+    for (const Address addr : probes) {
+      std::uint64_t steps = 0;
+      const MemoryBlock* got = fz.find_containing(addr, steps);
+      const Interval* expected = containing(addr);
+      ASSERT_EQ(got == nullptr, expected == nullptr) << "frozen divergence at " << addr;
+      if (got != nullptr) {
+        EXPECT_EQ(got->id, expected->id);
+      }
     }
   }
 
   [[nodiscard]] std::size_t live_count() const { return live_.size(); }
 
  private:
-  std::unique_ptr<msr::AddressIndex> ref_;
-  std::unique_ptr<msr::AddressIndex> flat_;
-  std::map<Address, BlockId> live_;
-  std::uint64_t next_seq_ = 1;
+  const Interval* containing(Address addr) const {
+    for (const Interval& iv : live_) {
+      if (addr >= iv.base && addr - iv.base < iv.size) return &iv;
+    }
+    return nullptr;
+  }
+
+  msr::Msrlt table_;
+  std::vector<Interval> live_;  // the oracle: unsorted, searched linearly
 };
 
-TEST(AddressIndexProperty, RandomizedOperationSequencesMatchReference) {
+/// A probe address: mostly in the populated range, sometimes at the
+/// edges of the address space.
+Address probe(std::mt19937_64& rng, int i) {
+  if (i % 17 == 0) return rng() % 64;
+  if (i % 23 == 0) return ~0ull - (rng() % 512);
+  return rng() % 400000;
+}
+
+TEST(MsrltIndexProperty, RandomizedOperationSequencesMatchOracle) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull}) {
     std::mt19937_64 rng(seed);
     Harness h;
     for (int round = 0; round < 6; ++round) {
-      // Burst of inserts (some deliberately overlapping / zero-sized).
+      // Burst of inserts (some deliberately overlapping / zero-sized), a
+      // few at address 0 and a few near 2^64, where a range can wrap.
       for (int i = 0; i < 300; ++i) {
-        const Address base = 64 + (rng() % 40000) * 8;
-        const std::uint64_t size = (rng() % 10 == 0) ? 0 : 8 + rng() % 120;
+        Address base = 64 + (rng() % 40000) * 8;
+        std::uint64_t size = (rng() % 10 == 0) ? 0 : 8 + rng() % 120;
+        if (i % 29 == 0) base = rng() % 32;
+        if (i % 31 == 0) {
+          base = ~0ull - (rng() % 512);
+          size = 1 + rng() % 64;
+        }
         h.insert(base, size);
         if (::testing::Test::HasFatalFailure()) return;
       }
-      // Mixed probes: interior hits, gaps, far out-of-range both sides.
+      // Mixed probes: interior hits, gaps, both ends of the address space.
+      std::vector<Address> probes;
       for (int i = 0; i < 800; ++i) {
-        Address addr = rng() % 400000;
-        if (i % 17 == 0) addr = 0;
-        if (i % 23 == 0) addr = ~0ull - (rng() % 64);
-        h.check_lookup(addr);
+        probes.push_back(probe(rng, i));
+        h.check_lookup(probes.back());
         if (::testing::Test::HasFatalFailure()) return;
       }
-      // Erase a slice, then probe again (tombstone path).
+      // Erase a slice plus some untracked bases, then probe again.
       const std::size_t victims = h.live_count() / 3;
       for (std::size_t i = 0; i < victims; ++i) h.erase_random(rng);
-      for (int i = 0; i < 400; ++i) h.check_lookup(rng() % 400000);
-      h.check_full_state();
+      for (int i = 0; i < 20; ++i) h.erase(1 + (rng() % 40000) * 8);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int i = 0; i < 400; ++i) h.check_lookup(probe(rng, i));
+      h.check_full_state(probes);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-TEST(AddressIndexProperty, MassEraseThenReinsert) {
+TEST(MsrltIndexProperty, MassEraseThenReinsert) {
   std::mt19937_64 rng(99);
   Harness h;
   for (int i = 0; i < 2000; ++i) h.insert(64 + (rng() % 100000) * 8, 8 + rng() % 56);
-  while (h.live_count() > 10) h.erase_random(rng);  // compaction sweep
-  h.check_full_state();
+  while (h.live_count() > 10) h.erase_random(rng);
+  std::vector<Address> probes;
+  for (int i = 0; i < 1000; ++i) probes.push_back(rng() % 900000);
+  h.check_full_state(probes);
   for (int i = 0; i < 500; ++i) h.insert(64 + (rng() % 100000) * 8, 8 + rng() % 56);
-  for (int i = 0; i < 1000; ++i) h.check_lookup(rng() % 900000);
-  h.check_full_state();
+  for (const Address addr : probes) h.check_lookup(addr);
+  h.check_full_state(probes);
 }
 
 }  // namespace

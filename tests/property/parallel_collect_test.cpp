@@ -1,7 +1,7 @@
 // Property-based determinism of parallel collection: for random heap
 // graphs (including heavily shared ones) rooted in several variables, the
 // stream produced by msrm::collect_roots at 2 and 4 worker threads must
-// be BIT-IDENTICAL to the serial stream, for every search strategy.
+// be BIT-IDENTICAL to the serial stream.
 // Shared subgraphs are the hard case — the CAS-min ownership pass must
 // assign every block to the first root that reaches it, exactly like the
 // serial duplicate guard.
@@ -24,7 +24,6 @@ struct Params {
   std::uint32_t nodes;
   double density;
   double share;
-  msr::SearchStrategy strategy;
 };
 
 class ParallelCollectProperty : public ::testing::TestWithParam<Params> {};
@@ -33,7 +32,7 @@ TEST_P(ParallelCollectProperty, StreamsBitIdenticalToSerial) {
   const Params p = GetParam();
   ti::TypeTable table;
   apps::workload_register_types(table);
-  mig::MigContext ctx(table, p.strategy);
+  mig::MigContext ctx(table);
 
   // Four root variables into one shared graph: spread the entry points so
   // ownership actually partitions, and point two roots at the same node
@@ -88,12 +87,12 @@ TEST_P(ParallelCollectProperty, StreamsBitIdenticalToSerial) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelCollectProperty,
     ::testing::Values(
-        Params{3, 64, 0.3, 0.0, msr::SearchStrategy::OrderedMap},
-        Params{5, 500, 0.8, 0.5, msr::SearchStrategy::OrderedMap},
-        Params{7, 500, 0.8, 0.5, msr::SearchStrategy::FlatArray},
-        Params{11, 2000, 0.9, 0.9, msr::SearchStrategy::FlatArray},
-        Params{13, 2000, 0.2, 0.95, msr::SearchStrategy::OrderedMap},
-        Params{17, 1, 0.0, 0.0, msr::SearchStrategy::FlatArray}));
+        Params{3, 64, 0.3, 0.0},
+        Params{5, 500, 0.8, 0.5},
+        Params{7, 500, 0.8, 0.5},
+        Params{11, 2000, 0.9, 0.9},
+        Params{13, 2000, 0.2, 0.95},
+        Params{17, 1, 0.0, 0.0}));
 
 TEST(ParallelCollect, SingleRootFallsBackToSerial) {
   ti::TypeTable table;

@@ -4,11 +4,11 @@
 // checks the emitted hpm-bench-v1 rows against checked-in invariants:
 //
 //   1. msrlt.search_steps_per_search must be > 0 and <= the ceiling
-//      (argv[2], default 32). The flat interval index keeps the
+//      (argv[2], default 32). The MSRLT's ordered address map keeps the
 //      address->block search ~O(log n) with the lookup cache pulling the
 //      mean toward 1; a regression to linear scanning blows past any
-//      log-shaped ceiling immediately (the linear strategy measures in
-//      the hundreds of steps per search on the same workload).
+//      log-shaped ceiling immediately (bench/ablation_msrlt's linear scan
+//      measures in the thousands of steps per search).
 //   2. parcollect.bit_identical must be exactly 1: parallel collection
 //      is only legal as a latency optimization, never a format change.
 //   3. parcollect.thread_speedup must be present and > 0 (the bench
