@@ -53,8 +53,6 @@
 #include "obs/span.hpp"
 #include "precc/codegen.hpp"
 #include "precc/parser.hpp"
-#include "sched/cluster.hpp"
-#include "sched/live.hpp"
 #include "ti/describe.hpp"
 #include "ti/layout.hpp"
 #include "ti/leaf.hpp"

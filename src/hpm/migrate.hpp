@@ -8,14 +8,14 @@
 //
 // Examples, tools, and external embedders should include this (or
 // hpm/hpm.hpp, which includes it) instead of reaching into
-// mig/coordinator.hpp or sched/cluster.hpp — those internal headers stay
+// mig/coordinator.hpp or mig/fleet.hpp — those internal headers stay
 // source-compatible but their layout is NOT a stability boundary; only
 // the names re-exported here are.
 #pragma once
 
 #include "mig/context.hpp"
 #include "mig/coordinator.hpp"
-#include "sched/cluster.hpp"
+#include "mig/fleet.hpp"
 
 namespace hpm {
 
@@ -35,9 +35,11 @@ using mig::run_migration;
 using mig::run_routed_migration;
 
 /// --- a fleet of migrations ----------------------------------------------
-using sched::FleetOptions;
-using sched::SessionJob;
-using sched::SessionOutcome;
-using sched::migrate_many;
+using mig::FleetOptions;
+using mig::SessionJob;
+using mig::SessionOutcome;
+using mig::SessionStatus;
+using mig::migrate_many;
+using mig::session_status_name;
 
 }  // namespace hpm

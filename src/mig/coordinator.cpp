@@ -282,7 +282,7 @@ MigrationReport run_routed_migration(const RunOptions& options,
           ? options.txn_id
           : (wall_clock_txn() << 10) | (wiring.session_id & 0x3FFu);
   MigrationReport report = run_transaction(
-      options, wiring, io_deadline(options), txn, keyed_source_journal_name(txn),
+      options, wiring, io_deadline(options, &wiring), txn, keyed_source_journal_name(txn),
       [txn](std::uint32_t inc) { return keyed_dest_journal_name(txn, inc); });
   run_span.arg("outcome", std::string(outcome_name(report.outcome)));
   run_span.finish();

@@ -132,13 +132,6 @@ struct RunOptions {
   /// or truncation can never hang the run.
   double io_timeout_seconds = 0;
 
-  /// Per-IO deadline policy for the transfer protocol. Null = a fixed
-  /// policy derived from io_timeout_seconds (bit-for-bit the legacy
-  /// behavior); a shared net::DeadlinePolicy::adaptive() lets the
-  /// session supervisor's heartbeat RTT samples retune every blocking
-  /// call's deadline while the transfer runs.
-  std::shared_ptr<net::DeadlinePolicy> deadline_policy;
-
   /// Delay before the first retry (or failover re-dial); doubles per
   /// retry, capped below. Deterministic (no jitter) so failure schedules
   /// are reproducible.
@@ -322,11 +315,12 @@ struct MigrationReport {
 MigrationReport run_migration(const RunOptions& options);
 
 /// Run one migration as a session over caller-provided wiring — the entry
-/// point sched::migrate_many drives once per concurrent session, with
-/// every wiring.connect() binding a fresh epoch of a shared routed
+/// point migrate_many (mig/fleet.hpp) drives once per concurrent session,
+/// with every wiring.connect() binding a fresh epoch of a shared routed
 /// channel. Runs the same transaction as run_migration does on an
-/// exclusive channel, primary retries and local degradation included.
-/// Journals are keyed by transaction id
+/// exclusive channel, primary retries and local degradation included;
+/// wiring.deadline, when set, replaces the fixed io_timeout_seconds
+/// policy. Journals are keyed by transaction id
 /// (keyed_source_journal_name) so concurrent sessions can share one
 /// journal_dir; recover with Coordinator::recover(dir, txn). The report's
 /// registry-delta `metrics` overlaps between concurrent sessions — the
@@ -352,7 +346,7 @@ class Coordinator {
   static RecoveryVerdict recover(const std::string& journal_dir);
 
   /// Per-session recovery for a journal directory shared by concurrent
-  /// sessions (sched::migrate_many): arbitrates on the txn-keyed pair
+  /// sessions (migrate_many): arbitrates on the txn-keyed pair
   /// source-<txn>.journal / dest-<txn>.journal.
   static RecoveryVerdict recover(const std::string& journal_dir,
                                  std::uint64_t txn_id);

@@ -23,11 +23,13 @@ namespace hpm::mig {
 /// an injected stall/truncation must never hang the run.
 inline constexpr double kFaultInjectionDefaultTimeout = 5.0;
 
-/// The per-IO deadline policy of a run: options.deadline_policy when set,
-/// else a fixed policy from io_timeout_seconds (kFaultInjectionDefaultTimeout
-/// when faults are armed and no timeout was given).
-inline std::shared_ptr<net::DeadlinePolicy> io_deadline(const RunOptions& options) {
-  if (options.deadline_policy != nullptr) return options.deadline_policy;
+/// The per-IO deadline policy of a run: the session wiring's policy when
+/// set, else a fixed policy from io_timeout_seconds
+/// (kFaultInjectionDefaultTimeout when faults are armed and no timeout
+/// was given).
+inline std::shared_ptr<net::DeadlinePolicy> io_deadline(
+    const RunOptions& options, const SessionWiring* wiring = nullptr) {
+  if (wiring != nullptr && wiring->deadline != nullptr) return wiring->deadline;
   const bool faults_armed =
       options.fault_plan.enabled() || options.dest_fault_plan.enabled();
   const double io_s = options.io_timeout_seconds > 0

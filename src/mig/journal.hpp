@@ -95,7 +95,7 @@ inline constexpr const char* kDestJournalName = "dest.journal";
 
 /// File names for a session keyed by its transaction id —
 /// "source-<txn>.journal" / "dest-<txn>.journal". Used when several
-/// concurrent sessions share one journal directory (sched::migrate_many)
+/// concurrent sessions share one journal directory (migrate_many)
 /// so each transaction recovers against its own pair.
 std::string keyed_source_journal_name(std::uint64_t txn_id);
 std::string keyed_dest_journal_name(std::uint64_t txn_id);

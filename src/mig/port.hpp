@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "mig/cancel_token.hpp"
 #include "net/channel.hpp"
+#include "net/deadline.hpp"
 #include "net/message.hpp"
 
 namespace hpm::mig {
@@ -194,6 +195,11 @@ struct SessionWiring {
   /// multiplexed one. Null = the wiring cannot reach standbys, so
   /// destination failover is disabled regardless of policy.
   std::function<PortPair(std::size_t)> connect_standby;
+
+  /// Per-IO deadline policy of this session. Null = the fixed policy
+  /// from RunOptions::io_timeout_seconds; migrate_many's supervised
+  /// sessions set an adaptive one that heartbeat RTTs retune mid-run.
+  std::shared_ptr<net::DeadlinePolicy> deadline;
 };
 
 }  // namespace hpm::mig

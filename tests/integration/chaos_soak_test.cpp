@@ -30,14 +30,13 @@
 #include "apps/bitonic.hpp"
 #include "bench/emit.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/fleet.hpp"
 #include "mig/journal.hpp"
 #include "obs/metrics.hpp"
-#include "sched/cluster.hpp"
 
-namespace hpm::sched {
+namespace hpm::mig {
 namespace {
 
-using mig::MigrationOutcome;
 using net::Transport;
 
 constexpr int kSessions = 6;
@@ -523,4 +522,4 @@ TEST(ChaosSoakReport, EmitsFleetBenchJson) {
 }
 
 }  // namespace
-}  // namespace hpm::sched
+}  // namespace hpm::mig

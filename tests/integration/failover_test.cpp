@@ -32,11 +32,11 @@
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/fleet.hpp"
 #include "mig/journal.hpp"
 #include "mig/session.hpp"
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
-#include "sched/cluster.hpp"
 
 namespace hpm::mig {
 namespace {
@@ -420,13 +420,12 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   // Same wedge as the chaos soak's detection test — a blackholed source
   // port only the supervisor can convict — but with a standby configured:
   // the verdict must re-target the migration, not abandon it.
-  namespace sched = hpm::sched;
   const std::string journal_dir =
       "/tmp/hpm_failover_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
 
   apps::BitonicResult result;
-  std::vector<sched::SessionJob> jobs(1);
+  std::vector<SessionJob> jobs(1);
   jobs[0].options = base_options(result);
   jobs[0].options.journal_dir = journal_dir;
   jobs[0].options.txn_id = kTxn;
@@ -436,7 +435,7 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   jobs[0].options.retry_backoff_seconds = 0.001;
   jobs[0].stall_after_frames = 12;
 
-  sched::FleetOptions fleet;
+  FleetOptions fleet;
   fleet.supervise = true;
   fleet.liveness.heartbeat_interval_s = 0.03;
   fleet.liveness.max_missed_heartbeats = 4;
@@ -446,10 +445,10 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   fleet.liveness.rtt.floor_s = 5.0;
   fleet.liveness.rtt.ceiling_s = 5.0;
 
-  const std::vector<sched::SessionOutcome> outcomes =
-      sched::migrate_many(jobs, net::Transport::Memory, fleet);
+  const std::vector<SessionOutcome> outcomes =
+      migrate_many(jobs, net::Transport::Memory, fleet);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, sched::SessionStatus::Completed);
+  EXPECT_EQ(outcomes[0].status, SessionStatus::Completed);
   EXPECT_EQ(outcomes[0].report.outcome, MigrationOutcome::Migrated)
       << "a wedged primary with a standby must fail over, not degrade";
   EXPECT_GE(outcomes[0].report.failovers, 1);

@@ -1,27 +1,26 @@
-// Concurrent multiplexed migrations: sched::migrate_many drives N full
+// Concurrent multiplexed migrations: hpm::migrate_many drives N full
 // transactional sessions over ONE shared channel pair, and every session
 // must be observationally identical to the same migration run alone on an
 // exclusive channel — same workload result, same logical stream — even
 // while one of the sessions is killed mid-stream and resumes from its
 // acked watermark as the others proceed.
+//
+// The fleet API is named only through the hpm/migrate.hpp facade, so a
+// missing re-export fails this suite's build.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "apps/bitonic.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 #include "mig/frame_router.hpp"
-#include "sched/cluster.hpp"
 
-namespace hpm::sched {
+namespace hpm {
 namespace {
-
-using mig::MigrationOutcome;
-using mig::MigrationReport;
-using mig::RunOptions;
-using net::Transport;
 
 /// Seeds chosen per session so the four workloads carry distinct state.
 constexpr int kSeeds[] = {9, 11, 13, 17};
@@ -38,7 +37,7 @@ RunOptions bitonic_options(Transport transport, int seed,
   options.pipeline = true;
   options.chunk_bytes = 128;
   options.register_types = apps::bitonic_register_types;
-  options.program = [result, seed](mig::MigContext& ctx) {
+  options.program = [result, seed](MigContext& ctx) {
     apps::bitonic_program(ctx, 6, static_cast<std::uint64_t>(seed), result);
   };
   options.migrate_at_poll = 50;
@@ -53,7 +52,7 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
   std::vector<MigrationReport> serial_reports;
   for (int i = 0; i < kSessions; ++i) {
     RunOptions options = bitonic_options(GetParam(), kSeeds[i], &serial_results[i]);
-    serial_reports.push_back(mig::run_migration(options));
+    serial_reports.push_back(run_migration(options));
     ASSERT_EQ(serial_reports[i].outcome, MigrationOutcome::Migrated);
     ASSERT_TRUE(serial_results[i].ok());
   }
@@ -79,6 +78,8 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
     SCOPED_TRACE("session " + std::to_string(outcomes[i].session_id));
     const MigrationReport& r = outcomes[i].report;
     EXPECT_EQ(outcomes[i].session_id, static_cast<std::uint32_t>(i + 1));
+    EXPECT_EQ(outcomes[i].status, SessionStatus::Completed);
+    EXPECT_STREQ(session_status_name(outcomes[i].status), "completed");
     EXPECT_EQ(r.outcome, MigrationOutcome::Migrated);
     ASSERT_TRUE(routed_results[i].ok());
     // Bit-identical to the exclusive-channel run: same final workload
@@ -156,7 +157,7 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   // side of the shared channel.
   apps::BitonicResult probe_result;
   const RunOptions probe = bitonic_options(Transport::Memory, 9, &probe_result);
-  const MigrationReport p = mig::run_migration(probe);
+  const MigrationReport p = run_migration(probe);
   ASSERT_EQ(p.outcome, MigrationOutcome::Migrated);
   const std::uint64_t cb = probe.chunk_bytes;
   const std::uint64_t chunks = (p.stream_bytes + cb - 1) / cb;
@@ -188,7 +189,7 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   RunOptions options = bitonic_options(Transport::Memory, 9, &result);
   options.io_timeout_seconds = 2.0;
   options.retry_backoff_seconds = 0.001;
-  const MigrationReport report = mig::run_routed_migration(options, wiring);
+  const MigrationReport report = run_routed_migration(options, wiring);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.dest_incarnation, 2u);
@@ -201,6 +202,32 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }
 
+TEST(MigrateMany, ByteBudgetAdmissionCannotOverflow) {
+  // A declared size near UINT64_MAX must not wrap the admitted total past
+  // the budget: with 1 of 100 bytes taken, it is rejected, and the rest of
+  // the budget (99 bytes) still admits exactly one more job.
+  std::vector<apps::BitonicResult> results(4);
+  std::vector<SessionJob> jobs(4);
+  const std::uint64_t declared[] = {1, std::numeric_limits<std::uint64_t>::max(), 99, 1};
+  for (int i = 0; i < 4; ++i) {
+    jobs[i].options = bitonic_options(Transport::Memory, kSeeds[i], &results[i]);
+    jobs[i].est_state_bytes = declared[i];
+  }
+  FleetOptions fleet;
+  fleet.byte_budget = 100;
+  const std::vector<SessionOutcome> outcomes =
+      migrate_many(jobs, Transport::Memory, fleet);
+  ASSERT_EQ(outcomes.size(), 4u);
+  const SessionStatus expected[] = {SessionStatus::Completed, SessionStatus::Busy,
+                                    SessionStatus::Completed, SessionStatus::Busy};
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("session " + std::to_string(i + 1));
+    EXPECT_EQ(outcomes[i].status, expected[i])
+        << session_status_name(outcomes[i].status);
+    EXPECT_EQ(results[i].ok(), expected[i] == SessionStatus::Completed);
+  }
+}
+
 TEST(MigrateMany, FileTransportIsRejected) {
   EXPECT_THROW(migrate_many({SessionJob{}}, Transport::File), MigrationError);
 }
@@ -210,4 +237,4 @@ TEST(MigrateMany, EmptyJobListIsANoOp) {
 }
 
 }  // namespace
-}  // namespace hpm::sched
+}  // namespace hpm

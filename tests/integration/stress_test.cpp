@@ -8,7 +8,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "mig/coordinator.hpp"
 #include "msrm/dump.hpp"
-#include "sched/live.hpp"
 
 namespace hpm {
 namespace {
@@ -79,27 +78,6 @@ TEST(Stress, CheckpointRestartOfAMigratedWorkload) {
       [&restarted](mig::MigContext& ctx) { apps::bitonic_program(ctx, 8, 21, &restarted); },
       path);
   EXPECT_TRUE(restarted.ok());
-}
-
-TEST(Stress, LiveClusterRunsRealWorkloadsWithBalancing) {
-  sched::LiveCluster cluster(3, apps::bitonic_register_types);
-  std::vector<std::unique_ptr<apps::BitonicResult>> results;
-  for (int i = 0; i < 6; ++i) {
-    results.push_back(std::make_unique<apps::BitonicResult>());
-    auto* slot = results.back().get();
-    cluster.submit(
-        [slot, i](mig::MigContext& ctx) {
-          apps::bitonic_program(ctx, 8, static_cast<std::uint64_t>(i), slot);
-        },
-        0);
-  }
-  cluster.enable_auto_balance(0.002);
-  cluster.start();
-  const auto reports = cluster.wait_all();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_TRUE(reports[i].done) << i;
-    EXPECT_TRUE(results[i]->ok()) << i;
-  }
 }
 
 }  // namespace
