@@ -7,8 +7,8 @@
 // two ways over the same blocks:
 //  * `msrlt` — Msrlt::find_containing: the set-associative lookup cache
 //    in front of the ordered address map, exactly as collection searches;
-//  * `linear_scan` — a bench-local scan over the frozen intervals in base
-//    order until one contains the probe (one step per interval examined):
+//  * `linear_scan` — a bench-local scan over a copy of the tracked
+//    intervals in base order until one contains the probe (one step per interval examined):
 //    what the search degrades to without an ordered structure.
 // Each side reports steps/search and ns/probe, and `linear_over_msrlt.*`
 // rows give their ratios, so the data-structure choice is one JSON row,
@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "apps/workload.hpp"
 #include "emit.hpp"
@@ -57,16 +58,28 @@ std::size_t search_msrlt(const msr::Msrlt& table, const std::vector<msr::Address
   return found;
 }
 
-/// Resolve every probe by scanning the frozen intervals in base order;
-/// adds one step per interval examined. Returns the number found.
-std::size_t search_linear(const msr::FrozenIndex& frozen, const std::vector<msr::Address>& probes,
-                          std::uint64_t& steps) {
+struct Interval {
+  msr::Address base;
+  std::uint64_t size;
+};
+
+/// The MSRLT's tracked ranges, in ascending base order.
+std::vector<Interval> intervals_of(const msr::Msrlt& table) {
+  std::vector<Interval> out;
+  out.reserve(table.block_count());
+  table.for_each_block([&out](const msr::MemoryBlock& b) { out.push_back({b.base, b.size}); });
+  return out;
+}
+
+/// Resolve every probe by scanning the intervals in base order; adds one
+/// step per interval examined. Returns the number found.
+std::size_t search_linear(const std::vector<Interval>& intervals,
+                          const std::vector<msr::Address>& probes, std::uint64_t& steps) {
   std::size_t found = 0;
   for (const msr::Address addr : probes) {
-    for (std::uint32_t slot = 0; slot < frozen.size(); ++slot) {
+    for (const Interval& iv : intervals) {
       ++steps;
-      const msr::MemoryBlock* block = frozen.block_at(slot);
-      if (addr - block->base < block->size) {
+      if (addr - iv.base < iv.size) {
         ++found;
         break;
       }
@@ -86,10 +99,10 @@ BENCHMARK(BM_search_msrlt)->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kM
 
 void BM_search_linear_scan(benchmark::State& state) {
   const auto g = build_graph(static_cast<std::uint32_t>(state.range(0)));
-  const msr::FrozenIndex frozen = g->ctx->space().msrlt().freeze();
+  const std::vector<Interval> intervals = intervals_of(g->ctx->space().msrlt());
   for (auto _ : state) {
     std::uint64_t steps = 0;
-    benchmark::DoNotOptimize(search_linear(frozen, g->probes, steps));
+    benchmark::DoNotOptimize(search_linear(intervals, g->probes, steps));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * g->probes.size()));
 }
@@ -123,7 +136,7 @@ int main(int argc, char** argv) {
   const int repeats = args.smoke ? 1 : 5;
   const auto g = build_graph(nodes);
   const msr::Msrlt& table = g->ctx->space().msrlt();
-  const msr::FrozenIndex frozen = table.freeze();
+  const std::vector<Interval> intervals = intervals_of(table);
   const double probes = static_cast<double>(g->probes.size());
 
   // Step counts come from the first pass of each side (the search is
@@ -138,10 +151,10 @@ int main(int argc, char** argv) {
   const double msrlt_s = best_seconds(repeats, [&] { search_msrlt(table, g->probes); });
 
   std::uint64_t linear_steps = 0;
-  const std::size_t linear_found = search_linear(frozen, g->probes, linear_steps);
+  const std::size_t linear_found = search_linear(intervals, g->probes, linear_steps);
   const double linear_s = best_seconds(repeats, [&] {
     std::uint64_t steps = 0;
-    benchmark::DoNotOptimize(search_linear(frozen, g->probes, steps));
+    benchmark::DoNotOptimize(search_linear(intervals, g->probes, steps));
   });
   if (msrlt_found != g->probes.size() || linear_found != g->probes.size()) {
     std::fprintf(stderr, "ablation_msrlt: a probe missed its block\n");

@@ -20,11 +20,8 @@
 // keep their historical names: pipeline.<t>.serial_wall_seconds is the
 // overlap-off run.
 //
-// A third section pairs serial and parallel collection on a many-rooted
-// forest workload: one thread against collect_threads=4 over the same
-// MSRLT. The two streams are asserted bit-identical in-bench, and the
-// emitted `msrlt.search_steps_per_search` / `parcollect.*` rows feed the
-// perf_guard ctest fixture.
+// A third section collects a many-rooted forest workload and emits the
+// `msrlt.search_steps_per_search` row the perf_guard ctest fixture gates.
 //
 // A fourth section runs the content-addressed dedup'd transfer
 // (DESIGN.md §15) over the same linpack state: plain baseline, cold-cache
@@ -43,7 +40,6 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/bitonic.hpp"
@@ -51,7 +47,7 @@
 #include "apps/workload.hpp"
 #include "emit.hpp"
 #include "hpm/migrate.hpp"
-#include "msrm/par_collect.hpp"
+#include "msrm/collect.hpp"
 #include "obs/metrics.hpp"
 #include "support.hpp"
 
@@ -135,9 +131,7 @@ DedupRun run_dedup(int linpack_n, const std::string& cache_dir) {
 }
 
 // A forest of disjoint random subgraphs, one root variable per tree, on
-// one migratable heap. Disjoint trees make the CAS-min ownership pass
-// partition evenly, so the worker threads have real independent work —
-// a connected graph would hand every block to rank 0.
+// one migratable heap.
 struct Forest {
   ti::TypeTable types;
   std::unique_ptr<mig::MigContext> ctx;
@@ -161,18 +155,17 @@ std::unique_ptr<Forest> build_forest(unsigned trees, std::uint32_t nodes_per_tre
   return f;
 }
 
-/// Best-of-`repeats` wall time for one collection pass; the last pass's
-/// stream is returned through `out` when non-null.
-double time_collect(Forest& f, unsigned threads, int repeats, Bytes* out = nullptr) {
+/// Best-of-`repeats` wall time for one collection pass over every root.
+double time_collect(Forest& f, int repeats) {
   double best = 0;
   for (int r = 0; r < repeats; ++r) {
     xdr::Encoder enc(1 << 20);
     const auto t0 = std::chrono::steady_clock::now();
-    msrm::collect_roots(f.ctx->space(), enc, f.roots, threads);
+    msrm::Collector collector(f.ctx->space(), enc);
+    for (const msr::Address root : f.roots) collector.save_variable(root);
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     best = (r == 0) ? s : std::min(best, s);
-    if (out != nullptr && r == repeats - 1) *out = enc.take();
   }
   return best;
 }
@@ -279,51 +272,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- serial vs parallel collection ------------------------------------
-  // An 8-tree forest collected with one thread and with four collection
-  // workers. The two streams must be bit-identical — parallelism is a
-  // pure latency optimization, never a wire-format change.
+  // --- forest collection: the MSRLT search term ---------------------------
+  // An 8-tree forest collected root by root; its searches give the
+  // steps-per-search row the perf guard holds under a log-shaped ceiling.
   {
     const unsigned kTrees = 8;
-    const unsigned kThreads = 4;
     const std::uint32_t per_tree = args.smoke ? 1500 : 16000;
     auto forest = build_forest(kTrees, per_tree);
 
-    Bytes serial_bytes;
     const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
-    const double serial_s = time_collect(*forest, 1, repeats, &serial_bytes);
+    const double collect_s = time_collect(*forest, repeats);
     const obs::MetricsSnapshot delta =
         obs::Registry::process().snapshot().delta_since(before);
-    Bytes par_bytes;
-    const double par_s = time_collect(*forest, kThreads, repeats, &par_bytes);
-
-    const bool identical = serial_bytes == par_bytes;
-    const double thread_speedup = par_s > 0 ? serial_s / par_s : 0;
     const double searches = static_cast<double>(delta.counter("msr.msrlt.searches"));
     const double steps = static_cast<double>(delta.counter("msr.msrlt.search_steps"));
 
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("\nparallel collection (%u trees x %u nodes, %u threads, %u hw threads):\n",
-                kTrees, per_tree, kThreads, hw);
-    std::printf("  serial      %.4fs\n", serial_s);
-    std::printf("  %u threads   %.4fs  (%.2fx)\n", kThreads, par_s, thread_speedup);
-    if (hw < kThreads) {
-      std::printf("  (only %u hardware thread%s — the workers time-slice, so the parallel\n"
-                  "   path pays its second traversal with no concurrency to buy it back;\n"
-                  "   speedup needs >= %u cores)\n",
-                  hw, hw == 1 ? "" : "s", kThreads);
-    }
-    std::printf("  streams bit-identical: %s\n", identical ? "yes" : "NO");
-    if (!identical) {
-      std::fprintf(stderr, "table1_migration: parallel stream diverged from serial\n");
-      return 1;
-    }
-
-    report.add("parcollect.serial_seconds", serial_s, "seconds");
-    report.add("parcollect.par_seconds", par_s, "seconds");
-    report.add("parcollect.thread_speedup", thread_speedup, "ratio");
-    report.add("parcollect.bit_identical", identical ? 1 : 0, "bool");
-    report.add("parcollect.hardware_threads", hw, "count");
+    std::printf("\nforest collection (%u trees x %u nodes): %.4fs, %.2f steps/search\n",
+                kTrees, per_tree, collect_s, searches > 0 ? steps / searches : 0.0);
+    report.add("forest.collect_seconds", collect_s, "seconds");
     report.add_ratio("msrlt.search_steps_per_search", steps, searches, "steps");
   }
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "mig/chunk_assembler.hpp"
-#include "msrm/par_collect.hpp"
 #include "msrm/stream.hpp"
 #include "xdr/arch.hpp"
 
@@ -173,15 +172,14 @@ void MigContext::do_migration(std::uint32_t label) {
 
   // Memory state: live data innermost-frame-first (the paper's order),
   // then globals. One root per live variable; the duplicate guard makes
-  // later records PREFs. collect_roots runs the serial Collector at
-  // collect_threads <= 1 and the ownership-partitioned parallel path
-  // (bit-identical stream) otherwise.
-  std::vector<msr::Address> roots;
-  for (std::size_t i = frames_.size(); i-- > 0;) {
-    for (const LocalVar& var : frames_[i]->locals) roots.push_back(var.addr);
+  // later records PREFs.
+  {
+    msrm::Collector collector(space_, enc);
+    for (std::size_t i = frames_.size(); i-- > 0;) {
+      for (const LocalVar& var : frames_[i]->locals) collector.save_variable(var.addr);
+    }
+    for (const LocalVar& var : globals_) collector.save_variable(var.addr);
   }
-  for (const LocalVar& var : globals_) roots.push_back(var.addr);
-  msrm::collect_roots(space_, enc, roots, collect_threads_);
 
   // One hash pass per stream: the digest already covers everything the
   // tap saw (or, unstreamed, the payload hashed here), so sealing the

@@ -178,12 +178,6 @@ class MigContext {
   /// retained (stream()) so a failed transfer can be resumed or replayed.
   void set_collect_sink(std::size_t chunk_bytes, xdr::Encoder::SinkFn sink);
 
-  /// Worker threads for the collection DFS (msrm::collect_roots). 1 =
-  /// serial (default); >1 partitions the root set and merges per-root
-  /// streams in rank order, bit-identical to serial.
-  void set_collect_threads(unsigned n) noexcept { collect_threads_ = n == 0 ? 1 : n; }
-  [[nodiscard]] unsigned collect_threads() const noexcept { return collect_threads_; }
-
   /// --- restoration --------------------------------------------------------
   /// Parse and validate a migration stream; the caller then re-runs the
   /// program entry, which restores and continues to completion.
@@ -247,7 +241,6 @@ class MigContext {
 
   Mode mode_ = Mode::Normal;
   Bytes stream_;
-  unsigned collect_threads_ = 1;
   std::size_t collect_chunk_ = 0;
   xdr::Encoder::SinkFn collect_sink_;
   std::uint64_t collect_digest_ = 0;

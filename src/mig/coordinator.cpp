@@ -123,7 +123,6 @@ MigrationReport run_spool_migration(const RunOptions& options) {
     options.register_types(types);
     MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
-    ctx.set_collect_threads(options.collect_threads);
     const bool collected = run_source_program(options, ctx);
     report.source_polls = ctx.poll_count();
     if (!collected) return report;  // ran to completion without migrating

@@ -120,11 +120,27 @@ MessagePort* DestinationHost::current() const {
   return port_.get();
 }
 
-void DestinationHost::set_dead(std::exception_ptr error) {
-  std::lock_guard lk(mu_);
-  dead_ = true;
-  if (error_ == nullptr) error_ = std::move(error);
-  cv_.notify_all();
+void DestinationHost::set_dead(std::exception_ptr error, bool killed) {
+  std::unique_ptr<MessagePort> orphan;
+  {
+    std::lock_guard lk(mu_);
+    dead_ = true;
+    if (error_ == nullptr) error_ = error;
+    orphan = std::move(offered_);
+    cv_.notify_all();
+  }
+  if (orphan == nullptr) return;
+  // offer() accepted this port before dead_ was set, so the source is
+  // waiting on it for a ResumeHello: answer with the cause (a crashed
+  // process sends nothing), then abort it so the source's recv wakes.
+  try {
+    if (!killed) {
+      const std::string text = exception_text(error);
+      orphan->send(net::MsgType::Error, Bytes(text.begin(), text.end()));
+    }
+    orphan->abort();
+  } catch (...) {
+  }
 }
 
 void DestinationHost::mark_finished() {
@@ -191,10 +207,10 @@ void DestinationHost::run() {
   } catch (const KilledError&) {
     // A crashed process sends no Nack and journals nothing more.
     if (!session_.terminal()) session_.abort_decided("destination crashed");
-    set_dead(std::current_exception());
+    set_dead(std::current_exception(), true);
   } catch (const NetError& e) {
     if (!session_.terminal()) session_.abort_decided(e.what());
-    set_dead(std::current_exception());
+    set_dead(std::current_exception(), killed_.load());
     if (!killed_.load()) {
       try {
         const std::string text = e.what();
@@ -203,7 +219,7 @@ void DestinationHost::run() {
       }
     }
   } catch (...) {
-    set_dead(std::current_exception());
+    set_dead(std::current_exception(), killed_.load());
     if (!session_.terminal()) {
       session_.abort_decided(exception_text(std::current_exception()));
     }
@@ -513,7 +529,7 @@ void DestinationHost::record_committed(std::uint64_t txn, std::uint64_t digest,
                                        std::string note) {
   journal_.append({JournalRecordType::Committed, txn, digest, session_.incarnation(),
                    std::move(note)});
-  TxnMetrics::get().commits.add(1);
+  TxnMetrics::get().dest_committed.add(1);
   std::lock_guard lk(mu_);
   committed_ = true;
 }

@@ -60,7 +60,9 @@ class DestinationHost {
 
  private:
   MessagePort* current() const;
-  void set_dead(std::exception_ptr error);
+  /// Mark the host dead and answer a port offer() already accepted:
+  /// Error with the cause unless `killed` (an injected crash), then abort.
+  void set_dead(std::exception_ptr error, bool killed);
   void mark_finished();
   bool adopt_replacement();
   void run();

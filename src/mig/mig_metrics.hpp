@@ -35,11 +35,14 @@ struct PipelineMetrics {
   }
 };
 
-/// `mig.txn.*` counters for the two-phase handoff.
+/// `mig.txn.*` counters for the two-phase handoff. `commits` counts the
+/// source's durable Commit decisions, `dest_committed` the destination's
+/// Committed records.
 struct TxnMetrics {
   obs::Counter& begins = obs::Registry::process().counter("mig.txn.begins");
   obs::Counter& prepares = obs::Registry::process().counter("mig.txn.prepares");
   obs::Counter& commits = obs::Registry::process().counter("mig.txn.commits");
+  obs::Counter& dest_committed = obs::Registry::process().counter("mig.txn.dest_committed");
   obs::Counter& aborts = obs::Registry::process().counter("mig.txn.aborts");
   obs::Counter& indoubt_recoveries =
       obs::Registry::process().counter("mig.txn.indoubt_recoveries");

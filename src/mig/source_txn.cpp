@@ -468,7 +468,6 @@ TxnResult run_pipelined_transaction(
     options.register_types(types);
     MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
-    ctx.set_collect_threads(options.collect_threads);
     if (overlap) {
       ctx.set_collect_sink(options.chunk_bytes, [&](std::span<const std::uint8_t> bytes) {
         if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();

@@ -145,13 +145,6 @@ const MemoryBlock* Msrlt::find_containing(Address addr) const {
   return block;
 }
 
-FrozenIndex Msrlt::freeze() const {
-  std::vector<FrozenIndex::Entry> entries;
-  entries.reserve(by_addr_.size());
-  for (const auto& [base, block] : by_addr_) entries.push_back({base, block.size, &block});
-  return FrozenIndex(std::move(entries));
-}
-
 const MemoryBlock* Msrlt::find_id(BlockId id) const {
   id_lookups_.add(1);
   return by_id_.find(id);

@@ -26,9 +26,7 @@
 //
 // Besides the map the MSRLT owns the id table, the per-segment block
 // counts, the visit-epoch marking, the statistics counters, and a small
-// set-associative lookup cache consulted before the map. freeze() copies
-// the map into a FrozenIndex (msr/frozen_index.hpp) for concurrent
-// readers.
+// set-associative lookup cache consulted before the map.
 #pragma once
 
 #include <array>
@@ -37,7 +35,6 @@
 
 #include "common/error.hpp"
 #include "msr/block.hpp"
-#include "msr/frozen_index.hpp"
 #include "msr/id_table.hpp"
 #include "obs/metrics.hpp"
 
@@ -117,11 +114,6 @@ class Msrlt {
   /// its encoder from this total, so large heaps stream without
   /// reallocation churn.
   [[nodiscard]] std::uint64_t tracked_bytes() const noexcept { return tracked_bytes_; }
-
-  /// Immutable snapshot of the current block set for concurrent readers
-  /// (parallel collection). Blocks stay pointer-stable while the snapshot
-  /// is in use as long as no block is unregistered.
-  [[nodiscard]] FrozenIndex freeze() const;
 
   /// Visit every tracked block in ascending base order (graph building,
   /// leak checks).

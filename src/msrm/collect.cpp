@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "msr/resolve.hpp"
 #include "xdr/value.hpp"
 
 namespace hpm::msrm {
@@ -17,10 +18,11 @@ std::string hex_addr(msr::Address addr) {
 
 }  // namespace
 
-CollectorBase::CollectorBase(msr::MemorySpace& space, xdr::Encoder& enc, LeafCache& leaves)
+Collector::Collector(msr::MemorySpace& space, xdr::Encoder& enc)
     : space_(space),
+      msrlt_(space.msrlt()),
       enc_(enc),
-      leaves_(leaves),
+      leaves_(space),
       blocks_saved_(obs::Registry::process().counter("msrm.collect.blocks_saved")),
       refs_saved_(obs::Registry::process().counter("msrm.collect.refs_saved")),
       nulls_saved_(obs::Registry::process().counter("msrm.collect.nulls_saved")),
@@ -28,9 +30,11 @@ CollectorBase::CollectorBase(msr::MemorySpace& space, xdr::Encoder& enc, LeafCac
       ptr_leaves_(obs::Registry::process().counter("msrm.collect.ptr_leaves")),
       bulk_bodies_(obs::Registry::process().counter("msrm.collect.bulk_bodies")),
       bulk_bytes_(obs::Registry::process().counter("msrm.collect.bulk_bytes")),
-      depth_hist_(obs::Registry::process().histogram("msrm.collect.depth")) {}
+      depth_hist_(obs::Registry::process().histogram("msrm.collect.depth")) {
+  msrlt_.begin_traversal();
+}
 
-void CollectorBase::flush_instruments() noexcept {
+void Collector::flush_instruments() noexcept {
   if (tally_blocks_ != 0) blocks_saved_.add(tally_blocks_);
   if (tally_refs_ != 0) refs_saved_.add(tally_refs_);
   if (tally_nulls_ != 0) nulls_saved_.add(tally_nulls_);
@@ -44,13 +48,8 @@ void CollectorBase::flush_instruments() noexcept {
   tally_depths_.clear();
 }
 
-Collector::Collector(msr::MemorySpace& space, xdr::Encoder& enc)
-    : detail::OwnedLeafCache(space), CollectorBase(space, enc, cache) {
-  space_.msrlt().begin_traversal();
-}
-
-void CollectorBase::save_variable(msr::Address block_base) {
-  const msr::MemoryBlock* block = containing(block_base);
+void Collector::save_variable(msr::Address block_base) {
+  const msr::MemoryBlock* block = msrlt_.find_containing(block_base);
   if (block == nullptr) {
     throw MsrError("save_variable: address " + hex_addr(block_base) +
                    " is not inside any tracked block");
@@ -65,21 +64,22 @@ void CollectorBase::save_variable(msr::Address block_base) {
   flush_instruments();
 }
 
-void CollectorBase::save_pointer(msr::Address cell_addr) {
+void Collector::save_pointer(msr::Address cell_addr) {
   encode_ptr_value(space_.read_pointer(cell_addr));
   drain();
   flush_instruments();
 }
 
-void CollectorBase::encode_ptr_value(msr::Address target) {
+void Collector::encode_ptr_value(msr::Address target) {
   if (target == 0) {
     enc_.put_u8(kPtrNull);
     ++tally_nulls_;
     return;
   }
-  const msr::ResolvedPointer rp = resolve(target);
+  const msr::ResolvedPointer rp =
+      msr::resolve_in(space_, msrlt_.find_containing(target), target);
   const msr::MemoryBlock* block = rp.block;
-  if (!visit(*block)) {
+  if (!msrlt_.try_mark(*block)) {
     enc_.put_u8(kPtrRef);
     enc_.put_u64(block->id);
     enc_.put_u64(rp.leaf);
@@ -108,7 +108,7 @@ void CollectorBase::encode_ptr_value(msr::Address target) {
   tally_depths_.push_back(static_cast<double>(stack_.size()));
 }
 
-void CollectorBase::encode_flat(const msr::MemoryBlock& block) {
+void Collector::encode_flat(const msr::MemoryBlock& block) {
   // Bulk fast path: the block's raw source-layout image in one put_bytes.
   // The decoder memcpy's it under a matching data model and converts it
   // leaf-by-leaf (source-arch layout walk) otherwise.
@@ -128,7 +128,7 @@ void CollectorBase::encode_flat(const msr::MemoryBlock& block) {
   }
 }
 
-void CollectorBase::encode_flat_type(msr::Address base, ti::TypeId type) {
+void Collector::encode_flat_type(msr::Address base, ti::TypeId type) {
   const ti::TypeInfo& info = space_.types().at(type);
   switch (info.kind) {
     case ti::TypeKind::Primitive:
@@ -154,7 +154,7 @@ void CollectorBase::encode_flat_type(msr::Address base, ti::TypeId type) {
   }
 }
 
-void CollectorBase::drain() {
+void Collector::drain() {
   while (!stack_.empty()) {
     const std::size_t my_index = stack_.size() - 1;
     bool suspended = false;

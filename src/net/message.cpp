@@ -198,15 +198,11 @@ Bytes encode_state_end(const StateEndInfo& info) {
 }
 
 StateBeginInfo decode_state_begin(const Bytes& payload) {
-  // 12 bytes is the v4 layout (no incarnation field): decode it as the
-  // primary so a v4 sender interoperates with a v5 receiver.
-  if (payload.size() != 12 && payload.size() != 16) {
-    throw NetError("malformed StateBegin payload");
-  }
+  if (payload.size() != 16) throw NetError("malformed StateBegin payload");
   StateBeginInfo info;
   info.chunk_bytes = get_u32_be(payload.data());
   info.txn_id = get_u64_be(payload.data() + 4);
-  info.incarnation = payload.size() == 16 ? get_u32_be(payload.data() + 12) : 1;
+  info.incarnation = get_u32_be(payload.data() + 12);
   return info;
 }
 
@@ -250,17 +246,6 @@ std::uint32_t decode_state_ack(const Bytes& payload) {
   return get_u32_be(payload.data());
 }
 
-Bytes encode_txn(std::uint64_t txn_id) {
-  Bytes payload(8);
-  put_u64_be(payload.data(), txn_id);
-  return payload;
-}
-
-std::uint64_t decode_txn(const Bytes& payload) {
-  if (payload.size() != 8) throw NetError("malformed transaction payload");
-  return get_u64_be(payload.data());
-}
-
 Bytes encode_txn_token(const TxnTokenInfo& info) {
   Bytes payload(12);
   put_u64_be(payload.data(), info.txn_id);
@@ -269,13 +254,10 @@ Bytes encode_txn_token(const TxnTokenInfo& info) {
 }
 
 TxnTokenInfo decode_txn_token(const Bytes& payload) {
-  // 8 bytes is the v4 layout (bare txn id): incarnation 1.
-  if (payload.size() != 8 && payload.size() != 12) {
-    throw NetError("malformed transaction-token payload");
-  }
+  if (payload.size() != 12) throw NetError("malformed transaction-token payload");
   TxnTokenInfo info;
   info.txn_id = get_u64_be(payload.data());
-  info.incarnation = payload.size() == 12 ? get_u32_be(payload.data() + 8) : 1;
+  info.incarnation = get_u32_be(payload.data() + 8);
   return info;
 }
 
@@ -288,14 +270,11 @@ Bytes encode_prepare_ack(const PrepareAckInfo& info) {
 }
 
 PrepareAckInfo decode_prepare_ack(const Bytes& payload) {
-  // 16 bytes is the v4 layout (no incarnation echo): incarnation 1.
-  if (payload.size() != 16 && payload.size() != 20) {
-    throw NetError("malformed PrepareAck payload");
-  }
+  if (payload.size() != 20) throw NetError("malformed PrepareAck payload");
   PrepareAckInfo info;
   info.txn_id = get_u64_be(payload.data());
   info.digest = get_u64_be(payload.data() + 8);
-  info.incarnation = payload.size() == 20 ? get_u32_be(payload.data() + 16) : 1;
+  info.incarnation = get_u32_be(payload.data() + 16);
   return info;
 }
 

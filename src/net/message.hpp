@@ -23,8 +23,7 @@ namespace hpm::net {
 /// session-tagged frame headers (N concurrent migrations multiplexed
 /// over one channel), to 5 for destination failover (an incarnation
 /// fencing token rides StateBegin, Prepare/Commit/Abort, and
-/// PrepareAck; decoders still accept the shorter v4 payloads as
-/// incarnation 1), and to 6 for Digest v2 (the StateEnd digest and
+/// PrepareAck), and to 6 for Digest v2 (the StateEnd digest and
 /// manifest addresses are the multi-lane StreamDigest, and the stream
 /// trailer is its u64); a mismatch aborts the attempt before any state
 /// moves.
@@ -217,13 +216,9 @@ PingInfo decode_ping(const Bytes& payload);
 Bytes encode_state_ack(std::uint32_t next_seq);
 std::uint32_t decode_state_ack(const Bytes& payload);
 
-Bytes encode_txn(std::uint64_t txn_id);
-std::uint64_t decode_txn(const Bytes& payload);
-
 /// Transaction id plus the destination incarnation it addresses — the
-/// v5 payload of Prepare/Commit/Abort. A destination whose incarnation
-/// differs must refuse the verdict (it was fenced off by a failover);
-/// the 8-byte v4 payload decodes as incarnation 1.
+/// payload of Prepare/Commit/Abort. A destination whose incarnation
+/// differs must refuse the verdict (it was fenced off by a failover).
 struct TxnTokenInfo {
   std::uint64_t txn_id = 0;
   std::uint32_t incarnation = 1;

@@ -1,6 +1,6 @@
 // The transactional handoff, attacked at every phase boundary.
 //
-// Three suites:
+// Four suites:
 //  - TxnRecovery: the crash matrix. An injected process death (KilledError)
 //    at each protocol state — mid-chunk-stream, pre-Prepare, post-Commit,
 //    dest post-Prepared, dest post-Committed — after which exactly one
@@ -14,16 +14,23 @@
 //    before the destination may vote; the vetoed incarnation is replaced
 //    by a fresh one that votes on the clean replay, and only that vote is
 //    committed.
+//  - DeadDestination: a host that dies after accepting a resume port
+//    answers that port instead of leaving the source waiting on it.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/dest_host.hpp"
 #include "mig/journal.hpp"
+#include "mig/port.hpp"
+#include "net/mem_channel.hpp"
 
 namespace hpm::mig {
 namespace {
@@ -168,7 +175,8 @@ TEST_F(TxnRecovery, CleanRunClosesTheTransaction) {
   EXPECT_EQ(report.txn_id, kTxn);
   EXPECT_GE(report.metrics.counter("mig.txn.begins"), 1u);
   EXPECT_GE(report.metrics.counter("mig.txn.prepares"), 1u);
-  EXPECT_GE(report.metrics.counter("mig.txn.commits"), 2u) << "both sides commit";
+  EXPECT_EQ(report.metrics.counter("mig.txn.commits"), 1u) << "the source's decision";
+  EXPECT_EQ(report.metrics.counter("mig.txn.dest_committed"), 1u);
   EXPECT_EQ(report.metrics.counter("mig.txn.aborts"), 0u);
 
   const RecoveryVerdict v = recover();
@@ -387,6 +395,36 @@ TEST(Digest, CleanStreamsCarryTheDigestEndToEnd) {
   EXPECT_NE(src_digest, 0u);
   EXPECT_EQ(src_digest, dst_digest);
   std::filesystem::remove_all(options.journal_dir);
+}
+
+// --- a dying destination answers the resume port it accepted ---------------
+
+TEST(DeadDestination, AnswersAnAcceptedResumePortWithError) {
+  apps::BitonicResult result;
+  const RunOptions options = streaming_options(result);
+  MigrationReport report;
+  Journal journal;
+  const auto deadline = net::DeadlinePolicy::fixed(std::chrono::milliseconds(0));
+  DestinationHost host(options, report, journal, "", *deadline, 0);
+
+  auto [first_src, first_dst] = net::MemChannel::make_pair();
+  DirectPort first(std::move(first_src));
+  host.start(std::make_unique<DirectPort>(std::move(first_dst)));
+  ASSERT_EQ(first.recv().type, net::MsgType::Hello);
+
+  // The host is alive, so it accepts a resume port; then its first link
+  // dies under its initial recv and so does the host.
+  auto [second_src, second_dst] = net::MemChannel::make_pair();
+  DirectPort second(std::move(second_src));
+  ASSERT_TRUE(host.offer(std::make_unique<DirectPort>(std::move(second_dst))));
+  first.abort();
+
+  second.set_timeout(std::chrono::seconds(2));
+  net::Message reply;
+  ASSERT_NO_THROW(reply = second.recv()) << "the accepted port was never answered";
+  EXPECT_EQ(reply.type, net::MsgType::Error);
+  host.join();
+  EXPECT_FALSE(host.resumable());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <new>
 #include <vector>
 
+#include "apps/workload.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "msr/host_space.hpp"
@@ -551,6 +552,40 @@ TEST_F(RoundTrip, HeaderMagicAndVersionAreEnforced) {
   enc2.put_u16(99);
   xdr::Decoder dec2(enc2.bytes());
   EXPECT_THROW(read_header(dec2), WireError);
+}
+
+
+TEST(CanonicalStream, SharedGraphStreamIsPinned) {
+  // Four roots into one seeded, heavily shared random graph; the fourth
+  // is a duplicate entry point, so its whole record is a PREF. The
+  // stream carries block ids and leaf ordinals, never addresses, so its
+  // length and digest are fixed: any change to traversal order, the
+  // duplicate guard or the encoding shows up here.
+  ti::TypeTable table;
+  apps::workload_register_types(table);
+  mig::MigContext ctx(table);
+  apps::RandNode*& r0 = ctx.global<apps::RandNode*>("r0");
+  apps::RandNode*& r1 = ctx.global<apps::RandNode*>("r1");
+  apps::RandNode*& r2 = ctx.global<apps::RandNode*>("r2");
+  apps::RandNode*& r3 = ctx.global<apps::RandNode*>("r3");
+  apps::GraphShape shape;
+  shape.nodes = 2000;
+  shape.edge_density = 0.9;
+  shape.share_bias = 0.9;
+  const auto nodes = apps::build_random_graph(ctx, 11, shape);
+  r0 = nodes[0];
+  r1 = nodes[nodes.size() / 3];
+  r2 = nodes[(2 * nodes.size()) / 3];
+  r3 = r0;
+
+  xdr::Encoder enc;
+  Collector collector(ctx.space(), enc);
+  for (const auto* root : {&r0, &r1, &r2, &r3}) {
+    collector.save_variable(reinterpret_cast<Address>(root));
+  }
+  const Bytes stream = enc.take();
+  EXPECT_EQ(stream.size(), 117078u);
+  EXPECT_EQ(StreamDigest::of(stream), 0x0BC4386532A48AFBull);
 }
 
 }  // namespace

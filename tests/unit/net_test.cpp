@@ -289,6 +289,23 @@ TEST(Message, IntactHandCraftedFramePassesTheCrcTrailer) {
   EXPECT_EQ(msg.payload, payload);
 }
 
+TEST(Message, PreIncarnationPayloadLayoutsAreTypedErrors) {
+  // StateBegin, Prepare/Commit/Abort and PrepareAck without the
+  // incarnation field: the full layouts decode, the short ones do not.
+  const Bytes begin = encode_state_begin({.chunk_bytes = 512, .txn_id = 9, .incarnation = 3});
+  const Bytes token = encode_txn_token({.txn_id = 9, .incarnation = 3});
+  const Bytes ack = encode_prepare_ack({.txn_id = 9, .digest = 5, .incarnation = 3});
+  ASSERT_EQ(begin.size(), 16u);
+  ASSERT_EQ(token.size(), 12u);
+  ASSERT_EQ(ack.size(), 20u);
+  EXPECT_EQ(decode_state_begin(begin).incarnation, 3u);
+  EXPECT_EQ(decode_txn_token(token).incarnation, 3u);
+  EXPECT_EQ(decode_prepare_ack(ack).incarnation, 3u);
+  EXPECT_THROW(decode_state_begin(Bytes(begin.begin(), begin.begin() + 12)), NetError);
+  EXPECT_THROW(decode_txn_token(Bytes(token.begin(), token.begin() + 8)), NetError);
+  EXPECT_THROW(decode_prepare_ack(Bytes(ack.begin(), ack.begin() + 16)), NetError);
+}
+
 TEST(FaultyChannel, CorruptFaultFiresOnceAtItsOffset) {
   FaultPlan plan;
   plan.kind = FaultKind::Corrupt;

@@ -47,7 +47,7 @@ net::Message make_frame(net::MsgType type) {
     case net::MsgType::StateAck: m.payload = net::encode_state_ack(5); break;
     case net::MsgType::Prepare:
     case net::MsgType::Commit:
-    case net::MsgType::Abort: m.payload = net::encode_txn(kTxn); break;
+    case net::MsgType::Abort: m.payload = net::encode_txn_token({.txn_id = kTxn}); break;
     case net::MsgType::PrepareAck:
       m.payload = net::encode_prepare_ack({.txn_id = kTxn, .digest = 0});
       break;
@@ -375,7 +375,7 @@ TEST(DestSessionTable, LearnsTheTransactionFromStateBeginAndEnforcesIt) {
   d.on_frame(make_frame(net::MsgType::StateEnd));
   net::Message prepare;
   prepare.type = net::MsgType::Prepare;
-  prepare.payload = net::encode_txn(kTxn + 7);
+  prepare.payload = net::encode_txn_token({.txn_id = kTxn + 7});
   EXPECT_THROW(d.on_frame(prepare), MigrationError);
   EXPECT_EQ(d.state(), SessionState::Aborted);
 }
