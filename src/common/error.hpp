@@ -67,17 +67,6 @@ class ProtocolError : public NetError {
   using NetError::NetError;
 };
 
-/// The session was cancelled by its supervisor (SessionSupervisor poisons
-/// the session's router bindings after declaring it wedged). Derives from
-/// NetError so every blocking recv/send unwinds through the same
-/// transport-failure paths a dead link would take — but the typed class
-/// lets the chaos harness distinguish a targeted cancellation from an
-/// organic network fault.
-class CancelledError : public NetError {
- public:
-  using NetError::NetError;
-};
-
 /// Injected process death (FaultKind::Kill): the endpoint "crashed" and
 /// can run no recovery code of its own. Deliberately NOT a NetError —
 /// the retry machinery must not absorb a crash as a transport fault; the

@@ -35,11 +35,8 @@ using mig::run_migration;
 using mig::run_routed_migration;
 
 /// --- a fleet of migrations ----------------------------------------------
-using mig::FleetOptions;
 using mig::SessionJob;
 using mig::SessionOutcome;
-using mig::SessionStatus;
 using mig::migrate_many;
-using mig::session_status_name;
 
 }  // namespace hpm

@@ -28,7 +28,7 @@ namespace {
 /// wrappers, and hands back DirectPorts. A socket listener rides along as
 /// the ports' keepalive so its fd outlives the conversation.
 SessionWiring direct_wiring(const RunOptions& options,
-                            std::shared_ptr<const net::DeadlinePolicy> deadline) {
+                            std::chrono::milliseconds deadline) {
   auto fault_state = std::make_shared<net::FaultState>();
   auto dest_fault_state = std::make_shared<net::FaultState>();
   SessionWiring wiring;
@@ -36,16 +36,13 @@ SessionWiring direct_wiring(const RunOptions& options,
   wiring.connect = [&options, fault_state, dest_fault_state, deadline] {
     // The destination's first recv spans the program's whole pre-trigger
     // phase, so the per-IO deadline is armed only once the transfer
-    // begins (DestinationHost sets it after the first frame). The policy
-    // is consulted per connect: an adaptive deadline warmed on attempt 1
-    // bounds the resume attempts too.
+    // begins (DestinationHost sets it after the first frame).
     net::ChannelPair channels = net::make_channel_pair(
         options.transport, {.spool_path = options.spool_path, .timeout = {}});
     std::shared_ptr<void> keep(std::move(channels.listener));
     PortPair pair;
     pair.source = std::make_unique<DirectPort>(
-        wrap_source_channel(std::move(channels.source), options, fault_state,
-                            deadline->current()),
+        wrap_source_channel(std::move(channels.source), options, fault_state, deadline),
         keep);
     pair.destination = std::make_unique<DirectPort>(
         wrap_dest_channel(std::move(channels.destination), options, dest_fault_state),
@@ -71,7 +68,7 @@ SessionWiring direct_wiring(const RunOptions& options,
       PortPair pair;
       pair.source = std::make_unique<DirectPort>(
           wrap_source_channel(std::move(channels.source), options, fault_state,
-                              deadline->current()),
+                              deadline),
           keep);
       std::unique_ptr<net::ByteChannel> dch = std::move(channels.destination);
       if (cand.dest_fault_plan.enabled()) {
@@ -135,7 +132,7 @@ MigrationReport run_spool_migration(const RunOptions& options) {
     // only the collected stream survives.
   }
 
-  const std::chrono::milliseconds timeout = io_deadline(options)->current();
+  const std::chrono::milliseconds timeout = io_deadline(options);
   auto fault_state = std::make_shared<net::FaultState>();
   RetryBackoff backoff(options);
   const int total_attempts = 1 + std::max(0, options.max_retries);
@@ -168,8 +165,7 @@ MigrationReport run_spool_migration(const RunOptions& options) {
 /// the journal names — `source_journal` and `dest_journal(incarnation)`,
 /// inside options.journal_dir — and the txn id.
 MigrationReport run_transaction(
-    const RunOptions& options, const SessionWiring& wiring,
-    const std::shared_ptr<net::DeadlinePolicy>& deadline, std::uint64_t txn,
+    const RunOptions& options, const SessionWiring& wiring, std::uint64_t txn,
     const std::string& source_journal,
     const std::function<std::string(std::uint32_t)>& dest_journal) {
   MigrationReport report;
@@ -184,7 +180,7 @@ MigrationReport run_transaction(
     };
   }
   RetainedStream retained;
-  switch (run_pipelined_transaction(options, report, retained, wiring, *deadline,
+  switch (run_pipelined_transaction(options, report, retained, wiring, io_deadline(options),
                                     src_journal, dest_journal_path, txn)) {
     case TxnResult::CompletedLocally:
       // Rendezvous happened but no transfer was ever started.
@@ -252,8 +248,7 @@ MigrationReport run_migration(const RunOptions& options) {
   if (options.transport == Transport::File) {
     report = run_spool_migration(options);
   } else {
-    const std::shared_ptr<net::DeadlinePolicy> deadline = io_deadline(options);
-    report = run_transaction(options, direct_wiring(options, deadline), deadline,
+    report = run_transaction(options, direct_wiring(options, io_deadline(options)),
                              options.txn_id != 0 ? options.txn_id : wall_clock_txn(),
                              kSourceJournalName, dest_journal_name);
   }
@@ -281,7 +276,7 @@ MigrationReport run_routed_migration(const RunOptions& options,
           ? options.txn_id
           : (wall_clock_txn() << 10) | (wiring.session_id & 0x3FFu);
   MigrationReport report = run_transaction(
-      options, wiring, io_deadline(options, &wiring), txn, keyed_source_journal_name(txn),
+      options, wiring, txn, keyed_source_journal_name(txn),
       [txn](std::uint32_t inc) { return keyed_dest_journal_name(txn, inc); });
   run_span.arg("outcome", std::string(outcome_name(report.outcome)));
   run_span.finish();

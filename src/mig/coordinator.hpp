@@ -29,7 +29,6 @@
 #include "mig/journal.hpp"
 #include "mig/port.hpp"
 #include "mig/wire_codec.hpp"
-#include "net/deadline.hpp"
 #include "net/factory.hpp"
 #include "net/faulty_channel.hpp"
 #include "net/simnet.hpp"
@@ -191,9 +190,9 @@ struct RunOptions {
   WireCodec wire_codec = WireCodec::None;
 
   /// --- destination failover (DESIGN.md §16) --------------------------------
-  /// When the destination is declared dead — the transport died past the
-  /// resume budget, or a SessionSupervisor poisoned the wedged session —
-  /// and standbys are configured, the source re-dials the next candidate
+  /// When the destination is declared dead — the transport died, or a
+  /// wedged session's per-IO deadline fired, past the resume budget — and
+  /// standbys are configured, the source re-dials the next candidate
   /// under the next *incarnation* (fencing token), replays the retained
   /// stream from chunk 0, and runs the commit phase against the standby.
   /// The journals carry the incarnation so arbitration names exactly one
@@ -313,11 +312,10 @@ MigrationReport run_migration(const RunOptions& options);
 /// point migrate_many (mig/fleet.hpp) drives once per concurrent session,
 /// with every wiring.connect() binding a fresh epoch of a shared routed
 /// channel. Runs the same transaction as run_migration does on an
-/// exclusive channel, primary retries and local degradation included;
-/// wiring.deadline, when set, replaces the fixed io_timeout_seconds
-/// policy. Journals are keyed by transaction id
-/// (keyed_source_journal_name) so concurrent sessions can share one
-/// journal_dir; recover with Coordinator::recover(dir, txn). The report's
+/// exclusive channel, primary retries, local degradation and the
+/// io_timeout_seconds deadline included. Journals are keyed by
+/// transaction id (keyed_source_journal_name) so concurrent sessions can
+/// share one journal_dir; recover with Coordinator::recover(dir, txn). The report's
 /// registry-delta `metrics` overlaps between concurrent sessions — the
 /// per-session truth is the mig.session.<id>.* instruments.
 MigrationReport run_routed_migration(const RunOptions& options,

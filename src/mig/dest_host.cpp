@@ -52,7 +52,7 @@ SourceDecision last_source_decision(const std::string& path, std::uint64_t txn,
 
 DestinationHost::DestinationHost(const RunOptions& options, MigrationReport& report,
                                  Journal& journal, std::string source_journal_path,
-                                 const net::DeadlinePolicy& deadline,
+                                 std::chrono::milliseconds deadline,
                                  std::uint32_t session_id)
     : options_(options),
       report_(report),
@@ -74,7 +74,7 @@ void DestinationHost::start(std::unique_ptr<MessagePort> port) {
 bool DestinationHost::offer(std::unique_ptr<MessagePort> port) {
   std::lock_guard lk(mu_);
   if (dead_ || finished_ || closed_) return false;
-  if (const auto t = deadline_.current(); t.count() > 0) port->set_timeout(t);
+  if (deadline_.count() > 0) port->set_timeout(deadline_);
   offered_ = std::move(port);
   cv_.notify_all();
   return true;
@@ -167,7 +167,7 @@ void DestinationHost::run() {
     session_.announce();
     current()->send(net::MsgType::Hello, hello_payload(ctx.space().arch().name));
     net::Message first = current()->recv();
-    if (const auto t = deadline_.current(); t.count() > 0) current()->set_timeout(t);
+    if (deadline_.count() > 0) current()->set_timeout(deadline_);
     if (session_.on_frame(first) == SessionState::Aborted) {
       // A legal Shutdown: the source never migrated.
       mark_finished();
@@ -270,13 +270,6 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
     net::Message msg;
     try {
       msg = current()->recv();
-    } catch (const CancelledError& e) {
-      // The supervisor poisoned this session's bindings: no replacement
-      // port can ever be adopted (the router refuses fresh epochs), so
-      // parking would just trade one wedge for another. Fail the stream
-      // now; the restore thread unwinds with the typed reason.
-      assembler.fail(std::string("session cancelled: ") + e.what());
-      return;
     } catch (const NetError& e) {
       // The port died mid-stream, but the stream itself is resumable from
       // the assembler's watermark: park for a replacement port. The
@@ -499,8 +492,8 @@ void DestinationHost::resolve_in_doubt(std::uint64_t txn, std::uint64_t digest,
         std::string("in-doubt handoff with no journal to consult (presumed abort): ") +
         why);
   }
-  const auto t = deadline_.current();
-  const auto grace = t.count() > 0 ? 4 * t : std::chrono::milliseconds(2000);
+  const auto grace =
+      deadline_.count() > 0 ? 4 * deadline_ : std::chrono::milliseconds(2000);
   const auto deadline = Clock::now() + grace;
   for (;;) {
     switch (last_source_decision(source_journal_path_, txn, session_.incarnation())) {

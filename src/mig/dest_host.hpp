@@ -13,7 +13,6 @@
 #include "mig/coordinator.hpp"
 #include "mig/port.hpp"
 #include "mig/session.hpp"
-#include "net/deadline.hpp"
 
 namespace hpm::mig {
 
@@ -31,11 +30,10 @@ namespace hpm::mig {
 /// ProtocolError at the exact frame that broke the protocol.
 class DestinationHost {
  public:
-  /// `deadline` must outlive the host (the caller owns the policy; the
-  /// transaction driver and this host consult the same instance, so an
-  /// adaptive policy keeps both ends' deadlines in step).
+  /// `deadline` bounds every recv once the transfer begins (0 =
+  /// unbounded); the in-doubt journal poll gets 4x it.
   DestinationHost(const RunOptions& options, MigrationReport& report, Journal& journal,
-                  std::string source_journal_path, const net::DeadlinePolicy& deadline,
+                  std::string source_journal_path, std::chrono::milliseconds deadline,
                   std::uint32_t session_id);
 
   ~DestinationHost();
@@ -79,7 +77,7 @@ class DestinationHost {
   MigrationReport& report_;
   Journal& journal_;
   const std::string source_journal_path_;
-  const net::DeadlinePolicy& deadline_;
+  const std::chrono::milliseconds deadline_;
   DestSession session_;
 
   mutable std::mutex mu_;

@@ -23,20 +23,16 @@ namespace hpm::mig {
 /// an injected stall/truncation must never hang the run.
 inline constexpr double kFaultInjectionDefaultTimeout = 5.0;
 
-/// The per-IO deadline policy of a run: the session wiring's policy when
-/// set, else a fixed policy from io_timeout_seconds
-/// (kFaultInjectionDefaultTimeout when faults are armed and no timeout
-/// was given).
-inline std::shared_ptr<net::DeadlinePolicy> io_deadline(
-    const RunOptions& options, const SessionWiring* wiring = nullptr) {
-  if (wiring != nullptr && wiring->deadline != nullptr) return wiring->deadline;
+/// The per-IO deadline of a run: io_timeout_seconds, or
+/// kFaultInjectionDefaultTimeout when faults are armed and no timeout was
+/// given (0 = block without bound).
+inline std::chrono::milliseconds io_deadline(const RunOptions& options) {
   const bool faults_armed =
       options.fault_plan.enabled() || options.dest_fault_plan.enabled();
   const double io_s = options.io_timeout_seconds > 0
                           ? options.io_timeout_seconds
                           : (faults_armed ? kFaultInjectionDefaultTimeout : 0);
-  return net::DeadlinePolicy::fixed(
-      std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0))));
+  return std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0)));
 }
 
 /// The one retry delay: retry_backoff_seconds before the first retry,

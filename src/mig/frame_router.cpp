@@ -1,7 +1,6 @@
 #include "mig/frame_router.hpp"
 
 #include "common/error.hpp"
-#include "mig/mig_metrics.hpp"
 
 namespace hpm::mig {
 
@@ -51,11 +50,6 @@ std::unique_ptr<MessagePort> FrameRouter::open(std::uint32_t session_id) {
   std::lock_guard lk(mu_);
   if (shutdown_) throw NetError("frame router is shut down");
   Entry& e = sessions_[session_id];
-  if (e.poisoned) {
-    // A cancelled session is quarantined at the router: no fresh epoch
-    // can resurrect it on this shared channel.
-    throw CancelledError("session cancelled by its supervisor: " + e.poison_reason);
-  }
   if (e.epoch != 0) {
     // A resume: retire the old binding. Frames queued for it are from a
     // superseded conversation; a recv still parked on it must wake and
@@ -87,60 +81,19 @@ void FrameRouter::shutdown() {
 void FrameRouter::pump() {
   try {
     for (;;) {
-      net::TaggedMessage frame = net::recv_any_message(*ch_);
-      if (!frame.tagged) {
-        // Thrown OUTSIDE the lock: the catch below re-acquires mu_.
-        throw ProtocolError("untagged (v3) frame on a multiplexed channel");
-      }
-      if (frame.msg.type == net::MsgType::Ping) {
-        // Answer at the pump iff the probed session has a live matching
-        // binding HERE; silence lets the prober count the miss. The echo
-        // is sent outside mu_ so a slow wire never blocks routing state.
-        bool alive = false;
-        {
-          std::lock_guard lk(mu_);
-          if (shutdown_) return;
-          auto it = sessions_.find(frame.session_id);
-          alive = it != sessions_.end() && frame.epoch == it->second.epoch &&
-                  !it->second.closed && !it->second.poisoned;
-        }
-        if (alive) {
-          std::lock_guard tx(tx_mu_);
-          net::send_tagged_message(*ch_, frame.session_id, frame.epoch,
-                                   net::MsgType::Pong, frame.msg.payload);
-          LivenessMetrics::get().pongs.add(1);
-        }
-        continue;
-      }
-      if (frame.msg.type == net::MsgType::Pong) {
-        PongHandler handler;
-        {
-          std::lock_guard lk(mu_);
-          if (shutdown_) return;
-          handler = pong_handler_;
-        }
-        if (handler != nullptr) {
-          try {
-            handler(frame.session_id, net::decode_ping(frame.msg.payload));
-          } catch (...) {
-            // A malformed echo is one dropped probe, not a dead channel.
-          }
-        }
-        continue;
-      }
+      net::TaggedMessage frame = net::recv_tagged_message(*ch_);
       std::lock_guard lk(mu_);
       if (shutdown_) return;
       auto it = sessions_.find(frame.session_id);
       if (it == sessions_.end() || frame.epoch != it->second.epoch ||
-          it->second.closed || it->second.poisoned) {
-        // Unknown session, a stale epoch's leftover, a port that already
-        // hung up, or a cancelled session: dropping is the correct routed
-        // analogue of the bytes dying with a closed exclusive channel.
+          it->second.closed) {
+        // Unknown session, a stale epoch's leftover, or a port that
+        // already hung up: dropping is the correct routed analogue of the
+        // bytes dying with a closed exclusive channel.
         dropped_.add(1);
         continue;
       }
       it->second.q.push_back(std::move(frame.msg));
-      it->second.delivered += 1;
       routed_.add(1);
       cv_.notify_all();
     }
@@ -158,10 +111,6 @@ void FrameRouter::send_from(std::uint32_t session, std::uint16_t epoch,
     if (shutdown_) throw NetError("frame router is shut down");
     if (error_ != nullptr) std::rethrow_exception(error_);
     auto it = sessions_.find(session);
-    if (it != sessions_.end() && it->second.poisoned) {
-      throw CancelledError("session cancelled by its supervisor: " +
-                           it->second.poison_reason);
-    }
     if (it == sessions_.end() || it->second.epoch != epoch) {
       throw NetError("session port superseded by a newer epoch");
     }
@@ -170,59 +119,14 @@ void FrameRouter::send_from(std::uint32_t session, std::uint16_t epoch,
   net::send_tagged_message(*ch_, session, epoch, type, payload);
 }
 
-bool FrameRouter::send_ping(std::uint32_t session, const net::PingInfo& info) {
-  std::uint16_t epoch = 0;
-  {
-    std::lock_guard lk(mu_);
-    if (shutdown_ || error_ != nullptr) return false;
-    auto it = sessions_.find(session);
-    if (it == sessions_.end() || it->second.closed || it->second.poisoned ||
-        it->second.epoch == 0) {
-      return false;
-    }
-    epoch = it->second.epoch;
-  }
-  try {
-    std::lock_guard tx(tx_mu_);
-    net::send_tagged_message(*ch_, session, epoch, net::MsgType::Ping,
-                             net::encode_ping(info));
-  } catch (...) {
-    return false;  // a dead wire answers no probe; the miss says so
-  }
-  LivenessMetrics::get().pings.add(1);
-  return true;
-}
-
-void FrameRouter::set_pong_handler(PongHandler handler) {
-  std::lock_guard lk(mu_);
-  pong_handler_ = std::move(handler);
-}
-
-void FrameRouter::poison(std::uint32_t session, std::string reason) {
-  std::lock_guard lk(mu_);
-  Entry& e = sessions_[session];
-  if (e.poisoned) return;
-  e.poisoned = true;
-  e.poison_reason = std::move(reason);
-  e.q.clear();
-  cv_.notify_all();
-}
-
-std::uint64_t FrameRouter::delivered(std::uint32_t session) const {
-  std::lock_guard lk(mu_);
-  auto it = sessions_.find(session);
-  return it == sessions_.end() ? 0 : it->second.delivered;
-}
-
 net::Message FrameRouter::recv_for(std::uint32_t session, std::uint16_t epoch,
                                    std::chrono::milliseconds timeout) {
   std::unique_lock lk(mu_);
   auto ready = [&] {
     if (shutdown_ || error_ != nullptr) return true;
     auto it = sessions_.find(session);
-    if (it == sessions_.end() || it->second.epoch != epoch || it->second.closed ||
-        it->second.poisoned) {
-      return true;  // superseded, closed, or cancelled: wake to fail
+    if (it == sessions_.end() || it->second.epoch != epoch || it->second.closed) {
+      return true;  // superseded or closed: wake to fail
     }
     return !it->second.q.empty();
   };
@@ -234,10 +138,6 @@ net::Message FrameRouter::recv_for(std::uint32_t session, std::uint16_t epoch,
     cv_.wait(lk, ready);
   }
   auto it = sessions_.find(session);
-  if (it != sessions_.end() && it->second.poisoned) {
-    throw CancelledError("session cancelled by its supervisor: " +
-                         it->second.poison_reason);
-  }
   if (it != sessions_.end() && it->second.epoch == epoch && !it->second.q.empty()) {
     net::Message msg = std::move(it->second.q.front());
     it->second.q.pop_front();

@@ -1,11 +1,12 @@
 // FrameRouter: one shared ByteChannel, N live migration sessions.
 //
 // Each endpoint of a multiplexed channel owns a router. The router's pump
-// thread reads session-tagged (v4) frames off the wire and demultiplexes
-// them into per-session queues; open(session_id) hands out a MessagePort
-// (port.hpp) bound to that session's CURRENT epoch, so the protocol
-// endpoints drive a routed session with exactly the code they use on an
-// exclusive channel.
+// thread reads session-tagged (v4) frames off the wire (an untagged or
+// otherwise malformed frame is a typed error that fails every port) and
+// demultiplexes them into per-session queues; open(session_id) hands out
+// a MessagePort (port.hpp) bound to that session's CURRENT epoch, so the
+// protocol endpoints drive a routed session with exactly the code they
+// use on an exclusive channel.
 //
 // Epochs make resume safe on a channel that never dies: calling open()
 // again for a live session bumps its epoch, wakes any receiver still
@@ -20,11 +21,9 @@
 #include <cstdint>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "mig/port.hpp"
@@ -58,32 +57,6 @@ class FrameRouter {
   /// by the destructor; safe to call early and repeatedly.
   void shutdown();
 
-  /// --- liveness plumbing (SessionSupervisor, DESIGN.md §13) ---------------
-  /// Pings ride the shared wire as ordinary v4 frames tagged with the
-  /// session's CURRENT epoch; the peer router's pump answers each
-  /// live-epoch Ping with a Pong echoing the payload, and Pongs arriving
-  /// here go to the registered handler — neither frame ever reaches a
-  /// session queue, so the protocol state machines stay liveness-blind.
-
-  /// Probe `session` over its current binding. False (no frame sent) when
-  /// the session has no live binding to probe: never opened, closed,
-  /// poisoned, shut down, or the channel is already dead.
-  bool send_ping(std::uint32_t session, const net::PingInfo& info);
-
-  using PongHandler = std::function<void(std::uint32_t session, const net::PingInfo&)>;
-  void set_pong_handler(PongHandler handler);
-
-  /// Targeted cancellation: permanently wound ONE session on this router.
-  /// Its queued frames are dropped, a recv parked on it wakes with
-  /// CancelledError, and every further send/recv/open for the session
-  /// throws CancelledError — sibling sessions on the shared channel are
-  /// untouched. Idempotent.
-  void poison(std::uint32_t session, std::string reason);
-
-  /// Frames delivered into `session`'s queue since the router started —
-  /// the progress watermark the supervisor watches for a stuck session.
-  [[nodiscard]] std::uint64_t delivered(std::uint32_t session) const;
-
   /// Epoch-checked plumbing behind the ports open() hands out. Public
   /// only for them — protocol endpoints talk MessagePort, never this.
   void send_from(std::uint32_t session, std::uint16_t epoch, net::MsgType type,
@@ -97,9 +70,6 @@ class FrameRouter {
     std::uint16_t epoch = 0;       ///< current binding; lower = stale
     std::deque<net::Message> q;    ///< frames awaiting recv_for
     bool closed = false;           ///< current epoch's port closed itself
-    bool poisoned = false;         ///< supervisor-cancelled; every op throws
-    std::string poison_reason;
-    std::uint64_t delivered = 0;   ///< lifetime frames routed to this session
   };
 
   void pump();
@@ -109,10 +79,9 @@ class FrameRouter {
 
   std::mutex tx_mu_;  ///< serializes sends from N session threads
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint32_t, Entry> sessions_;
-  PongHandler pong_handler_;
   std::exception_ptr error_;  ///< terminal channel failure, rethrown to all
   bool shutdown_ = false;
 

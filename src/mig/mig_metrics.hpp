@@ -53,32 +53,6 @@ struct TxnMetrics {
   }
 };
 
-/// `mig.liveness.*` instruments for the heartbeat/supervision layer
-/// (DESIGN.md §13): probe traffic, the RTT estimate feeding adaptive
-/// deadlines, and the failure detector's verdicts.
-struct LivenessMetrics {
-  obs::Counter& pings = obs::Registry::process().counter("mig.liveness.pings");
-  obs::Counter& pongs = obs::Registry::process().counter("mig.liveness.pongs");
-  obs::Counter& missed =
-      obs::Registry::process().counter("mig.liveness.missed_heartbeats");
-  obs::Counter& wedged = obs::Registry::process().counter("mig.liveness.sessions_wedged");
-  obs::Counter& cancels = obs::Registry::process().counter("mig.liveness.cancels");
-  obs::Histogram& rtt =
-      obs::Registry::process().histogram("mig.liveness.rtt_seconds", obs::Unit::Seconds);
-  obs::Gauge& rtt_srtt_us = obs::Registry::process().gauge("mig.liveness.rtt_srtt_us");
-  obs::Gauge& deadline_ms = obs::Registry::process().gauge("mig.liveness.deadline_ms");
-  /// Wall time from a wedged session's last sign of life (pong or
-  /// progress) to the supervisor declaring it dead.
-  obs::Histogram& detection = obs::Registry::process().histogram(
-      "mig.liveness.detection_seconds", obs::Unit::Seconds);
-  obs::Gauge& live_sessions = obs::Registry::process().gauge("mig.liveness.live_sessions");
-
-  static LivenessMetrics& get() {
-    static LivenessMetrics m;
-    return m;
-  }
-};
-
 /// `mig.dedup.*` instruments for the content-addressed transfer
 /// (DESIGN.md §15): manifest sizes, the destination's hit/miss split and
 /// the bytes splicing saved, and the wire codec's achieved ratio

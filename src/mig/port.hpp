@@ -18,9 +18,7 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "mig/cancel_token.hpp"
 #include "net/channel.hpp"
-#include "net/deadline.hpp"
 #include "net/message.hpp"
 
 namespace hpm::mig {
@@ -108,21 +106,18 @@ class SeveringPort final : public MessagePort {
 };
 
 /// Deterministic WEDGE injection: forwards `ops_before_wedge` port
-/// operations, then sends vanish silently and recvs starve — the peer
-/// stays alive at the transport layer (the shared channel still pongs)
-/// but the session makes no progress. A SeveringPort failure is what a
-/// per-call deadline catches; a blackhole is what only a liveness layer
-/// (progress watermark) can tell apart from a merely slow peer.
+/// operations, then sends vanish silently and recvs starve — the shared
+/// channel stays healthy but the session makes no progress. Unlike a
+/// SeveringPort failure nothing errors on its own: only the per-IO
+/// deadline (RunOptions::io_timeout_seconds) ends the wait.
 ///
-/// The starved recv honors the port deadline (TimeoutError), the
-/// session's CancelToken (CancelledError once the supervisor cancels
-/// it), and abort()/close() (NetError) — a fault fixture must never be
-/// the thing that actually hangs the harness.
+/// The starved recv honors the port deadline (TimeoutError) and
+/// abort()/close() (NetError) — a fault fixture must never be the thing
+/// that actually hangs the harness.
 class BlackholePort final : public MessagePort {
  public:
-  BlackholePort(std::unique_ptr<MessagePort> inner, std::uint32_t ops_before_wedge,
-                std::shared_ptr<const CancelToken> token = nullptr)
-      : inner_(std::move(inner)), remaining_(ops_before_wedge), token_(std::move(token)) {}
+  BlackholePort(std::unique_ptr<MessagePort> inner, std::uint32_t ops_before_wedge)
+      : inner_(std::move(inner)), remaining_(ops_before_wedge) {}
 
   void send(net::MsgType type, std::span<const std::uint8_t> payload) override {
     if (spend()) inner_->send(type, payload);
@@ -134,9 +129,6 @@ class BlackholePort final : public MessagePort {
     for (;;) {
       if (wounded_.load(std::memory_order_acquire)) {
         throw NetError("injected wedge: port aborted while starving a recv");
-      }
-      if (token_ != nullptr && token_->cancelled()) {
-        throw CancelledError("injected wedge cancelled: " + token_->reason());
       }
       const auto timeout = timeout_.load(std::memory_order_relaxed);
       if (timeout > 0 && std::chrono::steady_clock::now() - started >=
@@ -169,7 +161,6 @@ class BlackholePort final : public MessagePort {
 
   std::unique_ptr<MessagePort> inner_;
   std::atomic<std::int64_t> remaining_;
-  std::shared_ptr<const CancelToken> token_;
   std::atomic<long long> timeout_{0};
   std::atomic<bool> wounded_{false};
 };
@@ -191,15 +182,10 @@ struct SessionWiring {
   /// Failover dial: a fresh port pair to standby candidate `k` (an index
   /// into FailoverPolicy::standbys), under whatever isolation this wiring
   /// can give it — a brand-new physical channel for a direct session, a
-  /// fresh routed binding (escaping a poisoned primary id) for a
-  /// multiplexed one. Null = the wiring cannot reach standbys, so
-  /// destination failover is disabled regardless of policy.
+  /// routed binding under its own session id for a multiplexed one.
+  /// Null = the wiring cannot reach standbys, so destination failover is
+  /// disabled regardless of policy.
   std::function<PortPair(std::size_t)> connect_standby;
-
-  /// Per-IO deadline policy of this session. Null = the fixed policy
-  /// from RunOptions::io_timeout_seconds; migrate_many's supervised
-  /// sessions set an adaptive one that heartbeat RTTs retune mid-run.
-  std::shared_ptr<net::DeadlinePolicy> deadline;
 };
 
 }  // namespace hpm::mig

@@ -47,8 +47,6 @@ const char* msg_type_name(net::MsgType type) noexcept {
     case net::MsgType::Commit: return "Commit";
     case net::MsgType::Abort: return "Abort";
     case net::MsgType::ResumeHello: return "ResumeHello";
-    case net::MsgType::Ping: return "Ping";
-    case net::MsgType::Pong: return "Pong";
     case net::MsgType::ManifestBegin: return "ManifestBegin";
     case net::MsgType::ManifestChunk: return "ManifestChunk";
     case net::MsgType::ManifestAck: return "ManifestAck";

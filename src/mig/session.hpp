@@ -47,8 +47,8 @@ enum class SessionState : std::uint8_t {
   Prepared,   ///< commit gate open: Prepare sent / vote cast
   Committed,  ///< ownership transferred to the destination (terminal)
   Aborted,    ///< handoff over without a transfer of ownership (terminal)
-  /// Source only: the destination was declared dead (supervisor verdict
-  /// or exhausted resume budget) or vetoed the handoff, and the stream is
+  /// Source only: the destination was declared dead (exhausted resume
+  /// budget) or vetoed the handoff, and the stream is
   /// being re-targeted at a fresh destination under the next
   /// incarnation. Appended after the terminal
   /// states so the numeric gauge values of the original states persist

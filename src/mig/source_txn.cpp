@@ -24,10 +24,9 @@ using Clock = std::chrono::steady_clock;
 enum class CommitResult : std::uint8_t { Confirmed, Unconfirmed };
 
 /// The commit-phase waits cover peer *compute* (restore, digest verify),
-/// not a single wire hop, so the per-call IO deadline — which an adaptive
-/// policy derives from heartbeat RTTs — is the wrong bound for them. Use
-/// the same 4x grace the destination's in-doubt poll applies; a fixed(0)
-/// unbounded policy stays unbounded.
+/// not a single wire hop, so the per-call IO deadline is the wrong bound
+/// for them. Use the same 4x grace the destination's in-doubt poll
+/// applies; an unbounded (0) deadline stays unbounded.
 std::chrono::milliseconds commit_grace(std::chrono::milliseconds t) {
   return t.count() > 0 ? 4 * t : t;
 }
@@ -49,15 +48,13 @@ std::chrono::milliseconds commit_grace(std::chrono::milliseconds t) {
 /// Error, wrong txn, fenced vote, digest mismatch) or ProtocolError itself.
 CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
                                  SourceSession& session,
-                                 const net::DeadlinePolicy& deadline, std::uint64_t txn,
+                                 std::chrono::milliseconds deadline, std::uint64_t txn,
                                  std::uint64_t digest, Journal& journal) {
   const std::uint32_t inc = session.incarnation();
   try {
     session.prepare_sent();
     port.send(net::MsgType::Prepare, net::encode_txn_token({txn, inc}));
-    // The policy is consulted per blocking call, so an adaptive deadline
-    // warmed by heartbeat RTTs can tighten mid-handoff.
-    const net::Message reply = inbox.await(commit_grace(deadline.current()));
+    const net::Message reply = inbox.await(commit_grace(deadline));
     if (reply.type != net::MsgType::PrepareAck) {
       // on_frame already vetted it; anything it let through that is not
       // the vote is a protocol breach.
@@ -108,7 +105,7 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
   session.commit_decided();
   try {
     port.send(net::MsgType::Commit, net::encode_txn_token({txn, inc}));
-    const net::Message fin = inbox.await(commit_grace(deadline.current()));
+    const net::Message fin = inbox.await(commit_grace(deadline));
     if (fin.type == net::MsgType::Ack) {
       journal.append({JournalRecordType::Done, txn, digest, inc, ""});
       return CommitResult::Confirmed;
@@ -125,7 +122,7 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
 struct Destination {
   Destination(const RunOptions& dest_options, MigrationReport& report,
               const std::string& journal_path, const std::string& source_journal_path,
-              const net::DeadlinePolicy& deadline, std::uint32_t session_id)
+              std::chrono::milliseconds deadline, std::uint32_t session_id)
       : options(dest_options),
         host(options, report, journal, source_journal_path, deadline, session_id) {
     if (!journal_path.empty()) journal.open(journal_path);
@@ -140,7 +137,7 @@ struct Destination {
 
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
-    const SessionWiring& wiring, const net::DeadlinePolicy& deadline, Journal& src_journal,
+    const SessionWiring& wiring, std::chrono::milliseconds deadline, Journal& src_journal,
     const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn) {
   TxnMetrics::get().begins.add(1);
   report.txn_id = txn;
@@ -307,7 +304,7 @@ TxnResult run_pipelined_transaction(
 
     // The destination loads (and digest-verifies) every candidate hit
     // before answering, so the wait is compute-bounded like a vote.
-    const net::Message ackmsg = inbox->await(commit_grace(deadline.current()));
+    const net::Message ackmsg = inbox->await(commit_grace(deadline));
     if (ackmsg.type != net::MsgType::ManifestAck) {
       throw ProtocolError("expected ManifestAck during manifest negotiation");
     }
@@ -399,7 +396,7 @@ TxnResult run_pipelined_transaction(
     try {
       session.redirect_decided(inc);
       src_port = std::move(fresh.source);
-      src_port->set_timeout(deadline.current());
+      src_port->set_timeout(deadline);
       open_destination(dest_options, inc, std::move(fresh.destination));
       session.on_frame(src_port->recv());  // the new incarnation's own Hello
       session.begin_streaming();
@@ -415,7 +412,7 @@ TxnResult run_pipelined_transaction(
     try {
       PortPair ports = wiring.connect();
       src_port = std::move(ports.source);
-      src_port->set_timeout(deadline.current());
+      src_port->set_timeout(deadline);
       open_destination(options, 1, std::move(ports.destination));
       session.on_frame(src_port->recv());  // Hello: version-checked by the machine
       rendezvoused = true;
@@ -591,7 +588,7 @@ TxnResult run_pipelined_transaction(
           inbox.reset();  // the pump must be gone before its port is
         }
         src_port = std::move(fresh.source);
-        src_port->set_timeout(deadline.current());
+        src_port->set_timeout(deadline);
         session.on_frame(src_port->recv());  // ResumeHello: version/txn/bound-checked
         const std::uint32_t next_seq = session.resume_next_seq();
         ResumeMetrics::get().attempts.add(1);

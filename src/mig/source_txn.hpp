@@ -1,13 +1,13 @@
 // Source endpoint of the transactional handoff.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 
 #include "mig/coordinator.hpp"
 #include "mig/port.hpp"
 #include "mig/retained_stream.hpp"
-#include "net/deadline.hpp"
 
 namespace hpm::mig {
 
@@ -34,20 +34,21 @@ enum class TxnResult : std::uint8_t {
 /// each DestinationHost; `wiring.session_id` names both.
 ///
 /// Destination failover (DESIGN.md §16): when the primary is declared
-/// dead past the resume budget — or its session was cancelled by a
-/// supervisor — and both options.failover and wiring.connect_standby are
-/// armed, the transaction re-targets each standby candidate in policy
-/// order under the next incarnation (fencing token), each dialed up to
-/// 1 + options.max_retries times. Primary retries use the budget left
-/// after that.
+/// dead past the resume budget and both options.failover and
+/// wiring.connect_standby are armed, the transaction re-targets each
+/// standby candidate in policy order under the next incarnation (fencing
+/// token), each dialed up to 1 + options.max_retries times. Primary
+/// retries use the budget left after that.
 ///
+/// `deadline` bounds every blocking send/recv (0 = unbounded); the
+/// commit-phase waits get 4x it (DESIGN.md §13).
 /// `dest_journal_path(incarnation)` names each destination incarnation's
 /// intent journal (null = journaling off). On return `stream` holds the
 /// retained canonical stream (resident or spilled per options.retain_dir);
 /// the caller materializes it for local completion.
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
-    const SessionWiring& wiring, const net::DeadlinePolicy& deadline, Journal& src_journal,
+    const SessionWiring& wiring, std::chrono::milliseconds deadline, Journal& src_journal,
     const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn);
 
 }  // namespace hpm::mig

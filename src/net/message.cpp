@@ -85,6 +85,10 @@ Message recv_frame_rest(ByteChannel& ch, Crc32& crc, std::size_t consumed,
   if (raw_type < 1 || raw_type > kMaxMsgType) {
     throw NetError("malformed frame: unknown message type " + std::to_string(raw_type));
   }
+  if (raw_type == 16 || raw_type == 17) {
+    throw NetError("malformed frame: reserved message type " + std::to_string(raw_type) +
+                   " (a protocol-v6 heartbeat)");
+  }
   std::array<std::uint8_t, 4> len_be{};
   ch.recv(len_be);
   crc.update(len_be.data(), len_be.size());
@@ -136,25 +140,20 @@ void send_tagged_message(ByteChannel& ch, std::uint32_t session_id, std::uint16_
   send_frame(ch, tag, type, payload);
 }
 
-TaggedMessage recv_any_message(ByteChannel& ch, std::size_t max_payload) {
-  std::array<std::uint8_t, 1> first{};
-  ch.recv(first);
-  Crc32 crc;
-  crc.update(first.data(), first.size());
-  TaggedMessage out;
-  std::uint8_t raw_type = first[0];
-  std::size_t consumed = first.size();
-  if (first[0] == kTaggedFrameMagic) {
-    std::array<std::uint8_t, 7> rest{};  // u32 session, u16 epoch, u8 type
-    ch.recv(rest);
-    crc.update(rest.data(), rest.size());
-    out.tagged = true;
-    out.session_id = get_u32_be(rest.data());
-    out.epoch = get_u16_be(rest.data() + 4);
-    raw_type = rest[6];
-    consumed += rest.size();
+TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload) {
+  std::array<std::uint8_t, 8> tag{};  // u8 magic, u32 session, u16 epoch, u8 type
+  ch.recv(std::span<std::uint8_t>(tag.data(), 1));
+  if (tag[0] != kTaggedFrameMagic) {
+    throw ProtocolError("untagged frame (first byte " + std::to_string(tag[0]) +
+                        ") on a multiplexed channel");
   }
-  out.msg = recv_frame_rest(ch, crc, consumed, raw_type, max_payload);
+  ch.recv(std::span<std::uint8_t>(tag.data() + 1, tag.size() - 1));
+  Crc32 crc;
+  crc.update(tag.data(), tag.size());
+  TaggedMessage out;
+  out.session_id = get_u32_be(tag.data() + 1);
+  out.epoch = get_u16_be(tag.data() + 5);
+  out.msg = recv_frame_rest(ch, crc, tag.size(), tag[7], max_payload);
   return out;
 }
 
@@ -217,21 +216,6 @@ StateEndInfo decode_state_end(const Bytes& payload) {
   info.chunk_count = get_u32_be(payload.data());
   info.total_bytes = get_u64_be(payload.data() + 4);
   info.digest = get_u64_be(payload.data() + 12);
-  return info;
-}
-
-Bytes encode_ping(const PingInfo& info) {
-  Bytes payload(12);
-  put_u32_be(payload.data(), info.seq);
-  put_u64_be(payload.data() + 4, info.stamp_ns);
-  return payload;
-}
-
-PingInfo decode_ping(const Bytes& payload) {
-  if (payload.size() != 12) throw NetError("malformed Ping payload");
-  PingInfo info;
-  info.seq = get_u32_be(payload.data());
-  info.stamp_ns = get_u64_be(payload.data() + 4);
   return info;
 }
 

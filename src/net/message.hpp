@@ -23,11 +23,12 @@ namespace hpm::net {
 /// session-tagged frame headers (N concurrent migrations multiplexed
 /// over one channel), to 5 for destination failover (an incarnation
 /// fencing token rides StateBegin, Prepare/Commit/Abort, and
-/// PrepareAck), and to 6 for Digest v2 (the StateEnd digest and
-/// manifest addresses are the multi-lane StreamDigest, and the stream
-/// trailer is its u64); a mismatch aborts the attempt before any state
-/// moves.
-inline constexpr std::uint8_t kProtocolVersion = 6;
+/// PrepareAck), to 6 for Digest v2 (the StateEnd digest and manifest
+/// addresses are the multi-lane StreamDigest, and the stream trailer is
+/// its u64), and to 7 when the Ping/Pong heartbeat frames were retired
+/// (tags 16 and 17 are reserved and rejected); a mismatch aborts the
+/// attempt before any state moves.
+inline constexpr std::uint8_t kProtocolVersion = 7;
 
 /// Message type tags used by the migration coordinator.
 enum class MsgType : std::uint8_t {
@@ -46,15 +47,15 @@ enum class MsgType : std::uint8_t {
   Commit = 13,     ///< source relinquishes ownership — point of no return (u64 txn)
   Abort = 14,      ///< source cancels the handoff after Prepare (u64 txn)
   ResumeHello = 15,///< destination re-announces mid-stream (version + u64 txn + u32 next seq)
-  Ping = 16,       ///< liveness probe (payload: u32 seq + u64 opaque echo stamp)
-  Pong = 17,       ///< liveness reply: the Ping payload echoed verbatim
+  // 16 and 17 are reserved: the protocol-v6 Ping/Pong heartbeat frames.
+  // No port accepts them (recv_message fails them as malformed).
   ManifestBegin = 18,  ///< dedup: source announces the chunk address list (u64 txn + totals)
   ManifestChunk = 19,  ///< dedup: one batch of ordered chunk addresses
   ManifestAck = 20,    ///< dedup: destination's codec choice + miss index set
 };
 
-/// Highest tag recv_message accepts; anything outside [1, kMaxMsgType]
-/// is a malformed frame.
+/// Highest tag recv_message accepts; anything outside [1, kMaxMsgType],
+/// or a reserved tag (16, 17), is a malformed frame.
 inline constexpr std::uint8_t kMaxMsgType = 20;
 
 struct Message {
@@ -81,16 +82,15 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
 ///   payload  u32 CRC-32 over everything preceding it
 ///
 /// The magic byte sits outside the legal MsgType range [1, kMaxMsgType],
-/// so a receiver can detect a tagged (v4) frame from its first byte and
-/// still accept an untagged v3 frame from a single-session peer — the two
-/// layouts share the channel without negotiation. The epoch names one
+/// so an untagged (v3) frame on a routed channel is caught at its first
+/// byte. An exclusive channel (mig::DirectPort) keeps the untagged
+/// layout: it has one session and needs no tag. The epoch names one
 /// physical binding of the session: a resumed session bumps it, and the
 /// router drops frames from a stale epoch instead of splicing two channel
 /// lifetimes into one stream.
 inline constexpr std::uint8_t kTaggedFrameMagic = 0xF5;
 
 struct TaggedMessage {
-  bool tagged = false;         ///< false: a plain v3 frame (session fields are 0)
   std::uint32_t session_id = 0;
   std::uint16_t epoch = 0;
   Message msg;
@@ -100,9 +100,11 @@ struct TaggedMessage {
 void send_tagged_message(ByteChannel& ch, std::uint32_t session_id, std::uint16_t epoch,
                          MsgType type, std::span<const std::uint8_t> payload);
 
-/// Receive one frame, tagged or plain — the router's entry point. Same
-/// validation and errors as recv_message.
-TaggedMessage recv_any_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
+/// Receive one session-tagged frame — the router's entry point. Throws
+/// hpm::ProtocolError when the first byte is not kTaggedFrameMagic (an
+/// untagged frame on a routed channel); otherwise the same validation and
+/// errors as recv_message.
+TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
 
 /// --- chunked state transfer payloads -------------------------------------
 /// StateBegin/StateChunk/StateEnd frame the pipelined stream: each chunk
@@ -190,21 +192,6 @@ ManifestAckInfo decode_manifest_ack(const Bytes& payload);
 /// the destination which layout to expect.
 Bytes encode_state_chunk_coded(std::uint32_t seq, std::uint8_t codec_tag,
                                std::span<const std::uint8_t> body);
-
-/// --- liveness payloads ----------------------------------------------------
-/// Ping/Pong are control frames a SessionSupervisor multiplexes through
-/// the same v4 router as the data stream: the probe carries a sequence
-/// number (for miss accounting) and an opaque monotonic-clock stamp the
-/// peer echoes verbatim, so the prober computes the RTT without any
-/// clock agreement. The protocol state machines never see either frame —
-/// the router answers and consumes them at the pump.
-
-struct PingInfo {
-  std::uint32_t seq = 0;
-  std::uint64_t stamp_ns = 0;  ///< prober's steady-clock send time, echoed back
-};
-Bytes encode_ping(const PingInfo& info);
-PingInfo decode_ping(const Bytes& payload);
 
 /// --- transactional handoff payloads --------------------------------------
 /// StateAck carries the destination's receive watermark (the next sequence

@@ -1,17 +1,17 @@
 // Chaos soak: rounds of randomized multiplexed migrations under seeded
-// fault injection (kills, stalls) with the supervisor armed, asserting the
-// liveness invariants the fleet layer promises:
+// fault injection (kills, wedges), asserting the invariants migrate_many
+// promises:
 //
-//   * no hangs  — every round converges (ctest TIMEOUT is the backstop,
-//     the wedge-detection bound below is the real assertion);
-//   * no leaks  — the supervisor registry is empty after every round;
+//   * no hangs  — every round converges: a wedged session's per-IO
+//     deadline (io_timeout_seconds) fires and it resumes from its acked
+//     watermark (ctest TIMEOUT is only the backstop);
 //   * exactly one owner — every journaled transaction recovers to a
 //     single, unambiguous owner;
 //   * sibling isolation — sessions sharing the wire with a victim finish
 //     bit-identical to the same workload run alone on a private channel.
 //
-// The final test emits the hpm-bench-v1 fleet report (BENCH_fleet.json)
-// with the p99 wedge-detection latency when HPM_CHAOS_JSON is set; ctest
+// The final test writes an hpm-bench-v1 report (the soak's seed and the
+// failover counters) to the path in HPM_CHAOS_JSON when it is set; ctest
 // validates it with tools/bench_schema_check.
 #include <gtest/gtest.h>
 
@@ -45,7 +45,8 @@ constexpr int kSeeds[kSessions] = {3, 5, 7, 9, 11, 13};
 
 /// RNG seed driving the soak's randomized fault schedule. Overridable so a
 /// CI failure is replayable: re-run with HPM_CHAOS_SEED=<seed from the
-/// failure message or BENCH_fleet.json> to get the identical schedule.
+/// failure message or the HPM_CHAOS_JSON report's chaos.seed row> to get
+/// the identical schedule.
 std::uint32_t chaos_seed() {
   static const std::uint32_t seed = [] {
     if (const char* s = std::getenv("HPM_CHAOS_SEED"); s != nullptr && *s != '\0') {
@@ -85,19 +86,11 @@ std::uint64_t serial_sum(int seed) {
   return result.sum_after;
 }
 
-/// Tight liveness so the soak converges fast: 30 ms probes, 4 misses or a
-/// 3 s frozen watermark convicts. The deadline floor and the stall timeout
-/// are deliberately generous relative to the probe cadence: under TSan the
-/// whole process runs ~15x slower, and a healthy-but-instrumented session
-/// must never trip a detector meant for a genuinely wedged peer.
-mig::LivenessConfig soak_liveness() {
-  mig::LivenessConfig liveness;
-  liveness.heartbeat_interval_s = 0.03;
-  liveness.max_missed_heartbeats = 4;
-  liveness.stall_timeout_s = 3.0;
-  liveness.rtt.floor_s = 1.0;
-  return liveness;
-}
+/// Per-IO deadline of every wedged session: it bounds how long a
+/// blackholed port can hold the session before it resumes. Generous
+/// against the workload's real inter-frame gaps: under TSan the whole
+/// process runs ~15x slower, and the resumed binding must never trip it.
+constexpr double kWedgeTimeoutSeconds = 1.0;
 
 TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
   std::mt19937 rng(chaos_seed());  // seeded: every CI run replays this schedule
@@ -118,8 +111,8 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
     const std::string round_dir = journal_dir + "/round" + std::to_string(round);
 
     // Two distinct victims per round: one killed (severed mid-stream, must
-    // resume), one stalled (blackholed mid-stream — the adaptive deadline
-    // or the supervisor must break the wait; either way it converges).
+    // resume), one stalled (blackholed mid-stream — its per-IO deadline
+    // must break the wait, and it too resumes).
     const int kill_victim = static_cast<int>(rng() % kSessions);
     int stall_victim = static_cast<int>(rng() % kSessions);
     while (stall_victim == kill_victim) stall_victim = static_cast<int>(rng() % kSessions);
@@ -132,44 +125,24 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
     }
     jobs[kill_victim].sever_after_frames = 8 + static_cast<std::int64_t>(rng() % 16);
     jobs[stall_victim].stall_after_frames = 8 + static_cast<std::int64_t>(rng() % 16);
+    jobs[stall_victim].options.io_timeout_seconds = kWedgeTimeoutSeconds;
 
-    FleetOptions fleet;
-    fleet.supervise = true;
-    fleet.liveness = soak_liveness();
-    fleet.max_job_failures = 3;
-
-    const std::vector<SessionOutcome> outcomes =
-        migrate_many(jobs, Transport::Memory, fleet);
+    const std::vector<SessionOutcome> outcomes = migrate_many(jobs, Transport::Memory);
     ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kSessions));
 
     for (int i = 0; i < kSessions; ++i) {
       SCOPED_TRACE("session " + std::to_string(i + 1));
-      EXPECT_EQ(outcomes[i].status, SessionStatus::Completed);
       const mig::MigrationReport& r = outcomes[i].report;
-      if (i == stall_victim) {
-        // A stalled stream may self-heal (adaptive deadline fires, the
-        // session resumes on a fresh epoch) or be convicted by the
-        // supervisor and degrade to local completion. Both preserve the
-        // workload; a hang is the only unacceptable outcome.
-        EXPECT_TRUE(r.outcome == MigrationOutcome::Migrated ||
-                    r.outcome == MigrationOutcome::AbortedContinuedLocally)
-            << "stall victim ended as " << mig::outcome_name(r.outcome);
-      } else {
-        EXPECT_EQ(r.outcome, MigrationOutcome::Migrated)
-            << mig::outcome_name(r.outcome);
-      }
+      EXPECT_EQ(r.outcome, MigrationOutcome::Migrated) << mig::outcome_name(r.outcome);
       // Sibling isolation: bit-identical to the exclusive-channel run no
       // matter what happened to the victims sharing the wire.
       ASSERT_TRUE(results[i].ok());
       EXPECT_EQ(results[i].sum_after, serial_sum(kSeeds[i]));
     }
-    // The killed session really died and resumed.
+    // The killed session really died and resumed; so did the wedged one,
+    // once its deadline fired.
     EXPECT_GE(outcomes[kill_victim].report.attempts, 2);
-
-    // No leaked sessions: every driver deregistered, the registry gauge
-    // is back to zero.
-    const obs::MetricsSnapshot snap = obs::Registry::process().snapshot();
-    EXPECT_EQ(snap.gauge("mig.liveness.live_sessions"), 0);
+    EXPECT_GE(outcomes[stall_victim].report.attempts, 2);
 
     // Exactly one owner for every journaled transaction, then sweep the
     // completed ones and verify the sweep kept anything still in flight.
@@ -193,23 +166,16 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
     EXPECT_EQ(swept.size(), expected_swept);
     EXPECT_EQ(mig::list_journaled_txns(round_dir).size(), txns.size() - expected_swept);
   }
-
-  // The probe machinery really ran across the soak.
-  const obs::MetricsSnapshot snap = obs::Registry::process().snapshot();
-  EXPECT_GT(snap.counter("mig.liveness.pings"), 0u);
-  EXPECT_GT(snap.counter("mig.liveness.pongs"), 0u);
 }
 
-TEST(ChaosSoak, WedgedSessionIsDetectedWithinTheAdaptiveDeadline) {
-  // Pin the per-IO deadline at the 5 s ceiling (floor == ceiling) so the
-  // transfer layer CANNOT time its own way out of the blackhole: only the
-  // supervisor's stall detector can break the wedge, and it must do so
-  // well inside that deadline.
+TEST(ChaosSoak, WedgedSessionResumesOnceItsDeadlineFires) {
+  // A blackholed source port errors on nothing: sends vanish and recvs
+  // starve. The victim's per-IO deadline is the only thing that ends the
+  // wait; the session then resumes from its acked watermark on a fresh
+  // epoch while its siblings, which set no deadline, migrate untouched.
   const std::string journal_dir =
       "/tmp/hpm_chaos_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
-
-  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
 
   constexpr int kWedgeSessions = 4;
   constexpr int kVictim = 1;
@@ -220,151 +186,44 @@ TEST(ChaosSoak, WedgedSessionIsDetectedWithinTheAdaptiveDeadline) {
     jobs[i].options.journal_dir = journal_dir;
   }
   jobs[kVictim].stall_after_frames = 12;
+  jobs[kVictim].options.io_timeout_seconds = kWedgeTimeoutSeconds;
 
-  FleetOptions fleet;
-  fleet.supervise = true;
-  fleet.liveness = soak_liveness();
-  // Tight enough to convict well inside the 5 s deadline, loose enough
-  // that a healthy sibling slowed by a sanitizer build never freezes its
-  // watermark past it.
-  fleet.liveness.stall_timeout_s = 2.0;
-  fleet.liveness.rtt.floor_s = 5.0;
-  fleet.liveness.rtt.ceiling_s = 5.0;
-
-  const std::vector<SessionOutcome> outcomes =
-      migrate_many(jobs, Transport::Memory, fleet);
+  const std::vector<SessionOutcome> outcomes = migrate_many(jobs, Transport::Memory);
   ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kWedgeSessions));
 
-  // The victim was convicted and degraded to local completion — with the
-  // right answer. Siblings migrated untouched.
-  EXPECT_EQ(outcomes[kVictim].report.outcome,
-            MigrationOutcome::AbortedContinuedLocally);
+  // The victim resumed and migrated — with the right answer. Siblings
+  // migrated on their first attempt.
+  const mig::MigrationReport& victim = outcomes[kVictim].report;
+  EXPECT_EQ(victim.outcome, MigrationOutcome::Migrated)
+      << mig::outcome_name(victim.outcome);
+  EXPECT_GE(victim.attempts, 2);
+  EXPECT_GE(victim.resumed_from_seq, 0);
   for (int i = 0; i < kWedgeSessions; ++i) {
     SCOPED_TRACE("session " + std::to_string(i + 1));
     if (i != kVictim) {
       EXPECT_EQ(outcomes[i].report.outcome, MigrationOutcome::Migrated);
+      EXPECT_EQ(outcomes[i].report.attempts, 1);
     }
     ASSERT_TRUE(results[i].ok());
     EXPECT_EQ(results[i].sum_after, serial_sum(kSeeds[i]));
   }
 
-  // Detection happened, and fast: from the victim's last sign of life to
-  // the wedge verdict is ~stall_timeout plus a sweep tick — an order of
-  // magnitude inside the 5 s deadline the transfer itself was stuck on.
-  const obs::MetricsSnapshot delta =
-      obs::Registry::process().snapshot().delta_since(before);
-  EXPECT_GE(delta.counter("mig.liveness.sessions_wedged"), 1u);
-  EXPECT_GE(delta.counter("mig.liveness.cancels"), 1u);
-  const obs::MetricsSnapshot full = obs::Registry::process().snapshot();
-  const obs::HistogramSummary* detection =
-      full.histogram("mig.liveness.detection_seconds");
-  ASSERT_NE(detection, nullptr);
-  ASSERT_GE(detection->count, 1u);
-  EXPECT_LT(detection->max, 3.0);
-
-  // The aborted transaction still has exactly one owner: the source.
-  ASSERT_NE(outcomes[kVictim].report.txn_id, 0u);
-  const mig::RecoveryVerdict verdict =
-      mig::Coordinator::recover(journal_dir, outcomes[kVictim].report.txn_id);
-  EXPECT_EQ(verdict.owner, mig::TxnOwner::Source);
-  EXPECT_FALSE(verdict.completed);
+  // The resumed transaction has exactly one owner: the destination.
+  ASSERT_NE(victim.txn_id, 0u);
+  const mig::RecoveryVerdict verdict = mig::Coordinator::recover(journal_dir, victim.txn_id);
+  EXPECT_EQ(verdict.owner, mig::TxnOwner::Destination) << verdict.reason;
+  EXPECT_TRUE(verdict.completed);
+  std::filesystem::remove_all(journal_dir);
 }
 
-TEST(ChaosSoak, AdmissionControlAnswersBusyInsteadOfQueueing) {
-  std::vector<apps::BitonicResult> results(kSessions);
-  std::vector<SessionJob> jobs(kSessions);
-  for (int i = 0; i < kSessions; ++i) {
-    jobs[i].options = bitonic_options(kSeeds[i], &results[i]);
-    jobs[i].est_state_bytes = 1000;
-  }
-
-  FleetOptions fleet;
-  fleet.supervise = true;
-  fleet.liveness = soak_liveness();
-  fleet.max_sessions = 3;
-  fleet.byte_budget = 10000;  // slots bind first here
-
-  const std::vector<SessionOutcome> outcomes =
-      migrate_many(jobs, Transport::Memory, fleet);
-  ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kSessions));
-  for (int i = 0; i < kSessions; ++i) {
-    SCOPED_TRACE("session " + std::to_string(i + 1));
-    EXPECT_EQ(outcomes[i].session_id, static_cast<std::uint32_t>(i + 1));
-    if (i < 3) {
-      EXPECT_EQ(outcomes[i].status, SessionStatus::Completed);
-      EXPECT_EQ(outcomes[i].report.outcome, MigrationOutcome::Migrated);
-      EXPECT_TRUE(results[i].ok());
-    } else {
-      EXPECT_EQ(outcomes[i].status, SessionStatus::Busy);
-      // Never started: the workload closure was never invoked.
-      EXPECT_FALSE(results[i].ok());
-    }
-  }
-
-  // Byte budget binds independently of slots: 6 jobs of 1000 bytes
-  // against a 2500-byte budget admits exactly the first two.
-  std::vector<apps::BitonicResult> budget_results(kSessions);
-  std::vector<SessionJob> budget_jobs(kSessions);
-  for (int i = 0; i < kSessions; ++i) {
-    budget_jobs[i].options = bitonic_options(kSeeds[i], &budget_results[i]);
-    budget_jobs[i].est_state_bytes = 1000;
-  }
-  FleetOptions tight;
-  tight.byte_budget = 2500;
-  const std::vector<SessionOutcome> budget_outcomes =
-      migrate_many(budget_jobs, Transport::Memory, tight);
-  for (int i = 0; i < kSessions; ++i) {
-    EXPECT_EQ(budget_outcomes[i].status,
-              i < 2 ? SessionStatus::Completed : SessionStatus::Busy)
-        << "session " << i + 1;
-  }
-}
-
-TEST(ChaosSoak, RepeatOffenderIsQuarantinedNotRetriedForever) {
-  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
-
-  apps::BitonicResult healthy_result;
-  std::vector<SessionJob> jobs(2);
-  jobs[0].options = bitonic_options(kSeeds[0], &healthy_result);
-  jobs[1].options = bitonic_options(kSeeds[1], nullptr);
-  jobs[1].options.program = [](mig::MigContext&) {
-    throw std::runtime_error("chaos: this job always dies");
-  };
-
-  FleetOptions fleet;
-  fleet.supervise = true;
-  fleet.liveness = soak_liveness();
-  fleet.max_job_failures = 2;
-
-  const std::vector<SessionOutcome> outcomes =
-      migrate_many(jobs, Transport::Memory, fleet);
-  ASSERT_EQ(outcomes.size(), 2u);
-
-  // The healthy sibling is untouched by its neighbor's quarantine.
-  EXPECT_EQ(outcomes[0].status, SessionStatus::Completed);
-  EXPECT_EQ(outcomes[0].report.outcome, MigrationOutcome::Migrated);
-  EXPECT_TRUE(healthy_result.ok());
-
-  // The offender got exactly max_job_failures attempts, each recorded,
-  // then the Poisoned verdict instead of an infinite retry loop.
-  EXPECT_EQ(outcomes[1].status, SessionStatus::Poisoned);
-  ASSERT_EQ(outcomes[1].failure_causes.size(), 2u);
-  EXPECT_NE(outcomes[1].failure_causes[0].find("always dies"), std::string::npos);
-
-  const obs::MetricsSnapshot delta =
-      obs::Registry::process().snapshot().delta_since(before);
-  EXPECT_GE(delta.counter("sched.fleet.poisoned"), 1u);
-  EXPECT_GE(delta.counter("sched.fleet.job_retries"), 1u);
-}
-
-TEST(ChaosSoak, LegacyContractStillRethrowsWithoutQuarantine) {
+TEST(ChaosSoak, ADriverFailurePropagatesToTheCaller) {
   std::vector<SessionJob> jobs(1);
   jobs[0].options = bitonic_options(kSeeds[0], nullptr);
   jobs[0].options.program = [](mig::MigContext&) {
     throw std::runtime_error("chaos: fatal");
   };
-  // No FleetOptions: the pre-fleet overload must keep its throwing
-  // contract bit-for-bit.
+  // An exception that escapes the protocol's own recovery is rethrown by
+  // migrate_many once every session has finished.
   EXPECT_THROW(migrate_many(jobs, Transport::Memory), std::runtime_error);
 }
 
@@ -464,7 +323,6 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
   // The sweeper never got in the way: the severance was resumed, the
   // handoff committed, and the restored state matches ground truth.
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, SessionStatus::Completed);
   EXPECT_EQ(outcomes[0].report.outcome, MigrationOutcome::Migrated)
       << "seed " << chaos_seed() << ": outcome "
       << mig::outcome_name(outcomes[0].report.outcome);
@@ -497,24 +355,12 @@ TEST(ChaosSoakReport, EmitsFleetBenchJson) {
   // along in the report, so a regression spotted in CI artifacts can be
   // replayed exactly (HPM_CHAOS_SEED).
   report.add("chaos.seed", static_cast<double>(chaos_seed()), "seed");
-  report.add("liveness.pings", static_cast<double>(snap.counter("mig.liveness.pings")),
-             "count");
-  report.add("liveness.pongs", static_cast<double>(snap.counter("mig.liveness.pongs")),
-             "count");
-  report.add("liveness.sessions_wedged",
-             static_cast<double>(snap.counter("mig.liveness.sessions_wedged")), "count");
-  report.add("fleet.busy_rejections",
-             static_cast<double>(snap.counter("sched.fleet.busy_rejections")), "count");
-  report.add("fleet.poisoned", static_cast<double>(snap.counter("sched.fleet.poisoned")),
-             "count");
   report.add("failover.triggered",
              static_cast<double>(snap.counter("mig.failover.triggered")), "count");
   report.add("failover.redirects",
              static_cast<double>(snap.counter("mig.failover.redirects")), "count");
   report.add("failover.fenced",
              static_cast<double>(snap.counter("mig.failover.fenced")), "count");
-  report.add_percentiles("mig.liveness.detection_seconds");
-  report.add_percentiles("mig.liveness.rtt_seconds");
   // Failover downtime (decision → standby streaming again). Rows appear
   // once any suite in this process exercised a redirect.
   report.add_percentiles("mig.failover.downtime_seconds");

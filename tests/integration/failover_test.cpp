@@ -16,9 +16,10 @@
 //    Commit frames addressed to a newer incarnation (MigrationError, the
 //    mig.failover.fenced counter moves), and a PrepareAck echoing a stale
 //    incarnation is rejected by the source machine.
-//  - SupervisorFailover: a wedged (blackholed) routed session is convicted
-//    by the SessionSupervisor and, with a standby configured, re-targets
-//    instead of degrading to local completion.
+//  - WedgedFailover: a wedged (blackholed) routed session with a standby
+//    configured is ended by its per-IO deadline and resumes on its
+//    primary from the acked watermark, instead of degrading to local
+//    completion.
 //  - FailoverDial: a standby that cannot be dialed is tried exactly
 //    1 + max_retries times, counted as a dial failure, and skipped for the
 //    next candidate.
@@ -414,12 +415,14 @@ TEST(Fencing, SourceRejectsAPrepareAckEchoingAStaleIncarnation) {
       << s.abort_reason();
 }
 
-// --- supervisor-driven failover --------------------------------------------
+// --- a wedged session with a standby configured -----------------------------
 
-TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
-  // Same wedge as the chaos soak's detection test — a blackholed source
-  // port only the supervisor can convict — but with a standby configured:
-  // the verdict must re-target the migration, not abandon it.
+TEST(WedgedFailover, WedgedSessionResumesInsteadOfDegrading) {
+  // Same wedge as the chaos soak's — a blackholed source port that errors
+  // on nothing — but with a standby configured. The per-IO deadline ends
+  // the wait; the primary destination parked on its own deadline and is
+  // still resumable, so the session resumes there from its acked
+  // watermark rather than failing over or degrading.
   const std::string journal_dir =
       "/tmp/hpm_failover_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
@@ -433,33 +436,25 @@ TEST(SupervisorFailover, WedgedSessionFailsOverInsteadOfDegrading) {
   standby.name = "standby-a";
   jobs[0].options.failover.standbys.push_back(standby);
   jobs[0].options.retry_backoff_seconds = 0.001;
+  jobs[0].options.io_timeout_seconds = 1.0;
   jobs[0].stall_after_frames = 12;
 
-  FleetOptions fleet;
-  fleet.supervise = true;
-  fleet.liveness.heartbeat_interval_s = 0.03;
-  fleet.liveness.max_missed_heartbeats = 4;
-  // Pin the per-IO deadline at the 5 s ceiling so only the supervisor's
-  // stall detector can break the wedge (mirrors the chaos soak's bound).
-  fleet.liveness.stall_timeout_s = 2.0;
-  fleet.liveness.rtt.floor_s = 5.0;
-  fleet.liveness.rtt.ceiling_s = 5.0;
-
-  const std::vector<SessionOutcome> outcomes =
-      migrate_many(jobs, net::Transport::Memory, fleet);
+  const std::vector<SessionOutcome> outcomes = migrate_many(jobs, net::Transport::Memory);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, SessionStatus::Completed);
-  EXPECT_EQ(outcomes[0].report.outcome, MigrationOutcome::Migrated)
-      << "a wedged primary with a standby must fail over, not degrade";
-  EXPECT_GE(outcomes[0].report.failovers, 1);
-  EXPECT_EQ(outcomes[0].report.dest_incarnation, 2u);
+  const MigrationReport& r = outcomes[0].report;
+  EXPECT_EQ(r.outcome, MigrationOutcome::Migrated)
+      << "a wedged session must resume, not degrade";
+  EXPECT_GE(r.attempts, 2);
+  EXPECT_GE(r.resumed_from_seq, 0);
+  EXPECT_EQ(r.failovers, 0);
+  EXPECT_EQ(r.dest_incarnation, 1u);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, baseline().sum);
-  EXPECT_EQ(outcomes[0].report.stream_digest, baseline().digest);
+  EXPECT_EQ(r.stream_digest, baseline().digest);
 
   const RecoveryVerdict v = Coordinator::recover(journal_dir, kTxn);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
-  EXPECT_EQ(v.incarnation, 2u) << v.reason;
+  EXPECT_EQ(v.incarnation, 1u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
   std::filesystem::remove_all(journal_dir);
 }

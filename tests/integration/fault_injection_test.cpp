@@ -15,6 +15,7 @@
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
+#include "mig/endpoint_util.hpp"
 #include "mig/journal.hpp"
 
 namespace hpm {
@@ -216,6 +217,34 @@ TEST(FaultInjection, NoTimeoutConfiguredStillBoundedUnderFaults) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(report.outcome, mig::MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
+}
+
+// --- the one per-IO deadline ----------------------------------------------
+// io_deadline(options) is the only bound every blocking send/recv of a
+// run gets: the configured io_timeout_seconds, 0 = unbounded, and a 5 s
+// safety default once a fault plan is armed without one.
+
+TEST(IoDeadline, ASetTimeoutIsUsedAsIs) {
+  mig::RunOptions options;
+  options.io_timeout_seconds = 1.5;
+  EXPECT_EQ(mig::io_deadline(options), std::chrono::milliseconds(1500));
+  options.fault_plan.kind = net::FaultKind::Stall;  // a set value wins over the default
+  EXPECT_EQ(mig::io_deadline(options), std::chrono::milliseconds(1500));
+}
+
+TEST(IoDeadline, ZeroMeansUnbounded) {
+  mig::RunOptions options;
+  options.io_timeout_seconds = 0;
+  EXPECT_EQ(mig::io_deadline(options), std::chrono::milliseconds(0));
+}
+
+TEST(IoDeadline, AnArmedFaultPlanDefaultsToFiveSeconds) {
+  mig::RunOptions options;
+  options.fault_plan.kind = net::FaultKind::Truncate;
+  EXPECT_EQ(mig::io_deadline(options), std::chrono::milliseconds(5000));
+  mig::RunOptions dest_faults;
+  dest_faults.dest_fault_plan.kind = net::FaultKind::Truncate;
+  EXPECT_EQ(mig::io_deadline(dest_faults), std::chrono::milliseconds(5000));
 }
 
 TEST(FaultInjection, BackToBackFileMigrationsLeaveNoSpoolBehind) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,8 +77,6 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
     SCOPED_TRACE("session " + std::to_string(outcomes[i].session_id));
     const MigrationReport& r = outcomes[i].report;
     EXPECT_EQ(outcomes[i].session_id, static_cast<std::uint32_t>(i + 1));
-    EXPECT_EQ(outcomes[i].status, SessionStatus::Completed);
-    EXPECT_STREQ(session_status_name(outcomes[i].status), "completed");
     EXPECT_EQ(r.outcome, MigrationOutcome::Migrated);
     ASSERT_TRUE(routed_results[i].ok());
     // Bit-identical to the exclusive-channel run: same final workload
@@ -200,32 +197,6 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   EXPECT_EQ(report.stream_digest, p.stream_digest);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
-}
-
-TEST(MigrateMany, ByteBudgetAdmissionCannotOverflow) {
-  // A declared size near UINT64_MAX must not wrap the admitted total past
-  // the budget: with 1 of 100 bytes taken, it is rejected, and the rest of
-  // the budget (99 bytes) still admits exactly one more job.
-  std::vector<apps::BitonicResult> results(4);
-  std::vector<SessionJob> jobs(4);
-  const std::uint64_t declared[] = {1, std::numeric_limits<std::uint64_t>::max(), 99, 1};
-  for (int i = 0; i < 4; ++i) {
-    jobs[i].options = bitonic_options(Transport::Memory, kSeeds[i], &results[i]);
-    jobs[i].est_state_bytes = declared[i];
-  }
-  FleetOptions fleet;
-  fleet.byte_budget = 100;
-  const std::vector<SessionOutcome> outcomes =
-      migrate_many(jobs, Transport::Memory, fleet);
-  ASSERT_EQ(outcomes.size(), 4u);
-  const SessionStatus expected[] = {SessionStatus::Completed, SessionStatus::Busy,
-                                    SessionStatus::Completed, SessionStatus::Busy};
-  for (int i = 0; i < 4; ++i) {
-    SCOPED_TRACE("session " + std::to_string(i + 1));
-    EXPECT_EQ(outcomes[i].status, expected[i])
-        << session_status_name(outcomes[i].status);
-    EXPECT_EQ(results[i].ok(), expected[i] == SessionStatus::Completed);
-  }
 }
 
 TEST(MigrateMany, FileTransportIsRejected) {

@@ -404,8 +404,7 @@ TEST(DeadDestination, AnswersAnAcceptedResumePortWithError) {
   const RunOptions options = streaming_options(result);
   MigrationReport report;
   Journal journal;
-  const auto deadline = net::DeadlinePolicy::fixed(std::chrono::milliseconds(0));
-  DestinationHost host(options, report, journal, "", *deadline, 0);
+  DestinationHost host(options, report, journal, "", std::chrono::milliseconds(0), 0);
 
   auto [first_src, first_dst] = net::MemChannel::make_pair();
   DirectPort first(std::move(first_src));

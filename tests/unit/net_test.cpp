@@ -289,6 +289,48 @@ TEST(Message, IntactHandCraftedFramePassesTheCrcTrailer) {
   EXPECT_EQ(msg.payload, payload);
 }
 
+TEST(Message, ReservedHeartbeatTagsAreRejectedOnBothLayouts) {
+  // Tags 16 and 17 were the protocol-v6 Ping/Pong frames: reserved now,
+  // so even an intact frame carrying one is malformed, untagged or tagged.
+  for (const std::uint8_t reserved : {std::uint8_t{16}, std::uint8_t{17}}) {
+    SCOPED_TRACE("tag " + std::to_string(reserved));
+    auto [a, b] = MemChannel::make_pair();
+    a->send(frame_bytes(static_cast<MsgType>(reserved), make_payload(12)));
+    EXPECT_THROW(recv_message(*b), NetError);
+
+    Bytes tagged = {kTaggedFrameMagic, 0, 0, 0, 1, 0, 1, reserved, 0, 0, 0, 0};
+    const std::uint32_t crc = Crc32::of(tagged.data(), tagged.size());
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      tagged.push_back(static_cast<std::uint8_t>((crc >> shift) & 0xFFu));
+    }
+    auto [c, d] = MemChannel::make_pair();
+    c->send(tagged);
+    EXPECT_THROW(recv_tagged_message(*d), NetError);
+  }
+}
+
+TEST(Message, UntaggedFrameOnARoutedChannelIsATypedError) {
+  // A router reads tagged frames only: a plain v3 frame's first byte is
+  // its type, never the 0xF5 magic, and is refused before anything else
+  // of it is read.
+  auto [a, b] = MemChannel::make_pair();
+  const Bytes payload = make_payload(40);
+  send_tagged_message(*a, 0xA1B2C3D4u, 0x0102, MsgType::StateChunk, payload);
+  const TaggedMessage frame = recv_tagged_message(*b);
+  EXPECT_EQ(frame.session_id, 0xA1B2C3D4u);
+  EXPECT_EQ(frame.epoch, 0x0102);
+  EXPECT_EQ(frame.msg.type, MsgType::StateChunk);
+  EXPECT_EQ(frame.msg.payload, payload);
+
+  send_message(*a, MsgType::StateChunk, payload);
+  try {
+    recv_tagged_message(*b);
+    FAIL() << "an untagged frame was routed";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("untagged"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Message, PreIncarnationPayloadLayoutsAreTypedErrors) {
   // StateBegin, Prepare/Commit/Abort and PrepareAck without the
   // incarnation field: the full layouts decode, the short ones do not.

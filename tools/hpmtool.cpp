@@ -12,12 +12,8 @@
 //                                     intent journals (DESIGN.md §11); pass the
 //                                     txn id to pick one of several multiplexed
 //                                     sessions sharing the directory
-//   hpmtool sessions <journal-dir> [--live <snapshot>]
-//                                     list every transaction journaled in a
-//                                     shared directory with its verdict; with
-//                                     --live, merge the SessionSupervisor's
-//                                     registry snapshot (heartbeat age, RTT
-//                                     estimate, liveness state) per txn
+//   hpmtool sessions <journal-dir>    list every transaction journaled in a
+//                                     shared directory with its verdict
 //   hpmtool journal-gc <journal-dir>  unlink the journal pairs of completed
 //                                     transactions (directory fsync'd)
 //   hpmtool journal-dump <file>       print every intact record of one journal
@@ -26,11 +22,9 @@
 //                                     bytes, last run's hit ratio); with --gc,
 //                                     evict LRU entries down to the byte budget
 //                                     (directory fsync'd)
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -47,7 +41,7 @@ int usage() {
                "  hpmtool precc <decls.h> [--strict] [--codegen]\n"
                "  hpmtool archs\n"
                "  hpmtool recover <journal-dir> [txn]\n"
-               "  hpmtool sessions <journal-dir> [--live <snapshot>]\n"
+               "  hpmtool sessions <journal-dir>\n"
                "  hpmtool journal-gc <journal-dir>\n"
                "  hpmtool journal-dump <file>\n"
                "  hpmtool chunk-cache <dir> [--gc <bytes>]\n");
@@ -144,90 +138,18 @@ int cmd_recover(const char* dir, const char* txn_arg) {
   return v.owner == hpm::mig::TxnOwner::Destination ? 3 : 0;
 }
 
-/// One parsed row of the SessionSupervisor's `#hpm-liveness-v1` snapshot.
-struct LiveRow {
-  std::uint32_t session = 0;
-  double rtt_ms = 0;
-  double deadline_ms = 0;
-  double heartbeat_age_ms = -1;
-  std::uint64_t progress = 0;
-  int missed = 0;
-  std::string state;  ///< "LIVE"/"WEDGED" plus the reason text
-};
-
-/// Snapshot rows keyed by txn id (the join key shared with the journals).
-std::map<std::uint64_t, LiveRow> read_liveness_snapshot(const char* path) {
-  std::map<std::uint64_t, LiveRow> rows;
-  std::ifstream in(path);
-  if (!in) throw hpm::Error(std::string("cannot open liveness snapshot ") + path);
-  std::string line;
-  if (!std::getline(in, line) || line != "#hpm-liveness-v1") {
-    throw hpm::Error(std::string("not a liveness snapshot (bad header): ") + path);
-  }
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    LiveRow row;
-    std::uint64_t txn = 0;
-    if (!(ls >> row.session >> txn >> row.rtt_ms >> row.deadline_ms >>
-          row.heartbeat_age_ms >> row.progress >> row.missed)) {
-      continue;  // torn or trailing line: skip, keep the intact rows
-    }
-    std::getline(ls, row.state);
-    if (!row.state.empty() && row.state.front() == ' ') row.state.erase(0, 1);
-    rows[txn] = row;
-  }
-  return rows;
-}
-
-int cmd_sessions(const char* dir, const char* live_path) {
-  std::map<std::uint64_t, LiveRow> live;
-  if (live_path != nullptr) live = read_liveness_snapshot(live_path);
-
-  std::vector<std::uint64_t> txns = hpm::mig::list_journaled_txns(dir);
-  // A supervised session may be live before its first journal append;
-  // show those rows too instead of silently dropping them.
-  for (const auto& [txn, row] : live) {
-    if (std::find(txns.begin(), txns.end(), txn) == txns.end()) txns.push_back(txn);
-  }
-  std::sort(txns.begin(), txns.end());
+int cmd_sessions(const char* dir) {
+  const std::vector<std::uint64_t> txns = hpm::mig::list_journaled_txns(dir);
   if (txns.empty()) {
     std::printf("no txn-keyed journals in %s\n", dir);
     return 0;
   }
-  if (live_path != nullptr) {
-    std::printf("%-22s %-12s %-9s %-9s %-9s %-8s %s\n", "txn", "owner", "completed",
-                "hb-age", "rtt-ms", "missed", "liveness");
-  } else {
-    std::printf("%-22s %-12s %-9s reason\n", "txn", "owner", "completed");
-  }
+  std::printf("%-22s %-12s %-9s reason\n", "txn", "owner", "completed");
   for (const std::uint64_t txn : txns) {
     const hpm::mig::RecoveryVerdict v = hpm::mig::Coordinator::recover(dir, txn);
-    if (live_path == nullptr) {
-      std::printf("%-22llu %-12s %-9s %s\n", static_cast<unsigned long long>(txn),
-                  hpm::mig::txn_owner_name(v.owner), v.completed ? "yes" : "no",
-                  v.reason.c_str());
-      continue;
-    }
-    const auto it = live.find(txn);
-    if (it == live.end()) {
-      std::printf("%-22llu %-12s %-9s %-9s %-9s %-8s %s\n",
-                  static_cast<unsigned long long>(txn),
-                  hpm::mig::txn_owner_name(v.owner), v.completed ? "yes" : "no", "-",
-                  "-", "-", "(not supervised)");
-      continue;
-    }
-    char hb[32];
-    if (it->second.heartbeat_age_ms < 0) {
-      std::snprintf(hb, sizeof hb, "-");
-    } else {
-      std::snprintf(hb, sizeof hb, "%.0fms", it->second.heartbeat_age_ms);
-    }
-    char rtt[32];
-    std::snprintf(rtt, sizeof rtt, "%.2f", it->second.rtt_ms);
-    std::printf("%-22llu %-12s %-9s %-9s %-9s %-8d %s\n",
-                static_cast<unsigned long long>(txn),
-                hpm::mig::txn_owner_name(v.owner), v.completed ? "yes" : "no", hb,
-                rtt, it->second.missed, it->second.state.c_str());
+    std::printf("%-22llu %-12s %-9s %s\n", static_cast<unsigned long long>(txn),
+                hpm::mig::txn_owner_name(v.owner), v.completed ? "yes" : "no",
+                v.reason.c_str());
   }
   return 0;
 }
@@ -322,9 +244,7 @@ int main(int argc, char** argv) {
       return cmd_recover(argv[2], argc > 3 ? argv[3] : nullptr);
     }
     if (std::strcmp(argv[1], "sessions") == 0 && argc >= 3) {
-      const char* live = nullptr;
-      if (argc >= 5 && std::strcmp(argv[3], "--live") == 0) live = argv[4];
-      return cmd_sessions(argv[2], live);
+      return cmd_sessions(argv[2]);
     }
     if (std::strcmp(argv[1], "journal-gc") == 0 && argc >= 3) {
       return cmd_journal_gc(argv[2]);
