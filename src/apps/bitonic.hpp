@@ -7,8 +7,9 @@
 // in-order traversal yields them sorted. The MSR profile is the opposite
 // of linpack's: a very large number of very small memory blocks, so the
 // MSRLT search term O(n log n) dominates collection while restoration
-// pays no per-block search — one id-table probe and one index insert per
-// node — the divergence Figure 2(b) shows.
+// pays no per-block search — per node, two id-table stores (the source-id
+// binding and the MSRLT's id index) and one ordered-map insert — the
+// divergence Figure 2(b) shows.
 #pragma once
 
 #include <cstdint>

@@ -53,8 +53,8 @@ msr::Address ImageSpace::allocate(std::uint64_t size) {
 }
 
 msr::BlockId ImageSpace::create_block(msr::Segment seg, ti::TypeId type, std::uint32_t count,
-                                      std::string name) {
-  return new_block(seg, type, count, std::move(name)).id;
+                                      std::string_view name) {
+  return new_block(seg, type, count, name).id;
 }
 
 xdr::PrimValue ImageSpace::read_leaf(msr::BlockId id, std::uint64_t ordinal) const {

@@ -55,7 +55,7 @@ class ImageSpace final : public msr::MemorySpace {
   /// Convenience: new_block() returning the id (tests and the
   /// heterogeneity benchmarks create image-resident variables this way).
   msr::BlockId create_block(msr::Segment seg, ti::TypeId type, std::uint32_t count,
-                            std::string name);
+                            std::string_view name);
 
   /// Read/write one leaf of a block by (id, ordinal) — the verification
   /// interface used to compare images across architectures.

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "ti/type.hpp"
 
@@ -47,7 +46,8 @@ constexpr std::uint64_t block_seq(BlockId id) noexcept {
 /// arena offset (memimg::ImageSpace). 0 is the null pointer in any space.
 using Address = std::uint64_t;
 
-/// One tracked memory block.
+/// One tracked memory block. Kept to 48 bytes: a restore registers one
+/// per migrated block, so the entry size is paid once per block.
 struct MemoryBlock {
   BlockId id = kInvalidBlock;
   Segment segment = Segment::Heap;
@@ -55,12 +55,15 @@ struct MemoryBlock {
   /// space's to release (MemorySpace::new_block): freed by deallocate()
   /// when the block is dropped, or when the space is destroyed.
   bool owned = false;
+  /// Associated variable name (diagnostics only), as an index into the
+  /// tracking Msrlt's name table: read it with Msrlt::name_of. 0 = unnamed.
+  std::uint32_t name_id = 0;
   Address base = 0;          ///< first byte, in the owning space's addressing
   std::uint64_t size = 0;    ///< total bytes under the owning space's layout
   ti::TypeId type = ti::kInvalidType;  ///< element type
   std::uint32_t count = 1;   ///< number of elements ("array-of-type" block)
-  std::string name;          ///< associated variable name, if any (debugging)
   std::uint64_t visit_epoch = 0;  ///< DFS mark (see Msrlt::begin_traversal)
 };
+static_assert(sizeof(MemoryBlock) <= 48, "MemoryBlock is paid once per restored block");
 
 }  // namespace hpm::msr

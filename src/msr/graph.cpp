@@ -15,7 +15,7 @@ MsrGraph MsrGraph::snapshot(const MemorySpace& space) {
     GraphNode node;
     node.id = block.id;
     node.segment = block.segment;
-    node.name = block.name;
+    node.name = space.msrlt().name_of(block);
     node.type = space.types().spell(block.type);
     node.count = block.count;
     node.size = block.size;

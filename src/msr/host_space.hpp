@@ -52,17 +52,17 @@ class HostSpace final : public MemorySpace {
 
   /// Track an existing host object. Returns its new block id.
   template <typename T>
-  BlockId track(Segment seg, T& obj, std::string name, ti::TypeId type,
+  BlockId track(Segment seg, T& obj, std::string_view name, ti::TypeId type,
                 std::uint32_t count = 1) {
     return msrlt_.register_block(seg, reinterpret_cast<Address>(&obj),
-                                 block_size(type, count), type, count, std::move(name));
+                                 block_size(type, count), type, count, name);
   }
 
   /// Track raw storage the caller owns (arrays, external buffers).
   BlockId track_raw(Segment seg, void* base, ti::TypeId type, std::uint32_t count,
-                    std::string name) {
+                    std::string_view name) {
     return msrlt_.register_block(seg, reinterpret_cast<Address>(base),
-                                 block_size(type, count), type, count, std::move(name));
+                                 block_size(type, count), type, count, name);
   }
 
  private:

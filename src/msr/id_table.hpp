@@ -10,10 +10,25 @@
 // at most 1/2), never the id values, so an id read off a hostile stream
 // costs one probe sequence and nothing else.
 //
+// Placement keeps sequential ids together. A restore allocates ids in
+// sequence and binds source ids in collection order, so scattering them
+// (as a multiplicative hash does) would turn every insert into a cache
+// miss on a table of megabytes. Instead the home slot of an id is the xor
+// of the w-bit chunks of its sequence number (w = log2 capacity):
+// consecutive ids take adjacent slots, and the ids of a power-of-two
+// stride 2^k, whose varying bits sit at k..k+m, fold onto the distinct
+// positions (k..k+m) mod w, so no stride piles them onto one slot while
+// they fit the table. The segment tag then xors in an alternating-bit
+// pattern (01.., 10.., or their xor 11..) with a set bit in every run of
+// three index bits: while each segment's ids leave three bits free, equal
+// sequence numbers of different segments land in disjoint slot sets
+// instead of piling up.
+//
 // kInvalidBlock (0) marks an empty slot and is never stored: find(0)
 // answers nullptr and insert(0, ...) is rejected.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -78,24 +93,42 @@ class IdTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
+  /// Longest probe sequence a stored id needs (1 = found in its home
+  /// slot). Walks the whole table: for tests of the placement.
+  [[nodiscard]] std::size_t max_probe() const noexcept {
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].id == kInvalidBlock) continue;
+      longest = std::max(longest, ((i - home(slots_[i].id)) & mask_) + 1);
+    }
+    return longest;
+  }
+
  private:
   struct Slot {
     BlockId id = kInvalidBlock;
     T* value = nullptr;
   };
 
-  /// Fibonacci hashing: ids are mostly sequential within a segment, and
-  /// the multiply spreads consecutive ids across the whole table.
+  /// Xor of the w-bit chunks of the sequence number (eight chunks cover
+  /// its 56 bits once w >= 7), plus the segment's alternating pattern.
   std::size_t home(BlockId id) const noexcept {
-    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    std::uint64_t x = block_seq(id);
+    x ^= x >> fold_[0];
+    x ^= x >> fold_[1];
+    x ^= x >> fold_[2];
+    x ^= (id >> 56) * 0x5555555555555555ull;
+    return static_cast<std::size_t>(x) & mask_;
   }
 
   void grow() {
     std::vector<Slot> old(slots_.empty() ? 16 : slots_.size() * 2);
     old.swap(slots_);
     mask_ = slots_.size() - 1;
-    shift_ = 64;
-    for (std::size_t n = slots_.size(); n > 1; n >>= 1) --shift_;
+    unsigned width = 0;
+    for (std::size_t n = slots_.size(); n > 1; n >>= 1) ++width;
+    // A sequence number is below 2^56, so a shift of 63 folds in nothing.
+    for (unsigned i = 0; i < 3; ++i) fold_[i] = std::min(width << i, 63u);
     for (const Slot& s : old) {
       if (s.id == kInvalidBlock) continue;
       std::size_t i = home(s.id);
@@ -107,7 +140,7 @@ class IdTable {
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
-  unsigned shift_ = 64;
+  unsigned fold_[3] = {63, 63, 63};  ///< w, 2w, 4w (capped): see home()
 };
 
 }  // namespace hpm::msr

@@ -6,16 +6,6 @@
 
 namespace hpm::msr {
 
-namespace {
-
-[[noreturn]] void throw_overlap(const MemoryBlock& incoming, const MemoryBlock& existing) {
-  throw MsrError("block [" + std::to_string(incoming.base) + ", +" +
-                 std::to_string(incoming.size) + ") overlaps existing block '" +
-                 existing.name + "'");
-}
-
-}  // namespace
-
 Msrlt::Msrlt()
     : registrations_(obs::Registry::process().counter("msr.msrlt.registrations")),
       removals_(obs::Registry::process().counter("msr.msrlt.removals")),
@@ -26,76 +16,65 @@ Msrlt::Msrlt()
       marks_(obs::Registry::process().counter("msr.msrlt.marks")),
       blocks_gauge_(obs::Registry::process().gauge("msr.msrlt.blocks")) {}
 
-MemoryBlock* Msrlt::insert_checked(MemoryBlock block) {
-  if (static_cast<int>(block.segment) > 2) throw MsrError("register: bad segment tag");
-  if (by_id_.find(block.id) != nullptr) {
-    throw MsrError("duplicate block id " + std::to_string(block.id));
-  }
-  if (block.size == 0) throw MsrError("cannot register zero-sized block");
-  if (block.size > ~block.base) {
-    throw MsrError("block [" + std::to_string(block.base) + ", +" +
-                   std::to_string(block.size) + ") wraps past the end of the address space");
+std::uint32_t Msrlt::intern(std::string_view name) {
+  if (name.empty()) return 0;
+  if (const auto it = name_ids_.find(name); it != name_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size() + 1);
+  names_.push_back(&name_ids_.emplace(std::string(name), id).first->first);
+  return id;
+}
+
+const MemoryBlock& Msrlt::add(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
+                              std::uint32_t count, std::string_view name, bool owned) {
+  const auto seg_idx = static_cast<std::size_t>(seg);
+  if (seg_idx > 2) throw MsrError("register: bad segment tag");
+  if (size == 0) throw MsrError("cannot register zero-sized block");
+  if (size > ~base) {
+    throw MsrError("block [" + std::to_string(base) + ", +" + std::to_string(size) +
+                   ") wraps past the end of the address space");
   }
   // Neither neighbour may reach into [base, base + size): the first block
   // at or after base must start at or past its end, and the last block
   // before base must end at or before it. No stored range wraps, so the
   // sums cannot overflow.
-  const auto next = by_addr_.lower_bound(block.base);
-  if (next != by_addr_.end() && next->first < block.base + block.size) {
-    throw_overlap(block, next->second);
-  }
-  if (next != by_addr_.begin()) {
+  const auto next = by_addr_.lower_bound(base);
+  const MemoryBlock* clash = nullptr;
+  if (next != by_addr_.end() && next->first < base + size) {
+    clash = &next->second;
+  } else if (next != by_addr_.begin()) {
     const MemoryBlock& prev = std::prev(next)->second;
-    if (prev.base + prev.size > block.base) throw_overlap(block, prev);
+    if (prev.base + prev.size > base) clash = &prev;
   }
-  const auto it = by_addr_.emplace_hint(next, block.base, std::move(block));
+  if (clash != nullptr) {
+    throw MsrError("block [" + std::to_string(base) + ", +" + std::to_string(size) +
+                   ") overlaps existing block '" + std::string(name_of(*clash)) + "'");
+  }
+  MemoryBlock block;
+  block.id = make_block_id(seg, next_seq_[seg_idx]);
+  block.segment = seg;
+  block.owned = owned;
+  block.name_id = intern(name);
+  block.base = base;
+  block.size = size;
+  block.type = type;
+  block.count = count;
+  const auto it = by_addr_.emplace_hint(next, base, block);
   MemoryBlock* stored = &it->second;
   try {
-    by_id_.insert(stored->id, stored);
+    // Sequence numbers are never reused, so this fails only on wrap-around.
+    if (!by_id_.insert(stored->id, stored)) {
+      throw MsrError("duplicate block id " + std::to_string(stored->id));
+    }
   } catch (...) {
     by_addr_.erase(it);
     throw;
   }
-  tracked_bytes_ += stored->size;
-  ++segment_blocks_[static_cast<int>(stored->segment)];
+  ++next_seq_[seg_idx];
+  tracked_bytes_ += size;
+  ++segment_blocks_[seg_idx];
   registrations_.add(1);
   blocks_gauge_.add(1);
-  return stored;
-}
-
-const MemoryBlock& Msrlt::add(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
-                              std::uint32_t count, std::string name, bool owned) {
-  if (static_cast<int>(seg) > 2) throw MsrError("register: bad segment tag");
-  MemoryBlock block;
-  block.id = make_block_id(seg, next_seq_[static_cast<int>(seg)]++);
-  block.segment = seg;
-  block.owned = owned;
-  block.base = base;
-  block.size = size;
-  block.type = type;
-  block.count = count;
-  block.name = std::move(name);
-  return *insert_checked(std::move(block));
-}
-
-void Msrlt::register_with_id(BlockId id, Segment seg, Address base, std::uint64_t size,
-                             ti::TypeId type, std::uint32_t count, std::string name) {
-  if (id == kInvalidBlock) throw MsrError("register_with_id: invalid id");
-  MemoryBlock block;
-  block.id = id;
-  block.segment = seg;
-  block.base = base;
-  block.size = size;
-  block.type = type;
-  block.count = count;
-  block.name = std::move(name);
-  insert_checked(std::move(block));
-  // Keep locally assigned ids ahead of any adopted id so the two streams
-  // of ids can never collide.
-  const auto seg_idx = static_cast<int>(block_segment(id));
-  if (seg_idx >= 0 && seg_idx < 3 && block_seq(id) >= next_seq_[seg_idx]) {
-    next_seq_[seg_idx] = block_seq(id) + 1;
-  }
+  return *stored;
 }
 
 void Msrlt::unregister(Address base) {

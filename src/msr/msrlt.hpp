@@ -19,19 +19,30 @@
 // blocks arrive with their logical id attached, so binding one is an
 // O(1) expected probe of a flat id table (msr/id_table.hpp); its only
 // counted searches are the one root check per variable record. Each
-// block it creates is still inserted into the map (O(log n)
-// comparisons), so restore is O(n) id-table updates plus n ordered
-// inserts. Statistics counters expose the search term so benchmarks can
-// validate the model directly.
+// block it creates is registered here: a fresh sequential id (one
+// id-table store next to the previous one) and an ordered map insert
+// (O(log n) comparisons plus one node allocation). Statistics counters
+// expose the search term so benchmarks can validate the model directly.
 //
-// Besides the map the MSRLT owns the id table, the per-segment block
-// counts, the visit-epoch marking, the statistics counters, and a small
-// set-associative lookup cache consulted before the map.
+// Entries are 48-byte MemoryBlocks. Variable names are diagnostics only,
+// so a block holds a 32-bit index into a name table the MSRLT owns:
+// each distinct name is stored once (a program's variable names are few)
+// and read back with name_of(). Unnamed blocks — every block a restore
+// creates — never touch the table.
+//
+// Besides the map the MSRLT owns the id table, the name table, the
+// per-segment block counts, the visit-epoch marking, the statistics
+// counters, and a small set-associative lookup cache consulted before
+// the map.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 #include "msr/block.hpp"
@@ -51,8 +62,8 @@ class Msrlt {
   /// the byte range overlaps an existing block, size is zero, or base + size
   /// reaches 2^64.
   BlockId register_block(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
-                         std::uint32_t count, std::string name = {}) {
-    return add(seg, base, size, type, count, std::move(name)).id;
+                         std::uint32_t count, std::string_view name = {}) {
+    return add(seg, base, size, type, count, name).id;
   }
 
   /// register_block returning the stored block, which stays put until it
@@ -60,13 +71,16 @@ class Msrlt {
   /// handle instead of looking its id up again. `owned` marks storage the
   /// tracking space allocated (MemorySpace::new_block).
   const MemoryBlock& add(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
-                         std::uint32_t count, std::string name = {}, bool owned = false);
+                         std::uint32_t count, std::string_view name = {}, bool owned = false);
 
-  /// Track a new block under an externally chosen id (restoration binds
-  /// the *source's* id to destination storage). Throws on id collision or
-  /// range overlap.
-  void register_with_id(BlockId id, Segment seg, Address base, std::uint64_t size,
-                        ti::TypeId type, std::uint32_t count, std::string name = {});
+  /// The variable name `block` was registered with ("" if none). `block`
+  /// must be tracked by this MSRLT; the view lives as long as the MSRLT.
+  [[nodiscard]] std::string_view name_of(const MemoryBlock& block) const noexcept {
+    return block.name_id == 0 ? std::string_view{} : *names_[block.name_id - 1];
+  }
+
+  /// Distinct non-empty names registered so far.
+  [[nodiscard]] std::size_t name_count() const noexcept { return names_.size(); }
 
   /// Stop tracking the block based at `base` (e.g. scope exit, free()).
   /// Throws hpm::MsrError if no block starts there.
@@ -123,10 +137,22 @@ class Msrlt {
   }
 
  private:
-  MemoryBlock* insert_checked(MemoryBlock block);
+  /// Index of `name` in the name table, adding it if new; 0 for "".
+  std::uint32_t intern(std::string_view name);
 
   std::map<Address, MemoryBlock> by_addr_;
   IdTable<MemoryBlock> by_id_;
+
+  // Name table: index i + 1 names *names_[i], a key of name_ids_ (node
+  // keys never move). Lookups take a string_view and allocate nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>> name_ids_;
+  std::vector<const std::string*> names_;
   std::uint64_t next_seq_[3] = {1, 1, 1};  // per segment
   std::size_t segment_blocks_[3] = {0, 0, 0};
   std::uint64_t epoch_ = 1;

@@ -62,7 +62,8 @@ inline Address address_of(const MemorySpace& space, const MemoryBlock& block,
   const std::uint64_t per_elem = space.leaves().count(block.type);
   const std::uint64_t elem_idx = leaf / per_elem;
   if (elem_idx >= block.count) {
-    throw MsrError("logical pointer leaf ordinal beyond end of block '" + block.name + "'");
+    throw MsrError("logical pointer leaf ordinal beyond end of block '" +
+                   std::string(space.msrlt().name_of(block)) + "'");
   }
   const ti::LeafRef ref = ti::leaf_at(space.leaves(), space.layouts(), block.type, leaf % per_elem);
   const std::uint64_t elem_size = space.layouts().of(block.type).size;

@@ -77,11 +77,11 @@ class MemorySpace {
   /// the caller unregisters the block). Storage whose registration throws
   /// is released before the exception propagates.
   const MemoryBlock& new_block(Segment seg, ti::TypeId type, std::uint32_t count,
-                               std::string name = {}) {
+                               std::string_view name = {}) {
     const std::uint64_t size = block_size(type, count);
     const Address base = allocate(size);
     try {
-      return msrlt().add(seg, base, size, type, count, std::move(name), /*owned=*/true);
+      return msrlt().add(seg, base, size, type, count, name, /*owned=*/true);
     } catch (...) {
       deallocate(base);
       throw;

@@ -55,8 +55,8 @@ void Collector::save_variable(msr::Address block_base) {
                    " is not inside any tracked block");
   }
   if (block->base != block_base) {
-    throw MsrError("save_variable: address " + hex_addr(block_base) +
-                   " lies inside block '" + block->name + "' [" + hex_addr(block->base) +
+    throw MsrError("save_variable: address " + hex_addr(block_base) + " lies inside block '" +
+                   std::string(msrlt_.name_of(*block)) + "' [" + hex_addr(block->base) +
                    ", +" + std::to_string(block->size) + ") but is not its base");
   }
   encode_ptr_value(block_base);

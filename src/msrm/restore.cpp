@@ -62,7 +62,7 @@ void Restorer::bind(msr::BlockId source_id, msr::BlockId dest_id, ti::TypeId typ
   const msr::MemoryBlock* dest = space_.msrlt().find_id(dest_id);
   if (dest == nullptr) throw MsrError("bind: destination block does not exist");
   if (dest->type != type || dest->count != count) {
-    throw MsrError("bind: destination block '" + dest->name +
+    throw MsrError("bind: destination block '" + std::string(space_.msrlt().name_of(*dest)) +
                    "' does not match the migrated variable's type/count");
   }
   if (source_id == msr::kInvalidBlock) throw MsrError("bind: invalid source id");
@@ -93,7 +93,7 @@ const msr::MemoryBlock& Restorer::materialize_pnew(msr::BlockId src_id, std::uin
   if (const msr::MemoryBlock* dest = binding_.find(src_id)) {
     if (dest->type != type || dest->count != count) {
       throw WireError("PNEW type/count disagrees with bound destination block '" +
-                      dest->name + "'");
+                      std::string(space_.msrlt().name_of(*dest)) + "'");
     }
     ++tally_[kBlocksBound];
     return *dest;

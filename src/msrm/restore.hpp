@@ -7,11 +7,16 @@
 // table (msr/id_table.hpp, one O(1) expected probe, no allocation), and
 // a PREF resolves through the same table straight to the block. The only
 // address searches are one root check per variable record. Each block
-// the stream creates is still registered in the destination MSRLT, an
-// O(log n) insert into its ordered address map — so the per-block cost
-// is one table probe plus one map insert, not the collection side's
-// O(log n) search per pointer (paper §4.2's O(n) update term against
-// the O(n log n) search term).
+// the stream creates is registered, unnamed, in the destination MSRLT:
+// a fresh sequential id stored in its id table and an O(log n) insert
+// into its ordered address map. Destination ids are sequential, and
+// source ids arrive in collection order, which follows the source's
+// allocation order wherever the program allocated depth-first; both
+// id-table stores then land next to the previous block's (see
+// IdTable's placement). The per-block cost is two table stores
+// plus one map insert, not the collection side's O(log n) search per
+// pointer (paper §4.2's O(n) update term against the O(n log n) search
+// term).
 //
 // Binding rules:
 //  * Stack and Global blocks exist on the destination a priori (the

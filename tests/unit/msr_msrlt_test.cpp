@@ -1,12 +1,21 @@
-// MSRLT: block tracking, address search, logical ids, visit marking, and
-// the statistics counters the complexity experiments rely on.
+// MSRLT: block tracking, address search, logical ids, visit marking,
+// name interning, and the statistics counters the complexity experiments
+// rely on.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "mig/context.hpp"
+#include "msr/graph.hpp"
+#include "msr/host_space.hpp"
 #include "msr/msrlt.hpp"
+#include "msrm/collect.hpp"
+#include "msrm/restore.hpp"
 #include "obs/metrics.hpp"
+#include "ti/describe.hpp"
 #include "ti/table.hpp"
 
 namespace hpm::msr {
@@ -88,10 +97,7 @@ TEST(Msrlt, RangesEndingPastTheAddressSpaceAreRejected) {
   EXPECT_THROW(u.register_block(Segment::Heap, kTop, 0x10, 1, 1, "ends at 2^64"), MsrError);
   EXPECT_EQ(u.block_count(), 0u);
   EXPECT_EQ(u.find_containing(kTop + 8), nullptr);
-  EXPECT_THROW(u.register_with_id(make_block_id(Segment::Heap, 5), Segment::Heap, kTop, 0x10,
-                                  1, 1, ""),
-               MsrError);
-  EXPECT_EQ(u.find_id(make_block_id(Segment::Heap, 5)), nullptr);
+  EXPECT_EQ(u.find_id(make_block_id(Segment::Heap, 1)), nullptr);  // no id left behind
 
   // A block ending at 2^64 - 1 is legal, found, and guarded.
   const BlockId top = u.register_block(Segment::Heap, kTop, 0xF, 1, 1, "top");
@@ -108,16 +114,6 @@ TEST(Msrlt, UnregisterUnknownBaseThrows) {
   EXPECT_THROW(t.unregister(0x1001), MsrError);  // interior, not base
   EXPECT_NO_THROW(t.unregister(0x1000));
   EXPECT_THROW(t.unregister(0x1000), MsrError);
-}
-
-TEST(Msrlt, RegisterWithIdDetectsCollisions) {
-  Msrlt t;
-  const BlockId id = make_block_id(Segment::Heap, 77);
-  t.register_with_id(id, Segment::Heap, 0x1000, 16, 1, 1, "");
-  EXPECT_THROW(t.register_with_id(id, Segment::Heap, 0x2000, 16, 1, 1, ""), MsrError);
-  // Locally assigned ids skip past adopted ones.
-  const BlockId next = t.register_block(Segment::Heap, 0x3000, 16, 1, 1, "");
-  EXPECT_GT(block_seq(next), 77u);
 }
 
 TEST(Msrlt, VisitMarkingIsPerTraversal) {
@@ -202,6 +198,120 @@ TEST(Msrlt, FindBaseIsExactAndUncounted) {
   EXPECT_EQ(t.find_base(0x1008), nullptr);  // interior
   EXPECT_EQ(t.find_base(0x2000), nullptr);  // untracked
   EXPECT_EQ(snap().delta_since(before).counter("msr.msrlt.searches"), 0u);
+}
+
+struct Link {
+  long value;
+  Link* next;
+};
+
+/// The message of the MsrError `fn` throws ("" if it throws none).
+template <typename Fn>
+std::string msr_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const MsrError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Msrlt, NamesSurviveTheSlimEntry) {
+  // The overlap error names the block already there.
+  Msrlt t;
+  t.register_block(Segment::Heap, 0x1000, 0x100, 1, 1, "existing");
+  EXPECT_NE(msr_error_of([&] { t.register_block(Segment::Heap, 0x1080, 8, 1, 1, "late"); })
+                .find("overlaps existing block 'existing'"),
+            std::string::npos);
+
+  ti::TypeTable types;
+  ti::StructBuilder<Link> b(types, "link");
+  HPM_TI_FIELD(b, Link, value);
+  HPM_TI_FIELD(b, Link, next);
+  const ti::TypeId link = b.commit();
+  HostSpace src(types);
+  Link tail{2, nullptr};
+  Link head{1, &tail};
+  src.track(Segment::Global, head, "head", link);
+  src.track(Segment::Heap, tail, "tail", link);
+
+  // The graph shows tracked names.
+  const std::string src_dot = MsrGraph::snapshot(src).to_dot();
+  EXPECT_NE(src_dot.find("[label=\"head\\n"), std::string::npos) << src_dot;
+  EXPECT_NE(src_dot.find("[label=\"tail\\n"), std::string::npos) << src_dot;
+
+  // The collector's interior-pointer error names the block it lies in.
+  xdr::Encoder enc;
+  {
+    msrm::Collector interior(src, enc);
+    EXPECT_NE(msr_error_of([&] {
+                interior.save_variable(reinterpret_cast<Address>(&head.next));
+              }).find("lies inside block 'head'"),
+              std::string::npos);
+  }
+  msrm::Collector collector(src, enc);
+  collector.save_variable(reinterpret_cast<Address>(&head));
+  const Bytes bytes = enc.take();
+
+  // Restored blocks are unnamed: the name table stays empty and the graph
+  // renders them by sequence number.
+  HostSpace dst(types);
+  xdr::Decoder dec(bytes);
+  msrm::Restorer restorer(dst, dec);
+  restorer.set_auto_bind(true);
+  const BlockId root = restorer.restore_variable();
+  EXPECT_EQ(dst.msrlt().name_count(), 0u);
+  EXPECT_EQ(dst.msrlt().name_of(*dst.msrlt().find_id(root)), "");
+  const std::string dst_dot = MsrGraph::snapshot(dst).to_dot();
+  EXPECT_NE(dst_dot.find("[label=\"#1\\n"), std::string::npos) << dst_dot;
+  EXPECT_EQ(dst_dot.find("head"), std::string::npos) << dst_dot;
+
+  // A repeated name is stored once.
+  ti::TypeTable heap_types;
+  mig::MigContext ctx(heap_types);
+  const std::size_t names_before = ctx.space().msrlt().name_count();
+  std::vector<long*> nodes;
+  for (int i = 0; i < 1000; ++i) nodes.push_back(ctx.heap_alloc<long>(1, "node"));
+  EXPECT_EQ(ctx.space().msrlt().name_count(), names_before + 1);
+  const Msrlt& heap = ctx.space().msrlt();
+  EXPECT_EQ(heap.name_of(*heap.find_base(reinterpret_cast<Address>(nodes[999]))), "node");
+}
+
+TEST(IdTable, PowerOfTwoStridesStaySpread) {
+  // No power-of-two stride piles ids onto one home slot, in all three
+  // segments at once (equal sequence numbers in each). Lookups and erases
+  // are checked against a reference map.
+  constexpr std::uint64_t kIds = std::uint64_t{1} << 14;
+  constexpr Segment kSegments[] = {Segment::Global, Segment::Stack, Segment::Heap};
+  std::vector<MemoryBlock> values(3 * kIds);
+  for (unsigned k = 0; k <= 24; ++k) {
+    IdTable<MemoryBlock> table;
+    std::unordered_map<BlockId, MemoryBlock*> ref;
+    std::vector<BlockId> ids;
+    for (const Segment seg : kSegments) {
+      for (std::uint64_t i = 0; i < kIds; ++i) {
+        const BlockId id = make_block_id(seg, 1 + (i << k));
+        MemoryBlock* value = &values[ids.size()];
+        ASSERT_TRUE(table.insert(id, value)) << "k=" << k << " id=" << id;
+        ref.emplace(id, value);
+        ids.push_back(id);
+      }
+    }
+    ASSERT_EQ(table.size(), ids.size());
+    EXPECT_LE(table.max_probe(), 16u) << "stride 2^" << k;
+    // Erase every other id (backward shifts), then look everything up.
+    for (std::size_t j = 0; j < ids.size(); j += 2) {
+      ASSERT_TRUE(table.erase(ids[j])) << "k=" << k;
+      ref.erase(ids[j]);
+    }
+    for (const BlockId id : ids) {
+      const auto it = ref.find(id);
+      ASSERT_EQ(table.find(id), it == ref.end() ? nullptr : it->second) << "k=" << k;
+    }
+    for (std::size_t j = 1; j < ids.size(); j += 2) ASSERT_TRUE(table.erase(ids[j]));
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.find(ids.back()), nullptr);
+  }
 }
 
 TEST(IdTable, MatchesAReferenceMapUnderRandomChurn) {
