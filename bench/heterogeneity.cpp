@@ -15,7 +15,8 @@
 
 #include "apps/workload.hpp"
 #include "emit.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
+#include "memimg/image_space.hpp"
 
 using namespace hpm;
 

@@ -11,7 +11,7 @@
 #include <cstdlib>
 
 #include "apps/bitonic.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
 
 int main(int argc, char** argv) {
   const int log2_leaves = argc > 1 ? std::atoi(argv[1]) : 10;

@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "ckpt/checkpoint.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
 
 namespace {
 

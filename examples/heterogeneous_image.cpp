@@ -12,7 +12,8 @@
 #include <cstdio>
 
 #include "apps/workload.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
+#include "memimg/image_space.hpp"
 
 using namespace hpm;
 

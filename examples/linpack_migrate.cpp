@@ -17,7 +17,7 @@
 #include <cstring>
 
 #include "apps/linpack.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
 
 int main(int argc, char** argv) {
   const int n = argc > 1 ? std::atoi(argv[1]) : 300;

@@ -13,7 +13,8 @@
 #include <cstring>
 #include <vector>
 
-#include "hpm/hpm.hpp"
+#include "common/rng.hpp"
+#include "hpm/migrate.hpp"
 
 namespace {
 

@@ -9,7 +9,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "hpm/hpm.hpp"
+#include "precc/codegen.hpp"
+#include "precc/parser.hpp"
 
 namespace {
 

@@ -8,7 +8,7 @@
 // the Collect/Tx/Restore report.
 #include <cstdio>
 
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
 
 namespace {
 

@@ -11,7 +11,8 @@
 #include <cstring>
 
 #include "apps/test_pointer.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
+#include "msrm/dump.hpp"
 
 int main(int argc, char** argv) {
   hpm::ti::TypeTable types;

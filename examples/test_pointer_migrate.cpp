@@ -9,7 +9,8 @@
 #include <cstdio>
 
 #include "apps/test_pointer.hpp"
-#include "hpm/hpm.hpp"
+#include "hpm/migrate.hpp"
+#include "msr/graph.hpp"
 
 int main() {
   hpm::apps::TestPointerResult result;

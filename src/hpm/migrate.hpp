@@ -1,21 +1,24 @@
-// Stable public facade for driving migrations.
+// The public header of hpm: the one include an embedder needs.
 //
-// This header is the supported surface for embedding hpm: one migration
-// (`hpm::run_migration` / `hpm::Coordinator`), a fleet of concurrent
-// migrations (`hpm::migrate_many`), and the option/report types they
-// exchange. Everything is re-exported into the top-level `hpm` namespace
-// so callers never name the internal layers.
+// It covers the migratable program's side (MigContext and the annotation
+// macros of mig/annotate.hpp), one migration (`hpm::run_migration`), a
+// fleet of concurrent migrations (`hpm::migrate_many`), crash recovery
+// from the intent journals (`hpm::recover`), and the option/report types
+// they exchange. Everything is re-exported into the top-level `hpm`
+// namespace so callers never name the internal layers.
 //
-// Examples, tools, and external embedders should include this (or
-// hpm/hpm.hpp, which includes it) instead of reaching into
-// mig/coordinator.hpp or mig/fleet.hpp — those internal headers stay
-// source-compatible but their layout is NOT a stability boundary; only
-// the names re-exported here are.
+// The internal headers this one includes (mig/coordinator.hpp,
+// mig/fleet.hpp, mig/journal.hpp, ...) may be reorganized freely; only
+// the names re-exported here are a stability boundary. Code that drives
+// an internal unit directly (a test of SessionWiring or Journal::replay,
+// a tool that dumps streams) includes that unit's header as well.
 #pragma once
 
+#include "mig/annotate.hpp"
 #include "mig/context.hpp"
 #include "mig/coordinator.hpp"
 #include "mig/fleet.hpp"
+#include "mig/journal.hpp"
 
 namespace hpm {
 
@@ -24,7 +27,6 @@ using mig::MigContext;
 using mig::MigrationExit;
 
 /// --- one migration -------------------------------------------------------
-using mig::Coordinator;
 using mig::MigrationOutcome;
 using mig::MigrationReport;
 using mig::RunOptions;
@@ -32,11 +34,16 @@ using mig::Transport;
 using mig::WireCodec;
 using mig::outcome_name;
 using mig::run_migration;
-using mig::run_routed_migration;
 
 /// --- a fleet of migrations ----------------------------------------------
 using mig::SessionJob;
 using mig::SessionOutcome;
 using mig::migrate_many;
+
+/// --- crash recovery ------------------------------------------------------
+using mig::RecoveryVerdict;
+using mig::TxnOwner;
+using mig::recover;
+using mig::txn_owner_name;
 
 }  // namespace hpm

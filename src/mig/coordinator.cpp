@@ -4,11 +4,11 @@
 // (port.hpp), the File spool (spool_transfer.hpp), and the intent
 // journals — behind the original run_migration() API. The policy that
 // lives HERE is only the composition: which transport takes which path,
-// how the journals are named and the txn derived, graceful degradation,
-// and crash recovery.
+// how the txn is derived, and graceful degradation.
 #include "mig/coordinator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 
@@ -96,11 +96,22 @@ void complete_locally(const RunOptions& options, MigrationReport& report,
   run_destination_program(options, ctx, report);
 }
 
-std::uint64_t wall_clock_txn() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
+/// The transaction id of a run, exclusive or routed: wall-clock
+/// microseconds, raised past the last id this process handed out, so
+/// concurrent sessions never collide and successive runs journaling into
+/// one directory get increasing ids (recover(dir) arbitrates the highest).
+std::uint64_t derive_txn() {
+  static std::atomic<std::uint64_t> last{0};
+  const auto micros = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
+  std::uint64_t prev = last.load();
+  std::uint64_t txn = 0;
+  do {
+    txn = std::max(micros, prev + 1);
+  } while (!last.compare_exchange_weak(prev, txn));
+  return txn;
 }
 
 /// Transport::File: the simplex spool path. The source runs the program
@@ -134,7 +145,7 @@ MigrationReport run_spool_migration(const RunOptions& options) {
 
   const std::chrono::milliseconds timeout = io_deadline(options);
   auto fault_state = std::make_shared<net::FaultState>();
-  RetryBackoff backoff(options);
+  RetryBackoff backoff;
   const int total_attempts = 1 + std::max(0, options.max_retries);
   for (int attempt = 1; attempt <= total_attempts; ++attempt) {
     if (attempt > 1) backoff.wait();
@@ -160,28 +171,20 @@ MigrationReport run_spool_migration(const RunOptions& options) {
 }
 
 /// The one handoff on a duplex transport, exclusive or routed: the
-/// transaction of source_txn.hpp over `wiring`, degrading to local
-/// completion once its attempts are spent. The callers differ only in
-/// the journal names — `source_journal` and `dest_journal(incarnation)`,
-/// inside options.journal_dir — and the txn id.
-MigrationReport run_transaction(
-    const RunOptions& options, const SessionWiring& wiring, std::uint64_t txn,
-    const std::string& source_journal,
-    const std::function<std::string(std::uint32_t)>& dest_journal) {
+/// transaction of source_txn.hpp over `wiring` under a fresh txn,
+/// degrading to local completion once its attempts are spent.
+MigrationReport run_transaction(const RunOptions& options, const SessionWiring& wiring) {
+  const std::uint64_t txn = derive_txn();
   MigrationReport report;
   Journal src_journal;
-  std::function<std::string(std::uint32_t)> dest_journal_path;
   if (!options.journal_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options.journal_dir, ec);
-    src_journal.open(options.journal_dir + "/" + source_journal);
-    dest_journal_path = [&options, &dest_journal](std::uint32_t inc) {
-      return options.journal_dir + "/" + dest_journal(inc);
-    };
+    src_journal.open(options.journal_dir + "/" + keyed_source_journal_name(txn));
   }
   RetainedStream retained;
   switch (run_pipelined_transaction(options, report, retained, wiring, io_deadline(options),
-                                    src_journal, dest_journal_path, txn)) {
+                                    src_journal, txn)) {
     case TxnResult::CompletedLocally:
       // Rendezvous happened but no transfer was ever started.
       report.attempts = 0;
@@ -197,7 +200,7 @@ MigrationReport run_transaction(
       break;
     case TxnResult::SourceCrashed:
       // The "crashed" source does nothing further — by definition. The
-      // journals (Coordinator::recover) arbitrate ownership.
+      // journals (recover) arbitrate ownership.
       report.outcome = MigrationOutcome::SourceCrashed;
       break;
     case TxnResult::Failed:
@@ -248,9 +251,7 @@ MigrationReport run_migration(const RunOptions& options) {
   if (options.transport == Transport::File) {
     report = run_spool_migration(options);
   } else {
-    report = run_transaction(options, direct_wiring(options, io_deadline(options)),
-                             options.txn_id != 0 ? options.txn_id : wall_clock_txn(),
-                             kSourceJournalName, dest_journal_name);
+    report = run_transaction(options, direct_wiring(options, io_deadline(options)));
   }
   run_span.arg("outcome", std::string(outcome_name(report.outcome)));
   run_span.finish();
@@ -268,38 +269,11 @@ MigrationReport run_routed_migration(const RunOptions& options,
   const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
   obs::Span run_span("mig.session.run");
   run_span.arg("session", std::uint64_t{wiring.session_id});
-  // Concurrent sessions share one journal_dir, so both the journal files
-  // and the derived txn are keyed per session: the wall clock alone could
-  // collide across sessions started the same instant.
-  const std::uint64_t txn =
-      options.txn_id != 0
-          ? options.txn_id
-          : (wall_clock_txn() << 10) | (wiring.session_id & 0x3FFu);
-  MigrationReport report = run_transaction(
-      options, wiring, txn, keyed_source_journal_name(txn),
-      [txn](std::uint32_t inc) { return keyed_dest_journal_name(txn, inc); });
+  MigrationReport report = run_transaction(options, wiring);
   run_span.arg("outcome", std::string(outcome_name(report.outcome)));
   run_span.finish();
   report.metrics = obs::Registry::process().snapshot().delta_since(before);
   return report;
-}
-
-RecoveryVerdict Coordinator::recover(const std::string& journal_dir) {
-  // Arbitrate against EVERY destination journal the run left behind — the
-  // primary's dest.journal plus any failover incarnation's suffixed file.
-  std::vector<std::string> dests = dest_journal_paths(journal_dir, 0);
-  if (dests.empty()) dests.push_back(journal_dir + "/" + kDestJournalName);
-  return recover_from_journals(journal_dir + "/" + kSourceJournalName, dests);
-}
-
-RecoveryVerdict Coordinator::recover(const std::string& journal_dir,
-                                     std::uint64_t txn_id) {
-  std::vector<std::string> dests = dest_journal_paths(journal_dir, txn_id);
-  if (dests.empty()) {
-    dests.push_back(journal_dir + "/" + keyed_dest_journal_name(txn_id));
-  }
-  return recover_from_journals(journal_dir + "/" + keyed_source_journal_name(txn_id),
-                               dests);
 }
 
 }  // namespace hpm::mig

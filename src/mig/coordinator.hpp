@@ -14,10 +14,10 @@
 // collected stream per attempt instead. The report carries the paper's
 // Collect / Tx / Restore split plus the attempt history.
 //
-// DEPRECATED as a public include path: embedders should include
-// hpm/migrate.hpp (or hpm/hpm.hpp), which re-exports this header's
-// stable surface into the top-level hpm namespace. Only that facade is a
-// stability boundary; this header may be reorganized freely.
+// Internal header: embedders include hpm/migrate.hpp, which re-exports
+// this header's stable surface into the top-level hpm namespace. Only
+// that facade is a stability boundary; this header may be reorganized
+// freely.
 #pragma once
 
 #include <functional>
@@ -56,8 +56,8 @@ struct DestinationCandidate {
 };
 
 /// Ordered candidate destinations for a failover. Each candidate is
-/// dialed up to 1 + RunOptions::max_retries times, paced by the
-/// retry_backoff_* delays, before the next one is tried.
+/// dialed up to 1 + RunOptions::max_retries times, paced by the retry
+/// backoff (endpoint_util.hpp), before the next one is tried.
 struct FailoverPolicy {
   std::vector<DestinationCandidate> standbys;
 
@@ -73,14 +73,10 @@ struct RunOptions {
   /// destination to restore and finish.
   std::function<void(MigContext&)> program;
 
-  /// Migrate at the Nth executed poll-point (0 = run to completion).
+  /// Migrate at the Nth executed poll-point (0 = run to completion). A
+  /// scheduler can also request migration asynchronously through
+  /// MigContext::request_migration(); whichever fires first wins.
   std::uint64_t migrate_at_poll = 0;
-
-  /// Asynchronous trigger: a scheduler thread delivers a migration
-  /// request this many seconds into the run (0 = disabled). The process
-  /// honors it at its next poll-point, like the paper's scheduler-driven
-  /// requests. Combines with migrate_at_poll (whichever fires first).
-  double request_after_seconds = 0;
 
   Transport transport = Transport::Memory;
   std::string spool_path = "/tmp/hpm_spool.bin";  ///< Transport::File only
@@ -126,12 +122,6 @@ struct RunOptions {
   /// or truncation can never hang the run.
   double io_timeout_seconds = 0;
 
-  /// Delay before the first retry (or failover re-dial); doubles per
-  /// retry, capped below. Deterministic (no jitter) so failure schedules
-  /// are reproducible.
-  double retry_backoff_seconds = 0.01;
-  double retry_backoff_cap_seconds = 0.25;
-
   /// Deterministic fault injected on the source->destination byte stream
   /// (see net/faulty_channel.hpp). Disabled by default.
   net::FaultPlan fault_plan{};
@@ -149,21 +139,17 @@ struct RunOptions {
   /// retransmitting from byte 0; restoration is bracketed by a
   /// Prepare/Commit/Abort exchange whose decisions are write-ahead
   /// journaled (fsync'd) on both ends when `journal_dir` is set, so
-  /// Coordinator::recover() can arbitrate ownership after a crash.
+  /// recover() can arbitrate ownership after a crash.
 
   /// Chunk-watermark ack cadence of the transaction (0 = no acks, so a
   /// resume would restart from chunk 0).
   std::uint32_t ack_every_chunks = 8;
 
-  /// Directory for the two intent journals (source.journal /
-  /// dest.journal). Empty = journaling disabled: the handoff still runs
-  /// two-phase, but crash arbitration has nothing durable to consult.
+  /// Directory for the intent journals, keyed by the run's transaction
+  /// id (source-<txn>.journal / dest-<txn>.journal; see journal.hpp).
+  /// Empty = journaling disabled: the handoff still runs two-phase, but
+  /// crash arbitration has nothing durable to consult.
   std::string journal_dir;
-
-  /// Transaction id recorded in the journals and carried in StateBegin.
-  /// 0 = derive one from the wall clock (unique across successive runs
-  /// appending to the same journal_dir).
-  std::uint64_t txn_id = 0;
 
   /// --- content-addressed dedup (DESIGN.md §15) -----------------------------
   /// When `chunk_cache_dir` names a directory, the transaction runs
@@ -177,12 +163,9 @@ struct RunOptions {
   /// manifest needs every address), forfeiting collect/tx overlap in
   /// exchange for the byte savings.
 
-  /// Directory of the destination's chunk store. Empty = dedup off.
+  /// Directory of the destination's chunk store (byte budget
+  /// ChunkStore::kDefaultBudget). Empty = dedup off.
   std::string chunk_cache_dir;
-
-  /// Byte budget of the chunk store; least-recently-used entries are
-  /// evicted past it.
-  std::uint64_t chunk_cache_bytes = 256ull << 20;
 
   /// Wire codec offered/accepted for residual misses (negotiated via a
   /// ManifestBegin capability bit; per-chunk raw fallback when encoding
@@ -216,7 +199,7 @@ enum class MigrationOutcome : std::uint8_t {
   AbortedContinuedLocally, ///< all transfer attempts failed; source finished locally
   /// The source "crashed" (injected KilledError) mid-transaction. Whether
   /// the destination owns the process is decided by the journals — see
-  /// Coordinator::recover(); report.migrated says whether the destination
+  /// recover(); report.migrated says whether the destination
   /// in fact finished the workload.
   SourceCrashed,
   /// Commit was journaled and sent but the destination's confirmation
@@ -262,7 +245,9 @@ struct MigrationReport {
   /// out of the retained stream.
   std::int64_t resumed_from_seq = -1;
 
-  /// Transaction id of the handoff (0 = no transaction ran: File).
+  /// Transaction id of the handoff, derived per run from the wall clock
+  /// and increasing within a process; it keys the run's journal files
+  /// (0 = no transaction ran: File).
   std::uint64_t txn_id = 0;
 
   /// End-to-end msrm::StreamDigest of the canonical stream (0 = no stream
@@ -314,38 +299,11 @@ MigrationReport run_migration(const RunOptions& options);
 /// channel. Runs the same transaction as run_migration does on an
 /// exclusive channel, primary retries, local degradation and the
 /// io_timeout_seconds deadline included. Journals are keyed by
-/// transaction id (keyed_source_journal_name) so concurrent sessions can
-/// share one journal_dir; recover with Coordinator::recover(dir, txn). The report's
+/// transaction id, as run_migration's are, so concurrent sessions can
+/// share one journal_dir; recover with recover(dir, txn). The report's
 /// registry-delta `metrics` overlaps between concurrent sessions — the
 /// per-session truth is the mig.session.<id>.* instruments.
 MigrationReport run_routed_migration(const RunOptions& options,
                                      const SessionWiring& wiring);
-
-/// Object-form entry point plus the crash-recovery half of the
-/// transactional handoff.
-class Coordinator {
- public:
-  explicit Coordinator(RunOptions options) : options_(std::move(options)) {}
-
-  /// Equivalent to run_migration(options).
-  MigrationReport run() const { return run_migration(options_); }
-
-  [[nodiscard]] const RunOptions& options() const noexcept { return options_; }
-
-  /// Decide, from the intent journals alone, which endpoint owns the
-  /// process after a crash. `journal_dir` is the RunOptions::journal_dir
-  /// of the interrupted run; a missing or torn journal file is treated as
-  /// empty (crash before any write), never as an error.
-  static RecoveryVerdict recover(const std::string& journal_dir);
-
-  /// Per-session recovery for a journal directory shared by concurrent
-  /// sessions (migrate_many): arbitrates on the txn-keyed pair
-  /// source-<txn>.journal / dest-<txn>.journal.
-  static RecoveryVerdict recover(const std::string& journal_dir,
-                                 std::uint64_t txn_id);
-
- private:
-  RunOptions options_;
-};
 
 }  // namespace hpm::mig

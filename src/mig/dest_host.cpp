@@ -182,8 +182,7 @@ void DestinationHost::run() {
     // index is rebuilt per migration from the directory scan.
     std::unique_ptr<ChunkStore> store;
     if (!options_.chunk_cache_dir.empty()) {
-      store = std::make_unique<ChunkStore>(options_.chunk_cache_dir,
-                                           options_.chunk_cache_bytes);
+      store = std::make_unique<ChunkStore>(options_.chunk_cache_dir);
       store->open();
     }
     std::thread rx([&] { rx_loop(assembler, begin.txn_id, store.get()); });

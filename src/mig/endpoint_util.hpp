@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,59 +34,37 @@ inline std::chrono::milliseconds io_deadline(const RunOptions& options) {
   return std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0)));
 }
 
-/// The one retry delay: retry_backoff_seconds before the first retry,
-/// doubling per retry up to retry_backoff_cap_seconds. Deterministic (no
-/// jitter) so failure schedules are reproducible. Paces the spool
-/// attempts, the transaction's resumes and primary retries, and each
-/// failover candidate's dials.
+/// First retry delay and its cap: the delay doubles per retry.
+inline constexpr std::chrono::milliseconds kRetryBackoffFirst{10};
+inline constexpr std::chrono::milliseconds kRetryBackoffCap{250};
+
+/// The one retry delay: kRetryBackoffFirst before the first retry,
+/// doubling per retry up to kRetryBackoffCap. Deterministic (no jitter)
+/// so failure schedules are reproducible. Paces the spool attempts, the
+/// transaction's resumes and primary retries, and each failover
+/// candidate's dials.
 class RetryBackoff {
  public:
-  explicit RetryBackoff(const RunOptions& options)
-      : delay_(options.retry_backoff_seconds), cap_(options.retry_backoff_cap_seconds) {}
-
   void wait() {
-    if (delay_ > 0) std::this_thread::sleep_for(std::chrono::duration<double>(delay_));
-    delay_ = std::min(delay_ * 2, cap_);
+    std::this_thread::sleep_for(delay_);
+    delay_ = std::min(delay_ * 2, kRetryBackoffCap);
   }
 
  private:
-  double delay_;
-  double cap_;
+  std::chrono::milliseconds delay_ = kRetryBackoffFirst;
 };
 
 /// Run the program on the source host until it completes (false) or the
 /// migration trigger fires and the state is collected into `ctx` (true).
-/// The paper's scheduler sends the migration request asynchronously;
-/// request_after_seconds models it with a timer thread that pokes the
-/// context's request flag. Anything else the program throws propagates.
+/// The trigger is migrate_at_poll or an asynchronous
+/// MigContext::request_migration(), honored at the next poll-point.
+/// Anything else the program throws propagates.
 inline bool run_source_program(const RunOptions& options, MigContext& ctx) {
-  std::atomic<bool> program_done{false};
-  std::thread scheduler;
-  if (options.request_after_seconds > 0) {
-    scheduler = std::thread([&ctx, &program_done, delay = options.request_after_seconds] {
-      const auto fire_at =
-          std::chrono::steady_clock::now() + std::chrono::duration<double>(delay);
-      while (!program_done.load(std::memory_order_relaxed) &&
-             std::chrono::steady_clock::now() < fire_at) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (!program_done.load(std::memory_order_relaxed)) ctx.request_migration();
-    });
-  }
-  auto join_scheduler = [&] {
-    program_done.store(true, std::memory_order_relaxed);
-    if (scheduler.joinable()) scheduler.join();
-  };
   try {
     options.program(ctx);
   } catch (const MigrationExit&) {
-    join_scheduler();
     return true;
-  } catch (...) {
-    join_scheduler();  // never leave the timer thread joinable
-    throw;
   }
-  join_scheduler();
   return false;
 }
 

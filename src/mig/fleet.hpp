@@ -2,9 +2,9 @@
 // migrate_many drives run_routed_migration once per job, each session on
 // its own routed epoch of a FrameRouter pair (DESIGN.md §12).
 //
-// Embedders should include hpm/migrate.hpp (or hpm/hpm.hpp), which
-// re-exports this header's names into the top-level hpm namespace; this
-// header's layout is not a stability boundary.
+// Internal header: embedders include hpm/migrate.hpp, which re-exports
+// this header's names into the top-level hpm namespace; this header's
+// layout is not a stability boundary.
 #pragma once
 
 #include <cstdint>

@@ -138,11 +138,6 @@ std::string keyed_dest_journal_name(std::uint64_t txn_id) {
   return "dest-" + std::to_string(txn_id) + ".journal";
 }
 
-std::string dest_journal_name(std::uint32_t incarnation) {
-  if (incarnation <= 1) return kDestJournalName;
-  return "dest.i" + std::to_string(incarnation) + ".journal";
-}
-
 std::string keyed_dest_journal_name(std::uint64_t txn_id, std::uint32_t incarnation) {
   if (incarnation <= 1) return keyed_dest_journal_name(txn_id);
   return "dest-" + std::to_string(txn_id) + ".i" + std::to_string(incarnation) +
@@ -155,21 +150,36 @@ bool all_digits(const std::string& s) {
   return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
 }
 
-/// Splits an optional ".i<k>" incarnation suffix off a journal middle
-/// part: "1234" → {"1234", 1}; "1234.i3" → {"1234", 3}. Returns false
-/// when the suffix is malformed.
-bool split_incarnation(std::string middle, std::string& base, std::uint32_t& inc) {
-  inc = 1;
-  const std::size_t dot = middle.find('.');
+/// The one journal file-name layout, parsed: "source-<txn>.journal",
+/// "dest-<txn>.journal", or failover incarnation k's
+/// "dest-<txn>.i<k>.journal".
+struct JournalName {
+  bool dest = false;
+  std::uint64_t txn = 0;
+  std::uint32_t incarnation = 1;
+};
+
+/// False for any name outside the layout.
+bool parse_journal_name(const std::string& name, JournalName& out) {
+  const std::size_t dash = name.find('-');
+  if (dash == std::string::npos || !name.ends_with(".journal")) return false;
+  const std::string stem = name.substr(0, dash);
+  std::string digits = name.substr(dash + 1, name.size() - dash - 1 - 8);
+  out.dest = stem == "dest";
+  if (!out.dest && stem != "source") return false;
+  out.incarnation = 1;
+  const std::size_t dot = digits.find('.');
   if (dot != std::string::npos) {
-    const std::string suffix = middle.substr(dot + 1);
+    const std::string suffix = digits.substr(dot + 1);
     if (suffix.size() < 2 || suffix[0] != 'i' || !all_digits(suffix.substr(1))) {
       return false;
     }
-    inc = static_cast<std::uint32_t>(std::strtoul(suffix.c_str() + 1, nullptr, 10));
-    middle.resize(dot);
+    out.incarnation =
+        static_cast<std::uint32_t>(std::strtoul(suffix.c_str() + 1, nullptr, 10));
+    digits.resize(dot);
   }
-  base = std::move(middle);
+  if (!all_digits(digits) || (!out.dest && out.incarnation != 1)) return false;
+  out.txn = std::strtoull(digits.c_str(), nullptr, 10);
   return true;
 }
 
@@ -177,35 +187,14 @@ bool split_incarnation(std::string middle, std::string& base, std::uint32_t& inc
 
 std::vector<std::string> dest_journal_paths(const std::string& journal_dir,
                                             std::uint64_t txn_id) {
-  // Collect {incarnation, path} for every dest journal naming this
-  // transaction (or the exclusive unkeyed names for txn_id 0).
-  std::vector<std::pair<std::uint32_t, std::string>> found;
+  std::vector<std::pair<std::uint32_t, std::string>> found;  // {incarnation, path}
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(journal_dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (!name.ends_with(".journal")) continue;
-    std::uint32_t inc = 1;
-    if (txn_id == 0) {
-      // Exclusive naming: "dest.journal" / "dest.i<k>.journal".
-      if (name == kDestJournalName) {
-        inc = 1;
-      } else if (name.starts_with("dest.i")) {
-        const std::string digits = name.substr(6, name.size() - 6 - 8);
-        if (!all_digits(digits)) continue;
-        inc = static_cast<std::uint32_t>(std::strtoul(digits.c_str(), nullptr, 10));
-      } else {
-        continue;
-      }
-    } else {
-      // Keyed naming: "dest-<txn>.journal" / "dest-<txn>.i<k>.journal".
-      if (!name.starts_with("dest-")) continue;
-      std::string base;
-      if (!split_incarnation(name.substr(5, name.size() - 5 - 8), base, inc)) continue;
-      if (!all_digits(base) || std::strtoull(base.c_str(), nullptr, 10) != txn_id) {
-        continue;
-      }
+    JournalName parsed;
+    if (parse_journal_name(name, parsed) && parsed.dest && parsed.txn == txn_id) {
+      found.emplace_back(parsed.incarnation, journal_dir + "/" + name);
     }
-    found.emplace_back(inc, journal_dir + "/" + name);
   }
   std::sort(found.begin(), found.end());
   std::vector<std::string> paths;
@@ -220,31 +209,11 @@ std::vector<std::uint64_t> list_journaled_txns(const std::string& journal_dir,
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(journal_dir, ec)) {
     const std::string name = entry.path().filename().string();
-    // The exclusive-run names are journals too — just not keyed ones; a
-    // mixed directory should not report them as foreign matter.
-    if (name == kSourceJournalName || name == kDestJournalName ||
-        (name.starts_with("dest.i") && name.ends_with(".journal"))) {
-      continue;
-    }
-    // Accept "source-<txn>.journal", "dest-<txn>.journal", and the
-    // failover variant "dest-<txn>.i<k>.journal". Anything else in the
-    // directory — editor droppings, partial copies, unrelated files — is
-    // reported (when asked) and stepped over instead of poisoning the
-    // scan.
-    const std::size_t dash = name.find('-');
-    bool keyed = dash != std::string::npos && name.ends_with(".journal");
-    std::uint64_t txn = 0;
-    if (keyed) {
-      const std::string stem = name.substr(0, dash);
-      std::string digits;
-      std::uint32_t inc = 1;
-      keyed = (stem == "source" || stem == "dest") &&
-              split_incarnation(name.substr(dash + 1, name.size() - dash - 1 - 8),
-                                digits, inc) &&
-              all_digits(digits) && (stem == "dest" || inc == 1);
-      if (keyed) txn = std::strtoull(digits.c_str(), nullptr, 10);
-    }
-    if (!keyed) {
+    // Anything outside the journal layout — editor droppings, partial
+    // copies, unrelated files — is reported (when asked) and stepped over
+    // instead of poisoning the scan.
+    JournalName parsed;
+    if (!parse_journal_name(name, parsed)) {
       if (skipped != nullptr) skipped->push_back(name + " (unrelated)");
       continue;
     }
@@ -256,7 +225,7 @@ std::vector<std::uint64_t> list_journaled_txns(const std::string& journal_dir,
       // the other side, so the txn id stays in the scan.
       if (skipped != nullptr) skipped->push_back(name + " (torn: zero length)");
     }
-    txns.push_back(txn);
+    txns.push_back(parsed.txn);
   }
   std::sort(txns.begin(), txns.end());
   txns.erase(std::unique(txns.begin(), txns.end()), txns.end());
@@ -267,13 +236,12 @@ std::vector<std::uint64_t> list_journaled_txns(const std::string& journal_dir,
 std::vector<std::uint64_t> gc_completed_txn_journals(const std::string& journal_dir) {
   std::vector<std::uint64_t> swept;
   for (const std::uint64_t txn : list_journaled_txns(journal_dir)) {
-    const std::string src = journal_dir + "/" + keyed_source_journal_name(txn);
-    const std::vector<std::string> dsts = dest_journal_paths(journal_dir, txn);
-    const RecoveryVerdict verdict = recover_from_journals(src, dsts);
-    if (!verdict.completed) continue;  // live, in-doubt, or aborted: keep
+    if (!recover(journal_dir, txn).completed) continue;  // live, in-doubt, or aborted: keep
     std::error_code ec;
-    std::filesystem::remove(src, ec);
-    for (const std::string& dst : dsts) std::filesystem::remove(dst, ec);
+    std::filesystem::remove(journal_dir + "/" + keyed_source_journal_name(txn), ec);
+    for (const std::string& dst : dest_journal_paths(journal_dir, txn)) {
+      std::filesystem::remove(dst, ec);
+    }
     swept.push_back(txn);
   }
   if (!swept.empty()) {
@@ -385,6 +353,22 @@ RecoveryVerdict recover_from_journals(const std::string& source_path,
                      "the process";
   }
   return verdict;
+}
+
+RecoveryVerdict recover(const std::string& journal_dir, std::uint64_t txn_id) {
+  return recover_from_journals(journal_dir + "/" + keyed_source_journal_name(txn_id),
+                               dest_journal_paths(journal_dir, txn_id));
+}
+
+RecoveryVerdict recover(const std::string& journal_dir) {
+  // A torn creation (a zero-length journal) lists its txn but holds no
+  // record; the latest transaction is the newest one that recorded any.
+  const std::vector<std::uint64_t> txns = list_journaled_txns(journal_dir);
+  for (auto it = txns.rbegin(); it != txns.rend(); ++it) {
+    RecoveryVerdict verdict = recover(journal_dir, *it);
+    if (verdict.owner != TxnOwner::None) return verdict;
+  }
+  return recover_from_journals(std::string(), std::vector<std::string>{});  // no record
 }
 
 }  // namespace hpm::mig

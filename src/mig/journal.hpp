@@ -88,28 +88,21 @@ class Journal {
   std::string path_;
 };
 
-/// File names inside RunOptions::journal_dir for a single (exclusive)
-/// migration run.
-inline constexpr const char* kSourceJournalName = "source.journal";
-inline constexpr const char* kDestJournalName = "dest.journal";
-
-/// File names for a session keyed by its transaction id —
-/// "source-<txn>.journal" / "dest-<txn>.journal". Used when several
-/// concurrent sessions share one journal directory (migrate_many)
-/// so each transaction recovers against its own pair.
+/// File names inside RunOptions::journal_dir, keyed by transaction id —
+/// "source-<txn>.journal" / "dest-<txn>.journal" — so every run, exclusive
+/// or one of several concurrent sessions, recovers against its own pair.
 std::string keyed_source_journal_name(std::uint64_t txn_id);
 std::string keyed_dest_journal_name(std::uint64_t txn_id);
 
 /// Dest journal name for a specific incarnation: the primary (inc 1)
-/// keeps the classic name, standby k writes "dest[-<txn>].i<k>.journal"
+/// keeps the plain keyed name, standby k writes "dest-<txn>.i<k>.journal"
 /// beside it so arbitration can see every destination that ever touched
 /// the transaction.
-std::string dest_journal_name(std::uint32_t incarnation);
 std::string keyed_dest_journal_name(std::uint64_t txn_id, std::uint32_t incarnation);
 
 /// Every destination journal recorded for `txn_id` in `journal_dir` (the
 /// primary's plus any failover incarnations'), existing files only,
-/// incarnation order. For the exclusive (non-keyed) naming pass txn_id 0.
+/// incarnation order.
 std::vector<std::string> dest_journal_paths(const std::string& journal_dir,
                                             std::uint64_t txn_id);
 
@@ -163,5 +156,17 @@ RecoveryVerdict recover_from_journals(const std::string& source_path,
 /// fenced stale destination and never wins ownership.
 RecoveryVerdict recover_from_journals(const std::string& source_path,
                                       const std::vector<std::string>& dest_paths);
+
+/// Decide, from the intent journals in `journal_dir` alone, which
+/// endpoint owns transaction `txn_id` after a crash: its source journal
+/// against every destination journal (primary and failover incarnations)
+/// it left behind. A missing or torn journal file is treated as empty
+/// (crash before any write), never as an error.
+RecoveryVerdict recover(const std::string& journal_dir, std::uint64_t txn_id);
+
+/// The same for the latest transaction in `journal_dir`: the highest
+/// journaled txn id that holds any record (txn ids grow with the wall
+/// clock, so that is the last run that journaled into the directory).
+RecoveryVerdict recover(const std::string& journal_dir);
 
 }  // namespace hpm::mig

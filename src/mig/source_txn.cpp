@@ -138,7 +138,7 @@ struct Destination {
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
     const SessionWiring& wiring, std::chrono::milliseconds deadline, Journal& src_journal,
-    const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn) {
+    std::uint64_t txn) {
   TxnMetrics::get().begins.add(1);
   report.txn_id = txn;
   const int total_attempts = 1 + std::max(0, options.max_retries);
@@ -154,7 +154,10 @@ TxnResult run_pipelined_transaction(
   auto open_destination = [&](const RunOptions& dest_options, std::uint32_t inc,
                               std::unique_ptr<MessagePort> port) {
     dest = std::make_unique<Destination>(
-        dest_options, report, dest_journal_path ? dest_journal_path(inc) : std::string(),
+        dest_options, report,
+        options.journal_dir.empty()
+            ? std::string()
+            : options.journal_dir + "/" + keyed_dest_journal_name(txn, inc),
         src_journal.path(), deadline, wiring.session_id);
     dest->host.start(std::move(port));
   };
@@ -553,7 +556,7 @@ TxnResult run_pipelined_transaction(
   // or after a veto, which ends an incarnation but not the transaction —
   // the stream replays from chunk 0 to a fresh primary incarnation from
   // wiring.connect(), which votes anew before anything is committed.
-  RetryBackoff backoff(options);
+  RetryBackoff backoff;
   std::uint32_t next_inc = 2;
   bool failed_over = false;
   /// Count one more attempt; returns the label its failure cause carries.
@@ -631,7 +634,7 @@ TxnResult run_pipelined_transaction(
         PortPair fresh;
         bool dialed = false;
         std::string dial_cause;
-        RetryBackoff dial_backoff(options);
+        RetryBackoff dial_backoff;
         for (int d = 0; d < total_attempts && !dialed; ++d) {
           if (d > 0) dial_backoff.wait();
           try {

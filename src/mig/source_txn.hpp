@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 
 #include "mig/coordinator.hpp"
 #include "mig/port.hpp"
@@ -42,13 +41,14 @@ enum class TxnResult : std::uint8_t {
 ///
 /// `deadline` bounds every blocking send/recv (0 = unbounded); the
 /// commit-phase waits get 4x it (DESIGN.md §13).
-/// `dest_journal_path(incarnation)` names each destination incarnation's
-/// intent journal (null = journaling off). On return `stream` holds the
+/// Each destination incarnation journals to options.journal_dir under
+/// keyed_dest_journal_name(txn, incarnation) (no journal_dir = journaling
+/// off). On return `stream` holds the
 /// retained canonical stream (resident or spilled per options.retain_dir);
 /// the caller materializes it for local completion.
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
     const SessionWiring& wiring, std::chrono::milliseconds deadline, Journal& src_journal,
-    const std::function<std::string(std::uint32_t)>& dest_journal_path, std::uint64_t txn);
+    std::uint64_t txn);
 
 }  // namespace hpm::mig

@@ -55,19 +55,26 @@ inline LogicalPointer resolve_pointer(const MemorySpace& space, Address addr) {
   return LogicalPointer{r.block->id, r.leaf};
 }
 
-/// Address of leaf `leaf` of `block` (restoration validates the ordinal
-/// against the block's extent).
+/// Address of leaf `leaf` of `block`, whose element type has `per_elem`
+/// leaves and `elem_size` bytes — for a caller that already looked them
+/// up (restoration validates the ordinal against the block's extent).
 inline Address address_of(const MemorySpace& space, const MemoryBlock& block,
-                          std::uint64_t leaf) {
-  const std::uint64_t per_elem = space.leaves().count(block.type);
+                          std::uint64_t leaf, std::uint64_t per_elem,
+                          std::uint64_t elem_size) {
   const std::uint64_t elem_idx = leaf / per_elem;
   if (elem_idx >= block.count) {
     throw MsrError("logical pointer leaf ordinal beyond end of block '" +
                    std::string(space.msrlt().name_of(block)) + "'");
   }
   const ti::LeafRef ref = ti::leaf_at(space.leaves(), space.layouts(), block.type, leaf % per_elem);
-  const std::uint64_t elem_size = space.layouts().of(block.type).size;
   return block.base + elem_idx * elem_size + ref.byte_offset;
+}
+
+/// Address of leaf `leaf` of `block`.
+inline Address address_of(const MemorySpace& space, const MemoryBlock& block,
+                          std::uint64_t leaf) {
+  return address_of(space, block, leaf, space.leaves().count(block.type),
+                    space.layouts().of(block.type).size);
 }
 
 /// Translate a logical pointer back to a space address.

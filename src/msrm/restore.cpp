@@ -87,7 +87,9 @@ msr::Address Restorer::restore_pointer() {
 }
 
 const msr::MemoryBlock& Restorer::materialize_pnew(msr::BlockId src_id, std::uint8_t segment,
-                                                   ti::TypeId type, std::uint32_t count) {
+                                                   ti::TypeId type, std::uint32_t count,
+                                                   std::uint64_t per_elem,
+                                                   std::uint64_t elem_size) {
   const auto seg = static_cast<msr::Segment>(segment);
   if (segment > 2) throw WireError("corrupt stream: bad segment tag");
   if (const msr::MemoryBlock* dest = binding_.find(src_id)) {
@@ -108,13 +110,11 @@ const msr::MemoryBlock& Restorer::materialize_pnew(msr::BlockId src_id, std::uin
   // whole stream its remaining bytes bound the element count. A streaming
   // decoder cannot know that bound; there an impossible size surfaces as
   // an allocation failure, mapped to the same typed error below.
-  const std::uint64_t per_elem = space_.leaves().count(type);
   if (dec_.bounded() && per_elem != 0 && count > dec_.remaining() / per_elem) {
     throw WireError("corrupt stream: PNEW of " + std::to_string(count) +
                     " elements cannot fit in the " + std::to_string(dec_.remaining()) +
                     " bytes left");
   }
-  const std::uint64_t elem_size = space_.layouts().of(type).size;
   if (elem_size != 0 && count > UINT64_MAX / elem_size) {
     throw WireError("corrupt stream: PNEW block size overflows");
   }
@@ -153,16 +153,22 @@ msr::Address Restorer::decode_ptr_value() {
       const std::uint8_t segment = dec_.get_u8();
       const ti::TypeId type = dec_.get_u32();
       const std::uint32_t count = dec_.get_u32();
-      space_.types().at(type);  // validate id against the shared TI table
-      const msr::MemoryBlock& dest = materialize_pnew(src_id, segment, type, count);
-      const msr::Address target = msr::address_of(space_, dest, leaf);
-      if (space_.types().bulk_eligible(type)) {
-        decode_flat(dest);
+      // One lookup each per PNEW: bulk_eligible validates the id against
+      // the shared TI table; the leaf count and element size are passed
+      // down to every check and address computation below.
+      const bool bulk = space_.types().bulk_eligible(type);
+      const std::uint64_t per_elem = space_.leaves().count(type);
+      const std::uint64_t elem_size = space_.layouts().of(type).size;
+      const msr::MemoryBlock& dest =
+          materialize_pnew(src_id, segment, type, count, per_elem, elem_size);
+      const msr::Address target = msr::address_of(space_, dest, leaf, per_elem, elem_size);
+      if (bulk) {
+        decode_flat(dest, per_elem, elem_size);
       } else {
         Pending p;
         p.block = &dest;
         p.leaf_list = &leaves_.of(type);
-        p.elem_size = space_.layouts().of(type).size;
+        p.elem_size = elem_size;
         p.elem_idx = 0;
         p.leaf_idx = 0;
         stack_.push_back(p);
@@ -243,10 +249,10 @@ const Restorer::StagedPlan& Restorer::staged_plan_of(ti::TypeId type) {
   return staged_plans_.emplace(type, std::move(plan)).first->second;
 }
 
-void Restorer::decode_flat(const msr::MemoryBlock& block) {
+void Restorer::decode_flat(const msr::MemoryBlock& block, std::uint64_t leaves_per_elem,
+                           std::uint64_t elem_size) {
   const std::uint8_t body = dec_.get_u8();
   if (body == kBodyCanonical) {
-    const std::uint64_t elem_size = space_.layouts().of(block.type).size;
     for (std::uint32_t e = 0; e < block.count; ++e) {
       decode_flat_type(block.base + e * elem_size, block.type);
     }
@@ -256,7 +262,7 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
     throw WireError("corrupt stream: expected a flat-body tag, got " + std::to_string(body));
   }
   const std::uint64_t nbytes = dec_.get_u64();
-  const std::uint64_t leaf_total = space_.leaves().count(block.type) * block.count;
+  const std::uint64_t leaf_total = leaves_per_elem * block.count;
   if (same_model_) {
     // Same data model: the raw image IS the destination layout.
     if (nbytes != block.size) {
@@ -282,7 +288,6 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
   dec_.get_bytes(raw_buf_.data(), nbytes);
   const std::vector<ti::LeafRef>& src_list = src_leaves_of(block.type);
   const std::vector<ti::LeafRef>& dst_list = leaves_.of(block.type);
-  const std::uint64_t dst_elem = space_.layouts().of(block.type).size;
   std::uint8_t* raw_out = space_.raw_mut(block.base, block.size);
   if (raw_out != nullptr) {
     // Batched conversion: replay the fused per-element plan, one memcpy /
@@ -290,10 +295,10 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
     const StagedPlan& plan = staged_plan_of(block.type);
     for (std::uint32_t e = 0; e < block.count; ++e) {
       const std::uint8_t* in = raw_buf_.data() + e * src_elem;
-      std::uint8_t* out = raw_out + e * dst_elem;
+      std::uint8_t* out = raw_out + e * elem_size;
       for (const StagedOp& op : plan.ops) {
         if (op.count == 0) {
-          space_.write_prim(block.base + e * dst_elem + dst_list[op.first].byte_offset,
+          space_.write_prim(block.base + e * elem_size + dst_list[op.first].byte_offset,
                             dst_list[op.first].prim,
                             xdr::read_raw(in + src_list[op.first].byte_offset, *src_arch_,
                                           src_list[op.first].prim));
@@ -311,7 +316,7 @@ void Restorer::decode_flat(const msr::MemoryBlock& block) {
     // No contiguous destination storage: scalar conversion per leaf.
     for (std::uint32_t e = 0; e < block.count; ++e) {
       const std::uint8_t* in = raw_buf_.data() + e * src_elem;
-      const msr::Address out = block.base + e * dst_elem;
+      const msr::Address out = block.base + e * elem_size;
       for (std::size_t i = 0; i < src_list.size(); ++i) {
         space_.write_prim(out + dst_list[i].byte_offset, dst_list[i].prim,
                           xdr::read_raw(in + src_list[i].byte_offset, *src_arch_,

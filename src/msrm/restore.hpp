@@ -97,7 +97,9 @@ class Restorer {
   /// Decode a PtrVal; may push a Pending; returns the destination address.
   msr::Address decode_ptr_value();
 
-  void decode_flat(const msr::MemoryBlock& block);
+  /// `leaves_per_elem` and `elem_size` describe block.type.
+  void decode_flat(const msr::MemoryBlock& block, std::uint64_t leaves_per_elem,
+                   std::uint64_t elem_size);
   void decode_flat_type(msr::Address base, ti::TypeId type);
   void drain();
 
@@ -129,8 +131,10 @@ class Restorer {
   };
   const StagedPlan& staged_plan_of(ti::TypeId type);
 
+  /// `per_elem` and `elem_size` are the leaf count and byte size of `type`.
   const msr::MemoryBlock& materialize_pnew(msr::BlockId src_id, std::uint8_t segment,
-                                           ti::TypeId type, std::uint32_t count);
+                                           ti::TypeId type, std::uint32_t count,
+                                           std::uint64_t per_elem, std::uint64_t elem_size);
 
   /// Push the local tallies into the process registry and zero them.
   /// Called at the end of each restore_pointer (so once per variable

@@ -29,9 +29,8 @@
 
 #include "apps/bitonic.hpp"
 #include "bench/emit.hpp"
-#include "mig/coordinator.hpp"
-#include "mig/fleet.hpp"
-#include "mig/journal.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/journal.hpp"  // internal unit: journal listing, GC and hand-written records
 #include "obs/metrics.hpp"
 
 namespace hpm::mig {
@@ -158,7 +157,7 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
     }
     std::size_t expected_swept = 0;
     for (const std::uint64_t txn : txns) {
-      const mig::RecoveryVerdict verdict = mig::Coordinator::recover(round_dir, txn);
+      const mig::RecoveryVerdict verdict = mig::recover(round_dir, txn);
       EXPECT_NE(verdict.owner, mig::TxnOwner::None) << "txn " << txn;
       if (verdict.completed) ++expected_swept;
     }
@@ -210,7 +209,7 @@ TEST(ChaosSoak, WedgedSessionResumesOnceItsDeadlineFires) {
 
   // The resumed transaction has exactly one owner: the destination.
   ASSERT_NE(victim.txn_id, 0u);
-  const mig::RecoveryVerdict verdict = mig::Coordinator::recover(journal_dir, victim.txn_id);
+  const mig::RecoveryVerdict verdict = mig::recover(journal_dir, victim.txn_id);
   EXPECT_EQ(verdict.owner, mig::TxnOwner::Destination) << verdict.reason;
   EXPECT_TRUE(verdict.completed);
   std::filesystem::remove_all(journal_dir);
@@ -292,26 +291,22 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
 
   // A resumable routed migration that provably spends time with a live
   // watermark: its port is severed mid-stream, the session reconnects
-  // and resumes from the acked chunk. Only the routed path writes the
-  // keyed journal names ("source-<txn>.journal") the sweeper manages —
-  // run_migration's exclusive pair is outside GC's jurisdiction by
-  // design. The sweeper hammers the directory the whole time.
-  constexpr std::uint64_t kTxn = 7100;
+  // and resumes from the acked chunk. The sweeper hammers the directory
+  // the whole time.
   apps::BitonicResult result;
   std::vector<SessionJob> jobs(1);
   jobs[0].options = bitonic_options(kSeeds[0], &result);
   jobs[0].options.journal_dir = dir;
-  jobs[0].options.txn_id = kTxn;
   jobs[0].options.max_retries = 2;
   jobs[0].options.ack_every_chunks = 1;
   jobs[0].sever_after_frames = 12;  // mid-stream of ~47 chunks
 
   std::atomic<bool> done{false};
-  std::atomic<int> swept_live{0};
+  std::vector<std::uint64_t> swept_live;  // the sweeper's alone until it is joined
   std::thread sweeper([&] {
     while (!done.load(std::memory_order_acquire)) {
       for (const std::uint64_t txn : mig::gc_completed_txn_journals(dir)) {
-        if (txn == kTxn) swept_live.fetch_add(1);
+        swept_live.push_back(txn);
       }
     }
   });
@@ -332,10 +327,10 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
   // While the watermark was live the journal was untouchable; completion
   // is the only thing that makes it sweepable, and then exactly once —
   // either the hammer caught the completed pair, or our final sweep does.
+  const std::uint64_t txn = outcomes[0].report.txn_id;
   const std::vector<std::uint64_t> final_sweep = mig::gc_completed_txn_journals(dir);
-  const int total =
-      swept_live.load() + static_cast<int>(std::count(final_sweep.begin(),
-                                                      final_sweep.end(), kTxn));
+  const auto total = std::count(swept_live.begin(), swept_live.end(), txn) +
+                     std::count(final_sweep.begin(), final_sweep.end(), txn);
   EXPECT_EQ(total, 1) << "transaction swept " << total << " times";
   EXPECT_TRUE(mig::gc_completed_txn_journals(dir).empty());
   fs::remove_all(dir);

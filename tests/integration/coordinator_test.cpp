@@ -1,13 +1,22 @@
-// Coordinator protocol behavior: error propagation, async requests,
-// option validation, and report consistency.
+// Coordinator protocol behavior through the public header: error
+// propagation, async requests, option validation, report consistency, and
+// the recovery verdict of a journaled run.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
+#include <mutex>
+#include <stop_token>
+#include <thread>
 
 #include "apps/test_pointer.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 
-namespace hpm::mig {
+namespace hpm {
 namespace {
 
 void simple_program(MigContext& ctx, int n, std::atomic<int>* completions) {
@@ -21,6 +30,22 @@ void simple_program(MigContext& ctx, int n, std::atomic<int>* completions) {
   }
   completions->fetch_add(1);
   HPM_BODY_END(ctx);
+}
+
+/// The paper's scheduler: a thread that asks the source to migrate
+/// `delay` into the run. Started on the source only — the destination
+/// re-runs the program to restore — and joined (stop requested first) when
+/// the returned handle leaves the program's scope, so a program that
+/// finishes early cancels the request.
+std::jthread request_after(MigContext& ctx, std::chrono::milliseconds delay) {
+  if (ctx.restoring()) return {};
+  return std::jthread([&ctx, delay](std::stop_token stop) {
+    std::mutex mu;
+    std::condition_variable_any wake;
+    std::unique_lock lock(mu);
+    wake.wait_for(lock, stop, delay, [] { return false; });
+    if (!stop.stop_requested()) ctx.request_migration();
+  });
 }
 
 TEST(Coordinator, MissingCallbacksAreRejected) {
@@ -47,6 +72,9 @@ TEST(Coordinator, NoMigrationShutdownIsClean) {
 }
 
 TEST(Coordinator, MigrationRunsDestinationExactlyOnce) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("hpm_coord_journal_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   std::atomic<int> completions{0};
   RunOptions options;
   options.register_types = [](ti::TypeTable&) {};
@@ -54,6 +82,7 @@ TEST(Coordinator, MigrationRunsDestinationExactlyOnce) {
     simple_program(ctx, 10, &completions);
   };
   options.migrate_at_poll = 5;
+  options.journal_dir = dir.string();
   const MigrationReport report = run_migration(options);
   EXPECT_TRUE(report.migrated);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
@@ -62,6 +91,14 @@ TEST(Coordinator, MigrationRunsDestinationExactlyOnce) {
   EXPECT_EQ(completions.load(), 1);  // source unwound; destination finished
   EXPECT_GT(report.stream_bytes, 0u);
   EXPECT_GE(report.tx_seconds, 0.0);
+
+  // The journals name that run, and the destination as its owner.
+  const RecoveryVerdict v = hpm::recover(dir.string());
+  EXPECT_EQ(v.txn_id, report.txn_id);
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_STREQ(txn_owner_name(v.owner), "destination");
+  EXPECT_TRUE(v.completed) << v.reason;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Coordinator, DestinationFailureSurfacesToTheCaller) {
@@ -104,9 +141,9 @@ TEST(Coordinator, AsyncRequestAfterCompletionIsHarmless) {
   RunOptions options;
   options.register_types = [](ti::TypeTable&) {};
   options.program = [&completions](MigContext& ctx) {
-    simple_program(ctx, 3, &completions);
+    const std::jthread scheduler = request_after(ctx, std::chrono::seconds(5));
+    simple_program(ctx, 3, &completions);  // finishes long before the request
   };
-  options.request_after_seconds = 5.0;  // program finishes long before
   const MigrationReport report = run_migration(options);
   EXPECT_FALSE(report.migrated);
   EXPECT_EQ(completions.load(), 1);
@@ -117,10 +154,10 @@ TEST(Coordinator, AsyncRequestMidRunMigrates) {
   RunOptions options;
   options.register_types = [](ti::TypeTable&) {};
   options.program = [&completions](MigContext& ctx) {
-    // Enough polls that the 1 ms timer lands mid-run.
+    const std::jthread scheduler = request_after(ctx, std::chrono::milliseconds(1));
+    // Enough polls that the 1 ms request lands mid-run.
     simple_program(ctx, 50'000'000, &completions);
   };
-  options.request_after_seconds = 0.001;
   const MigrationReport report = run_migration(options);
   EXPECT_TRUE(report.migrated);
   EXPECT_EQ(completions.load(), 1);
@@ -147,4 +184,4 @@ TEST(Coordinator, ReportBlockCountsBalance) {
 }
 
 }  // namespace
-}  // namespace hpm::mig
+}  // namespace hpm

@@ -32,10 +32,9 @@
 #include <vector>
 
 #include "apps/bitonic.hpp"
-#include "mig/coordinator.hpp"
-#include "mig/fleet.hpp"
-#include "mig/journal.hpp"
-#include "mig/session.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/coordinator.hpp"  // internal unit: run_routed_migration over a SessionWiring
+#include "mig/session.hpp"      // internal unit: the fencing of the session machines
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
 
@@ -110,11 +109,9 @@ class FailoverMatrix : public ::testing::Test {
     RunOptions options = base_options(result);
     options.max_retries = 0;
     options.journal_dir = (root_ / "journals").string();
-    options.txn_id = kTxn;
     DestinationCandidate standby;
     standby.name = "standby-a";
     options.failover.standbys.push_back(standby);
-    options.retry_backoff_seconds = 0.001;
     return options;
   }
 
@@ -143,9 +140,9 @@ class FailoverMatrix : public ::testing::Test {
     EXPECT_EQ(report.stream_digest, baseline().digest)
         << "replayed stream diverged from the fault-free collection";
 
-    const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+    const RecoveryVerdict v = recover(options.journal_dir);
     EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
-    EXPECT_EQ(v.txn_id, kTxn);
+    EXPECT_EQ(v.txn_id, report.txn_id);
     EXPECT_EQ(v.incarnation, 2u) << v.reason;
     EXPECT_EQ(v.committed_destinations, 1u)
         << "exactly one destination may hold a Committed record: " << v.reason;
@@ -227,7 +224,7 @@ TEST_F(FailoverMatrix, PostCommitDeathIsNotFailedOver) {
   EXPECT_EQ(result.sum_after, baseline().sum);
   EXPECT_EQ(report.metrics.counter("mig.failover.redirects"), 0u);
 
-  const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+  const RecoveryVerdict v = recover(options.journal_dir);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 1u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
@@ -251,7 +248,7 @@ TEST_F(FailoverMatrix, PrimaryKilledMidManifestNegotiation) {
   EXPECT_EQ(result.sum_after, baseline().sum);
   EXPECT_EQ(report.stream_digest, baseline().digest);
 
-  const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+  const RecoveryVerdict v = recover(options.journal_dir);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 2u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
@@ -276,7 +273,7 @@ TEST_F(FailoverMatrix, SecondStandbyWinsWhenTheFirstDiesToo) {
   EXPECT_EQ(result.sum_after, baseline().sum);
   EXPECT_EQ(report.stream_digest, baseline().digest);
 
-  const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+  const RecoveryVerdict v = recover(options.journal_dir);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 3u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
@@ -431,11 +428,9 @@ TEST(WedgedFailover, WedgedSessionResumesInsteadOfDegrading) {
   std::vector<SessionJob> jobs(1);
   jobs[0].options = base_options(result);
   jobs[0].options.journal_dir = journal_dir;
-  jobs[0].options.txn_id = kTxn;
   DestinationCandidate standby;
   standby.name = "standby-a";
   jobs[0].options.failover.standbys.push_back(standby);
-  jobs[0].options.retry_backoff_seconds = 0.001;
   jobs[0].options.io_timeout_seconds = 1.0;
   jobs[0].stall_after_frames = 12;
 
@@ -452,7 +447,7 @@ TEST(WedgedFailover, WedgedSessionResumesInsteadOfDegrading) {
   EXPECT_EQ(result.sum_after, baseline().sum);
   EXPECT_EQ(r.stream_digest, baseline().digest);
 
-  const RecoveryVerdict v = Coordinator::recover(journal_dir, kTxn);
+  const RecoveryVerdict v = recover(journal_dir, r.txn_id);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 1u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);
@@ -484,9 +479,7 @@ TEST(FailoverDial, UnreachableStandbyIsDialedOnTheRetryBudgetThenSkipped) {
   apps::BitonicResult result;
   RunOptions options = base_options(result);
   options.max_retries = 1;
-  options.retry_backoff_seconds = 0.001;
   options.journal_dir = journal_dir;
-  options.txn_id = kTxn;
   options.failover.standbys = {{.name = "standby-a"}, {.name = "standby-b"}};
 
   int standby_a_dials = 0;
@@ -519,7 +512,7 @@ TEST(FailoverDial, UnreachableStandbyIsDialedOnTheRetryBudgetThenSkipped) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, baseline().sum);
   EXPECT_EQ(report.stream_digest, baseline().digest);
-  const RecoveryVerdict v = Coordinator::recover(journal_dir, kTxn);
+  const RecoveryVerdict v = recover(journal_dir, report.txn_id);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
   EXPECT_EQ(v.incarnation, 3u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u);

@@ -14,9 +14,9 @@
 #include <string>
 
 #include "apps/bitonic.hpp"
-#include "mig/coordinator.hpp"
-#include "mig/endpoint_util.hpp"
-#include "mig/journal.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/endpoint_util.hpp"  // internal unit: io_deadline
+#include "mig/journal.hpp"        // internal unit: Journal::replay of each vote
 
 namespace hpm {
 namespace {
@@ -58,13 +58,14 @@ std::string case_name(const ::testing::TestParamInfo<FaultCase>& info) {
 
 class FaultMatrix : public ::testing::TestWithParam<FaultCase> {};
 
-/// Every source Commit names a vote: some destination journal holds a
-/// Prepared record with the same txn, incarnation and digest.
-void expect_every_commit_voted(const std::string& journal_dir) {
+/// Every source Commit of transaction `txn` names a vote: some destination
+/// journal holds a Prepared record with the same txn, incarnation and
+/// digest.
+void expect_every_commit_voted(const std::string& journal_dir, std::uint64_t txn) {
   const std::vector<mig::JournalRecord> src =
-      mig::Journal::replay(journal_dir + "/" + mig::kSourceJournalName);
+      mig::Journal::replay(journal_dir + "/" + mig::keyed_source_journal_name(txn));
   std::vector<mig::JournalRecord> prepared;
-  for (const std::string& path : mig::dest_journal_paths(journal_dir, 0)) {
+  for (const std::string& path : mig::dest_journal_paths(journal_dir, txn)) {
     for (const mig::JournalRecord& r : mig::Journal::replay(path)) {
       if (r.type == mig::JournalRecordType::Prepared) prepared.push_back(r);
     }
@@ -99,7 +100,6 @@ TEST_P(FaultMatrix, OneFaultIsAbsorbedByRetry) {
   std::filesystem::remove_all(journal_dir);
   options.journal_dir = journal_dir;
   options.io_timeout_seconds = 0.25;
-  options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = fc.kind;
   options.fault_plan.offset = 64;  // inside the State frame payload
   options.fault_plan.length = 4;
@@ -113,7 +113,9 @@ TEST_P(FaultMatrix, OneFaultIsAbsorbedByRetry) {
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("attempt 1"), std::string::npos)
       << report.failure_causes[0];
-  if (fc.transport != mig::Transport::File) expect_every_commit_voted(journal_dir);
+  if (fc.transport != mig::Transport::File) {
+    expect_every_commit_voted(journal_dir, report.txn_id);
+  }
   std::filesystem::remove_all(journal_dir);
 }
 
@@ -146,7 +148,6 @@ TEST_P(PersistentFault, DegradesToLocalCompletion) {
   options.spool_path = "/tmp/hpm_fault_spool_persistent.bin";
   options.io_timeout_seconds = 0.25;
   options.max_retries = 2;
-  options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = net::FaultKind::Corrupt;
   options.fault_plan.offset = 64;
   options.fault_plan.max_firings = 1000;  // outlives any retry budget
@@ -172,7 +173,6 @@ TEST(FaultInjection, CorruptedFrameIsCaughtByItsCrcAndRetransmitted) {
   apps::BitonicResult result;
   mig::RunOptions options;
   options.io_timeout_seconds = 1.0;
-  options.retry_backoff_seconds = 0.001;
   options.fault_plan.kind = net::FaultKind::Corrupt;
   options.fault_plan.offset = 100;
   options.fault_plan.length = 8;
@@ -194,7 +194,6 @@ TEST(FaultInjection, SeededRandomPlansNeverLoseTheWorkload) {
     apps::BitonicResult result;
     mig::RunOptions options;
     options.io_timeout_seconds = 0.25;
-    options.retry_backoff_seconds = 0.005;
     options.fault_plan = net::FaultPlan::random(seed);
     options.fault_plan.stall_seconds = 0.4;  // keep the sweep fast but past the deadline
     const mig::MigrationReport report = run_bitonic(options, result);
@@ -210,7 +209,6 @@ TEST(FaultInjection, NoTimeoutConfiguredStillBoundedUnderFaults) {
   // an injected truncation cannot hang the run.
   apps::BitonicResult result;
   mig::RunOptions options;
-  options.retry_backoff_seconds = 0.001;
   options.fault_plan.kind = net::FaultKind::Truncate;
   options.fault_plan.offset = 32;
   const mig::MigrationReport report = run_bitonic(options, result);
@@ -270,7 +268,6 @@ TEST(FaultInjection, AbortedFileMigrationCleansItsSpool) {
   options.spool_path = spool;
   options.io_timeout_seconds = 0.25;
   options.max_retries = 1;
-  options.retry_backoff_seconds = 0.001;
   options.fault_plan.kind = net::FaultKind::Truncate;
   options.fault_plan.offset = 16;
   options.fault_plan.max_firings = 1000;

@@ -16,7 +16,9 @@
 
 #include "apps/bitonic.hpp"
 #include "hpm/migrate.hpp"
-#include "mig/frame_router.hpp"
+#include "mig/coordinator.hpp"   // internal unit: run_routed_migration over a SessionWiring
+#include "mig/frame_router.hpp"  // internal unit: FrameRouter ports for that wiring
+#include "mig/journal.hpp"       // internal unit: list_journaled_txns
 
 namespace hpm {
 namespace {
@@ -92,9 +94,8 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
     // Each transaction journals under its own txn-keyed pair in the
     // SHARED journal directory, and recovers independently.
     ASSERT_NE(r.txn_id, 0u);
-    const mig::RecoveryVerdict verdict =
-        mig::Coordinator::recover(journal_dir, r.txn_id);
-    EXPECT_EQ(verdict.owner, mig::TxnOwner::Destination);
+    const RecoveryVerdict verdict = recover(journal_dir, r.txn_id);
+    EXPECT_EQ(verdict.owner, TxnOwner::Destination);
     EXPECT_TRUE(verdict.completed);
   }
 
@@ -185,8 +186,7 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   apps::BitonicResult result;
   RunOptions options = bitonic_options(Transport::Memory, 9, &result);
   options.io_timeout_seconds = 2.0;
-  options.retry_backoff_seconds = 0.001;
-  const MigrationReport report = run_routed_migration(options, wiring);
+  const MigrationReport report = mig::run_routed_migration(options, wiring);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.dest_incarnation, 2u);

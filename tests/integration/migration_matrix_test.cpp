@@ -6,7 +6,7 @@
 #include "apps/bitonic.hpp"
 #include "apps/linpack.hpp"
 #include "apps/test_pointer.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 
 namespace hpm {
 namespace {

@@ -10,7 +10,7 @@
 #include <stdexcept>
 
 #include "apps/bitonic.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 
 namespace hpm::mig {
 namespace {

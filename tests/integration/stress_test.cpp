@@ -6,7 +6,7 @@
 #include "apps/bitonic.hpp"
 #include "apps/linpack.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 #include "msrm/dump.hpp"
 
 namespace hpm {

@@ -9,8 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "mig/annotate.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 #include "net/factory.hpp"
 #include "net/message.hpp"
 #include "obs/span.hpp"

@@ -1,11 +1,13 @@
 // The transactional handoff, attacked at every phase boundary.
 //
-// Four suites:
+// Five suites:
 //  - TxnRecovery: the crash matrix. An injected process death (KilledError)
 //    at each protocol state — mid-chunk-stream, pre-Prepare, post-Commit,
 //    dest post-Prepared, dest post-Committed — after which exactly one
-//    endpoint owns the workload and Coordinator::recover() reaches the
-//    same verdict from the journals alone.
+//    endpoint owns the workload and recover() reaches the same verdict
+//    from the journals alone.
+//  - JournalLayout: successive run_migration()s into one journal_dir are
+//    keyed by their txn ids, so listing, recovery and GC see each one.
 //  - Resume: a mid-stream disconnect resumes from the acked chunk
 //    watermark; the net.* byte counters prove only the tail was
 //    retransmitted, and the restored state is identical to a clean run.
@@ -26,16 +28,14 @@
 #include <string>
 
 #include "apps/bitonic.hpp"
-#include "mig/coordinator.hpp"
-#include "mig/dest_host.hpp"
-#include "mig/journal.hpp"
-#include "mig/port.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/dest_host.hpp"  // internal unit: DestinationHost answering a resume port
+#include "mig/journal.hpp"    // internal unit: Journal::replay, listing and GC
+#include "mig/port.hpp"       // internal unit: DirectPort
 #include "net/mem_channel.hpp"
 
 namespace hpm::mig {
 namespace {
-
-constexpr std::uint64_t kTxn = 77;
 
 /// Wire framing constants of the message layer: type(1)+len(4) header,
 /// crc(4) trailer; StateBegin payload is chunk_bytes(4)+txn(8)+incarnation(4).
@@ -69,11 +69,10 @@ class TxnTest : public ::testing::Test {
     options.ack_every_chunks = 0;    // no StateAck frames
     options.max_retries = 0;         // the matrix studies the crash, not retries
     options.journal_dir = dir_.string();
-    options.txn_id = kTxn;
     return options;
   }
 
-  RecoveryVerdict recover() const { return Coordinator::recover(dir_.string()); }
+  RecoveryVerdict recover() const { return hpm::recover(dir_.string()); }
 
   std::filesystem::path dir_;
 };
@@ -89,11 +88,11 @@ TEST_F(TxnRecovery, SourceCrashMidChunkStream) {
   EXPECT_EQ(report.outcome, MigrationOutcome::SourceCrashed);
   EXPECT_FALSE(report.migrated);
   EXPECT_FALSE(result.done) << "neither endpoint may have run the workload";
-  EXPECT_EQ(report.txn_id, kTxn);
+  EXPECT_NE(report.txn_id, 0u);
 
   const RecoveryVerdict v = recover();
   EXPECT_EQ(v.owner, TxnOwner::Source) << v.reason;
-  EXPECT_EQ(v.txn_id, kTxn);
+  EXPECT_EQ(v.txn_id, report.txn_id);
   EXPECT_FALSE(v.completed);
 }
 
@@ -172,7 +171,7 @@ TEST_F(TxnRecovery, CleanRunClosesTheTransaction) {
   const MigrationReport report = run_migration(options);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(report.txn_id, kTxn);
+  EXPECT_NE(report.txn_id, 0u);
   EXPECT_GE(report.metrics.counter("mig.txn.begins"), 1u);
   EXPECT_GE(report.metrics.counter("mig.txn.prepares"), 1u);
   EXPECT_EQ(report.metrics.counter("mig.txn.commits"), 1u) << "the source's decision";
@@ -181,7 +180,34 @@ TEST_F(TxnRecovery, CleanRunClosesTheTransaction) {
 
   const RecoveryVerdict v = recover();
   EXPECT_EQ(v.owner, TxnOwner::Destination);
+  EXPECT_EQ(v.txn_id, report.txn_id);
   EXPECT_TRUE(v.completed) << "Done recorded: nothing to recover";
+}
+
+using JournalLayout = TxnTest;
+
+TEST_F(JournalLayout, SuccessiveRunsAreListedRecoveredAndSwept) {
+  apps::BitonicResult first_result, second_result;
+  RunOptions first_options = matrix_options(first_result);
+  RunOptions second_options = matrix_options(second_result);
+  const MigrationReport first = run_migration(first_options);
+  const MigrationReport second = run_migration(second_options);
+  ASSERT_EQ(first.outcome, MigrationOutcome::Migrated);
+  ASSERT_EQ(second.outcome, MigrationOutcome::Migrated);
+  ASSERT_LT(first.txn_id, second.txn_id) << "txn ids grow across successive runs";
+
+  const std::string dir = dir_.string();
+  EXPECT_EQ(list_journaled_txns(dir),
+            (std::vector<std::uint64_t>{first.txn_id, second.txn_id}));
+
+  const RecoveryVerdict v = recover();
+  EXPECT_EQ(v.txn_id, second.txn_id) << "the latest run is arbitrated";
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_TRUE(v.completed) << v.reason;
+
+  EXPECT_EQ(gc_completed_txn_journals(dir),
+            (std::vector<std::uint64_t>{first.txn_id, second.txn_id}));
+  EXPECT_TRUE(list_journaled_txns(dir).empty());
 }
 
 // --- resumable transfer ----------------------------------------------------
@@ -330,7 +356,6 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
   options.fault_plan.kind = net::FaultKind::CorruptMasked;
   options.fault_plan.offset =
       kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
-  options.txn_id = 4242;
   options.journal_dir = (std::filesystem::temp_directory_path() /
                          ("hpm_digest_veto_" + std::to_string(::getpid())))
                             .string();
@@ -342,9 +367,10 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
   EXPECT_EQ(report.stream_digest, p.stream_digest);
   EXPECT_TRUE(result.ok());
 
+  const std::string dir = options.journal_dir + "/";
   int decisions = 0;
   for (const JournalRecord& r :
-       Journal::replay(options.journal_dir + "/" + kSourceJournalName)) {
+       Journal::replay(dir + keyed_source_journal_name(report.txn_id))) {
     if (r.type != JournalRecordType::Commit && r.type != JournalRecordType::Done) continue;
     ++decisions;
     EXPECT_EQ(r.incarnation, 2u) << journal_record_name(r.type);
@@ -354,7 +380,7 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
 
   int votes = 0;
   for (const JournalRecord& r :
-       Journal::replay(options.journal_dir + "/" + dest_journal_name(2))) {
+       Journal::replay(dir + keyed_dest_journal_name(report.txn_id, 2))) {
     if (r.type != JournalRecordType::Prepared && r.type != JournalRecordType::Committed) {
       continue;
     }
@@ -362,11 +388,11 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
     EXPECT_EQ(r.incarnation, 2u) << journal_record_name(r.type);
     EXPECT_EQ(r.digest, report.stream_digest) << journal_record_name(r.type);
   }
-  EXPECT_EQ(votes, 2) << "Prepared and Committed in dest.i2.journal";
+  EXPECT_EQ(votes, 2) << "Prepared and Committed in dest-<txn>.i2.journal";
 
-  const RecoveryVerdict v = Coordinator::recover(options.journal_dir);
+  const RecoveryVerdict v = hpm::recover(options.journal_dir);
   EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
-  EXPECT_EQ(v.txn_id, 4242u);
+  EXPECT_EQ(v.txn_id, report.txn_id);
   EXPECT_EQ(v.incarnation, 2u) << v.reason;
   EXPECT_EQ(v.committed_destinations, 1u) << v.reason;
   EXPECT_TRUE(v.completed) << v.reason;
@@ -383,13 +409,13 @@ TEST(Digest, CleanStreamsCarryTheDigestEndToEnd) {
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_TRUE(result.ok());
   // The journals carry the digest the two ends agreed on.
+  const std::string dir = options.journal_dir + "/";
+  const std::uint64_t txn = report.txn_id;
   std::uint64_t src_digest = 0, dst_digest = 0;
-  for (const JournalRecord& r :
-       Journal::replay(options.journal_dir + "/" + kSourceJournalName)) {
+  for (const JournalRecord& r : Journal::replay(dir + keyed_source_journal_name(txn))) {
     if (r.type == JournalRecordType::Commit) src_digest = r.digest;
   }
-  for (const JournalRecord& r :
-       Journal::replay(options.journal_dir + "/" + kDestJournalName)) {
+  for (const JournalRecord& r : Journal::replay(dir + keyed_dest_journal_name(txn))) {
     if (r.type == JournalRecordType::Committed) dst_digest = r.digest;
   }
   EXPECT_NE(src_digest, 0u);

@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/workload.hpp"
-#include "mig/annotate.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
 
 namespace hpm::mig {
 namespace {
@@ -126,7 +125,6 @@ TEST(ChunkPipeline, CorruptedChunkIsOneRetryableFailure) {
   options.pipeline = true;
   options.chunk_bytes = 512;
   options.io_timeout_seconds = 0.25;
-  options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = net::FaultKind::Corrupt;
   options.fault_plan.offset = 2000;  // past StateBegin + a few chunk frames
   options.fault_plan.length = 4;
@@ -150,7 +148,6 @@ TEST(ChunkPipeline, PersistentCorruptionDegradesToLocalCompletion) {
   options.chunk_bytes = 512;
   options.io_timeout_seconds = 0.25;
   options.max_retries = 1;
-  options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = net::FaultKind::Corrupt;
   options.fault_plan.offset = 2000;
   options.fault_plan.max_firings = 1000;  // outlives the retry budget

@@ -20,9 +20,8 @@
 
 #include "apps/workload.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "mig/annotate.hpp"
-#include "mig/chunk_store.hpp"
-#include "mig/coordinator.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/chunk_store.hpp"  // internal unit: ChunkStore::read_run_stats
 
 namespace hpm::mig {
 namespace {
@@ -279,7 +278,6 @@ TEST(Dedup, LinkFailureMidStreamResumesRaw) {
   RunOptions options;
   options.chunk_cache_dir = cache;
   options.io_timeout_seconds = 0.25;
-  options.retry_backoff_seconds = 0.005;
   options.fault_plan.kind = net::FaultKind::Corrupt;
   options.fault_plan.offset = 2000;  // past StateBegin + the manifest head
   options.fault_plan.length = 4;

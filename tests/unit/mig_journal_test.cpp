@@ -4,7 +4,8 @@
 // tests attack exactly what a crash attacks: records cut short mid-append,
 // CRC damage, missing files — and then the full verdict table of
 // recover_from_journals(), which must name exactly one owner from any
-// journal state the protocol can leave behind.
+// journal state the protocol can leave behind — and recover(), which
+// picks that state's files out of a journal directory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -237,6 +238,27 @@ TEST_F(JournalTest, VerdictConsidersOnlyTheLatestTransaction) {
   const RecoveryVerdict v = recover_from_journals(src, path("d8_missing"));
   EXPECT_EQ(v.txn_id, 8u);
   EXPECT_EQ(v.owner, TxnOwner::Source) << "txn 8 never committed";
+}
+
+TEST_F(JournalTest, RecoverDirArbitratesTheLatestTransactionWithARecord) {
+  EXPECT_EQ(recover(dir_.string()).owner, TxnOwner::None) << "nothing journaled yet";
+  // txn 20 completed; txn 21 was interrupted after Begin; txn 22's source
+  // journal is a torn creation (zero length, no record).
+  write(keyed_source_journal_name(20).c_str(), {{JournalRecordType::Begin, 20, 0, 1, ""},
+                                                {JournalRecordType::Commit, 20, 3, 1, ""},
+                                                {JournalRecordType::Done, 20, 3, 1, ""}});
+  write(keyed_dest_journal_name(20).c_str(), {{JournalRecordType::Committed, 20, 3, 1, ""}});
+  write(keyed_source_journal_name(21).c_str(), {{JournalRecordType::Begin, 21, 0, 1, ""}});
+  std::ofstream(path(keyed_source_journal_name(22).c_str()));
+
+  const RecoveryVerdict latest = recover(dir_.string());
+  EXPECT_EQ(latest.txn_id, 21u) << "the torn txn 22 holds no record to arbitrate";
+  EXPECT_EQ(latest.owner, TxnOwner::Source) << latest.reason;
+
+  const RecoveryVerdict done = recover(dir_.string(), 20);
+  EXPECT_EQ(done.txn_id, 20u);
+  EXPECT_EQ(done.owner, TxnOwner::Destination) << done.reason;
+  EXPECT_TRUE(done.completed);
 }
 
 TEST_F(JournalTest, GcSweepsCompletedPairsAndKeepsEverythingElse) {

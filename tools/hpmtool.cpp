@@ -28,7 +28,14 @@
 #include <sstream>
 #include <string>
 
-#include "hpm/hpm.hpp"
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/incremental.hpp"
+#include "hpm/migrate.hpp"
+#include "mig/chunk_store.hpp"
+#include "mig/journal.hpp"
+#include "msrm/dump.hpp"
+#include "precc/codegen.hpp"
+#include "precc/parser.hpp"
 
 namespace {
 
@@ -101,14 +108,14 @@ int cmd_precc(const char* path, bool strict, bool codegen) {
 }
 
 int cmd_recover(const char* dir, const char* txn_arg) {
-  const hpm::mig::RecoveryVerdict v =
+  const hpm::RecoveryVerdict v =
       txn_arg != nullptr
-          ? hpm::mig::Coordinator::recover(dir, std::strtoull(txn_arg, nullptr, 10))
-          : hpm::mig::Coordinator::recover(dir);
+          ? hpm::recover(dir, std::strtoull(txn_arg, nullptr, 10))
+          : hpm::recover(dir);
   std::printf("journal dir  : %s\n", dir);
   std::printf("transaction  : %llu\n", static_cast<unsigned long long>(v.txn_id));
-  std::printf("owner        : %s\n", hpm::mig::txn_owner_name(v.owner));
-  if (v.owner == hpm::mig::TxnOwner::Destination) {
+  std::printf("owner        : %s\n", hpm::txn_owner_name(v.owner));
+  if (v.owner == hpm::TxnOwner::Destination) {
     // A failed-over transaction may have touched several destinations;
     // the incarnation (fencing token) names the one that owns the commit.
     std::printf("incarnation  : %u%s\n", v.incarnation,
@@ -134,21 +141,21 @@ int cmd_recover(const char* dir, const char* txn_arg) {
   // 4 = no such transaction in either journal (nothing to arbitrate —
   // distinct from "source owns" so automation never restarts a workload
   // it merely misspelled the txn id of).
-  if (v.owner == hpm::mig::TxnOwner::None) return 4;
-  return v.owner == hpm::mig::TxnOwner::Destination ? 3 : 0;
+  if (v.owner == hpm::TxnOwner::None) return 4;
+  return v.owner == hpm::TxnOwner::Destination ? 3 : 0;
 }
 
 int cmd_sessions(const char* dir) {
   const std::vector<std::uint64_t> txns = hpm::mig::list_journaled_txns(dir);
   if (txns.empty()) {
-    std::printf("no txn-keyed journals in %s\n", dir);
+    std::printf("no journaled transactions in %s\n", dir);
     return 0;
   }
   std::printf("%-22s %-12s %-9s reason\n", "txn", "owner", "completed");
   for (const std::uint64_t txn : txns) {
-    const hpm::mig::RecoveryVerdict v = hpm::mig::Coordinator::recover(dir, txn);
+    const hpm::RecoveryVerdict v = hpm::recover(dir, txn);
     std::printf("%-22llu %-12s %-9s %s\n", static_cast<unsigned long long>(txn),
-                hpm::mig::txn_owner_name(v.owner), v.completed ? "yes" : "no",
+                hpm::txn_owner_name(v.owner), v.completed ? "yes" : "no",
                 v.reason.c_str());
   }
   return 0;
