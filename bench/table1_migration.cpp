@@ -62,13 +62,14 @@ struct TransferRun {
 };
 
 // One end-to-end run_migration over a real channel with the link model
-// actually throttling the sends; stop_after_restore keeps the program
-// tail out of the measurement.
+// actually throttling the sends; the restoring side's
+// set_stop_after_restore keeps the program tail out of the measurement.
 TransferRun run_transfer(int linpack_n, mig::Transport transport, bool pipeline) {
   apps::LinpackResult result;
   mig::RunOptions options;
   options.register_types = apps::linpack_register_types;
   options.program = [&result, linpack_n](mig::MigContext& ctx) {
+    ctx.set_stop_after_restore(ctx.restoring());
     apps::linpack_program(ctx, linpack_n, 1, &result);
   };
   options.migrate_at_poll = 1;
@@ -76,7 +77,6 @@ TransferRun run_transfer(int linpack_n, mig::Transport transport, bool pipeline)
   options.link = net::SimulatedLink::ethernet_100mbps();
   options.throttle = true;
   options.pipeline = pipeline;
-  options.stop_after_restore = true;
   const auto t0 = std::chrono::steady_clock::now();
   const mig::MigrationReport report = mig::run_migration(options);
   const auto t1 = std::chrono::steady_clock::now();
@@ -107,12 +107,12 @@ DedupRun run_dedup(int linpack_n, const std::string& cache_dir) {
   mig::RunOptions options;
   options.register_types = apps::linpack_register_types;
   options.program = [&result, linpack_n](mig::MigContext& ctx) {
+    ctx.set_stop_after_restore(ctx.restoring());
     apps::linpack_program(ctx, linpack_n, 1, &result);
   };
   options.migrate_at_poll = 1;
   options.transport = mig::Transport::Memory;
   options.pipeline = true;
-  options.stop_after_restore = true;
   if (!cache_dir.empty()) {
     options.chunk_cache_dir = cache_dir;
     options.wire_codec = mig::WireCodec::VarintDelta;
@@ -386,13 +386,13 @@ int main(int argc, char** argv) {
     mig::RunOptions options;
     options.register_types = apps::linpack_register_types;
     options.program = [&result, n](mig::MigContext& ctx) {
+      ctx.set_stop_after_restore(ctx.restoring());
       apps::linpack_program(ctx, n, 1, &result);
     };
     options.migrate_at_poll = 1;
     options.transport = mig::Transport::Memory;
     options.pipeline = true;
-    options.stop_after_restore = true;
-    options.max_retries = 0;
+      options.max_retries = 0;
     // Per-chunk ack cadence (chunk size stays the store's 64 KiB so the
     // warm-up's addresses match) — "after 2 dest frames" (its Hello + the
     // first StateAck) is then provably mid-stream.

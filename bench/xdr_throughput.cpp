@@ -3,9 +3,9 @@
 // Decode-and-copy term of the §4.2 model in isolation — plus the bulk
 // fast path (one put_bytes/get_bytes memcpy of a pointer-free primitive
 // array, the same-architecture PNEW body) against the per-element
-// canonical loop it replaces — and the integrity hashes every migration
-// pays per byte (sliced CRC-32, multi-lane StreamDigest) against a memcpy of
-// the same buffer.
+// canonical loop it replaces — and the one integrity hash every migration
+// pays per byte (the multi-lane StreamDigest) against a memcpy of the same
+// buffer.
 //
 // Writes BENCH_xdr.json (hpm-bench-v1; override with --json PATH). With
 // --smoke, skips google-benchmark and times one small encode/decode pass.
@@ -16,9 +16,8 @@
 #include <cstring>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "emit.hpp"
-#include "msrm/stream.hpp"
 #include "xdr/value.hpp"
 
 namespace {
@@ -165,9 +164,9 @@ void measured_bulk_pass(hpm::bench::BenchReport& report, std::size_t n) {
 }
 
 /// Integrity-pass throughput over one `n`-byte buffer, best-of-5 each:
-/// the frame/record CRC-32, the stream digest (trailer seal, end-to-end
+/// the stream digest (frame and record seals, trailer seal, end-to-end
 /// digest and chunk address: four independent multiply lanes), and
-/// memcpy as the memory-speed reference both are read against.
+/// memcpy as the memory-speed reference it is read against.
 void measured_integrity_pass(hpm::bench::BenchReport& report, std::size_t n) {
   using Clock = std::chrono::steady_clock;
   std::vector<std::uint8_t> src(n);
@@ -191,17 +190,14 @@ void measured_integrity_pass(hpm::bench::BenchReport& report, std::size_t n) {
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   });
-  const double crc_s =
-      best_of_5([&] { benchmark::DoNotOptimize(hpm::Crc32::of(src.data(), n)); });
   const double digest_s =
-      best_of_5([&] { benchmark::DoNotOptimize(hpm::msrm::StreamDigest::of(src)); });
+      best_of_5([&] { benchmark::DoNotOptimize(hpm::StreamDigest::of(src)); });
   const double bytes = static_cast<double>(n);
   report.add("integrity.memcpy.bytes_per_second", bytes / memcpy_s, "bytes/second");
-  report.add("integrity.crc32.bytes_per_second", bytes / crc_s, "bytes/second");
   report.add("integrity.stream_digest.bytes_per_second", bytes / digest_s, "bytes/second");
   std::printf(
-      "integrity over %zu bytes: memcpy %.2f ms, crc32 %.2f ms, stream digest %.2f ms\n", n,
-      memcpy_s * 1e3, crc_s * 1e3, digest_s * 1e3);
+      "integrity over %zu bytes: memcpy %.2f ms, stream digest %.2f ms\n", n,
+      memcpy_s * 1e3, digest_s * 1e3);
 }
 
 }  // namespace

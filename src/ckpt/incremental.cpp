@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "msrm/stream.hpp"
 #include "ti/leaf.hpp"
 #include "xdr/value.hpp"
@@ -303,11 +303,11 @@ IncrementalStats IncrementalCheckpointer::capture(mig::MigContext& ctx) {
     const msr::MemoryBlock* block;
     Bytes content;
   };
-  std::unordered_map<msr::BlockId, std::uint32_t> current;
+  std::unordered_map<msr::BlockId, std::uint64_t> current;
   std::vector<ChangedBlock> changed;
   space.msrlt().for_each_block([&](const msr::MemoryBlock& block) {
     Bytes content = shallow_encode_block(space, block);
-    const std::uint32_t digest = Crc32::of(content.data(), content.size());
+    const std::uint64_t digest = StreamDigest::of(content);
     current.emplace(block.id, digest);
     const auto prev = digests_.find(block.id);
     if (prev == digests_.end() || prev->second != digest) {

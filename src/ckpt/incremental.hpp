@@ -60,7 +60,7 @@ class IncrementalCheckpointer {
  private:
   std::string prefix_;
   std::uint64_t next_seq_ = 0;
-  std::unordered_map<msr::BlockId, std::uint32_t> digests_;  ///< id -> content CRC
+  std::unordered_map<msr::BlockId, std::uint64_t> digests_;  ///< id -> content digest
 };
 
 /// Merge the chain `<prefix>.0 ... <prefix>.<last_seq>`, synthesize a

@@ -79,7 +79,7 @@ std::vector<std::uint32_t> ChunkAssembler::begin_manifest(const std::vector<Chun
   pending_have_.assign(addrs.size(), false);
   std::vector<std::uint32_t> misses;
   for (std::size_t i = 0; i < addrs.size(); ++i) {
-    // load() verifies the record CRC and recomputes the body digest, so
+    // load() checks the record header and recomputes the body digest, so
     // a corrupted entry becomes a miss (and is unlinked) right here —
     // the re-request happens inside the same negotiation.
     if (store.load(addrs[i], pending_[i])) {

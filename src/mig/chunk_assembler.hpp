@@ -7,7 +7,7 @@
 // internal vector, the consumer copies out of it under the lock — so the
 // design is clean under TSan by construction, not by annotation.
 //
-// Any producer-side failure (frame CRC mismatch, sequence violation,
+// Any producer-side failure (frame seal mismatch, sequence violation,
 // hostile StateEnd totals) poisons the assembler; the consumer's next
 // fetch() rethrows it as a NetError, which the coordinator turns into a
 // Nack — one retryable failure, never a hang. Sequence and totals

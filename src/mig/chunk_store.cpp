@@ -12,19 +12,21 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
-#include "msrm/stream.hpp"
 
 namespace hpm::mig {
 
 namespace {
 
-// Entry record layout, CRC-sealed like a journal record:
-//   u32 'HPMC' | u64 digest | u32 length | body | u32 crc32(preceding)
+// Entry record layout:
+//   u32 'HPMC' | u64 digest | u32 length | body
+// No seal of its own: load() checks the header against the address asked
+// for and re-derives the body's digest, so every byte is checked. An entry
+// from before this layout (a u32 CRC-32 trailer, 20 bytes of overhead)
+// fails open()'s size check and is unlinked as torn.
 constexpr std::uint32_t kEntryMagic = 0x48504D43;  // "HPMC"
 constexpr std::size_t kEntryHeader = 4 + 8 + 4;
-constexpr std::size_t kEntryOverhead = kEntryHeader + 4;
 
 void put_u32(std::uint8_t* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>((v >> (8 * (3 - i))) & 0xFFu);
@@ -113,7 +115,7 @@ std::string ChunkStore::file_name(const ChunkAddr& addr) {
 
 ChunkAddr ChunkStore::address_of(std::span<const std::uint8_t> body) {
   ChunkAddr addr;
-  addr.digest = msrm::StreamDigest::of(body);
+  addr.digest = StreamDigest::of(body);
   addr.length = static_cast<std::uint32_t>(body.size());
   return addr;
 }
@@ -152,7 +154,7 @@ void ChunkStore::open() {
     f.name = de.path().filename().string();
     if (!parse_name(f.name, f.addr)) continue;
     f.file_bytes = de.file_size(ec);
-    if (ec || f.file_bytes != kEntryOverhead + f.addr.length) {
+    if (ec || f.file_bytes != kEntryHeader + f.addr.length) {
       fs::remove(de.path(), ec);  // torn entry: tolerate by dropping
       continue;
     }
@@ -204,7 +206,7 @@ bool ChunkStore::load(const ChunkAddr& addr, Bytes& out) {
   auto it = index_.find(name);
   if (it == index_.end()) return false;
 
-  Bytes record(kEntryOverhead + addr.length);
+  Bytes record(kEntryHeader + addr.length);
   std::FILE* f = std::fopen((dir_ + "/" + name).c_str(), "rb");
   bool ok = f != nullptr;
   if (ok) {
@@ -217,14 +219,10 @@ bool ChunkStore::load(const ChunkAddr& addr, Bytes& out) {
          get_u32(record.data() + 12) == addr.length;
   }
   if (ok) {
-    ok = get_u32(record.data() + kEntryHeader + addr.length) ==
-         Crc32::of(record.data(), kEntryHeader + addr.length);
-  }
-  if (ok) {
-    // Recompute the body digest: a record whose CRC was forged along with
-    // its body (a deliberately poisoned entry) must still miss.
-    ok = msrm::StreamDigest::of(std::span<const std::uint8_t>(record)
-                                    .subspan(kEntryHeader, addr.length)) == addr.digest;
+    // Recompute the body digest: a damaged or deliberately poisoned body
+    // must miss.
+    const std::span<const std::uint8_t> body(record.data() + kEntryHeader, addr.length);
+    ok = StreamDigest::of(body) == addr.digest;
   }
   if (!ok) {
     drop_locked(name, /*unlink_file=*/true);
@@ -246,13 +244,11 @@ void ChunkStore::put(std::span<const std::uint8_t> body) {
     return;
   }
 
-  Bytes record(kEntryOverhead + body.size());
+  Bytes record(kEntryHeader + body.size());
   put_u32(record.data(), kEntryMagic);
   put_u64(record.data() + 4, addr.digest);
   put_u32(record.data() + 12, addr.length);
   if (!body.empty()) std::memcpy(record.data() + kEntryHeader, body.data(), body.size());
-  put_u32(record.data() + kEntryHeader + body.size(),
-          Crc32::of(record.data(), kEntryHeader + body.size()));
 
   // Plain POSIX stdio, journal-style: the record must be on disk before
   // put() returns; a torn write is dropped at the next open().

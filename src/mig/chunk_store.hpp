@@ -1,17 +1,18 @@
 // Content-addressed chunk store: the destination-side persistent cache
 // behind dedup'd transfer (DESIGN.md §15).
 //
-// A chunk's address is the msrm::StreamDigest of its canonical body plus
+// A chunk's address is the StreamDigest of its canonical body plus
 // the body length — stable across runs because the canonical stream is
 // deterministic for a given process state (logical block ids, not raw
 // addresses). Entries named by an earlier digest (FNV-1a, protocol v5)
 // keep their record layout but can never be asked for again, so they age
 // out by LRU. The store is a directory of addressed chunk files with an
 // in-memory index and LRU eviction to a byte budget. Durability mirrors
-// the intent journal's hardening: every record is CRC-sealed and fsync'd,
-// open() tolerates torn entries (dropped, not fatal), and load() verifies
-// the body digest so a damaged or poisoned entry degrades to a cache miss
-// instead of corrupting a restore.
+// the intent journal's hardening: every record is fsync'd, open()
+// tolerates torn entries (dropped, not fatal), and load() checks the
+// record's header against the address and re-derives the body digest, so
+// a damaged or poisoned entry degrades to a cache miss instead of
+// corrupting a restore.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +70,10 @@ class ChunkStore {
   /// Index-only membership probe (no IO, no LRU touch).
   [[nodiscard]] bool contains(const ChunkAddr& addr) const;
 
-  /// Read the addressed body into `out`. Verifies the record CRC and
-  /// recomputes the body digest; any mismatch unlinks the entry and
-  /// returns false — a corrupted cache entry is a miss, never bad bytes.
+  /// Read the addressed body into `out`. Checks the record's magic,
+  /// digest and length against `addr` and recomputes the body digest; any
+  /// mismatch (or a file of the wrong size) unlinks the entry and returns
+  /// false — a corrupted cache entry is a miss, never bad bytes.
   bool load(const ChunkAddr& addr, Bytes& out);
 
   /// Insert (or LRU-touch) a body under its own computed address. The
@@ -112,7 +114,7 @@ class ChunkStore {
  private:
   struct Entry {
     ChunkAddr addr;
-    std::uint64_t file_bytes = 0;  ///< header + body + CRC on disk
+    std::uint64_t file_bytes = 0;  ///< header + body on disk
     std::list<std::string>::iterator lru;
   };
 

@@ -155,7 +155,7 @@ void MigContext::do_migration(std::uint32_t label) {
   // End-to-end digest tap: accumulate over exactly the bytes that leave
   // through the sink (the canonical stream in chunk order), or one-shot
   // over the retained stream when collection is not streamed.
-  msrm::StreamDigest digest;
+  StreamDigest digest;
   if (collect_sink_) {
     enc.set_sink(collect_chunk_, [this, &digest](std::span<const std::uint8_t> bytes) {
       digest.update(bytes);
@@ -222,7 +222,7 @@ void MigContext::begin_restore_streaming(ChunkAssembler& assembler) {
   restore_span_ = std::make_unique<obs::Span>("mig.restore");
   restore_before_ = obs::Registry::process().snapshot();
   restore_stream_.clear();
-  restore_digest_ = msrm::StreamDigest{};
+  restore_digest_ = StreamDigest{};
   restore_hashed_ = 0;
   // The decoder starts empty and pulls bytes from the assembler on
   // demand; restore_stream_ is consumer-owned, so the rebase after each
@@ -332,7 +332,7 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     // verified chunk count and byte total), pull every remaining byte,
     // compare the end-to-end digest the source computed over the canonical
     // stream against our own — FIRST, so corruption that slipped past
-    // every frame CRC is named for what it is — then run the whole-buffer
+    // every frame seal is named for what it is — then run the whole-buffer
     // path's trailer check. Exactly the 9-byte trailer may stay undecoded.
     // The refills already hashed all but the tail, and the trailer's seal
     // is the digest's own value just before the trailer.
@@ -348,7 +348,7 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     if (restored_digest != assembler_->end_info().digest) {
       throw MigrationError(
           "end-to-end digest mismatch: canonical stream damaged between "
-          "collection and restoration despite intact frame CRCs");
+          "collection and restoration despite intact frame seals");
     }
     msrm::check_stream(restore_stream_, payload_digest);
     if (dec_->remaining() != msrm::kTrailerBytes) {

@@ -164,7 +164,7 @@ class MigContext {
   /// a second full-size copy.
   [[nodiscard]] Bytes take_stream() noexcept { return std::move(stream_); }
 
-  /// End-to-end digest (msrm::StreamDigest) of the last collected stream,
+  /// End-to-end digest (StreamDigest) of the last collected stream,
   /// accumulated chunk-by-chunk as collection streams through the sink
   /// (or in one pass after an unstreamed collection); the same pass's
   /// value just before the trailer seals it. Carried in StateEnd and
@@ -252,7 +252,7 @@ class MigContext {
   Bytes restore_stream_;
   /// End-to-end digest of restore_stream_[0, restore_hashed_), fed by
   /// the chunked restore's refills (hash_fetched).
-  msrm::StreamDigest restore_digest_;
+  StreamDigest restore_digest_;
   std::size_t restore_hashed_ = 0;
   std::optional<xdr::Decoder> dec_;
   std::unique_ptr<msrm::Restorer> restorer_;

@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "mig/endpoint_util.hpp"
+#include "mig/fleet.hpp"
 #include "mig/mig_metrics.hpp"
-#include "mig/port.hpp"
 #include "mig/source_txn.hpp"
 #include "mig/spool_transfer.hpp"
 #include "obs/span.hpp"
@@ -91,7 +91,6 @@ void complete_locally(const RunOptions& options, MigrationReport& report,
   ti::TypeTable types;
   options.register_types(types);
   MigContext ctx(types);
-  ctx.set_stop_after_restore(options.stop_after_restore);
   ctx.begin_restore(std::move(stream));
   run_destination_program(options, ctx, report);
 }

@@ -27,7 +27,6 @@
 
 #include "mig/context.hpp"
 #include "mig/journal.hpp"
-#include "mig/port.hpp"
 #include "mig/wire_codec.hpp"
 #include "net/factory.hpp"
 #include "net/faulty_channel.hpp"
@@ -102,14 +101,9 @@ struct RunOptions {
   /// Chunk payload size of the transaction's StateChunks.
   std::uint32_t chunk_bytes = 64 * 1024;
 
-  /// Benchmark hook forwarded to every restoring context: unwind as soon
-  /// as restoration completes instead of running the program tail, so a
-  /// harness can time Restore without paying for the computation.
-  bool stop_after_restore = false;
-
   /// --- fault tolerance ----------------------------------------------------
 
-  /// Extra transfer attempts after the first one fails (timeout, CRC
+  /// Extra transfer attempts after the first one fails (timeout, seal
   /// mismatch, disconnect, destination Error/Nack). max_retries + 1 total
   /// attempts, each a resume from the acked watermark or a replay of the
   /// stream retained at collection time; also the per-candidate dial
@@ -250,7 +244,7 @@ struct MigrationReport {
   /// (0 = no transaction ran: File).
   std::uint64_t txn_id = 0;
 
-  /// End-to-end msrm::StreamDigest of the canonical stream (0 = no stream
+  /// End-to-end StreamDigest of the canonical stream (0 = no stream
   /// was collected), reported on every path, File included. When a
   /// transaction migrated, the destination
   /// verified its reassembled stream against this value before voting, so
@@ -292,18 +286,5 @@ struct MigrationReport {
 /// failure; recoverable transport failures are retried and, past the
 /// retry budget, degrade to local completion instead of throwing.
 MigrationReport run_migration(const RunOptions& options);
-
-/// Run one migration as a session over caller-provided wiring — the entry
-/// point migrate_many (mig/fleet.hpp) drives once per concurrent session,
-/// with every wiring.connect() binding a fresh epoch of a shared routed
-/// channel. Runs the same transaction as run_migration does on an
-/// exclusive channel, primary retries, local degradation and the
-/// io_timeout_seconds deadline included. Journals are keyed by
-/// transaction id, as run_migration's are, so concurrent sessions can
-/// share one journal_dir; recover with recover(dir, txn). The report's
-/// registry-delta `metrics` overlaps between concurrent sessions — the
-/// per-session truth is the mig.session.<id>.* instruments.
-MigrationReport run_routed_migration(const RunOptions& options,
-                                     const SessionWiring& wiring);
 
 }  // namespace hpm::mig

@@ -163,7 +163,6 @@ void DestinationHost::run() {
     ti::TypeTable types;
     options_.register_types(types);
     MigContext ctx(types);
-    ctx.set_stop_after_restore(options_.stop_after_restore);
     session_.announce();
     current()->send(net::MsgType::Hello, hello_payload(ctx.space().arch().name));
     net::Message first = current()->recv();

@@ -101,7 +101,7 @@ inline std::string exception_text(const std::exception_ptr& error) {
 }
 
 /// Run the destination program to completion after begin_restore*(). A
-/// MigrationExit here is the stop_after_restore unwind: restoration
+/// MigrationExit here is a program's set_stop_after_restore unwind: restoration
 /// completed and the metrics are recorded; skipping the tail is the point.
 inline void run_destination_program(const RunOptions& options, MigContext& ctx,
                                     MigrationReport& report) {

@@ -11,8 +11,22 @@
 #include <vector>
 
 #include "mig/coordinator.hpp"
+#include "mig/port.hpp"
 
 namespace hpm::mig {
+
+/// Run one migration as a session over caller-provided wiring — the entry
+/// point migrate_many drives once per concurrent session, with every
+/// wiring.connect() binding a fresh epoch of a shared routed channel.
+/// Runs the same transaction as run_migration does on an exclusive
+/// channel, primary retries, local degradation and the io_timeout_seconds
+/// deadline included. Journals are keyed by transaction id, as
+/// run_migration's are, so concurrent sessions can share one journal_dir;
+/// recover with recover(dir, txn). The report's registry-delta `metrics`
+/// overlaps between concurrent sessions — the per-session truth is the
+/// mig.session.<id>.* instruments.
+MigrationReport run_routed_migration(const RunOptions& options,
+                                     const SessionWiring& wiring);
 
 /// One migration submitted to migrate_many.
 struct SessionJob {

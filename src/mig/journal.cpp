@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/hexdump.hpp"
 
@@ -17,22 +17,21 @@ namespace hpm::mig {
 
 namespace {
 
-/// Record wire formats (all integers big-endian).
+/// Record wire format (all integers big-endian):
+///   u32 'HPML' | u8 type | u64 txn | u64 digest | u32 incarnation |
+///   u32 note_len | note bytes | u32 fold32(StreamDigest(everything preceding))
 ///
-/// v1 ('HPMJ', pre-failover):
-///   u32 magic | u8 type | u64 txn | u64 digest |
-///   u32 note_len | note bytes | u32 crc32(everything preceding)
-/// v2 ('HPMK', adds the destination incarnation fencing token):
-///   u32 magic | u8 type | u64 txn | u64 digest | u32 incarnation |
-///   u32 note_len | note bytes | u32 crc32(everything preceding)
-///
-/// append() always writes v2; replay() accepts both (v1 records carry
-/// incarnation 1, the primary), so journals written before the failover
-/// format still arbitrate.
-constexpr std::uint32_t kJournalMagic = 0x48504D4A;    // "HPMJ"
-constexpr std::uint32_t kJournalMagicV2 = 0x48504D4B;  // "HPMK"
-constexpr std::size_t kFixedHead = 4 + 1 + 8 + 8 + 4;
-constexpr std::size_t kFixedHeadV2 = 4 + 1 + 8 + 8 + 4 + 4;
+/// 'HPMJ' (before the failover incarnation) and 'HPMK' (this layout, sealed
+/// by CRC-32) are the retired formats: replay() refuses a journal holding
+/// one instead of reading it as "no intent".
+constexpr std::uint32_t kJournalMagic = 0x48504D4C;    // "HPML"
+constexpr std::uint32_t kRetiredMagicV1 = 0x48504D4A;  // "HPMJ"
+constexpr std::uint32_t kRetiredMagicV2 = 0x48504D4B;  // "HPMK"
+constexpr std::size_t kFixedHead = 4 + 1 + 8 + 8 + 4 + 4;
+
+std::uint32_t seal_of(const std::uint8_t* p, std::size_t n) {
+  return fold32(StreamDigest::of({p, n}));
+}
 
 void put_u32_be(Bytes& out, std::uint32_t v) {
   for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
@@ -56,15 +55,15 @@ std::uint64_t get_u64_be(const std::uint8_t* in) {
 
 Bytes encode_record(const JournalRecord& record) {
   Bytes out;
-  out.reserve(kFixedHeadV2 + record.note.size() + 4);
-  put_u32_be(out, kJournalMagicV2);
+  out.reserve(kFixedHead + record.note.size() + 4);
+  put_u32_be(out, kJournalMagic);
   out.push_back(static_cast<std::uint8_t>(record.type));
   put_u64_be(out, record.txn_id);
   put_u64_be(out, record.digest);
   put_u32_be(out, record.incarnation == 0 ? 1 : record.incarnation);
   put_u32_be(out, static_cast<std::uint32_t>(record.note.size()));
   out.insert(out.end(), record.note.begin(), record.note.end());
-  put_u32_be(out, Crc32::of(out.data(), out.size()));
+  put_u32_be(out, seal_of(out.data(), out.size()));
   return out;
 }
 
@@ -102,18 +101,22 @@ std::vector<JournalRecord> Journal::replay(const std::string& path) {
   if (!in) return records;  // missing journal = no recorded intent
   Bytes file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   std::size_t pos = 0;
-  while (file.size() - pos >= kFixedHead + 4) {
+  while (file.size() - pos >= 4) {
     const std::uint8_t* p = file.data() + pos;
     const std::uint32_t magic = get_u32_be(p);
-    const bool v2 = magic == kJournalMagicV2;
-    if (magic != kJournalMagic && !v2) break;  // torn/garbage tail
-    const std::size_t head = v2 ? kFixedHeadV2 : kFixedHead;
-    if (file.size() - pos < head + 4) break;
+    if (magic == kRetiredMagicV1 || magic == kRetiredMagicV2) {
+      throw MigrationError("intent journal " + path + " holds a '" +
+                           (magic == kRetiredMagicV1 ? "HPMJ" : "HPMK") +
+                           "' record: a CRC-32-sealed format retired with protocol v8, "
+                           "which this build cannot arbitrate");
+    }
+    if (magic != kJournalMagic) break;  // torn/garbage tail
+    if (file.size() - pos < kFixedHead + 4) break;
     const auto raw_type = p[4];
-    const std::uint32_t note_len = get_u32_be(p + head - 4);
-    const std::size_t total = head + note_len + 4;
+    const std::uint32_t note_len = get_u32_be(p + kFixedHead - 4);
+    const std::size_t total = kFixedHead + note_len + 4;
     if (file.size() - pos < total) break;  // record cut short by a crash
-    if (get_u32_be(p + head + note_len) != Crc32::of(p, head + note_len)) {
+    if (get_u32_be(p + kFixedHead + note_len) != seal_of(p, kFixedHead + note_len)) {
       break;  // damaged mid-append; drop it and everything after
     }
     if (raw_type < 1 || raw_type > 6) break;
@@ -121,9 +124,8 @@ std::vector<JournalRecord> Journal::replay(const std::string& path) {
     record.type = static_cast<JournalRecordType>(raw_type);
     record.txn_id = get_u64_be(p + 5);
     record.digest = get_u64_be(p + 13);
-    record.incarnation = v2 ? get_u32_be(p + 21) : 1;
-    if (record.incarnation == 0) record.incarnation = 1;
-    record.note.assign(reinterpret_cast<const char*>(p + head), note_len);
+    record.incarnation = std::max(get_u32_be(p + 21), 1u);
+    record.note.assign(reinterpret_cast<const char*>(p + kFixedHead), note_len);
     records.push_back(std::move(record));
     pos += total;
   }

@@ -1,7 +1,7 @@
 // Durable intent journal for the transactional handoff (DESIGN.md §11).
 //
 // Two-phase commit only works if each endpoint can answer "what had I
-// decided?" after a crash. Each side appends fixed-format, CRC-sealed,
+// decided?" after a crash. Each side appends fixed-format, sealed,
 // fsync'd records to its own append-only file BEFORE acting on a
 // decision (write-ahead); recover_from_journals() replays both files and
 // deterministically names the endpoint that owns the process — never
@@ -19,7 +19,7 @@
 // The decisive record is the LAST one: a transaction whose first
 // incarnation aborted and whose retry at a fresh incarnation committed
 // ends at that incarnation's Commit/Done.
-// Replay tolerates a torn tail — a record cut short or CRC-damaged by a
+// Replay tolerates a torn tail — a record cut short or damaged by a
 // crash mid-append is ignored along with everything after it, exactly
 // the prefix-durability a write-ahead log needs.
 #pragma once
@@ -49,8 +49,7 @@ struct JournalRecord {
   /// Destination incarnation the record speaks about: 1 for the primary,
   /// k+1 for the k-th failover standby. A source Commit names the one
   /// incarnation allowed to own the process; every other destination is
-  /// fenced. Records written before the v5 failover format replay as
-  /// incarnation 1.
+  /// fenced.
   std::uint32_t incarnation = 1;
   std::string note;          ///< free-form context ("recovered from journals", ...)
 };
@@ -79,8 +78,10 @@ class Journal {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Every intact record, in append order. A missing file is an empty
-  /// journal; a torn or CRC-damaged tail record is dropped together with
-  /// anything after it.
+  /// journal; a torn or damaged tail record is dropped together with
+  /// anything after it. Throws hpm::MigrationError, naming the format, for
+  /// a record in a retired format ('HPMJ', 'HPMK'): read as a torn tail it
+  /// would look like "no intent" and could hand ownership to the wrong host.
   static std::vector<JournalRecord> replay(const std::string& path);
 
  private:

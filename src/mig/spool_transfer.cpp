@@ -26,7 +26,6 @@ bool spool_transfer(const RunOptions& options, const Bytes& stream, MigrationRep
       ti::TypeTable types;
       options.register_types(types);
       MigContext ctx(types);
-      ctx.set_stop_after_restore(options.stop_after_restore);
       net::Message msg = net::recv_message(*channels.destination);
       if (msg.type != net::MsgType::State) {
         throw MigrationError("destination expected a State message");

@@ -4,9 +4,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "net/message.hpp"
 #include "obs/metrics.hpp"
 
 namespace hpm::net {
@@ -112,18 +112,13 @@ void FaultyChannel::send(std::span<const std::uint8_t> data) {
       return;
     }
     case FaultKind::CorruptMasked: {
-      // Flip the payload byte, then recompute the frame's trailing CRC-32
-      // so the framing layer accepts the damage. Valid because the
-      // message layer ships exactly one frame per send().
+      // Flip the payload byte, then re-seal the frame so the framing
+      // layer accepts the damage. Valid because the message layer ships
+      // exactly one frame per send().
       std::vector<std::uint8_t> mangled(data.begin(), data.end());
       if (mangled.size() >= 10 && clean >= 5 && clean < mangled.size() - 4) {
         mangled[clean] ^= 0xA5u;
-        const std::uint32_t crc = Crc32::of(mangled.data(), mangled.size() - 4);
-        const std::size_t t = mangled.size() - 4;
-        mangled[t] = static_cast<std::uint8_t>((crc >> 24) & 0xFFu);
-        mangled[t + 1] = static_cast<std::uint8_t>((crc >> 16) & 0xFFu);
-        mangled[t + 2] = static_cast<std::uint8_t>((crc >> 8) & 0xFFu);
-        mangled[t + 3] = static_cast<std::uint8_t>(crc & 0xFFu);
+        seal_frame(mangled);
       }
       sent_ = end;
       inner_->send(mangled);

@@ -22,9 +22,9 @@ enum class FaultKind : std::uint8_t {
   Corrupt,     ///< flip `length` bytes starting at `offset`, keep delivering
   Stall,       ///< sleep `stall_seconds` when `offset` is reached (peer deadline fires)
   Truncate,    ///< deliver `offset` bytes, silently discard the rest, close cleanly
-  /// Flip one payload byte at `offset` and RECOMPUTE the frame's trailing
-  /// CRC-32 so the framing layer accepts the damaged frame. Models
-  /// corruption below the checksum (bad RAM, a buggy conversion layer):
+  /// Flip one payload byte at `offset` and RE-SEAL the frame
+  /// (net::seal_frame) so the framing layer accepts the damaged frame.
+  /// Models corruption below the seal (bad RAM, a buggy conversion layer):
   /// only an end-to-end digest can catch it. Relies on the message layer
   /// shipping one whole frame per send() call.
   CorruptMasked,

@@ -3,7 +3,7 @@
 #include <array>
 #include <cstring>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "net/buffer_pool.hpp"
 #include "obs/metrics.hpp"
@@ -13,14 +13,14 @@ namespace hpm::net {
 namespace {
 
 /// `net.frames.*` framing-layer counters. Frame byte totals include the
-/// 5-byte header and 4-byte CRC trailer, so for a healthy run they equal
+/// 5-byte header and 4-byte seal, so for a healthy run they equal
 /// the underlying channel's byte counters exactly.
 struct FrameMetrics {
   obs::Counter& sent = obs::Registry::process().counter("net.frames.sent");
   obs::Counter& recv = obs::Registry::process().counter("net.frames.recv");
   obs::Counter& bytes_sent = obs::Registry::process().counter("net.frames.bytes_sent");
   obs::Counter& bytes_recv = obs::Registry::process().counter("net.frames.bytes_recv");
-  obs::Counter& crc_failures = obs::Registry::process().counter("net.frames.crc_failures");
+  obs::Counter& seal_failures = obs::Registry::process().counter("net.frames.seal_failures");
 
   static FrameMetrics& get() {
     static FrameMetrics m;
@@ -54,7 +54,7 @@ std::uint16_t get_u16_be(const std::uint8_t* in) {
 /// frame) followed by the classic type/len/payload layout — in a pooled
 /// buffer and ship it with a single channel send: chunked transfers emit
 /// thousands of frames per migration, so per-frame allocation and triple
-/// syscalls both matter. The CRC trailer covers tag + header + payload.
+/// syscalls both matter. The seal covers tag + header + payload.
 void send_frame(ByteChannel& ch, std::span<const std::uint8_t> tag_bytes, MsgType type,
                 std::span<const std::uint8_t> payload) {
   const std::size_t header_at = tag_bytes.size();
@@ -67,9 +67,7 @@ void send_frame(ByteChannel& ch, std::span<const std::uint8_t> tag_bytes, MsgTyp
   if (!payload.empty()) {
     std::memcpy(frame.data() + header_at + 5, payload.data(), payload.size());
   }
-  Crc32 crc;
-  crc.update(frame.data(), total - 4);
-  put_u32_be(frame.data() + total - 4, crc.value());
+  seal_frame(frame);
   ch.send(frame);
   pool.release(std::move(frame));
   FrameMetrics& m = FrameMetrics::get();
@@ -77,10 +75,10 @@ void send_frame(ByteChannel& ch, std::span<const std::uint8_t> tag_bytes, MsgTyp
   m.bytes_sent.add(total);
 }
 
-/// Read the type/len/payload/CRC tail of a frame whose leading
+/// Read the type/len/payload/seal tail of a frame whose leading
 /// `consumed` bytes (routing tag, and possibly the type byte itself)
-/// were already pulled off the channel and folded into `crc`.
-Message recv_frame_rest(ByteChannel& ch, Crc32& crc, std::size_t consumed,
+/// were already pulled off the channel and fed to `digest`.
+Message recv_frame_rest(ByteChannel& ch, StreamDigest& digest, std::size_t consumed,
                         std::uint8_t raw_type, std::size_t max_payload) {
   if (raw_type < 1 || raw_type > kMaxMsgType) {
     throw NetError("malformed frame: unknown message type " + std::to_string(raw_type));
@@ -91,7 +89,7 @@ Message recv_frame_rest(ByteChannel& ch, Crc32& crc, std::size_t consumed,
   }
   std::array<std::uint8_t, 4> len_be{};
   ch.recv(len_be);
-  crc.update(len_be.data(), len_be.size());
+  digest.update(len_be);
   const std::uint32_t len = get_u32_be(len_be.data());
   // Validate the (possibly hostile or corrupted) length prefix before a
   // single byte is allocated for it.
@@ -103,12 +101,12 @@ Message recv_frame_rest(ByteChannel& ch, Crc32& crc, std::size_t consumed,
   msg.type = static_cast<MsgType>(raw_type);
   msg.payload.resize(len);
   if (len > 0) ch.recv(msg.payload);
-  crc.update(msg.payload.data(), msg.payload.size());
+  digest.update(msg.payload);
   std::array<std::uint8_t, 4> trailer{};
   ch.recv(trailer);
-  if (get_u32_be(trailer.data()) != crc.value()) {
-    FrameMetrics::get().crc_failures.add(1);
-    throw NetError("frame CRC mismatch: " + std::to_string(len) +
+  if (get_u32_be(trailer.data()) != fold32(digest.value())) {
+    FrameMetrics::get().seal_failures.add(1);
+    throw NetError("frame seal mismatch: " + std::to_string(len) +
                    "-byte payload damaged in transit");
   }
   FrameMetrics& m = FrameMetrics::get();
@@ -119,6 +117,11 @@ Message recv_frame_rest(ByteChannel& ch, Crc32& crc, std::size_t consumed,
 
 }  // namespace
 
+void seal_frame(std::span<std::uint8_t> frame) noexcept {
+  const std::size_t body = frame.size() - 4;
+  put_u32_be(frame.data() + body, fold32(StreamDigest::of(frame.first(body))));
+}
+
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload) {
   send_frame(ch, {}, type, payload);
 }
@@ -126,9 +129,9 @@ void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> p
 Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   std::array<std::uint8_t, 1> first{};
   ch.recv(first);
-  Crc32 crc;
-  crc.update(first.data(), first.size());
-  return recv_frame_rest(ch, crc, first.size(), first[0], max_payload);
+  StreamDigest digest;
+  digest.update(first);
+  return recv_frame_rest(ch, digest, first.size(), first[0], max_payload);
 }
 
 void send_tagged_message(ByteChannel& ch, std::uint32_t session_id, std::uint16_t epoch,
@@ -148,12 +151,12 @@ TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload) {
                         ") on a multiplexed channel");
   }
   ch.recv(std::span<std::uint8_t>(tag.data() + 1, tag.size() - 1));
-  Crc32 crc;
-  crc.update(tag.data(), tag.size());
+  StreamDigest digest;
+  digest.update(tag);
   TaggedMessage out;
   out.session_id = get_u32_be(tag.data() + 1);
   out.epoch = get_u16_be(tag.data() + 5);
-  out.msg = recv_frame_rest(ch, crc, tag.size(), tag[7], max_payload);
+  out.msg = recv_frame_rest(ch, digest, tag.size(), tag[7], max_payload);
   return out;
 }
 

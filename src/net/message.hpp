@@ -4,9 +4,10 @@
 // (migration request metadata, the state stream, acknowledgement); framing
 // turns the raw byte stream into those messages with an explicit type tag
 // so protocol errors are detected instead of mis-parsed. Every frame
-// carries a CRC-32 trailer over header+payload, so a transfer corrupted in
-// flight surfaces as a NetError at the frame boundary — and can be nacked
-// and retransmitted — instead of being mis-restored into a live process.
+// carries a 4-byte seal over header+payload (the StreamDigest folded to 32
+// bits, seal_frame), so a transfer corrupted in flight surfaces as a
+// NetError at the frame boundary — and can be nacked and retransmitted —
+// instead of being mis-restored into a live process.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@
 namespace hpm::net {
 
 /// Version of the coordinator's wire protocol, announced in the first
-/// byte of the Hello payload. Bumped to 2 when the CRC trailer and Nack
+/// byte of the Hello payload. Bumped to 2 when the frame trailer and Nack
 /// were introduced, to 3 for the transactional handoff (chunk acks,
 /// resume, Prepare/Commit/Abort, digest-bearing StateEnd), to 4 for
 /// session-tagged frame headers (N concurrent migrations multiplexed
@@ -25,10 +26,11 @@ namespace hpm::net {
 /// fencing token rides StateBegin, Prepare/Commit/Abort, and
 /// PrepareAck), to 6 for Digest v2 (the StateEnd digest and manifest
 /// addresses are the multi-lane StreamDigest, and the stream trailer is
-/// its u64), and to 7 when the Ping/Pong heartbeat frames were retired
-/// (tags 16 and 17 are reserved and rejected); a mismatch aborts the
-/// attempt before any state moves.
-inline constexpr std::uint8_t kProtocolVersion = 7;
+/// its u64), to 7 when the Ping/Pong heartbeat frames were retired
+/// (tags 16 and 17 are reserved and rejected), and to 8 when the frame
+/// trailer changed from CRC-32 to the folded StreamDigest seal; a mismatch
+/// aborts the attempt before any state moves.
+inline constexpr std::uint8_t kProtocolVersion = 8;
 
 /// Message type tags used by the migration coordinator.
 enum class MsgType : std::uint8_t {
@@ -39,7 +41,7 @@ enum class MsgType : std::uint8_t {
   Shutdown = 5,    ///< orderly teardown without migration
   Nack = 6,        ///< destination rejects a damaged frame; sender should retransmit
   StateBegin = 7,  ///< pipelined transfer opens (payload: u32 chunk size + u64 txn id)
-  StateChunk = 8,  ///< one stream slice (payload: u32 seq + bytes; frame CRC covers it)
+  StateChunk = 8,  ///< one stream slice (payload: u32 seq + bytes; frame seal covers it)
   StateEnd = 9,    ///< pipelined transfer closes (u32 chunks, u64 bytes, u64 digest)
   StateAck = 10,   ///< destination acks a chunk watermark (payload: u32 next expected seq)
   Prepare = 11,    ///< source asks: restoration verified? ready to own? (payload: u64 txn)
@@ -63,13 +65,19 @@ struct Message {
   Bytes payload;
 };
 
+/// Write a frame's seal in place: its last 4 bytes become the big-endian
+/// fold32(StreamDigest) of every byte before them. Every sent frame is
+/// sealed here, and so is a frame FaultyChannel's CorruptMasked damages
+/// below the seal. `frame` must hold at least the 4 seal bytes.
+void seal_frame(std::span<std::uint8_t> frame) noexcept;
+
 /// Send one framed message: u8 type, u32 length (big-endian), payload,
-/// u32 CRC-32 (big-endian) over everything preceding it. The frame is
+/// u32 seal over everything preceding it (seal_frame). The frame is
 /// assembled in a pooled buffer and shipped with a single channel send.
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload);
 
 /// Receive one framed message; throws hpm::NetError on malformed frames,
-/// oversized length prefixes (checked BEFORE any allocation), or CRC
+/// oversized length prefixes (checked BEFORE any allocation), or a seal
 /// mismatch. The default cap is far below the u32 length field's range so
 /// a hostile or corrupted prefix cannot drive a multi-GiB allocation.
 Message recv_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
@@ -79,7 +87,7 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
 /// with a routing tag so a mig::FrameRouter can demultiplex it:
 ///
 ///   u8 0xF5 (magic)  u32 session_id  u16 epoch  u8 type  u32 len
-///   payload  u32 CRC-32 over everything preceding it
+///   payload  u32 seal over everything preceding it
 ///
 /// The magic byte sits outside the legal MsgType range [1, kMaxMsgType],
 /// so an untagged (v3) frame on a routed channel is caught at its first
@@ -109,8 +117,8 @@ TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload = 1ul
 /// --- chunked state transfer payloads -------------------------------------
 /// StateBegin/StateChunk/StateEnd frame the pipelined stream: each chunk
 /// carries a sequence number (gap/reorder detection on top of the frame
-/// CRC); StateEnd carries the totals plus the end-to-end digest over the
-/// *entire* canonical stream (msrm::StreamDigest), which the destination
+/// seal); StateEnd carries the totals plus the end-to-end digest over the
+/// *entire* canonical stream (StreamDigest), which the destination
 /// computes as its decoder pulls the chunks in and must match before it
 /// may vote in the commit phase.
 
@@ -127,7 +135,7 @@ struct StateBeginInfo {
 struct StateEndInfo {
   std::uint32_t chunk_count = 0;
   std::uint64_t total_bytes = 0;
-  std::uint64_t digest = 0;  ///< msrm::StreamDigest of the whole canonical stream
+  std::uint64_t digest = 0;  ///< StreamDigest of the whole canonical stream
 };
 
 Bytes encode_state_begin(const StateBeginInfo& info);
@@ -215,7 +223,7 @@ TxnTokenInfo decode_txn_token(const Bytes& payload);
 
 struct PrepareAckInfo {
   std::uint64_t txn_id = 0;
-  std::uint64_t digest = 0;  ///< destination-computed msrm::StreamDigest
+  std::uint64_t digest = 0;  ///< destination-computed StreamDigest
   std::uint32_t incarnation = 1;  ///< echoes the StateBegin fencing token
 };
 Bytes encode_prepare_ack(const PrepareAckInfo& info);

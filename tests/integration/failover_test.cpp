@@ -33,7 +33,7 @@
 
 #include "apps/bitonic.hpp"
 #include "hpm/migrate.hpp"
-#include "mig/coordinator.hpp"  // internal unit: run_routed_migration over a SessionWiring
+#include "mig/fleet.hpp"        // internal unit: run_routed_migration over a SessionWiring
 #include "mig/session.hpp"      // internal unit: the fencing of the session machines
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
@@ -480,7 +480,9 @@ TEST(FailoverDial, UnreachableStandbyIsDialedOnTheRetryBudgetThenSkipped) {
   RunOptions options = base_options(result);
   options.max_retries = 1;
   options.journal_dir = journal_dir;
-  options.failover.standbys = {{.name = "standby-a"}, {.name = "standby-b"}};
+  options.failover.standbys.resize(2);
+  options.failover.standbys[0].name = "standby-a";
+  options.failover.standbys[1].name = "standby-b";
 
   int standby_a_dials = 0;
   SessionWiring wiring;

@@ -162,13 +162,13 @@ TEST_P(PersistentFault, DegradesToLocalCompletion) {
 INSTANTIATE_TEST_SUITE_P(Transports, PersistentFault,
                          ::testing::Values(mig::Transport::Memory, mig::Transport::Socket,
                                            mig::Transport::File),
-                         [](const ::testing::TestParamInfo<mig::Transport>& info) {
-                           return short_transport_name(info.param);
+                         [](const ::testing::TestParamInfo<mig::Transport>& param_info) {
+                           return short_transport_name(param_info.param);
                          });
 
-TEST(FaultInjection, CorruptedFrameIsCaughtByItsCrcAndRetransmitted) {
-  // The acceptance path for the CRC trailer: a damaged frame must be
-  // detected by the frame CRC and retransmitted — visible as a second
+TEST(FaultInjection, CorruptedFrameIsCaughtByItsSealAndRetransmitted) {
+  // The acceptance path for the frame seal: a damaged frame must be
+  // detected by the frame seal and retransmitted — visible as a second
   // attempt — and never silently restored into the destination.
   apps::BitonicResult result;
   mig::RunOptions options;
@@ -183,8 +183,8 @@ TEST(FaultInjection, CorruptedFrameIsCaughtByItsCrcAndRetransmitted) {
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("attempt 1"), std::string::npos)
       << report.failure_causes[0];
-  EXPECT_GE(report.metrics.counter("net.frames.crc_failures"), 1u)
-      << "the damage must be a frame-CRC catch";
+  EXPECT_GE(report.metrics.counter("net.frames.seal_failures"), 1u)
+      << "the damage must be a frame-seal catch";
 }
 
 TEST(FaultInjection, SeededRandomPlansNeverLoseTheWorkload) {

@@ -16,7 +16,7 @@
 
 #include "apps/bitonic.hpp"
 #include "hpm/migrate.hpp"
-#include "mig/coordinator.hpp"   // internal unit: run_routed_migration over a SessionWiring
+#include "mig/fleet.hpp"         // internal unit: run_routed_migration over a SessionWiring
 #include "mig/frame_router.hpp"  // internal unit: FrameRouter ports for that wiring
 #include "mig/journal.hpp"       // internal unit: list_journaled_txns
 
@@ -145,7 +145,7 @@ TEST(MigrateMany, SingleRoutedSessionResumesAfterSeverance) {
 }
 
 TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
-  // A single-byte corruption that passes the frame CRC (CorruptMasked) is
+  // A single-byte corruption that passes the frame seal (CorruptMasked) is
   // vetoed by the destination's end-to-end digest check. A routed session
   // retries like an exclusive one: the retained stream is replayed to a
   // fresh incarnation that votes on it. migrate_many has no byte-level
@@ -161,7 +161,7 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   const std::uint64_t chunks = (p.stream_bytes + cb - 1) / cb;
   const std::uint64_t last_len = p.stream_bytes - (chunks - 1) * cb;
   ASSERT_GT(last_len, 4u);
-  // Tagged frames: 7-byte session tag + type(1)/len(4) header + CRC(4).
+  // Tagged frames: 7-byte session tag + type(1)/len(4) header + seal(4).
   // StateBegin carries 16 payload bytes, a StateChunk a 4-byte seq + body;
   // aim at the second-to-last stream byte, which only the digest checks.
   constexpr std::uint64_t kTag = 7, kFrame = 9;
@@ -193,7 +193,7 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("digest"), std::string::npos)
       << report.failure_causes[0];
-  EXPECT_EQ(report.metrics.counter("net.frames.crc_failures"), 0u);
+  EXPECT_EQ(report.metrics.counter("net.frames.seal_failures"), 0u);
   EXPECT_EQ(report.stream_digest, p.stream_digest);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, probe_result.sum_after);

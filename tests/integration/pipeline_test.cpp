@@ -59,8 +59,8 @@ TEST_P(PipelineTransport, PipelinedRunMatchesTheSerialRun) {
 
 INSTANTIATE_TEST_SUITE_P(MemAndSocket, PipelineTransport,
                          ::testing::Values(Transport::Memory, Transport::Socket),
-                         [](const ::testing::TestParamInfo<Transport>& info) {
-                           return std::string(net::transport_name(info.param));
+                         [](const ::testing::TestParamInfo<Transport>& param_info) {
+                           return std::string(net::transport_name(param_info.param));
                          });
 
 TEST(Pipeline, NoMigrationShutsDownCleanly) {

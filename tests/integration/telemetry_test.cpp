@@ -72,7 +72,7 @@ TEST(Telemetry, WireBytesMatchChannelBytesAcrossTransports) {
         report.metrics.counter(channel_bytes_sent_metric(transport));
     EXPECT_GT(frame_bytes, 0u);
     EXPECT_EQ(frame_bytes, channel_bytes);
-    // Frame bytes = payloads + 9 bytes framing (5-byte header + CRC32)
+    // Frame bytes = payloads + 9 bytes framing (5-byte header + 4-byte seal)
     // per frame; the State frame alone carries the whole migration stream.
     const std::uint64_t frames = report.metrics.counter("net.frames.sent");
     EXPECT_GT(frames, 0u);

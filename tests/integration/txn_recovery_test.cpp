@@ -12,7 +12,7 @@
 //    watermark; the net.* byte counters prove only the tail was
 //    retransmitted, and the restored state is identical to a clean run.
 //  - Digest: a single-byte corruption of the canonical stream that passes
-//    the frame CRC (CorruptMasked) is caught by the end-to-end digest
+//    the frame seal (CorruptMasked) is caught by the end-to-end digest
 //    before the destination may vote; the vetoed incarnation is replaced
 //    by a fresh one that votes on the clean replay, and only that vote is
 //    committed.
@@ -38,7 +38,7 @@ namespace hpm::mig {
 namespace {
 
 /// Wire framing constants of the message layer: type(1)+len(4) header,
-/// crc(4) trailer; StateBegin payload is chunk_bytes(4)+txn(8)+incarnation(4).
+/// seal(4) trailer; StateBegin payload is chunk_bytes(4)+txn(8)+incarnation(4).
 constexpr std::uint64_t kFrameOverhead = 9;
 constexpr std::uint64_t kStateBeginWire = kFrameOverhead + 16;
 
@@ -321,7 +321,7 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
       kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
 
   const MigrationReport report = run_migration(options);
-  // Attempt 1: every frame CRC passes, the destination assembles the full
+  // Attempt 1: every frame seal passes, the destination assembles the full
   // stream, restores — and the digest comparison vetoes the handoff
   // before the destination may vote. Attempt 2 replays the retained
   // stream to a fresh incarnation, which verifies it and votes.
@@ -331,8 +331,8 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
   ASSERT_EQ(report.failure_causes.size(), 1u);
   EXPECT_NE(report.failure_causes[0].find("digest"), std::string::npos)
       << "caught by: " << report.failure_causes[0];
-  EXPECT_EQ(report.metrics.counter("net.frames.crc_failures"), 0u)
-      << "masked corruption must NOT be a frame-CRC catch";
+  EXPECT_EQ(report.metrics.counter("net.frames.seal_failures"), 0u)
+      << "masked corruption must NOT be a frame-seal catch";
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }

@@ -3,7 +3,7 @@
 // overlap-off transfer's — at every chunk size from the pathological (1-byte
 // payloads, so every frame boundary splits a token) to the degenerate
 // (one chunk holds the whole stream). A corrupted chunk must be caught
-// by the per-chunk frame CRC and cost exactly one retryable attempt.
+// by the per-chunk frame seal and cost exactly one retryable attempt.
 #include <gtest/gtest.h>
 
 #include "apps/workload.hpp"
@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
     case_name);
 
 TEST(ChunkPipeline, CorruptedChunkIsOneRetryableFailure) {
-  // Flip bytes inside chunk ~4 of the pipelined stream. The frame CRC on
+  // Flip bytes inside chunk ~4 of the pipelined stream. The frame seal on
   // that StateChunk must catch it and attempt 2 must land the retained
   // stream — since the transactional handoff, as a RESUME from the
   // destination's chunk watermark rather than a full replay —

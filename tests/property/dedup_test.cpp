@@ -269,7 +269,7 @@ TEST(Dedup, WireCodecPreservesBitIdenticalRestore) {
 }
 
 TEST(Dedup, LinkFailureMidStreamResumesRaw) {
-  // Corrupt the wire mid-transfer in a dedup run: the frame CRC turns it
+  // Corrupt the wire mid-transfer in a dedup run: the frame seal turns it
   // into a link failure, the destination stops splice-ahead, and the
   // resume retransmits everything from the watermark raw — the migration
   // still lands bit-identical on attempt 2.

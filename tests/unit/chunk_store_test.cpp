@@ -1,6 +1,6 @@
 // Unit tests of the content-addressed chunk store (DESIGN.md §15):
-// address stability, the CRC + digest verification that turns damaged or
-// poisoned entries into plain misses, torn-entry tolerance at open(), LRU
+// address stability, the header + digest verification that turns damaged
+// or poisoned entries into plain misses, torn-entry tolerance at open(), LRU
 // eviction to the byte budget, and the last-run stats surface behind
 // `hpmtool chunk-cache`.
 #include <gtest/gtest.h>
@@ -18,9 +18,8 @@
 #include <random>
 #include <string>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "mig/chunk_store.hpp"
-#include "msrm/stream.hpp"
 
 namespace hpm::mig {
 namespace {
@@ -51,7 +50,7 @@ class ChunkStoreTest : public ::testing::Test {
 TEST_F(ChunkStoreTest, AddressIsStableAndLengthQualified) {
   const Bytes a = body_of(1, 100);
   EXPECT_EQ(ChunkStore::address_of(a), ChunkStore::address_of(a));
-  EXPECT_EQ(ChunkStore::address_of(a).digest, msrm::StreamDigest::of(a));
+  EXPECT_EQ(ChunkStore::address_of(a).digest, StreamDigest::of(a));
   EXPECT_EQ(ChunkStore::address_of(a).length, 100u);
   const Bytes b = body_of(2, 100);
   EXPECT_NE(ChunkStore::address_of(a), ChunkStore::address_of(b));
@@ -74,17 +73,26 @@ TEST_F(ChunkStoreTest, PutLoadRoundTrip) {
   EXPECT_EQ(store.entries(), 1u);
 }
 
-// Both golden entries below carry this 40-byte body at this offset.
+// Every golden entry below carries this 40-byte body at this offset.
 constexpr std::size_t kGoldenBodyAt = 16;
 constexpr std::size_t kGoldenBodyLen = 40;
 
-// One entry exactly as the store writes it under Digest v2: 'HPMC' |
-// digest ca63de59188f1981 | length 40 | the 40-byte body | CRC-32
-// b8 ce 2d 8e, in the file its address names. Caches on disk outlive the
-// code that wrote them, so this must load and re-put byte for byte under
-// the same name.
+// One entry exactly as the store writes it: 'HPMC' | digest
+// ca63de59188f1981 | length 40 | the 40-byte body, in the file its address
+// names. Caches on disk outlive the code that wrote them, so this must load
+// and re-put byte for byte under the same name.
 constexpr char kGoldenName[] = "ca63de59188f1981-40.chunk";
 constexpr std::uint8_t kGoldenEntry[] = {
+    0x48, 0x50, 0x4d, 0x43, 0xca, 0x63, 0xde, 0x59, 0x18, 0x8f, 0x19, 0x81,
+    0x00, 0x00, 0x00, 0x28, 0x75, 0xcd, 0x25, 0x4b, 0x84, 0xe2, 0xea, 0xf2,
+    0xa6, 0x81, 0x20, 0x67, 0x43, 0x34, 0xb2, 0x6e, 0x4b, 0xe2, 0x99, 0x54,
+    0x73, 0x76, 0x7f, 0xf1, 0xcc, 0x75, 0x99, 0x8d, 0x1e, 0xab, 0xce, 0xdb,
+    0x97, 0x39, 0x65, 0x6e, 0xca, 0x98, 0xc3, 0x71,
+};
+
+// The same entry as the store wrote it before the record lost its seal:
+// the same bytes plus a CRC-32 trailer b8 ce 2d 8e (20 bytes of overhead).
+constexpr std::uint8_t kCrcEraEntry[] = {
     0x48, 0x50, 0x4d, 0x43, 0xca, 0x63, 0xde, 0x59, 0x18, 0x8f, 0x19, 0x81,
     0x00, 0x00, 0x00, 0x28, 0x75, 0xcd, 0x25, 0x4b, 0x84, 0xe2, 0xea, 0xf2,
     0xa6, 0x81, 0x20, 0x67, 0x43, 0x34, 0xb2, 0x6e, 0x4b, 0xe2, 0x99, 0x54,
@@ -93,8 +101,7 @@ constexpr std::uint8_t kGoldenEntry[] = {
 };
 
 // The same body as the store wrote it under the FNV-1a digest (protocol
-// v5): the same record layout, named by the retired address
-// 120458c4aad92685. Digest v2 abandons that address format on purpose.
+// v5): the CRC-era layout, named by the retired address 120458c4aad92685.
 constexpr char kFnvEraName[] = "120458c4aad92685-40.chunk";
 constexpr std::uint8_t kFnvEraEntry[] = {
     0x48, 0x50, 0x4d, 0x43, 0x12, 0x04, 0x58, 0xc4, 0xaa, 0xd9, 0x26, 0x85,
@@ -115,6 +122,26 @@ void write_entry(const std::string& path, const std::uint8_t (&entry)[N]) {
 
 Bytes golden_body() {
   return Bytes(kGoldenEntry + kGoldenBodyAt, kGoldenEntry + kGoldenBodyAt + kGoldenBodyLen);
+}
+
+/// "<16-hex digest>-<length>.chunk": the file an address names.
+std::string entry_name(const ChunkAddr& addr) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%016llx-%lu.chunk",
+                static_cast<unsigned long long>(addr.digest),
+                static_cast<unsigned long>(addr.length));
+  return name;
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    bytes.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(f);
+  return bytes;
 }
 
 TEST_F(ChunkStoreTest, GoldenEntryLoadsAndReputsByteForByte) {
@@ -138,51 +165,77 @@ TEST_F(ChunkStoreTest, GoldenEntryLoadsAndReputsByteForByte) {
   ChunkStore store(fresh);
   store.open();
   store.put(body);
-  std::FILE* f = std::fopen((fresh + "/" + kGoldenName).c_str(), "rb");
-  ASSERT_NE(f, nullptr) << "re-put must land under the same address";
-  std::vector<std::uint8_t> written(entry.size() + 1);
-  written.resize(std::fread(written.data(), 1, written.size(), f));
-  std::fclose(f);
-  EXPECT_EQ(written, entry);
+  EXPECT_EQ(read_file(fresh + "/" + kGoldenName), entry)
+      << "re-put must land under the same address";
 }
 
-TEST_F(ChunkStoreTest, FnvEraEntryIsNeverServedAndAgesOutFirst) {
+TEST_F(ChunkStoreTest, CrcEraEntriesAreDroppedAtOpen) {
+  // Both CRC-era entries are four bytes longer than their names' lengths
+  // allow: open() unlinks them as torn, so neither is ever served, and the
+  // body re-puts as the current golden entry.
+  fs::create_directories(dir_);
+  write_entry(dir_ + "/" + kGoldenName, kCrcEraEntry);
+  write_entry(dir_ + "/" + kFnvEraName, kFnvEraEntry);
   const Bytes body = golden_body();
   const ChunkAddr addr = ChunkStore::address_of(body);
-  ASSERT_NE(addr, kFnvEraAddr);
-  fs::create_directories(dir_);
-  const std::string old_path = dir_ + "/" + kFnvEraName;
-  write_entry(old_path, kFnvEraEntry);
-  fs::last_write_time(old_path, fs::file_time_type::clock::now() - std::chrono::hours(1));
 
   ChunkStore store(dir_);
   store.open();
-  EXPECT_EQ(store.entries(), 1u) << "the old record still parses and is indexed";
+  EXPECT_EQ(store.entries(), 0u);
+  EXPECT_FALSE(fs::exists(dir_ + "/" + kGoldenName));
+  EXPECT_FALSE(fs::exists(dir_ + "/" + kFnvEraName));
   Bytes out;
-  EXPECT_FALSE(store.contains(addr));
-  EXPECT_FALSE(store.load(addr, out)) << "the old entry must never answer for the new address";
-
-  // Newer entries arrive; the first eviction takes the old entry, whose
-  // name nothing asks for any more.
-  store.put(body);
-  store.put(body_of(1, 40));
-  ASSERT_EQ(store.entries(), 3u);
-  EXPECT_EQ(store.gc(store.bytes() - 1), 1u);
-  EXPECT_FALSE(fs::exists(old_path));
+  EXPECT_FALSE(store.load(addr, out));
   EXPECT_FALSE(store.contains(kFnvEraAddr));
+
+  store.put(body);
+  EXPECT_EQ(read_file(dir_ + "/" + kGoldenName),
+            std::vector<std::uint8_t>(std::begin(kGoldenEntry), std::end(kGoldenEntry)));
   ASSERT_TRUE(store.load(addr, out));
   EXPECT_EQ(out, body);
+}
 
-  // Asked for by its own old name, its body no longer hashes to that
-  // name: load()'s digest gate makes it a miss and unlinks it.
-  const std::string again = dir_ + "/again";
-  fs::create_directories(again);
-  write_entry(again + "/" + kFnvEraName, kFnvEraEntry);
-  ChunkStore reopened(again);
-  reopened.open();
-  ASSERT_TRUE(reopened.contains(kFnvEraAddr));
-  EXPECT_FALSE(reopened.load(kFnvEraAddr, out));
-  EXPECT_FALSE(fs::exists(again + "/" + kFnvEraName));
+TEST_F(ChunkStoreTest, EveryByteFlipAndSizeChangeIsAMissAndUnlinked) {
+  // Every byte of a small record is checked: magic, digest and length
+  // against the address asked for, the body against its digest. Damage
+  // after open() indexed the entry must make load() miss and unlink it.
+  constexpr std::uint64_t kSeed = 20231;
+  SCOPED_TRACE("seed " + std::to_string(kSeed));
+  const Bytes body = body_of(kSeed, 24);
+  const ChunkAddr addr = ChunkStore::address_of(body);
+  ChunkStore store(dir_);
+  store.open();
+  store.put(body);
+  const std::string file = dir_ + "/" + entry_name(addr);
+  const std::vector<std::uint8_t> record = read_file(file);
+  ASSERT_EQ(record.size(), 16 + body.size());
+
+  auto expect_miss = [&](const std::vector<std::uint8_t>& damaged, const std::string& what) {
+    store.put(body);  // re-create the entry the previous case unlinked
+    std::FILE* f = std::fopen(file.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(damaged.data(), 1, damaged.size(), f), damaged.size());
+    std::fclose(f);
+    Bytes out;
+    EXPECT_FALSE(store.load(addr, out)) << what;
+    EXPECT_FALSE(store.contains(addr)) << what;
+    EXPECT_FALSE(fs::exists(file)) << what;
+  };
+  for (std::size_t at = 0; at < record.size(); ++at) {
+    std::vector<std::uint8_t> damaged = record;
+    damaged[at] ^= 0xFFu;
+    expect_miss(damaged, "byte " + std::to_string(at) + " flipped");
+  }
+  expect_miss({record.begin(), record.end() - 1}, "truncated by one byte");
+  std::vector<std::uint8_t> grown = record;
+  grown.push_back(0);
+  expect_miss(grown, "grown by one byte");
+
+  // The intact record still loads.
+  store.put(body);
+  Bytes out;
+  ASSERT_TRUE(store.load(addr, out));
+  EXPECT_EQ(out, body);
 }
 
 TEST_F(ChunkStoreTest, SurvivesReopen) {
@@ -230,7 +283,7 @@ TEST_F(ChunkStoreTest, CorruptedBodyIsAMissAndUnlinked) {
   store.open();
   store.put(body);
   // Flip one body byte (size unchanged, so open()-style checks pass; only
-  // load()'s CRC/digest verification can catch it).
+  // load()'s digest verification can catch it).
   std::string victim;
   for (const fs::directory_entry& de : fs::directory_iterator(dir_)) {
     if (de.path().extension() == ".chunk") victim = de.path().string();
@@ -255,10 +308,10 @@ TEST_F(ChunkStoreTest, CorruptedBodyIsAMissAndUnlinked) {
   EXPECT_EQ(out, body);
 }
 
-TEST_F(ChunkStoreTest, PoisonedEntryWithForgedCrcStillMisses) {
-  // Forge an entry whose header and CRC are fully self-consistent — the
-  // claimed address in both name and header, a CRC computed over the
-  // forged record — but whose BODY does not hash to that address: a
+TEST_F(ChunkStoreTest, PoisonedEntryWithForgedHeaderStillMisses) {
+  // Forge an entry whose name and header are fully self-consistent — the
+  // claimed address in both, the right size on disk — but whose BODY does
+  // not hash to that address: a
   // deliberately poisoned cache. Only load()'s digest recomputation can
   // catch this, and it must turn the entry into a miss.
   const Bytes real = body_of(5, 128);
@@ -266,7 +319,7 @@ TEST_F(ChunkStoreTest, PoisonedEntryWithForgedCrcStillMisses) {
   const Bytes lie = body_of(6, 128);
   fs::create_directories(dir_);
   {
-    Bytes record(20 + lie.size());
+    Bytes record(16 + lie.size());
     record[0] = 0x48;  // 'H'  (kEntryMagic, big-endian)
     record[1] = 0x50;  // 'P'
     record[2] = 0x4D;  // 'M'
@@ -278,16 +331,7 @@ TEST_F(ChunkStoreTest, PoisonedEntryWithForgedCrcStillMisses) {
       record[12 + i] = static_cast<std::uint8_t>(addr.length >> (8 * (3 - i)));
     }
     std::copy(lie.begin(), lie.end(), record.begin() + 16);
-    const std::uint32_t crc = Crc32::of(record.data(), 16 + lie.size());
-    for (int i = 0; i < 4; ++i) {
-      record[16 + lie.size() + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(crc >> (8 * (3 - i)));
-    }
-    char forged[64];
-    std::snprintf(forged, sizeof(forged), "%016llx-%lu.chunk",
-                  static_cast<unsigned long long>(addr.digest),
-                  static_cast<unsigned long>(addr.length));
-    std::FILE* f = std::fopen((fs::path(dir_) / forged).string().c_str(), "wb");
+    std::FILE* f = std::fopen((dir_ + "/" + entry_name(addr)).c_str(), "wb");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(record.data(), 1, record.size(), f), record.size());
     std::fclose(f);
@@ -301,7 +345,7 @@ TEST_F(ChunkStoreTest, PoisonedEntryWithForgedCrcStillMisses) {
 }
 
 TEST_F(ChunkStoreTest, EvictsLeastRecentlyUsedToBudget) {
-  // Each entry is 100 body bytes + 20 overhead = 120 on disk. A 400-byte
+  // Each entry is 100 body bytes + 16 overhead = 116 on disk. A 400-byte
   // budget holds three entries.
   ChunkStore store(dir_, 400);
   store.open();
@@ -326,10 +370,10 @@ TEST_F(ChunkStoreTest, GcShrinksToBudget) {
   store.open();
   for (std::uint64_t s = 0; s < 8; ++s) store.put(body_of(s, 100));
   EXPECT_EQ(store.entries(), 8u);
-  const std::size_t evicted = store.gc(3 * 120);
+  const std::size_t evicted = store.gc(3 * 116);
   EXPECT_EQ(evicted, 5u);
   EXPECT_EQ(store.entries(), 3u);
-  EXPECT_LE(store.bytes(), 3u * 120u);
+  EXPECT_LE(store.bytes(), 3u * 116u);
   // gc(0) may empty the store entirely (unlike put's keep-one eviction).
   EXPECT_EQ(store.gc(0), 3u);
   EXPECT_EQ(store.entries(), 0u);

@@ -7,8 +7,8 @@
 
 #include "apps/bitonic.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "common/crc32.hpp"
 #include "msrm/stream.hpp"
+#include "support/crc32_reference.hpp"
 
 namespace hpm::ckpt {
 namespace {
@@ -143,7 +143,8 @@ TEST(Checkpoint, AFileFromBeforeDigestV2IsATypedError) {
   file.resize(file.size() - msrm::kTrailerBytes);
   file[kPreamble + 4] = 0;  // the stream's u16 version, after its u32 magic
   file[kPreamble + 5] = 2;
-  const std::uint32_t crc = Crc32::of(file.data() + kPreamble, file.size() - kPreamble);
+  const std::uint32_t crc =
+      test::crc32_reference(file.data() + kPreamble, file.size() - kPreamble);
   file.push_back(msrm::kTrailerTag);
   for (int i = 3; i >= 0; --i) file.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
   const auto len = static_cast<std::uint32_t>(file.size() - kPreamble);

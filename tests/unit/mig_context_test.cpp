@@ -254,7 +254,7 @@ TEST(MigContext, StreamedCollectionSealsAndDigestsLikeTheUnstreamedOne) {
   collect_counter(plain, 0, nullptr);
   const Bytes& want = plain.stream();
   EXPECT_NO_THROW(msrm::check_stream(want));
-  EXPECT_EQ(plain.stream_digest(), msrm::StreamDigest::of(want));
+  EXPECT_EQ(plain.stream_digest(), StreamDigest::of(want));
   for (const std::size_t chunk : {1u, 5u, 9u, 16u, 17u, 32u, 33u, 64u, 1u << 20}) {
     std::vector<Bytes> chunks;
     MigContext src(t);
@@ -337,7 +337,7 @@ TEST(MigContext, ChunkedRestoreChecksDigestFirstThenTrailer) {
   // The same damage with a digest forged to match it: the trailer check,
   // fed the payload digest from the same pass, still objects.
   stream.back() ^= 0x01;
-  EXPECT_THROW(restore_chunked(t, bad_trailer, msrm::StreamDigest::of(stream), false),
+  EXPECT_THROW(restore_chunked(t, bad_trailer, StreamDigest::of(stream), false),
                WireError);
 }
 

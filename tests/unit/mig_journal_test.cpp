@@ -2,10 +2,10 @@
 //
 // The journal is the ground truth of the transactional handoff, so these
 // tests attack exactly what a crash attacks: records cut short mid-append,
-// CRC damage, missing files — and then the full verdict table of
-// recover_from_journals(), which must name exactly one owner from any
-// journal state the protocol can leave behind — and recover(), which
-// picks that state's files out of a journal directory.
+// seal damage, missing files, records in a retired format — and then the
+// full verdict table of recover_from_journals(), which must name exactly
+// one owner from any journal state the protocol can leave behind — and
+// recover(), which picks that state's files out of a journal directory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "mig/journal.hpp"
+#include "support/crc32_reference.hpp"
 
 namespace hpm::mig {
 namespace {
@@ -64,24 +65,37 @@ TEST_F(JournalTest, AppendReplayRoundTrip) {
   }
 }
 
-// One v2 record exactly as the journal wrote it before the sliced CRC-32:
-// Commit, txn 0x0123456789ABCDEF, digest 0xFEDCBA9876543210, incarnation 2,
-// note "serial fallback", sealed by CRC-32 04 7b 00 23. Journals on disk
-// outlive the code that wrote them, so this must replay and re-encode
-// byte for byte.
+// One record exactly as the journal writes it: 'HPML', Commit, txn
+// 0x0123456789ABCDEF, digest 0xFEDCBA9876543210, incarnation 2, note
+// "serial fallback", sealed by fold32(StreamDigest) ff 5a f1 5a. Journals
+// on disk outlive the code that wrote them, so this must replay and
+// re-encode byte for byte.
 constexpr std::uint8_t kGoldenRecord[] = {
+    0x48, 0x50, 0x4d, 0x4c, 0x03, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd,
+    0xef, 0xfe, 0xdc, 0xba, 0x98, 0x76, 0x54, 0x32, 0x10, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x0f, 0x73, 0x65, 0x72, 0x69, 0x61, 0x6c, 0x20,
+    0x66, 0x61, 0x6c, 0x6c, 0x62, 0x61, 0x63, 0x6b, 0xff, 0x5a, 0xf1, 0x5a,
+};
+
+// The same record as the journal wrote it before protocol v8: the 'HPMK'
+// magic and a CRC-32 seal (04 7b 00 23). Kept as the legacy pin: read as
+// a torn tail it would replay as "no intent", so it must be refused.
+constexpr std::uint8_t kHpmkRecord[] = {
     0x48, 0x50, 0x4d, 0x4b, 0x03, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd,
     0xef, 0xfe, 0xdc, 0xba, 0x98, 0x76, 0x54, 0x32, 0x10, 0x00, 0x00, 0x00,
     0x02, 0x00, 0x00, 0x00, 0x0f, 0x73, 0x65, 0x72, 0x69, 0x61, 0x6c, 0x20,
     0x66, 0x61, 0x6c, 0x6c, 0x62, 0x61, 0x63, 0x6b, 0x04, 0x7b, 0x00, 0x23,
 };
 
+template <std::size_t N>
+void write_bytes(const std::string& path, const std::uint8_t (&bytes)[N]) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes), N);
+}
+
 TEST_F(JournalTest, GoldenRecordReplaysAndReencodesByteForByte) {
   const std::string golden = path("golden.journal");
-  {
-    std::ofstream out(golden, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(kGoldenRecord), sizeof(kGoldenRecord));
-  }
+  write_bytes(golden, kGoldenRecord);
   const std::vector<JournalRecord> read = Journal::replay(golden);
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].type, JournalRecordType::Commit);
@@ -96,6 +110,52 @@ TEST_F(JournalTest, GoldenRecordReplaysAndReencodesByteForByte) {
                                         std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes,
             std::vector<std::uint8_t>(std::begin(kGoldenRecord), std::end(kGoldenRecord)));
+}
+
+/// Replay `path` and return the MigrationError's text ("" if none).
+std::string replay_error(const std::string& path) {
+  try {
+    Journal::replay(path);
+  } catch (const MigrationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(JournalTest, RetiredRecordFormatsAreTypedErrors) {
+  // The 'HPMK' pin, alone and after an intact 'HPML' record.
+  const std::string hpmk = path("hpmk.journal");
+  write_bytes(hpmk, kHpmkRecord);
+  EXPECT_NE(replay_error(hpmk).find("'HPMK'"), std::string::npos) << replay_error(hpmk);
+  const std::string mixed = write("mixed.journal", {{JournalRecordType::Begin, 7, 0, 1, ""}});
+  {
+    std::ofstream out(mixed, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(kHpmkRecord), sizeof(kHpmkRecord));
+  }
+  EXPECT_NE(replay_error(mixed).find("'HPMK'"), std::string::npos) << replay_error(mixed);
+
+  // An 'HPMJ' record (the pre-incarnation layout): Begin, txn 7, no note,
+  // CRC-32 sealed — and a torn one, cut inside its fixed head.
+  std::vector<std::uint8_t> hpmj = {0x48, 0x50, 0x4d, 0x4a, 0x01, 0, 0, 0, 0, 0, 0, 0, 7,
+                                    0,    0,    0,    0,    0,    0, 0, 0, 0, 0, 0, 0};
+  const std::uint32_t crc = test::crc32_reference(hpmj.data(), hpmj.size());
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    hpmj.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  for (const std::size_t keep : {hpmj.size(), std::size_t{10}}) {
+    const std::string p = path("hpmj.journal");
+    std::ofstream(p, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(hpmj.data()), static_cast<std::streamsize>(keep));
+    EXPECT_NE(replay_error(p).find("'HPMJ'"), std::string::npos) << keep << " bytes";
+  }
+
+  // recover() arbitrates through replay, so it refuses the old journal
+  // instead of naming the source owner of a transaction it cannot read.
+  const std::string dir = path("legacy_dir");
+  std::filesystem::create_directories(dir);
+  write_bytes(dir + "/" + keyed_source_journal_name(0x0123456789ABCDEFull), kHpmkRecord);
+  EXPECT_THROW(recover(dir), MigrationError);
+  EXPECT_THROW(recover(dir, 0x0123456789ABCDEFull), MigrationError);
 }
 
 TEST_F(JournalTest, MissingFileReplaysEmpty) {
@@ -127,15 +187,15 @@ TEST_F(JournalTest, TornTailRecordIsDropped) {
   EXPECT_EQ(read[0].type, JournalRecordType::Begin);
 }
 
-TEST_F(JournalTest, CrcDamageDropsTheRecordAndEverythingAfter) {
-  const std::string p = write("crc.journal", {
+TEST_F(JournalTest, SealDamageDropsTheRecordAndEverythingAfter) {
+  const std::string p = write("seal.journal", {
       {JournalRecordType::Begin, 7, 0, 1, ""},
       {JournalRecordType::Prepared, 7, 1, 1, ""},
       {JournalRecordType::Committed, 7, 1, 1, ""},
   });
   // Flip one byte inside the SECOND record's txn field.
   std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
-  const std::size_t record_size = 4 + 1 + 8 + 8 + 4 + 4 + 0 + 4;  // v2, no note
+  const std::size_t record_size = 4 + 1 + 8 + 8 + 4 + 4 + 0 + 4;  // no note
   f.seekp(static_cast<std::streamoff>(record_size + 8));
   char b = 0;
   f.read(&b, 1);

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <thread>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "net/faulty_channel.hpp"
 #include "net/file_channel.hpp"
@@ -15,6 +17,7 @@
 #include "net/simnet.hpp"
 #include "net/socket_channel.hpp"
 #include "obs/metrics.hpp"
+#include "support/crc32_reference.hpp"
 
 namespace hpm::net {
 namespace {
@@ -243,13 +246,22 @@ TEST(Message, HostileLengthPrefixIsRejectedBeforeAllocation) {
 
 TEST(Message, NackRoundTrips) {
   auto [a, b] = MemChannel::make_pair();
-  const std::string reason = "frame CRC mismatch";
+  const std::string reason = "frame seal mismatch";
   send_message(*a, MsgType::Nack, Bytes(reason.begin(), reason.end()));
   const Message msg = recv_message(*b);
   EXPECT_EQ(msg.type, MsgType::Nack);
   EXPECT_EQ(std::string(msg.payload.begin(), msg.payload.end()), reason);
 }
 
+/// Append `seal` big-endian: a frame's 4-byte trailer.
+void put_trailer(Bytes& frame, std::uint32_t seal) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    frame.push_back(static_cast<std::uint8_t>((seal >> shift) & 0xFFu));
+  }
+}
+
+/// An untagged frame built by hand and sealed as protocol v8 seals it:
+/// fold32 of the StreamDigest over everything before the trailer.
 Bytes frame_bytes(MsgType type, const Bytes& payload) {
   Bytes frame;
   frame.push_back(static_cast<std::uint8_t>(type));
@@ -259,15 +271,11 @@ Bytes frame_bytes(MsgType type, const Bytes& payload) {
   frame.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFFu));
   frame.push_back(static_cast<std::uint8_t>(len & 0xFFu));
   frame.insert(frame.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = Crc32::of(frame.data(), frame.size());
-  frame.push_back(static_cast<std::uint8_t>((crc >> 24) & 0xFFu));
-  frame.push_back(static_cast<std::uint8_t>((crc >> 16) & 0xFFu));
-  frame.push_back(static_cast<std::uint8_t>((crc >> 8) & 0xFFu));
-  frame.push_back(static_cast<std::uint8_t>(crc & 0xFFu));
+  put_trailer(frame, fold32(StreamDigest::of(frame)));
   return frame;
 }
 
-TEST(Message, CorruptedPayloadFailsTheCrcTrailer) {
+TEST(Message, CorruptedPayloadFailsTheFrameSeal) {
   auto [a, b] = MemChannel::make_pair();
   Bytes frame = frame_bytes(MsgType::State, make_payload(100));
   frame[5 + 40] ^= 0x01u;  // flip one payload bit in transit
@@ -276,11 +284,11 @@ TEST(Message, CorruptedPayloadFailsTheCrcTrailer) {
     recv_message(*b);
     FAIL() << "damaged frame was accepted";
   } catch (const NetError& e) {
-    EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("seal"), std::string::npos);
   }
 }
 
-TEST(Message, IntactHandCraftedFramePassesTheCrcTrailer) {
+TEST(Message, IntactHandCraftedFramePassesTheFrameSeal) {
   auto [a, b] = MemChannel::make_pair();
   const Bytes payload = make_payload(100);
   a->send(frame_bytes(MsgType::State, payload));
@@ -299,10 +307,7 @@ TEST(Message, ReservedHeartbeatTagsAreRejectedOnBothLayouts) {
     EXPECT_THROW(recv_message(*b), NetError);
 
     Bytes tagged = {kTaggedFrameMagic, 0, 0, 0, 1, 0, 1, reserved, 0, 0, 0, 0};
-    const std::uint32_t crc = Crc32::of(tagged.data(), tagged.size());
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      tagged.push_back(static_cast<std::uint8_t>((crc >> shift) & 0xFFu));
-    }
+    put_trailer(tagged, fold32(StreamDigest::of(tagged)));
     auto [c, d] = MemChannel::make_pair();
     c->send(tagged);
     EXPECT_THROW(recv_tagged_message(*d), NetError);
@@ -346,6 +351,174 @@ TEST(Message, PreIncarnationPayloadLayoutsAreTypedErrors) {
   EXPECT_THROW(decode_state_begin(Bytes(begin.begin(), begin.begin() + 12)), NetError);
   EXPECT_THROW(decode_txn_token(Bytes(token.begin(), token.begin() + 8)), NetError);
   EXPECT_THROW(decode_prepare_ack(Bytes(ack.begin(), ack.begin() + 16)), NetError);
+}
+
+// A Prepare frame (txn 9, incarnation 3) exactly as protocol v7 sent it:
+// the same header and payload, sealed by CRC-32 72 c6 6f 97.
+constexpr std::uint8_t kV7PrepareFrame[] = {
+    0x0b, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x09, 0x00, 0x00, 0x00, 0x03, 0x72, 0xc6, 0x6f, 0x97,
+};
+
+TEST(Message, ACrcSealedV7FrameIsATypedError) {
+  const Bytes v7(std::begin(kV7PrepareFrame), std::end(kV7PrepareFrame));
+  ASSERT_EQ(test::crc32_reference(v7.data(), v7.size() - 4), 0x72c66f97u);
+  const Bytes v8 =
+      frame_bytes(MsgType::Prepare, encode_txn_token({.txn_id = 9, .incarnation = 3}));
+  ASSERT_TRUE(std::equal(v8.begin(), v8.end() - 4, v7.begin())) << "only the trailer differs";
+
+  obs::Counter& failures = obs::Registry::process().counter("net.frames.seal_failures");
+  const std::uint64_t before = failures.value();
+  auto [a, b] = MemChannel::make_pair();
+  a->send(v7);
+  try {
+    recv_message(*b);
+    FAIL() << "a v7 frame was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("seal"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(failures.value(), before + 1);
+
+  // The tagged layout of protocol v7 fails the same way.
+  Bytes tagged = {kTaggedFrameMagic, 0, 0, 0, 1, 0, 1};
+  tagged.insert(tagged.end(), v7.begin(), v7.end() - 4);
+  put_trailer(tagged, test::crc32_reference(tagged.data(), tagged.size()));
+  a->send(tagged);
+  EXPECT_THROW(recv_tagged_message(*b), NetError);
+}
+
+/// Reads one buffer back through ByteChannel::recv and fails typed at its
+/// end, like a peer that closed: each damaged copy of a frame replays
+/// through the real receive path without a thread or a lock.
+class ReplayChannel final : public ByteChannel {
+ public:
+  explicit ReplayChannel(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  void send(std::span<const std::uint8_t>) override { throw NetError("replay only"); }
+  void recv(std::span<std::uint8_t> out) override {
+    if (bytes_.size() - pos_ < out.size()) throw NetError("end of replayed bytes");
+    std::memcpy(out.data(), bytes_.data() + pos_, out.size());
+    pos_ += out.size();
+  }
+  void set_timeout(std::chrono::milliseconds) override {}
+  void close() override {}
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// Collects what one send call puts on the wire: exactly one frame.
+class CaptureChannel final : public ByteChannel {
+ public:
+  void send(std::span<const std::uint8_t> data) override {
+    bytes.insert(bytes.end(), data.begin(), data.end());
+  }
+  void recv(std::span<std::uint8_t>) override { throw NetError("capture only"); }
+  void set_timeout(std::chrono::milliseconds) override {}
+  void close() override {}
+
+  Bytes bytes;
+};
+
+TEST(Message, EveryShortCorruptionOfARepresentativeFrameIsATypedError) {
+  // The seal is a 32-bit fold of a hash, not a CRC, so no burst length is
+  // caught by construction: this enumerates the damage a CRC-32 was
+  // guaranteed to catch. Each damaged frame must end in a typed NetError
+  // (the seal, the type check, the length cap or a short read) — never in
+  // a delivered message.
+  constexpr std::uint64_t kSeed = 0x5EA1F01Dull;
+  constexpr std::size_t kCap = 4096;  // above every payload here
+  constexpr int kBursts = 1 << 20;
+  SCOPED_TRACE("seed " + std::to_string(kSeed));
+  std::mt19937_64 rng(kSeed);
+  Bytes slice(256);
+  for (std::uint8_t& byte : slice) byte = static_cast<std::uint8_t>(rng());
+
+  struct Case {
+    const char* name;
+    bool tagged;
+    Bytes wire;
+  };
+  std::vector<Case> cases;
+  for (const bool tagged : {false, true}) {
+    CaptureChannel capture;
+    const Bytes payload = encode_state_chunk(7, slice);
+    if (tagged) {
+      send_tagged_message(capture, 0xA1B2C3D4u, 0x0102, MsgType::StateChunk, payload);
+    } else {
+      send_message(capture, MsgType::StateChunk, payload);
+    }
+    cases.push_back({tagged ? "tagged StateChunk" : "StateChunk", tagged, capture.bytes});
+  }
+  {
+    CaptureChannel capture;
+    send_message(capture, MsgType::Prepare, encode_txn_token({.txn_id = 9, .incarnation = 3}));
+    cases.push_back({"Prepare", false, capture.bytes});
+  }
+
+  const auto receive = [](const Case& c, std::span<const std::uint8_t> wire) {
+    ReplayChannel ch(wire);
+    if (c.tagged) {
+      recv_tagged_message(ch, kCap);
+    } else {
+      recv_message(ch, kCap);
+    }
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_NO_THROW(receive(c, c.wire)) << "the intact frame must pass";
+    // Every single-byte substitution: all 255 other values at each
+    // offset, which includes every single-bit flip.
+    Bytes damaged = c.wire;
+    for (std::size_t at = 0; at < damaged.size(); ++at) {
+      for (unsigned mask = 1; mask < 256; ++mask) {
+        damaged[at] = static_cast<std::uint8_t>(c.wire[at] ^ mask);
+        ASSERT_THROW(receive(c, damaged), NetError) << "offset " << at << " xor " << mask;
+      }
+      damaged[at] = c.wire[at];
+    }
+  }
+  // 2^20 seeded random bursts of exactly 2, 3 or 4 bytes (both end bytes
+  // of the error pattern nonzero), dealt round-robin to the three frames.
+  std::vector<Bytes> damaged;
+  for (const Case& c : cases) damaged.push_back(c.wire);
+  for (int burst = 0; burst < kBursts; ++burst) {
+    const Case& c = cases[static_cast<std::size_t>(burst) % cases.size()];
+    Bytes& wire = damaged[static_cast<std::size_t>(burst) % cases.size()];
+    const std::size_t len = 2 + rng() % 3;
+    const std::size_t at = rng() % (wire.size() - len + 1);
+    for (std::size_t i = 0; i < len; ++i) {
+      std::uint8_t mask = static_cast<std::uint8_t>(rng());
+      if ((i == 0 || i == len - 1) && mask == 0) mask = 1;
+      wire[at + i] ^= mask;
+    }
+    ASSERT_THROW(receive(c, wire), NetError)
+        << c.name << ", burst " << burst << ": " << len << " bytes at offset " << at;
+    std::copy_n(c.wire.begin() + static_cast<std::ptrdiff_t>(at), len,
+                wire.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+}
+
+TEST(FaultyChannel, CorruptMaskedReSealsTheFrameItDamages) {
+  // Damage below the seal: the frame passes the framing layer with one
+  // payload byte changed, which only the end-to-end digest can catch.
+  FaultPlan plan;
+  plan.kind = FaultKind::CorruptMasked;
+  plan.offset = 5 + 10;  // payload byte 10, past the type/len header
+  auto [a, b] = MemChannel::make_pair();
+  FaultyChannel faulty(std::move(a), plan);
+  const Bytes payload = make_payload(64);
+  obs::Counter& failures = obs::Registry::process().counter("net.frames.seal_failures");
+  const std::uint64_t before = failures.value();
+  send_message(faulty, MsgType::StateChunk, payload);
+  const Message msg = recv_message(*b);
+  EXPECT_EQ(failures.value(), before);
+  ASSERT_EQ(msg.payload.size(), payload.size());
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    const std::uint8_t want =
+        i == 10 ? static_cast<std::uint8_t>(payload[i] ^ 0xA5u) : payload[i];
+    EXPECT_EQ(msg.payload[i], want) << "at " << i;
+  }
 }
 
 TEST(FaultyChannel, CorruptFaultFiresOnceAtItsOffset) {

@@ -1,17 +1,17 @@
-// Architecture descriptor presets and the common/crc/rng plumbing,
-// including the integrity hashes' equivalence to their reference
-// definitions (sliced CRC-32, multi-lane StreamDigest).
+// Architecture descriptor presets and the common/digest/rng plumbing,
+// including the integrity hash's equivalence to its reference definition
+// (the multi-lane StreamDigest) and the 32-bit fold that seals frames and
+// journal records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/hexdump.hpp"
 #include "common/rng.hpp"
-#include "msrm/stream.hpp"
 #include "xdr/arch.hpp"
 
 namespace hpm {
@@ -71,31 +71,6 @@ TEST(Arch, CanonicalSizesCoverWidestModel) {
   }
 }
 
-TEST(Crc32, MatchesKnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (standard check value).
-  EXPECT_EQ(Crc32::of("123456789", 9), 0xCBF43926u);
-}
-
-TEST(Crc32, IncrementalEqualsOneShot) {
-  Crc32 inc;
-  inc.update("12345", 5);
-  inc.update("6789", 4);
-  EXPECT_EQ(inc.value(), Crc32::of("123456789", 9));
-}
-
-TEST(Crc32, EmptyInputHasDefinedValue) { EXPECT_EQ(Crc32::of("", 0), 0u); }
-
-/// The CRC-32 definition, one bit at a time (reflected IEEE polynomial):
-/// the reference the sliced implementation must reproduce exactly.
-std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c ^= p[i];
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 /// Deterministic test bytes (a 32-bit LCG's top byte). The known-answer
 /// digests below were computed over exactly these bytes.
 std::vector<std::uint8_t> lcg_bytes(std::size_t n) {
@@ -108,38 +83,12 @@ std::vector<std::uint8_t> lcg_bytes(std::size_t n) {
   return b;
 }
 
-TEST(Crc32, SlicedEqualsBitwiseAtEveryLengthOffsetAndSplit) {
-  // Offsets 0-15 put every length at every alignment of the 16-byte
-  // kernel's loads (unaligned reads are what the sanitizer build checks);
-  // every split point covers a block cut at every position.
-  const std::vector<std::uint8_t> buf = lcg_bytes(300 + 16);
-  for (std::size_t off = 0; off < 16; ++off) {
-    for (std::size_t len = 0; len <= 300; ++len) {
-      const std::uint8_t* p = buf.data() + off;
-      const std::uint32_t want = crc32_bitwise(p, len);
-      ASSERT_EQ(Crc32::of(p, len), want) << "offset " << off << " length " << len;
-      for (std::size_t cut = 0; cut <= len; ++cut) {
-        Crc32 crc;
-        crc.update(p, cut);
-        crc.update(p + cut, len - cut);
-        ASSERT_EQ(crc.value(), want)
-            << "offset " << off << " length " << len << " cut " << cut;
-      }
-    }
-  }
-}
-
-TEST(Crc32, SlicedEqualsBitwiseOnLargeInputs) {
-  const std::vector<std::uint8_t> buf = lcg_bytes(70000);
-  EXPECT_EQ(Crc32::of(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size()));
-  EXPECT_EQ(Crc32::of(buf.data(), buf.size()), 0x20a42e3cu);
-}
-
-// Known answers of msrm::StreamDigest (Digest v2) over lcg_bytes(n),
+// Known answers of StreamDigest (Digest v2) over lcg_bytes(n),
 // recorded from a separate reference implementation of the hash written
 // straight from its definition. The digest names chunks in every
 // ChunkStore on disk and rides in every stream trailer, StateEnd and
-// journal record, so these values may never change without a protocol
+// journal record (and, folded, seals every frame), so these values may
+// never change without a protocol
 // version bump. The lengths straddle the 8-byte word, the 32-byte stripe
 // and 4 KiB.
 struct DigestAnswer {
@@ -161,10 +110,10 @@ constexpr DigestAnswer kDigestAnswers[] = {
 TEST(StreamDigest, MatchesRecordedKnownAnswers) {
   for (const DigestAnswer& a : kDigestAnswers) {
     const std::vector<std::uint8_t> b = lcg_bytes(a.n);
-    EXPECT_EQ(msrm::StreamDigest::of(b), a.digest) << "n=" << a.n;
+    EXPECT_EQ(StreamDigest::of(b), a.digest) << "n=" << a.n;
   }
   const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
-  EXPECT_EQ(msrm::StreamDigest::of({check, 9}), 0x28ad3061afe40021ull);
+  EXPECT_EQ(StreamDigest::of({check, 9}), 0x28ad3061afe40021ull);
 }
 
 /// The Digest v2 definition, fed one byte at a time: bytes are shifted
@@ -208,12 +157,12 @@ TEST(StreamDigest, MatchesAByteAtATimeReference) {
   for (std::size_t off = 0; off < 8; ++off) {
     for (std::size_t len = 0; len <= 352; ++len) {
       const std::uint8_t* p = buf.data() + off;
-      ASSERT_EQ(msrm::StreamDigest::of({p, len}), digest_bytewise(p, len))
+      ASSERT_EQ(StreamDigest::of({p, len}), digest_bytewise(p, len))
           << "offset " << off << " length " << len;
     }
   }
   const std::vector<std::uint8_t> big = lcg_bytes(70000);
-  EXPECT_EQ(msrm::StreamDigest::of(big), digest_bytewise(big.data(), big.size()));
+  EXPECT_EQ(StreamDigest::of(big), digest_bytewise(big.data(), big.size()));
 }
 
 TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
@@ -221,10 +170,10 @@ TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
   // tail); cut2 == cut gives every two-way split point.
   const std::vector<std::uint8_t> small = lcg_bytes(100);
   const std::span<const std::uint8_t> s(small);
-  const std::uint64_t small_whole = msrm::StreamDigest::of(s);
+  const std::uint64_t small_whole = StreamDigest::of(s);
   for (std::size_t cut = 0; cut <= s.size(); ++cut) {
     for (std::size_t cut2 = cut; cut2 <= s.size(); ++cut2) {
-      msrm::StreamDigest d;
+      StreamDigest d;
       d.update(s.first(cut));
       d.update(s.subspan(cut, cut2 - cut));
       d.update(s.subspan(cut2));
@@ -233,19 +182,19 @@ TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
   }
   // value() is const and repeatable mid-stream: reading it between
   // updates changes nothing.
-  msrm::StreamDigest peeked;
+  StreamDigest peeked;
   peeked.update(s.first(45));
-  EXPECT_EQ(peeked.value(), msrm::StreamDigest::of(s.first(45)));
+  EXPECT_EQ(peeked.value(), StreamDigest::of(s.first(45)));
   peeked.update(s.subspan(45));
   EXPECT_EQ(peeked.value(), small_whole);
 
   // Random multi-way splits of 64 KiB, widths 0..5000 bytes, seeded.
   const std::vector<std::uint8_t> b = lcg_bytes(64 * 1024);
   const std::span<const std::uint8_t> all(b);
-  const std::uint64_t whole = msrm::StreamDigest::of(all);
+  const std::uint64_t whole = StreamDigest::of(all);
   Rng rng(2024);
   for (int round = 0; round < 16; ++round) {
-    msrm::StreamDigest d;
+    StreamDigest d;
     std::size_t pos = 0;
     while (pos < b.size()) {
       const std::size_t n = std::min<std::size_t>(b.size() - pos, rng.next_below(5001));
@@ -255,9 +204,18 @@ TEST(StreamDigest, ValueIsIndependentOfHowTheInputIsSplit) {
     EXPECT_EQ(d.value(), whole) << "round " << round;
   }
   // Byte at a time over a prefix that spans a 4 KiB boundary.
-  msrm::StreamDigest bytewise;
+  StreamDigest bytewise;
   for (std::size_t i = 0; i < 4097; ++i) bytewise.update(all.subspan(i, 1));
   EXPECT_EQ(bytewise.value(), kDigestAnswers[15].digest);
+}
+
+TEST(StreamDigest, Fold32XorsTheHalves) {
+  EXPECT_EQ(fold32(0x0123456789ABCDEFull), 0x01234567u ^ 0x89ABCDEFu);
+  EXPECT_EQ(fold32(0xFFFFFFFF00000000ull), 0xFFFFFFFFu);
+  // The 4-byte seal of the check string "123456789" (digest
+  // 0x28ad3061afe40021, pinned above): 0x28ad3061 ^ 0xafe40021.
+  const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(fold32(StreamDigest::of({check, 9})), 0x87493040u);
 }
 
 TEST(Rng, SameSeedSameSequence) {
