@@ -1,11 +1,11 @@
 // The public header of hpm: the one include an embedder needs.
 //
 // It covers the migratable program's side (MigContext and the annotation
-// macros of mig/annotate.hpp), one migration (`hpm::run_migration`), a
-// fleet of concurrent migrations (`hpm::migrate_many`), crash recovery
-// from the intent journals (`hpm::recover`), and the option/report types
-// they exchange. Everything is re-exported into the top-level `hpm`
-// namespace so callers never name the internal layers.
+// macros of mig/annotate.hpp), one migration (`hpm::run_migration`),
+// concurrent migrations each on its own channels (`hpm::migrate_many`),
+// crash recovery from the intent journals (`hpm::recover`), and the
+// option/report types they exchange. Everything is re-exported into the
+// top-level `hpm` namespace so callers never name the internal layers.
 //
 // The internal headers this one includes (mig/coordinator.hpp,
 // mig/fleet.hpp, mig/journal.hpp, ...) may be reorganized freely; only
@@ -35,7 +35,7 @@ using mig::WireCodec;
 using mig::outcome_name;
 using mig::run_migration;
 
-/// --- a fleet of migrations ----------------------------------------------
+/// --- concurrent migrations ----------------------------------------------
 using mig::SessionJob;
 using mig::SessionOutcome;
 using mig::migrate_many;

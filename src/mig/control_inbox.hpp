@@ -1,4 +1,4 @@
-// Source-side receive pump for one session epoch.
+// Source-side receive pump for one session binding.
 #pragma once
 
 #include <chrono>

@@ -2,9 +2,10 @@
 // SourceSession/DestSession state machines (session.hpp), the
 // transactional handoff (source_txn.hpp / dest_host.hpp), ports and wiring
 // (port.hpp), the File spool (spool_transfer.hpp), and the intent
-// journals — behind the original run_migration() API. The policy that
-// lives HERE is only the composition: which transport takes which path,
-// how the txn is derived, and graceful degradation.
+// journals — behind run_migration() and the session entry run_session()
+// (fleet.hpp). The policy that lives HERE is only the composition: which
+// transport takes which path, how a session is wired, how the txn is
+// derived, and graceful degradation.
 #include "mig/coordinator.hpp"
 
 #include <algorithm>
@@ -21,18 +22,12 @@
 
 namespace hpm::mig {
 
-namespace {
-
-/// Wiring for a classic exclusive-channel session: every connect() builds
-/// a brand-new physical channel pair, applies the run's fault/throttle
-/// wrappers, and hands back DirectPorts. A socket listener rides along as
-/// the ports' keepalive so its fd outlives the conversation.
-SessionWiring direct_wiring(const RunOptions& options,
-                            std::chrono::milliseconds deadline) {
+SessionWiring exclusive_wiring(const RunOptions& options, std::uint32_t session_id) {
+  const std::chrono::milliseconds deadline = io_deadline(options);
   auto fault_state = std::make_shared<net::FaultState>();
   auto dest_fault_state = std::make_shared<net::FaultState>();
   SessionWiring wiring;
-  wiring.session_id = 0;
+  wiring.session_id = session_id;
   wiring.connect = [&options, fault_state, dest_fault_state, deadline] {
     // The destination's first recv spans the program's whole pre-trigger
     // phase, so the per-IO deadline is armed only once the transfer
@@ -82,6 +77,8 @@ SessionWiring direct_wiring(const RunOptions& options,
   return wiring;
 }
 
+namespace {
+
 /// Local completion from the collected stream: the graceful-degradation
 /// tail shared by the spool and the transaction.
 void complete_locally(const RunOptions& options, MigrationReport& report,
@@ -95,10 +92,10 @@ void complete_locally(const RunOptions& options, MigrationReport& report,
   run_destination_program(options, ctx, report);
 }
 
-/// The transaction id of a run, exclusive or routed: wall-clock
-/// microseconds, raised past the last id this process handed out, so
-/// concurrent sessions never collide and successive runs journaling into
-/// one directory get increasing ids (recover(dir) arbitrates the highest).
+/// The transaction id of a run: wall-clock microseconds, raised past the
+/// last id this process handed out, so concurrent sessions never collide
+/// and successive runs journaling into one directory get increasing ids
+/// (recover(dir) arbitrates the highest).
 std::uint64_t derive_txn() {
   static std::atomic<std::uint64_t> last{0};
   const auto micros = static_cast<std::uint64_t>(
@@ -169,52 +166,22 @@ MigrationReport run_spool_migration(const RunOptions& options) {
   return report;
 }
 
-/// The one handoff on a duplex transport, exclusive or routed: the
-/// transaction of source_txn.hpp over `wiring` under a fresh txn,
-/// degrading to local completion once its attempts are spent.
-MigrationReport run_transaction(const RunOptions& options, const SessionWiring& wiring) {
-  const std::uint64_t txn = derive_txn();
-  MigrationReport report;
-  Journal src_journal;
-  if (!options.journal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.journal_dir, ec);
-    src_journal.open(options.journal_dir + "/" + keyed_source_journal_name(txn));
-  }
-  RetainedStream retained;
-  switch (run_pipelined_transaction(options, report, retained, wiring, io_deadline(options),
-                                    src_journal, txn)) {
-    case TxnResult::CompletedLocally:
-      // Rendezvous happened but no transfer was ever started.
-      report.attempts = 0;
-      report.outcome = MigrationOutcome::CompletedLocally;
-      break;
-    case TxnResult::Migrated:
-      report.outcome = MigrationOutcome::Migrated;
-      break;
-    case TxnResult::CommittedUnconfirmed:
-      // The Commit record is durable: the destination owns the process
-      // whether or not its confirmation survived. No local fallback.
-      report.outcome = MigrationOutcome::CommittedUnconfirmed;
-      break;
-    case TxnResult::SourceCrashed:
-      // The "crashed" source does nothing further — by definition. The
-      // journals (recover) arbitrate ownership.
-      report.outcome = MigrationOutcome::SourceCrashed;
-      break;
-    case TxnResult::Failed:
-      // Graceful degradation: abandon migration and finish the computation
-      // locally by restoring the retained stream in-process — the source
-      // becomes its own destination, so the final result is identical to
-      // a run that never migrated. The Abort is durable before the local
-      // restore begins: a crash mid-degradation must still arbitrate to
-      // the source.
-      src_journal.append(
-          {JournalRecordType::Abort, txn, 0, 1, "degraded to local completion"});
-      TxnMetrics::get().aborts.add(1);
-      complete_locally(options, report, retained.materialize());
-      break;
-  }
+/// Run `body` as one observed migration: a `mig.run` span, and the
+/// registry delta across it as the report's metrics.
+template <typename Body>
+MigrationReport observed_run(const RunOptions& options, std::uint32_t session, Body body) {
+  // The report's metrics member is the registry delta across this run, so
+  // concurrent runs in one process would bleed into each other's deltas —
+  // per-session truth for concurrent sessions lives in the
+  // mig.session.<id>.* instruments instead.
+  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
+  obs::Span run_span("mig.run");
+  run_span.arg("transport", std::string(net::transport_name(options.transport)));
+  run_span.arg("session", std::uint64_t{session});
+  MigrationReport report = body();
+  run_span.arg("outcome", std::string(outcome_name(report.outcome)));
+  run_span.finish();
+  report.metrics = obs::Registry::process().snapshot().delta_since(before);
   return report;
 }
 
@@ -239,40 +206,63 @@ const char* outcome_name(MigrationOutcome outcome) noexcept {
 
 MigrationReport run_migration(const RunOptions& options) {
   require_program(options, "run_migration");
-  // The report's metrics member is the registry delta across this run, so
-  // concurrent runs in one process would bleed into each other's deltas —
-  // per-session truth for concurrent sessions lives in the
-  // mig.session.<id>.* instruments instead.
-  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
-  obs::Span run_span("mig.run");
-  run_span.arg("transport", std::string(net::transport_name(options.transport)));
-  MigrationReport report;
-  if (options.transport == Transport::File) {
-    report = run_spool_migration(options);
-  } else {
-    report = run_transaction(options, direct_wiring(options, io_deadline(options)));
+  if (options.transport != Transport::File) {
+    return run_session(options, exclusive_wiring(options, 0));
   }
-  run_span.arg("outcome", std::string(outcome_name(report.outcome)));
-  run_span.finish();
-  report.metrics = obs::Registry::process().snapshot().delta_since(before);
-  return report;
+  return observed_run(options, 0, [&] { return run_spool_migration(options); });
 }
 
-MigrationReport run_routed_migration(const RunOptions& options,
-                                     const SessionWiring& wiring) {
-  require_program(options, "run_routed_migration");
-  if (!wiring.connect) {
-    throw MigrationError("run_routed_migration requires wiring.connect");
-  }
-
-  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
-  obs::Span run_span("mig.session.run");
-  run_span.arg("session", std::uint64_t{wiring.session_id});
-  MigrationReport report = run_transaction(options, wiring);
-  run_span.arg("outcome", std::string(outcome_name(report.outcome)));
-  run_span.finish();
-  report.metrics = obs::Registry::process().snapshot().delta_since(before);
-  return report;
+/// The one handoff on a duplex transport: the transaction of
+/// source_txn.hpp over `wiring` under a fresh txn, degrading to local
+/// completion once its attempts are spent.
+MigrationReport run_session(const RunOptions& options, const SessionWiring& wiring) {
+  require_program(options, "run_session");
+  if (!wiring.connect) throw MigrationError("run_session requires wiring.connect");
+  return observed_run(options, wiring.session_id, [&] {
+    const std::uint64_t txn = derive_txn();
+    MigrationReport report;
+    Journal src_journal;
+    if (!options.journal_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(options.journal_dir, ec);
+      src_journal.open(options.journal_dir + "/" + keyed_source_journal_name(txn));
+    }
+    RetainedStream retained;
+    switch (run_pipelined_transaction(options, report, retained, wiring, io_deadline(options),
+                                      src_journal, txn)) {
+      case TxnResult::CompletedLocally:
+        // Rendezvous happened but no transfer was ever started.
+        report.attempts = 0;
+        report.outcome = MigrationOutcome::CompletedLocally;
+        break;
+      case TxnResult::Migrated:
+        report.outcome = MigrationOutcome::Migrated;
+        break;
+      case TxnResult::CommittedUnconfirmed:
+        // The Commit record is durable: the destination owns the process
+        // whether or not its confirmation survived. No local fallback.
+        report.outcome = MigrationOutcome::CommittedUnconfirmed;
+        break;
+      case TxnResult::SourceCrashed:
+        // The "crashed" source does nothing further — by definition. The
+        // journals (recover) arbitrate ownership.
+        report.outcome = MigrationOutcome::SourceCrashed;
+        break;
+      case TxnResult::Failed:
+        // Graceful degradation: abandon migration and finish the computation
+        // locally by restoring the retained stream in-process — the source
+        // becomes its own destination, so the final result is identical to
+        // a run that never migrated. The Abort is durable before the local
+        // restore begins: a crash mid-degradation must still arbitrate to
+        // the source.
+        src_journal.append(
+            {JournalRecordType::Abort, txn, 0, 1, "degraded to local completion"});
+        TxnMetrics::get().aborts.add(1);
+        complete_locally(options, report, retained.materialize());
+        break;
+    }
+    return report;
+  });
 }
 
 }  // namespace hpm::mig

@@ -83,10 +83,10 @@ bool DestinationHost::offer(std::unique_ptr<MessagePort> port) {
 void DestinationHost::close() {
   std::lock_guard lk(mu_);
   closed_ = true;
-  // Wound the port too: on a routed channel the source's own abort only
-  // closes the SOURCE router's binding, so a destination blocked in recv
-  // (rx mid-stream or the commit gate, deadline 0) would sleep forever —
-  // unlike an exclusive channel, where the peer's abort kills both ends.
+  // Wound the port too, as teardown safety: a destination blocked in recv
+  // (rx mid-stream or the commit gate, deadline 0) must wake on the
+  // source's close alone, not only when the source's own abort happens to
+  // reach this end of the channel.
   if (port_ != nullptr) {
     try {
       port_->abort();

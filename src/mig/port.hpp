@@ -1,13 +1,11 @@
 // MessagePort: the session-level transport seam.
 //
 // The protocol endpoints (SourceSession/DestSession drivers) exchange
-// whole frames, never raw bytes — so the seam between "one migration on
-// its own channel" and "N migrations multiplexed over one channel" is a
-// frame-granular port, not a ByteChannel. DirectPort owns a channel
-// outright and speaks the classic untagged frame layout; FrameRouter's
-// ports (frame_router.hpp) share a channel and tag every frame with
-// their session id. The endpoints cannot tell the difference, which is
-// exactly the point.
+// whole frames, never raw bytes, so their seam is a frame-granular port,
+// not a ByteChannel. DirectPort owns one channel outright and speaks the
+// one frame layout (net/message.hpp); SeveringPort and BlackholePort wrap
+// a port to script a link fault at an exact frame. The endpoints cannot
+// tell a wrapped port from a plain one, which is exactly the point.
 #pragma once
 
 #include <atomic>
@@ -45,8 +43,8 @@ class MessagePort {
   virtual void abort() { close(); }
 };
 
-/// Exclusive ownership of one ByteChannel: frames go out untagged, which
-/// is what a single-session (pre-router) peer expects on the wire.
+/// Exclusive ownership of one ByteChannel: one session, one channel, so
+/// frames go out with no session tag.
 class DirectPort final : public MessagePort {
  public:
   /// `keepalive` rides along for transport plumbing that must outlive the
@@ -71,8 +69,9 @@ class DirectPort final : public MessagePort {
 /// Deterministic link-failure injection at the session layer: forwards
 /// `frames_before_cut` port operations, then every further send/recv
 /// throws hpm::NetError — the frame-granular analogue of a mid-stream
-/// disconnect, usable on a routed port where byte-level FaultyChannel
-/// wrapping would take every multiplexed session down at once.
+/// disconnect. Unlike a byte-level FaultyChannel kill it counts whole
+/// frames, sends and recvs alike, so a sweep over the count reaches every
+/// protocol step.
 class SeveringPort final : public MessagePort {
  public:
   SeveringPort(std::unique_ptr<MessagePort> inner, std::uint32_t frames_before_cut)
@@ -106,7 +105,7 @@ class SeveringPort final : public MessagePort {
 };
 
 /// Deterministic WEDGE injection: forwards `ops_before_wedge` port
-/// operations, then sends vanish silently and recvs starve — the shared
+/// operations, then sends vanish silently and recvs starve — the
 /// channel stays healthy but the session makes no progress. Unlike a
 /// SeveringPort failure nothing errors on its own: only the per-IO
 /// deadline (RunOptions::io_timeout_seconds) ends the wait.
@@ -165,24 +164,21 @@ class BlackholePort final : public MessagePort {
   std::atomic<bool> wounded_{false};
 };
 
-/// A connected source/destination port pair for one session epoch.
+/// A connected source/destination port pair: one binding of a session.
 struct PortPair {
   std::unique_ptr<MessagePort> source;
   std::unique_ptr<MessagePort> destination;
 };
 
 /// How a session reaches its peer. Every connect() call yields a fresh
-/// pair — a brand-new physical channel for a direct session, a fresh
-/// routed epoch of the shared channel for a multiplexed one — so the
-/// resume machinery is identical in both worlds.
+/// pair over a brand-new physical channel (exclusive_wiring, fleet.hpp),
+/// so a resumed binding never shares a byte with the one it replaces.
 struct SessionWiring {
   std::uint32_t session_id = 0;
   std::function<PortPair()> connect;
 
   /// Failover dial: a fresh port pair to standby candidate `k` (an index
-  /// into FailoverPolicy::standbys), under whatever isolation this wiring
-  /// can give it — a brand-new physical channel for a direct session, a
-  /// routed binding under its own session id for a multiplexed one.
+  /// into FailoverPolicy::standbys), over its own brand-new channel.
   /// Null = the wiring cannot reach standbys, so destination failover is
   /// disabled regardless of policy.
   std::function<PortPair(std::size_t)> connect_standby;

@@ -41,32 +41,23 @@ std::uint32_t get_u32_be(const std::uint8_t* in) {
          (static_cast<std::uint32_t>(in[2]) << 8) | static_cast<std::uint32_t>(in[3]);
 }
 
-void put_u16_be(std::uint8_t* out, std::uint16_t v) {
-  out[0] = static_cast<std::uint8_t>((v >> 8) & 0xFFu);
-  out[1] = static_cast<std::uint8_t>(v & 0xFFu);
+}  // namespace
+
+void seal_frame(std::span<std::uint8_t> frame) noexcept {
+  const std::size_t body = frame.size() - 4;
+  put_u32_be(frame.data() + body, fold32(StreamDigest::of(frame.first(body))));
 }
 
-std::uint16_t get_u16_be(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>((static_cast<std::uint16_t>(in[0]) << 8) | in[1]);
-}
-
-/// Assemble one frame — `tag_bytes` of routing tag (empty for a plain
-/// frame) followed by the classic type/len/payload layout — in a pooled
-/// buffer and ship it with a single channel send: chunked transfers emit
-/// thousands of frames per migration, so per-frame allocation and triple
-/// syscalls both matter. The seal covers tag + header + payload.
-void send_frame(ByteChannel& ch, std::span<const std::uint8_t> tag_bytes, MsgType type,
-                std::span<const std::uint8_t> payload) {
-  const std::size_t header_at = tag_bytes.size();
-  const std::size_t total = header_at + 5 + payload.size() + 4;
+void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload) {
+  // One pooled buffer and a single channel send per frame: chunked
+  // transfers emit thousands of frames per migration, so per-frame
+  // allocation and triple syscalls both matter.
+  const std::size_t total = 5 + payload.size() + 4;
   BufferPool& pool = BufferPool::process();
   Bytes frame = pool.acquire(total);
-  if (!tag_bytes.empty()) std::memcpy(frame.data(), tag_bytes.data(), tag_bytes.size());
-  frame[header_at] = static_cast<std::uint8_t>(type);
-  put_u32_be(frame.data() + header_at + 1, static_cast<std::uint32_t>(payload.size()));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + header_at + 5, payload.data(), payload.size());
-  }
+  frame[0] = static_cast<std::uint8_t>(type);
+  put_u32_be(frame.data() + 1, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty()) std::memcpy(frame.data() + 5, payload.data(), payload.size());
   seal_frame(frame);
   ch.send(frame);
   pool.release(std::move(frame));
@@ -75,11 +66,11 @@ void send_frame(ByteChannel& ch, std::span<const std::uint8_t> tag_bytes, MsgTyp
   m.bytes_sent.add(total);
 }
 
-/// Read the type/len/payload/seal tail of a frame whose leading
-/// `consumed` bytes (routing tag, and possibly the type byte itself)
-/// were already pulled off the channel and fed to `digest`.
-Message recv_frame_rest(ByteChannel& ch, StreamDigest& digest, std::size_t consumed,
-                        std::uint8_t raw_type, std::size_t max_payload) {
+Message recv_message(ByteChannel& ch, std::size_t max_payload) {
+  // The type byte is vetted before anything else of the frame is read.
+  std::array<std::uint8_t, 1> type{};
+  ch.recv(type);
+  const std::uint8_t raw_type = type[0];
   if (raw_type < 1 || raw_type > kMaxMsgType) {
     throw NetError("malformed frame: unknown message type " + std::to_string(raw_type));
   }
@@ -87,6 +78,8 @@ Message recv_frame_rest(ByteChannel& ch, StreamDigest& digest, std::size_t consu
     throw NetError("malformed frame: reserved message type " + std::to_string(raw_type) +
                    " (a protocol-v6 heartbeat)");
   }
+  StreamDigest digest;
+  digest.update(type);
   std::array<std::uint8_t, 4> len_be{};
   ch.recv(len_be);
   digest.update(len_be);
@@ -111,53 +104,8 @@ Message recv_frame_rest(ByteChannel& ch, StreamDigest& digest, std::size_t consu
   }
   FrameMetrics& m = FrameMetrics::get();
   m.recv.add(1);
-  m.bytes_recv.add(consumed + len_be.size() + msg.payload.size() + trailer.size());
+  m.bytes_recv.add(type.size() + len_be.size() + msg.payload.size() + trailer.size());
   return msg;
-}
-
-}  // namespace
-
-void seal_frame(std::span<std::uint8_t> frame) noexcept {
-  const std::size_t body = frame.size() - 4;
-  put_u32_be(frame.data() + body, fold32(StreamDigest::of(frame.first(body))));
-}
-
-void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload) {
-  send_frame(ch, {}, type, payload);
-}
-
-Message recv_message(ByteChannel& ch, std::size_t max_payload) {
-  std::array<std::uint8_t, 1> first{};
-  ch.recv(first);
-  StreamDigest digest;
-  digest.update(first);
-  return recv_frame_rest(ch, digest, first.size(), first[0], max_payload);
-}
-
-void send_tagged_message(ByteChannel& ch, std::uint32_t session_id, std::uint16_t epoch,
-                         MsgType type, std::span<const std::uint8_t> payload) {
-  std::array<std::uint8_t, 7> tag{};
-  tag[0] = kTaggedFrameMagic;
-  put_u32_be(tag.data() + 1, session_id);
-  put_u16_be(tag.data() + 5, epoch);
-  send_frame(ch, tag, type, payload);
-}
-
-TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload) {
-  std::array<std::uint8_t, 8> tag{};  // u8 magic, u32 session, u16 epoch, u8 type
-  ch.recv(std::span<std::uint8_t>(tag.data(), 1));
-  if (tag[0] != kTaggedFrameMagic) {
-    throw ProtocolError("untagged frame (first byte " + std::to_string(tag[0]) +
-                        ") on a multiplexed channel");
-  }
-  ch.recv(std::span<std::uint8_t>(tag.data() + 1, tag.size() - 1));
-  StreamDigest digest;
-  digest.update(tag);
-  TaggedMessage out;
-  out.session_id = get_u32_be(tag.data() + 1);
-  out.epoch = get_u16_be(tag.data() + 5);
-  out.msg = recv_frame_rest(ch, digest, tag.size(), tag[7], max_payload);
-  return out;
 }
 
 namespace {

@@ -22,7 +22,8 @@ namespace hpm::net {
 /// were introduced, to 3 for the transactional handoff (chunk acks,
 /// resume, Prepare/Commit/Abort, digest-bearing StateEnd), to 4 for
 /// session-tagged frame headers (N concurrent migrations multiplexed
-/// over one channel), to 5 for destination failover (an incarnation
+/// over one channel; that layout is gone, with no bump, because a channel
+/// with one session never carried it), to 5 for destination failover (an incarnation
 /// fencing token rides StateBegin, Prepare/Commit/Abort, and
 /// PrepareAck), to 6 for Digest v2 (the StateEnd digest and manifest
 /// addresses are the multi-lane StreamDigest, and the stream trailer is
@@ -71,8 +72,10 @@ struct Message {
 /// below the seal. `frame` must hold at least the 4 seal bytes.
 void seal_frame(std::span<std::uint8_t> frame) noexcept;
 
-/// Send one framed message: u8 type, u32 length (big-endian), payload,
-/// u32 seal over everything preceding it (seal_frame). The frame is
+/// Send one framed message in the one frame layout: u8 type, u32 length
+/// (big-endian), payload, u32 seal over everything preceding it
+/// (seal_frame). A channel carries one migration session, so frames
+/// carry no session tag. The frame is
 /// assembled in a pooled buffer and shipped with a single channel send.
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload);
 
@@ -81,38 +84,6 @@ void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> p
 /// mismatch. The default cap is far below the u32 length field's range so
 /// a hostile or corrupted prefix cannot drive a multi-GiB allocation.
 Message recv_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
-
-/// --- session-tagged frames (frame header v4) ------------------------------
-/// A channel shared by N concurrent migration sessions prefixes each frame
-/// with a routing tag so a mig::FrameRouter can demultiplex it:
-///
-///   u8 0xF5 (magic)  u32 session_id  u16 epoch  u8 type  u32 len
-///   payload  u32 seal over everything preceding it
-///
-/// The magic byte sits outside the legal MsgType range [1, kMaxMsgType],
-/// so an untagged (v3) frame on a routed channel is caught at its first
-/// byte. An exclusive channel (mig::DirectPort) keeps the untagged
-/// layout: it has one session and needs no tag. The epoch names one
-/// physical binding of the session: a resumed session bumps it, and the
-/// router drops frames from a stale epoch instead of splicing two channel
-/// lifetimes into one stream.
-inline constexpr std::uint8_t kTaggedFrameMagic = 0xF5;
-
-struct TaggedMessage {
-  std::uint32_t session_id = 0;
-  std::uint16_t epoch = 0;
-  Message msg;
-};
-
-/// Send one session-tagged frame with a single channel send.
-void send_tagged_message(ByteChannel& ch, std::uint32_t session_id, std::uint16_t epoch,
-                         MsgType type, std::span<const std::uint8_t> payload);
-
-/// Receive one session-tagged frame — the router's entry point. Throws
-/// hpm::ProtocolError when the first byte is not kTaggedFrameMagic (an
-/// untagged frame on a routed channel); otherwise the same validation and
-/// errors as recv_message.
-TaggedMessage recv_tagged_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
 
 /// --- chunked state transfer payloads -------------------------------------
 /// StateBegin/StateChunk/StateEnd frame the pipelined stream: each chunk

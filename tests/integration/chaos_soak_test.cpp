@@ -1,4 +1,4 @@
-// Chaos soak: rounds of randomized multiplexed migrations under seeded
+// Chaos soak: rounds of randomized concurrent migrations under seeded
 // fault injection (kills, wedges), asserting the invariants migrate_many
 // promises:
 //
@@ -7,8 +7,8 @@
 //     watermark (ctest TIMEOUT is only the backstop);
 //   * exactly one owner — every journaled transaction recovers to a
 //     single, unambiguous owner;
-//   * sibling isolation — sessions sharing the wire with a victim finish
-//     bit-identical to the same workload run alone on a private channel.
+//   * sibling isolation — sessions running alongside a victim finish
+//     bit-identical to the same workload run alone.
 //
 // The final test writes an hpm-bench-v1 report (the soak's seed and the
 // failover counters) to the path in HPM_CHAOS_JSON when it is set; ctest
@@ -70,8 +70,8 @@ mig::RunOptions bitonic_options(int seed, apps::BitonicResult* result) {
 }
 
 /// The workload's ground truth: the same program run alone, no faults, no
-/// shared wire. Computed once per seed and cached — the soak compares
-/// every routed session against this.
+/// siblings. Computed once per seed and cached — the soak compares every
+/// session against this.
 std::uint64_t serial_sum(int seed) {
   static std::map<int, std::uint64_t> cache;
   const auto it = cache.find(seed);
@@ -133,8 +133,8 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
       SCOPED_TRACE("session " + std::to_string(i + 1));
       const mig::MigrationReport& r = outcomes[i].report;
       EXPECT_EQ(r.outcome, MigrationOutcome::Migrated) << mig::outcome_name(r.outcome);
-      // Sibling isolation: bit-identical to the exclusive-channel run no
-      // matter what happened to the victims sharing the wire.
+      // Sibling isolation: bit-identical to the run alone no matter what
+      // happened to the victims running alongside.
       ASSERT_TRUE(results[i].ok());
       EXPECT_EQ(results[i].sum_after, serial_sum(kSeeds[i]));
     }
@@ -170,8 +170,8 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
 TEST(ChaosSoak, WedgedSessionResumesOnceItsDeadlineFires) {
   // A blackholed source port errors on nothing: sends vanish and recvs
   // starve. The victim's per-IO deadline is the only thing that ends the
-  // wait; the session then resumes from its acked watermark on a fresh
-  // epoch while its siblings, which set no deadline, migrate untouched.
+  // wait; the session then resumes from its acked watermark on fresh
+  // channels while its siblings, which set no deadline, migrate untouched.
   const std::string journal_dir =
       "/tmp/hpm_chaos_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
@@ -289,7 +289,7 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
           .string();
   fs::remove_all(dir);
 
-  // A resumable routed migration that provably spends time with a live
+  // A resumable migration that provably spends time with a live
   // watermark: its port is severed mid-stream, the session reconnects
   // and resumes from the acked chunk. The sweeper hammers the directory
   // the whole time.

@@ -16,7 +16,7 @@
 //    Commit frames addressed to a newer incarnation (MigrationError, the
 //    mig.failover.fenced counter moves), and a PrepareAck echoing a stale
 //    incarnation is rejected by the source machine.
-//  - WedgedFailover: a wedged (blackholed) routed session with a standby
+//  - WedgedFailover: a wedged (blackholed) session with a standby
 //    configured is ended by its per-IO deadline and resumes on its
 //    primary from the acked watermark, instead of degrading to local
 //    completion.
@@ -33,7 +33,7 @@
 
 #include "apps/bitonic.hpp"
 #include "hpm/migrate.hpp"
-#include "mig/fleet.hpp"        // internal unit: run_routed_migration over a SessionWiring
+#include "mig/fleet.hpp"        // internal unit: run_session over a SessionWiring
 #include "mig/session.hpp"      // internal unit: the fencing of the session machines
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
@@ -496,7 +496,7 @@ TEST(FailoverDial, UnreachableStandbyIsDialedOnTheRetryBudgetThenSkipped) {
     return memory_pair();
   };
 
-  const MigrationReport report = run_routed_migration(options, wiring);
+  const MigrationReport report = run_session(options, wiring);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_TRUE(report.migrated);
   EXPECT_EQ(standby_a_dials, 1 + options.max_retries);

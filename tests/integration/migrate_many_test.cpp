@@ -1,9 +1,9 @@
-// Concurrent multiplexed migrations: hpm::migrate_many drives N full
-// transactional sessions over ONE shared channel pair, and every session
-// must be observationally identical to the same migration run alone on an
-// exclusive channel — same workload result, same logical stream — even
-// while one of the sessions is killed mid-stream and resumes from its
-// acked watermark as the others proceed.
+// Concurrent migrations: hpm::migrate_many drives N full transactional
+// sessions, each on its own exclusive channels, and every session must be
+// observationally identical to the same migration run alone through
+// run_migration — same workload result, same logical stream — even while
+// one of the sessions is killed mid-stream and resumes from its acked
+// watermark as the others proceed.
 //
 // The fleet API is named only through the hpm/migrate.hpp facade, so a
 // missing re-export fails this suite's build.
@@ -16,9 +16,7 @@
 
 #include "apps/bitonic.hpp"
 #include "hpm/migrate.hpp"
-#include "mig/fleet.hpp"         // internal unit: run_routed_migration over a SessionWiring
-#include "mig/frame_router.hpp"  // internal unit: FrameRouter ports for that wiring
-#include "mig/journal.hpp"       // internal unit: list_journaled_txns
+#include "mig/journal.hpp"  // internal unit: list_journaled_txns
 
 namespace hpm {
 namespace {
@@ -48,7 +46,7 @@ RunOptions bitonic_options(Transport transport, int seed,
 class MigrateManyTransport : public ::testing::TestWithParam<Transport> {};
 
 TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
-  // --- baseline: the same four migrations, each alone on its own channel.
+  // --- baseline: the same four migrations, each run alone.
   std::vector<apps::BitonicResult> serial_results(kSessions);
   std::vector<MigrationReport> serial_reports;
   for (int i = 0; i < kSessions; ++i) {
@@ -58,16 +56,16 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
     ASSERT_TRUE(serial_results[i].ok());
   }
 
-  // --- four sessions multiplexed over one shared channel; session 2 is
-  // severed mid-stream on its first epoch and must resume while the other
-  // three proceed untouched.
+  // --- four concurrent sessions; session 2 is severed mid-stream on its
+  // first binding and must resume while the other three proceed
+  // untouched.
   const std::string journal_dir =
       std::string("/tmp/hpm_migrate_many_") + net::transport_name(GetParam());
   std::filesystem::remove_all(journal_dir);  // stale journals from prior runs
-  std::vector<apps::BitonicResult> routed_results(kSessions);
+  std::vector<apps::BitonicResult> results(kSessions);
   std::vector<SessionJob> jobs(kSessions);
   for (int i = 0; i < kSessions; ++i) {
-    jobs[i].options = bitonic_options(GetParam(), kSeeds[i], &routed_results[i]);
+    jobs[i].options = bitonic_options(GetParam(), kSeeds[i], &results[i]);
     jobs[i].options.journal_dir = journal_dir;
   }
   jobs[1].sever_after_frames = 16;
@@ -80,10 +78,10 @@ TEST_P(MigrateManyTransport, FourConcurrentSessionsMatchFourSerialRuns) {
     const MigrationReport& r = outcomes[i].report;
     EXPECT_EQ(outcomes[i].session_id, static_cast<std::uint32_t>(i + 1));
     EXPECT_EQ(r.outcome, MigrationOutcome::Migrated);
-    ASSERT_TRUE(routed_results[i].ok());
-    // Bit-identical to the exclusive-channel run: same final workload
-    // result from the same logical stream.
-    EXPECT_EQ(routed_results[i].sum_after, serial_results[i].sum_after);
+    ASSERT_TRUE(results[i].ok());
+    // Bit-identical to the run alone: same final workload result from the
+    // same logical stream.
+    EXPECT_EQ(results[i].sum_after, serial_results[i].sum_after);
     EXPECT_EQ(r.stream_bytes, serial_reports[i].stream_bytes);
     // Per-session telemetry is labeled with the session id, so concurrent
     // sessions never share a counter.
@@ -118,9 +116,8 @@ INSTANTIATE_TEST_SUITE_P(MemAndSocket, MigrateManyTransport,
                            return std::string(net::transport_name(p.param));
                          });
 
-TEST(MigrateMany, SingleRoutedSessionMigrates) {
-  // Degenerate multiplexing: one session alone on the shared channel
-  // still speaks the tagged-frame protocol end to end.
+TEST(MigrateMany, SingleSessionMigrates) {
+  // Degenerate fleet: one session, one driver thread.
   apps::BitonicResult result;
   std::vector<SessionJob> jobs(1);
   jobs[0].options = bitonic_options(Transport::Memory, 9, &result);
@@ -130,9 +127,9 @@ TEST(MigrateMany, SingleRoutedSessionMigrates) {
   EXPECT_TRUE(result.ok());
 }
 
-TEST(MigrateMany, SingleRoutedSessionResumesAfterSeverance) {
-  // One session, severed mid-stream: the resume epoch machinery must work
-  // before concurrency is added on top of it.
+TEST(MigrateMany, SingleSessionResumesAfterSeverance) {
+  // One session, severed mid-stream: the resume on a fresh binding must
+  // work before concurrency is added on top of it.
   apps::BitonicResult result;
   std::vector<SessionJob> jobs(1);
   jobs[0].options = bitonic_options(Transport::Memory, 9, &result);
@@ -144,15 +141,12 @@ TEST(MigrateMany, SingleRoutedSessionResumesAfterSeverance) {
   EXPECT_TRUE(result.ok());
 }
 
-TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
+TEST(MigrateMany, VetoedSessionIsRetriedAtAFreshIncarnation) {
   // A single-byte corruption that passes the frame seal (CorruptMasked) is
-  // vetoed by the destination's end-to-end digest check. A routed session
-  // retries like an exclusive one: the retained stream is replayed to a
-  // fresh incarnation that votes on it. migrate_many has no byte-level
-  // fault hook — a byte fault on the shared channel hits every session — so
-  // this drives run_routed_migration, the per-session entry migrate_many
-  // runs, over the same FrameRouter pair with the fault on the source's
-  // side of the shared channel.
+  // vetoed by the destination's end-to-end digest check. A migrate_many
+  // session honours its job's fault_plan as run_migration does and retries
+  // like it: the retained stream is replayed to a fresh incarnation that
+  // votes on it. The sibling sessions never see the fault.
   apps::BitonicResult probe_result;
   const RunOptions probe = bitonic_options(Transport::Memory, 9, &probe_result);
   const MigrationReport p = run_migration(probe);
@@ -161,32 +155,27 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   const std::uint64_t chunks = (p.stream_bytes + cb - 1) / cb;
   const std::uint64_t last_len = p.stream_bytes - (chunks - 1) * cb;
   ASSERT_GT(last_len, 4u);
-  // Tagged frames: 7-byte session tag + type(1)/len(4) header + seal(4).
-  // StateBegin carries 16 payload bytes, a StateChunk a 4-byte seq + body;
-  // aim at the second-to-last stream byte, which only the digest checks.
-  constexpr std::uint64_t kTag = 7, kFrame = 9;
+  // Frames: type(1)/len(4) header + seal(4). StateBegin carries 16
+  // payload bytes, a StateChunk a 4-byte seq + body; aim at the
+  // second-to-last stream byte, which only the digest checks.
+  constexpr std::uint64_t kFrame = 9;
   net::FaultPlan plan;
   plan.kind = net::FaultKind::CorruptMasked;
-  plan.offset = (kTag + kFrame + 16) + (chunks - 1) * (kTag + kFrame + 4 + cb) + kTag + 5 +
-                4 + (last_len - 2);
+  plan.offset = (kFrame + 16) + (chunks - 1) * (kFrame + 4 + cb) + 5 + 4 + (last_len - 2);
 
-  net::ChannelPair channels = net::make_channel_pair(Transport::Memory);
-  mig::FrameRouter src_router(std::make_unique<net::FaultyChannel>(
-      std::move(channels.source), plan, std::make_shared<net::FaultState>()));
-  mig::FrameRouter dst_router(std::move(channels.destination));
-  mig::SessionWiring wiring;
-  wiring.session_id = 1;
-  wiring.connect = [&] {
-    mig::PortPair pair;
-    pair.source = src_router.open(1);
-    pair.destination = dst_router.open(1);
-    return pair;
-  };
+  constexpr int kVictim = 1;
+  std::vector<apps::BitonicResult> results(3);
+  std::vector<SessionJob> jobs(3);
+  for (int i = 0; i < 3; ++i) {
+    jobs[i].options = bitonic_options(Transport::Memory, 9, &results[i]);
+  }
+  jobs[kVictim].options.io_timeout_seconds = 2.0;
+  jobs[kVictim].options.fault_plan = plan;
 
-  apps::BitonicResult result;
-  RunOptions options = bitonic_options(Transport::Memory, 9, &result);
-  options.io_timeout_seconds = 2.0;
-  const MigrationReport report = mig::run_routed_migration(options, wiring);
+  const std::vector<SessionOutcome> outcomes = migrate_many(jobs, Transport::Memory);
+  ASSERT_EQ(outcomes.size(), 3u);
+  const MigrationReport& report = outcomes[kVictim].report;
+  const apps::BitonicResult& result = results[kVictim];
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.dest_incarnation, 2u);
@@ -197,6 +186,17 @@ TEST(MigrateMany, RoutedVetoIsRetriedAtAFreshIncarnation) {
   EXPECT_EQ(report.stream_digest, p.stream_digest);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
+
+  // The siblings ran one attempt each, to the same answer.
+  for (int i = 0; i < 3; ++i) {
+    if (i == kVictim) continue;
+    SCOPED_TRACE("session " + std::to_string(i + 1));
+    EXPECT_EQ(outcomes[i].report.outcome, MigrationOutcome::Migrated);
+    EXPECT_EQ(outcomes[i].report.attempts, 1);
+    EXPECT_TRUE(outcomes[i].report.failure_causes.empty());
+    EXPECT_TRUE(results[i].ok());
+    EXPECT_EQ(results[i].sum_after, probe_result.sum_after);
+  }
 }
 
 TEST(MigrateMany, FileTransportIsRejected) {

@@ -260,7 +260,7 @@ void put_trailer(Bytes& frame, std::uint32_t seal) {
   }
 }
 
-/// An untagged frame built by hand and sealed as protocol v8 seals it:
+/// A frame built by hand and sealed as protocol v8 seals it:
 /// fold32 of the StreamDigest over everything before the trailer.
 Bytes frame_bytes(MsgType type, const Bytes& payload) {
   Bytes frame;
@@ -297,42 +297,14 @@ TEST(Message, IntactHandCraftedFramePassesTheFrameSeal) {
   EXPECT_EQ(msg.payload, payload);
 }
 
-TEST(Message, ReservedHeartbeatTagsAreRejectedOnBothLayouts) {
+TEST(Message, ReservedHeartbeatTagsAreRejected) {
   // Tags 16 and 17 were the protocol-v6 Ping/Pong frames: reserved now,
-  // so even an intact frame carrying one is malformed, untagged or tagged.
+  // so even an intact frame carrying one is malformed.
   for (const std::uint8_t reserved : {std::uint8_t{16}, std::uint8_t{17}}) {
     SCOPED_TRACE("tag " + std::to_string(reserved));
     auto [a, b] = MemChannel::make_pair();
     a->send(frame_bytes(static_cast<MsgType>(reserved), make_payload(12)));
     EXPECT_THROW(recv_message(*b), NetError);
-
-    Bytes tagged = {kTaggedFrameMagic, 0, 0, 0, 1, 0, 1, reserved, 0, 0, 0, 0};
-    put_trailer(tagged, fold32(StreamDigest::of(tagged)));
-    auto [c, d] = MemChannel::make_pair();
-    c->send(tagged);
-    EXPECT_THROW(recv_tagged_message(*d), NetError);
-  }
-}
-
-TEST(Message, UntaggedFrameOnARoutedChannelIsATypedError) {
-  // A router reads tagged frames only: a plain v3 frame's first byte is
-  // its type, never the 0xF5 magic, and is refused before anything else
-  // of it is read.
-  auto [a, b] = MemChannel::make_pair();
-  const Bytes payload = make_payload(40);
-  send_tagged_message(*a, 0xA1B2C3D4u, 0x0102, MsgType::StateChunk, payload);
-  const TaggedMessage frame = recv_tagged_message(*b);
-  EXPECT_EQ(frame.session_id, 0xA1B2C3D4u);
-  EXPECT_EQ(frame.epoch, 0x0102);
-  EXPECT_EQ(frame.msg.type, MsgType::StateChunk);
-  EXPECT_EQ(frame.msg.payload, payload);
-
-  send_message(*a, MsgType::StateChunk, payload);
-  try {
-    recv_tagged_message(*b);
-    FAIL() << "an untagged frame was routed";
-  } catch (const ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("untagged"), std::string::npos) << e.what();
   }
 }
 
@@ -378,13 +350,6 @@ TEST(Message, ACrcSealedV7FrameIsATypedError) {
     EXPECT_NE(std::string(e.what()).find("seal"), std::string::npos) << e.what();
   }
   EXPECT_EQ(failures.value(), before + 1);
-
-  // The tagged layout of protocol v7 fails the same way.
-  Bytes tagged = {kTaggedFrameMagic, 0, 0, 0, 1, 0, 1};
-  tagged.insert(tagged.end(), v7.begin(), v7.end() - 4);
-  put_trailer(tagged, test::crc32_reference(tagged.data(), tagged.size()));
-  a->send(tagged);
-  EXPECT_THROW(recv_tagged_message(*b), NetError);
 }
 
 /// Reads one buffer back through ByteChannel::recv and fails typed at its
@@ -436,50 +401,40 @@ TEST(Message, EveryShortCorruptionOfARepresentativeFrameIsATypedError) {
 
   struct Case {
     const char* name;
-    bool tagged;
     Bytes wire;
   };
   std::vector<Case> cases;
-  for (const bool tagged : {false, true}) {
+  {
     CaptureChannel capture;
-    const Bytes payload = encode_state_chunk(7, slice);
-    if (tagged) {
-      send_tagged_message(capture, 0xA1B2C3D4u, 0x0102, MsgType::StateChunk, payload);
-    } else {
-      send_message(capture, MsgType::StateChunk, payload);
-    }
-    cases.push_back({tagged ? "tagged StateChunk" : "StateChunk", tagged, capture.bytes});
+    send_message(capture, MsgType::StateChunk, encode_state_chunk(7, slice));
+    cases.push_back({"StateChunk", capture.bytes});
   }
   {
     CaptureChannel capture;
     send_message(capture, MsgType::Prepare, encode_txn_token({.txn_id = 9, .incarnation = 3}));
-    cases.push_back({"Prepare", false, capture.bytes});
+    cases.push_back({"Prepare", capture.bytes});
   }
 
-  const auto receive = [](const Case& c, std::span<const std::uint8_t> wire) {
+  const auto receive = [](std::span<const std::uint8_t> wire) {
     ReplayChannel ch(wire);
-    if (c.tagged) {
-      recv_tagged_message(ch, kCap);
-    } else {
-      recv_message(ch, kCap);
-    }
+    recv_message(ch, kCap);
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    ASSERT_NO_THROW(receive(c, c.wire)) << "the intact frame must pass";
+    ASSERT_NO_THROW(receive(c.wire)) << "the intact frame must pass";
     // Every single-byte substitution: all 255 other values at each
     // offset, which includes every single-bit flip.
     Bytes damaged = c.wire;
     for (std::size_t at = 0; at < damaged.size(); ++at) {
       for (unsigned mask = 1; mask < 256; ++mask) {
         damaged[at] = static_cast<std::uint8_t>(c.wire[at] ^ mask);
-        ASSERT_THROW(receive(c, damaged), NetError) << "offset " << at << " xor " << mask;
+        ASSERT_THROW(receive(damaged), NetError) << "offset " << at << " xor " << mask;
       }
       damaged[at] = c.wire[at];
     }
   }
   // 2^20 seeded random bursts of exactly 2, 3 or 4 bytes (both end bytes
-  // of the error pattern nonzero), dealt round-robin to the three frames.
+  // of the error pattern nonzero), dealt round-robin to the two frames.
   std::vector<Bytes> damaged;
   for (const Case& c : cases) damaged.push_back(c.wire);
   for (int burst = 0; burst < kBursts; ++burst) {
@@ -492,7 +447,7 @@ TEST(Message, EveryShortCorruptionOfARepresentativeFrameIsATypedError) {
       if ((i == 0 || i == len - 1) && mask == 0) mask = 1;
       wire[at + i] ^= mask;
     }
-    ASSERT_THROW(receive(c, wire), NetError)
+    ASSERT_THROW(receive(wire), NetError)
         << c.name << ", burst " << burst << ": " << len << " bytes at offset " << at;
     std::copy_n(c.wire.begin() + static_cast<std::ptrdiff_t>(at), len,
                 wire.begin() + static_cast<std::ptrdiff_t>(at));

@@ -10,7 +10,7 @@
 //   hpmtool recover <journal-dir> [txn]
 //                                     arbitrate a crashed handoff from its
 //                                     intent journals (DESIGN.md §11); pass the
-//                                     txn id to pick one of several multiplexed
+//                                     txn id to pick one of several concurrent
 //                                     sessions sharing the directory
 //   hpmtool sessions <journal-dir>    list every transaction journaled in a
 //                                     shared directory with its verdict
