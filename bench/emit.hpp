@@ -7,6 +7,8 @@
 //     "schema":  "hpm-bench-v1",          // exact string
 //     "bench":   "<binary name>",         // non-empty
 //     "smoke":   true|false,
+//     "host":    {"nproc": <n >= 1>, "cpu_model": "...",
+//                 "compiler": "...", "build_type": "..."},
 //     "results": [                        // >= 1 entry
 //       {"name": "...", "value": <number>, "unit": "..."}, ...
 //     ],
@@ -14,12 +16,19 @@
 //   }
 // "metrics" is the process obs::Registry snapshot at write time, so every
 // run ships its MSRLT/msrm/xdr/net counters and `trace.*` phase
-// histograms (p50/p95/p99) alongside the headline numbers.
+// histograms (p50/p95/p99) alongside the headline numbers. "host" stamps
+// the machine and build the figures were measured on (host_stamp_json):
+// a figure compares only with figures from the same stamp.
+//
+// The build type comes from HPM_BUILD_TYPE, which the CMake targets that
+// include this header define from CMAKE_BUILD_TYPE.
 #pragma once
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -52,6 +61,43 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     args.json_path = default_json_path;
   }
   return args;
+}
+
+/// The "host" object of a report: online CPU count, CPU model (the first
+/// "model name" of /proc/cpuinfo, "unknown" where there is none),
+/// compiler, and build type (with the sanitizer, when one is on).
+inline std::string host_stamp_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) continue;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) cpu_model = line.substr(start);
+    break;
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+#ifdef HPM_BUILD_TYPE
+  std::string build_type = HPM_BUILD_TYPE;
+#else
+  std::string build_type;
+#endif
+  if (build_type.empty()) build_type = "unspecified";
+#if defined(__SANITIZE_ADDRESS__)
+  build_type += "+asan";
+#elif defined(__SANITIZE_THREAD__)
+  build_type += "+tsan";
+#endif
+  const unsigned nproc = std::thread::hardware_concurrency();
+  return "{\"nproc\":" + std::to_string(nproc == 0 ? 1 : nproc) + ",\"cpu_model\":\"" +
+         obs::json_escape(cpu_model) + "\",\"compiler\":\"" + obs::json_escape(compiler) +
+         "\",\"build_type\":\"" + obs::json_escape(build_type) + "\"}";
 }
 
 /// Accumulates headline results and writes them (plus the registry
@@ -92,6 +138,7 @@ class BenchReport {
     std::string out = "{\"schema\":\"hpm-bench-v1\",\"bench\":\"" +
                       obs::json_escape(bench_) + "\",\"smoke\":";
     out += smoke_ ? "true" : "false";
+    out += ",\"host\":" + host_stamp_json();
     out += ",\"results\":[";
     bool first = true;
     for (const Row& row : results_) {

@@ -392,12 +392,12 @@ int main(int argc, char** argv) {
     options.migrate_at_poll = 1;
     options.transport = mig::Transport::Memory;
     options.pipeline = true;
-      options.max_retries = 0;
-    // Per-chunk ack cadence (chunk size stays the store's 64 KiB so the
-    // warm-up's addresses match) — "after 2 dest frames" (its Hello + the
-    // first StateAck) is then provably mid-stream.
-    options.ack_every_chunks = 1;
-    options.dest_fault_plan = net::FaultPlan::kill_after(2);
+    options.max_retries = 0;
+    // Kill the primary once it has received StateBegin (9 + 16 bytes) and
+    // the first chunk frame (9 + 4 + 64 KiB: the chunk size stays the
+    // store's so the warm-up's addresses match) — provably mid-stream.
+    options.dest_fault_plan.kind = net::FaultKind::KillOnRecv;
+    options.dest_fault_plan.offset = 25 + 13 + options.chunk_bytes;
     options.failover.standbys = {{.name = "warm-standby", .chunk_cache_dir = standby_dir}};
     const mig::MigrationReport fo = mig::run_migration(options);
     std::filesystem::remove_all(standby_dir);

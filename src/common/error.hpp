@@ -67,10 +67,10 @@ class ProtocolError : public NetError {
   using NetError::NetError;
 };
 
-/// Injected process death (FaultKind::Kill): the endpoint "crashed" and
-/// can run no recovery code of its own. Deliberately NOT a NetError —
-/// the retry machinery must not absorb a crash as a transport fault; the
-/// journal-recovery path owns it.
+/// Injected process death (FaultKind::Kill or KillOnRecv): the endpoint
+/// "crashed" and can run no recovery code of its own. Deliberately NOT a
+/// NetError — the retry machinery must not absorb a crash as a transport
+/// fault; the journal-recovery path owns it.
 class KilledError : public Error {
  public:
   using Error::Error;

@@ -9,11 +9,11 @@
 //
 // Any producer-side failure (frame seal mismatch, sequence violation,
 // hostile StateEnd totals) poisons the assembler; the consumer's next
-// fetch() rethrows it as a NetError, which the coordinator turns into a
-// Nack — one retryable failure, never a hang. Sequence and totals
-// violations throw the typed hpm::ProtocolError on the producer side
-// too, so the rx loop can distinguish a hostile/buggy peer from a
-// damaged link.
+// fetch() rethrows it as a NetError, which the destination answers with
+// Error — one retryable failure, never a hang. Sequence and totals
+// violations throw the typed hpm::ProtocolError on the producer side too,
+// so the rx loop can distinguish a hostile/buggy peer from a damaged
+// link.
 #pragma once
 
 #include <condition_variable>

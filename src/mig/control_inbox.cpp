@@ -1,7 +1,5 @@
 #include "mig/control_inbox.hpp"
 
-#include "mig/mig_metrics.hpp"
-
 namespace hpm::mig {
 
 ControlInbox::ControlInbox(MessagePort& port, SourceSession& session)
@@ -51,14 +49,9 @@ void ControlInbox::pump() {
         if (stopped_.load()) throw;
         continue;
       }
-      if (msg.type == net::MsgType::StateAck) {
-        session_.on_frame(msg);
-        ResumeMetrics::get().last_acked.set(session_.acked_watermark());
-      } else {
-        std::lock_guard lk(mu_);
-        q_.push_back(std::move(msg));
-        cv_.notify_all();
-      }
+      std::lock_guard lk(mu_);
+      q_.push_back(std::move(msg));
+      cv_.notify_all();
     }
   } catch (...) {
     std::lock_guard lk(mu_);

@@ -13,12 +13,11 @@
 namespace hpm::mig {
 
 /// Every inbound frame flows through the SourceSession machine exactly
-/// once, in consumption order: the pump on_frames StateAcks as they
-/// arrive (folding the watermark without ever blocking the sender) and
-/// queues everything else RAW for the protocol thread, which on_frames a
-/// message when it awaits it. An idle TimeoutError on the recv is
-/// tolerated — the destination is legitimately silent while it restores —
-/// so liveness is enforced by await()'s own deadline, not the port's.
+/// once, in consumption order: the pump queues each frame RAW for the
+/// protocol thread, which on_frames a message when it awaits it. An idle
+/// TimeoutError on the recv is tolerated — the destination is
+/// legitimately silent while it restores — so liveness is enforced by
+/// await()'s own deadline, not the port's.
 class ControlInbox {
  public:
   ControlInbox(MessagePort& port, SourceSession& session);
@@ -29,7 +28,7 @@ class ControlInbox {
   /// destroyed once stop() returns.
   void stop();
 
-  /// Next non-ack message, already validated by session.on_frame().
+  /// Next message, already validated by session.on_frame().
   /// Throws the machine's ProtocolError/MigrationError for a rejected
   /// frame, the pump's terminal error once the queue drains, or
   /// TimeoutError past `deadline` (zero = wait forever).

@@ -26,12 +26,15 @@ SessionWiring exclusive_wiring(const RunOptions& options, std::uint32_t session_
   const std::chrono::milliseconds deadline = io_deadline(options);
   auto fault_state = std::make_shared<net::FaultState>();
   auto dest_fault_state = std::make_shared<net::FaultState>();
-  SessionWiring wiring;
-  wiring.session_id = session_id;
-  wiring.connect = [&options, fault_state, dest_fault_state, deadline] {
-    // The destination's first recv spans the program's whole pre-trigger
-    // phase, so the per-IO deadline is armed only once the transfer
-    // begins (DestinationHost sets it after the first frame).
+  // One dial: a brand-new channel pair whose source end carries the run's
+  // fault plan and deadline and whose destination end carries `dest_plan`
+  // under its own firing state. The destination's first recv spans the
+  // program's whole pre-trigger phase, so its per-IO deadline is armed
+  // only once the transfer begins (DestinationHost sets it after the
+  // first frame).
+  auto dial = [&options, fault_state, deadline](
+                  const net::FaultPlan& dest_plan,
+                  const std::shared_ptr<net::FaultState>& dest_state) {
     net::ChannelPair channels = net::make_channel_pair(
         options.transport, {.spool_path = options.spool_path, .timeout = {}});
     std::shared_ptr<void> keep(std::move(channels.listener));
@@ -40,9 +43,13 @@ SessionWiring exclusive_wiring(const RunOptions& options, std::uint32_t session_
         wrap_source_channel(std::move(channels.source), options, fault_state, deadline),
         keep);
     pair.destination = std::make_unique<DirectPort>(
-        wrap_dest_channel(std::move(channels.destination), options, dest_fault_state),
-        keep);
+        wrap_dest_channel(std::move(channels.destination), dest_plan, dest_state), keep);
     return pair;
+  };
+  SessionWiring wiring;
+  wiring.session_id = session_id;
+  wiring.connect = [dial, &options, dest_fault_state] {
+    return dial(options.dest_fault_plan, dest_fault_state);
   };
   if (options.failover.enabled()) {
     // Each candidate gets its own fault state so a chaos script against
@@ -54,24 +61,8 @@ SessionWiring exclusive_wiring(const RunOptions& options, std::uint32_t session_
     for (std::size_t i = 0; i < options.failover.standbys.size(); ++i) {
       standby_states->push_back(std::make_shared<net::FaultState>());
     }
-    wiring.connect_standby = [&options, fault_state, standby_states,
-                              deadline](std::size_t k) {
-      const DestinationCandidate& cand = options.failover.standbys.at(k);
-      net::ChannelPair channels = net::make_channel_pair(
-          options.transport, {.spool_path = options.spool_path, .timeout = {}});
-      std::shared_ptr<void> keep(std::move(channels.listener));
-      PortPair pair;
-      pair.source = std::make_unique<DirectPort>(
-          wrap_source_channel(std::move(channels.source), options, fault_state,
-                              deadline),
-          keep);
-      std::unique_ptr<net::ByteChannel> dch = std::move(channels.destination);
-      if (cand.dest_fault_plan.enabled()) {
-        dch = std::make_unique<net::FaultyChannel>(std::move(dch), cand.dest_fault_plan,
-                                                   standby_states->at(k));
-      }
-      pair.destination = std::make_unique<DirectPort>(std::move(dch), keep);
-      return pair;
+    wiring.connect_standby = [dial, &options, standby_states](std::size_t k) {
+      return dial(options.failover.standbys.at(k).dest_fault_plan, standby_states->at(k));
     };
   }
   return wiring;

@@ -104,10 +104,10 @@ struct RunOptions {
   /// --- fault tolerance ----------------------------------------------------
 
   /// Extra transfer attempts after the first one fails (timeout, seal
-  /// mismatch, disconnect, destination Error/Nack). max_retries + 1 total
-  /// attempts, each a resume from the acked watermark or a replay of the
-  /// stream retained at collection time; also the per-candidate dial
-  /// budget of a failover.
+  /// mismatch, disconnect, destination Error). max_retries + 1 total
+  /// attempts, each a resume from the chunk count the destination
+  /// announces in its ResumeHello or a replay of the stream retained at
+  /// collection time; also the per-candidate dial budget of a failover.
   int max_retries = 2;
 
   /// Deadline applied to every channel send/recv of the transfer protocol
@@ -120,24 +120,21 @@ struct RunOptions {
   /// (see net/faulty_channel.hpp). Disabled by default.
   net::FaultPlan fault_plan{};
 
-  /// Fault injected on the destination's sends (Hello, StateAck,
-  /// PrepareAck, final Ack) — most usefully FaultPlan::kill_after(n) to
-  /// script a destination crash at an exact protocol state.
+  /// Fault injected on the destination's channel — most usefully
+  /// FaultPlan::kill_after(n) on its sends (Hello, ResumeHello,
+  /// ManifestAck, PrepareAck, final Ack) to script a destination crash at
+  /// an exact protocol state, or KillOnRecv at a received-byte offset to
+  /// kill it mid-stream.
   net::FaultPlan dest_fault_plan{};
 
   /// --- transactional handoff ----------------------------------------------
   /// Every duplex transfer runs as a resumable, exactly-once transaction:
-  /// the destination acks a chunk watermark every `ack_every_chunks`
-  /// chunks; a retryable mid-stream failure reconnects and resumes from
-  /// the last watermark out of the retained stream instead of
-  /// retransmitting from byte 0; restoration is bracketed by a
-  /// Prepare/Commit/Abort exchange whose decisions are write-ahead
-  /// journaled (fsync'd) on both ends when `journal_dir` is set, so
-  /// recover() can arbitrate ownership after a crash.
-
-  /// Chunk-watermark ack cadence of the transaction (0 = no acks, so a
-  /// resume would restart from chunk 0).
-  std::uint32_t ack_every_chunks = 8;
+  /// a retryable mid-stream failure reconnects and resumes from the chunk
+  /// count the destination announces in its ResumeHello, out of the
+  /// retained stream, instead of retransmitting from byte 0; restoration
+  /// is bracketed by a Prepare/Commit/Abort exchange whose decisions are
+  /// write-ahead journaled (fsync'd) on both ends when `journal_dir` is
+  /// set, so recover() can arbitrate ownership after a crash.
 
   /// Directory for the intent journals, keyed by the run's transaction
   /// id (source-<txn>.journal / dest-<txn>.journal; see journal.hpp).

@@ -203,24 +203,16 @@ void DestinationHost::run() {
       // Best-effort: the source merely reports CommittedUnconfirmed.
     }
   } catch (const KilledError&) {
-    // A crashed process sends no Nack and journals nothing more.
+    // A crashed process sends nothing and journals nothing more.
     if (!session_.terminal()) session_.abort_decided("destination crashed");
     set_dead(std::current_exception(), true);
-  } catch (const NetError& e) {
-    if (!session_.terminal()) session_.abort_decided(e.what());
-    set_dead(std::current_exception(), killed_.load());
-    if (!killed_.load()) {
-      try {
-        const std::string text = e.what();
-        current()->send(net::MsgType::Nack, Bytes(text.begin(), text.end()));
-      } catch (...) {
-      }
-    }
   } catch (...) {
-    set_dead(std::current_exception(), killed_.load());
+    // Every other failure — a damaged frame, a bad stream, a vetoed
+    // restore — answers Error, the one failure frame.
     if (!session_.terminal()) {
       session_.abort_decided(exception_text(std::current_exception()));
     }
+    set_dead(std::current_exception(), killed_.load());
     if (!killed_.load()) {
       try {
         const std::string text = exception_text(std::current_exception());
@@ -255,8 +247,6 @@ void DestinationHost::release_port() {
 
 void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
                               ChunkStore* store) {
-  const std::uint32_t ack_every = options_.ack_every_chunks;
-  std::uint32_t since_ack = 0;
   // Manifest negotiation state (dedup, DESIGN.md §15). The address list
   // doubles as the per-chunk expected-length table the codec decode is
   // bounded by, so a hostile coded payload cannot inflate past it.
@@ -268,6 +258,11 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
     net::Message msg;
     try {
       msg = current()->recv();
+    } catch (const KilledError&) {
+      // Killed mid-stream: a crashed process sends nothing.
+      killed_.store(true);
+      assembler.fail("destination crashed");
+      return;
     } catch (const NetError& e) {
       // The port died mid-stream, but the stream itself is resumable from
       // the assembler's watermark: park for a replacement port. The
@@ -301,7 +296,6 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
         continue;
       }
       session_.resume_announced();
-      since_ack = 0;
       continue;
     }
     try {
@@ -350,19 +344,6 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
         // typed reason), a short payload, or a hostile coded body.
         assembler.fail("malformed StateChunk payload");
         return;
-      }
-      if (ack_every != 0 && ++since_ack >= ack_every) {
-        since_ack = 0;
-        try {
-          current()->send(net::MsgType::StateAck,
-                          net::encode_state_ack(assembler.chunks_received()));
-        } catch (const KilledError&) {
-          killed_.store(true);
-          assembler.fail("destination crashed");
-          return;
-        } catch (const NetError&) {
-          // The ack path is dying; the next recv parks us.
-        }
       }
     } else if (msg.type == net::MsgType::ManifestBegin ||
                msg.type == net::MsgType::ManifestChunk) {

@@ -128,11 +128,10 @@ inline std::unique_ptr<net::ByteChannel> wrap_source_channel(
 }
 
 inline std::unique_ptr<net::ByteChannel> wrap_dest_channel(
-    std::unique_ptr<net::ByteChannel> ch, const RunOptions& options,
-    const std::shared_ptr<net::FaultState>& dest_fault_state) {
-  if (options.dest_fault_plan.enabled()) {
-    ch = std::make_unique<net::FaultyChannel>(std::move(ch), options.dest_fault_plan,
-                                              dest_fault_state);
+    std::unique_ptr<net::ByteChannel> ch, const net::FaultPlan& plan,
+    const std::shared_ptr<net::FaultState>& fault_state) {
+  if (plan.enabled()) {
+    ch = std::make_unique<net::FaultyChannel>(std::move(ch), plan, fault_state);
   }
   return ch;
 }

@@ -46,7 +46,8 @@ struct SessionJob {
   /// Deterministic mid-stream kill: cut this session's source-side port
   /// after it has carried this many frames on its FIRST binding (-1 =
   /// never). The session then reconnects on fresh channels and resumes
-  /// from the acked watermark while the other sessions proceed untouched.
+  /// from the chunk count its destination announces while the other
+  /// sessions proceed untouched.
   std::int64_t sever_after_frames = -1;
 
   /// Deterministic mid-stream WEDGE: after this many port operations on
@@ -54,7 +55,7 @@ struct SessionJob {
   /// vanish, recvs starve — while the channel itself stays healthy (-1 =
   /// never). Unlike a severance this produces no error of its own: the
   /// per-IO deadline (options.io_timeout_seconds) must fire, after which
-  /// the session resumes from its acked watermark.
+  /// the session resumes from its destination's chunk count.
   std::int64_t stall_after_frames = -1;
 };
 

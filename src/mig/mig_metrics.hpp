@@ -93,12 +93,11 @@ struct FailoverMetrics {
   }
 };
 
-/// `mig.resume.*` instruments for the watermark/resume machinery.
+/// `mig.resume.*` instruments for the resume machinery.
 struct ResumeMetrics {
   obs::Counter& attempts = obs::Registry::process().counter("mig.resume.attempts");
   obs::Counter& chunks_skipped =
       obs::Registry::process().counter("mig.resume.chunks_skipped");
-  obs::Gauge& last_acked = obs::Registry::process().gauge("mig.resume.last_acked");
 
   static ResumeMetrics& get() {
     static ResumeMetrics m;

@@ -2,11 +2,11 @@
 //
 // A pipelined transaction must be able to retransmit any chunk of the
 // collected stream until the destination's Committed is confirmed: resume
-// replays the tail past the acked watermark, and destination failover
-// replays [0, end) at a standby. Before failover the retained copy lived
-// only in source memory — fine for one resume, fatal under memory
-// pressure and wasteful when a big process might wait minutes for a
-// standby to dial. RetainedStream keeps the bytes in memory by default
+// replays the tail past the chunk count the destination announces in its
+// ResumeHello, and destination failover replays [0, end) at a standby.
+// Before failover the retained copy lived only in source memory — fine
+// for one resume, fatal under memory pressure and wasteful when a big
+// process might wait minutes for a standby to dial. RetainedStream keeps the bytes in memory by default
 // and can spill them to an fsync'd file (RunOptions::retain_dir), after
 // which reads are served by pread and the heap copy is freed. Either way
 // the chunk math is identical: the stream is an immutable byte array

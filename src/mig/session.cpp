@@ -37,11 +37,9 @@ const char* msg_type_name(net::MsgType type) noexcept {
     case net::MsgType::Ack: return "Ack";
     case net::MsgType::Error: return "Error";
     case net::MsgType::Shutdown: return "Shutdown";
-    case net::MsgType::Nack: return "Nack";
     case net::MsgType::StateBegin: return "StateBegin";
     case net::MsgType::StateChunk: return "StateChunk";
     case net::MsgType::StateEnd: return "StateEnd";
-    case net::MsgType::StateAck: return "StateAck";
     case net::MsgType::Prepare: return "Prepare";
     case net::MsgType::PrepareAck: return "PrepareAck";
     case net::MsgType::Commit: return "Commit";
@@ -122,21 +120,22 @@ void SessionMachine::reject_locked(std::string why) {
 ///
 /// Transition table (frames the DESTINATION sends):
 ///
-///   state       │ Hello  ResumeHello  StateAck  PrepareAck  Ack  Nack/Error
-///   ────────────┼──────────────────────────────────────────────────────────
-///   Idle        │ Hello¹ ·            ·         ·           ·    ·
-///   Hello       │ ·      ·            ·         ·           ·    Aborted²
-///   Streaming   │ ·      ·            fold      ·           ·    Aborted²
-///   Resuming    │ ·      Streaming¹   fold      ·           ·    Aborted²
-///   Prepared    │ ·      ·            fold      Prepared¹   ·    Aborted²
-///   Redirecting │ Hello¹ ·            no-op     ·           ·    no-op³
-///   Committed   │ ·      ·            no-op     ·           keep ·
-///   Aborted     │ ·      ·            no-op     ·           ·    ·
+///   state       │ Hello  ResumeHello  PrepareAck  Ack   Error
+///   ────────────┼─────────────────────────────────────────────
+///   Idle        │ Hello¹ ·            ·           ·     Aborted²
+///   Hello       │ ·      ·            ·           ·     Aborted²
+///   Streaming   │ ·      ·            ·           ·     Aborted²
+///   Resuming    │ ·      Streaming¹   ·           ·     Aborted²
+///   Prepared    │ ·      ·            Prepared¹   ·     Aborted²
+///   Redirecting │ Hello¹ ·            ·           ·     no-op³
+///   Committed   │ ·      ·            ·           keep  ·
+///   Aborted     │ ·      ·            ·           ·     ·
 ///
 ///   · = illegal → Aborted + ProtocolError
-///   ¹ = semantic checks (version / txn / digest / watermark bound) may
+///   ¹ = semantic checks (version / txn / digest / resume bound) may
 ///       still reject → Aborted + MigrationError
-///   ² = protocol-legal failure report → Aborted + MigrationError
+///   ² = the one failure frame: "rejected" in every live state, Resuming
+///       included → Aborted + MigrationError
 ///   ³ = stragglers from the fenced-off destination are dropped, not
 ///       poison: the redirect already presumed that endpoint dead
 ///
@@ -184,20 +183,6 @@ SessionState SourceSession::on_frame(const net::Message& frame) {
       break;
     }
 
-    case net::MsgType::StateAck: {
-      // Legal while live (fold the watermark) and as a straggler after the
-      // verdict (no-op); only the pre-stream states reject it.
-      if (state_ == SessionState::Idle || state_ == SessionState::Hello) {
-        illegal_locked(frame.type);
-      }
-      const std::uint32_t seq = net::decode_state_ack(frame.payload);
-      if (state_ != SessionState::Committed && state_ != SessionState::Aborted &&
-          state_ != SessionState::Redirecting && seq > acked_) {
-        acked_ = seq;
-      }
-      break;
-    }
-
     case net::MsgType::ManifestAck: {
       // The destination's miss set for a dedup'd transfer: legal exactly
       // once, while streaming, before the commit gate opens.
@@ -232,12 +217,6 @@ SessionState SourceSession::on_frame(const net::Message& frame) {
       // The destination's post-Commit confirmation.
       if (state_ != SessionState::Committed) illegal_locked(frame.type);
       break;
-
-    case net::MsgType::Nack:
-      if (terminal_locked()) illegal_locked(frame.type);
-      if (state_ == SessionState::Redirecting) break;  // fenced straggler
-      reject_locked("destination rejected the chunked stream (Nack): " +
-                    payload_text(frame));
 
     case net::MsgType::Error:
       if (terminal_locked()) illegal_locked(frame.type);
@@ -299,10 +278,9 @@ void SourceSession::redirect_decided(std::uint32_t next_incarnation) {
   }
   if (next_incarnation <= incarnation_) illegal_event_locked("redirect_decided");
   incarnation_ = next_incarnation;
-  // The standby starts from nothing: no acked watermark, no manifest
-  // negotiation, no resume point. The stream totals (set_stream) survive —
-  // the retained stream itself is what gets replayed.
-  acked_ = 0;
+  // The standby starts from nothing: no manifest negotiation, no resume
+  // point. The stream totals (set_stream) survive — the retained stream
+  // itself is what gets replayed.
   manifest_acked_ = false;
   resume_next_seq_ = 0;
   transition_locked(SessionState::Redirecting);
@@ -313,11 +291,6 @@ void SourceSession::set_stream(std::uint64_t total_chunks, std::uint64_t digest)
   total_chunks_ = total_chunks;
   digest_ = digest;
   stream_known_ = true;
-}
-
-std::uint32_t SourceSession::acked_watermark() const {
-  std::lock_guard lk(mu_);
-  return acked_;
 }
 
 std::uint32_t SourceSession::resume_next_seq() const {

@@ -23,7 +23,7 @@
 // Error taxonomy, asserted by the table-driven unit suite:
 //   - an illegal (state, frame) pair poisons the session into Aborted and
 //     throws hpm::ProtocolError — a hostile or buggy peer;
-//   - a protocol-legal failure frame (Nack, Error) or a semantic mismatch
+//   - the protocol-legal failure frame (Error) or a semantic mismatch
 //     (wrong txn id, wrong digest, version skew) also aborts the session
 //     but throws hpm::MigrationError — the protocol worked, the handoff
 //     did not.
@@ -115,8 +115,7 @@ class SourceSession : public SessionMachine {
   SourceSession(std::uint32_t session_id, std::uint64_t txn_id);
 
   /// Wire entry point. Legal pairs (see the transition table in
-  /// session.cpp) return the post-frame state; StateAck watermarks are
-  /// folded monotonically as a side effect.
+  /// session.cpp) return the post-frame state.
   SessionState on_frame(const net::Message& frame);
 
   /// --- local protocol events ---------------------------------------------
@@ -132,7 +131,7 @@ class SourceSession : public SessionMachine {
   /// dead before its Hello), Streaming/Prepared/Resuming, Aborted (a veto
   /// ends the incarnation, not the transaction), and Redirecting itself (a
   /// destination dead before ITS Hello); resets the per-destination
-  /// transfer state (watermark, manifest ack) while keeping the retained
+  /// transfer state (resume point, manifest ack) while keeping the retained
   /// stream's totals, and re-opens the machine for the new destination's Hello.
   void redirect_decided(std::uint32_t next_incarnation);
 
@@ -140,9 +139,6 @@ class SourceSession : public SessionMachine {
   /// not claim more chunks than the retained stream holds) and PrepareAck
   /// digest cross-checking.
   void set_stream(std::uint64_t total_chunks, std::uint64_t digest);
-
-  /// Highest chunk watermark folded from StateAck frames.
-  [[nodiscard]] std::uint32_t acked_watermark() const;
 
   /// next_seq of the ResumeHello that re-entered Streaming.
   [[nodiscard]] std::uint32_t resume_next_seq() const;
@@ -157,7 +153,6 @@ class SourceSession : public SessionMachine {
   std::uint64_t digest_ = 0;
   bool stream_known_ = false;
   bool manifest_acked_ = false;  ///< dedup: the one ManifestAck arrived
-  std::uint32_t acked_ = 0;
   std::uint32_t resume_next_seq_ = 0;
   std::uint32_t incarnation_ = 1;
 };

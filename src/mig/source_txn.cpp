@@ -44,8 +44,8 @@ std::chrono::milliseconds commit_grace(std::chrono::milliseconds t) {
 /// to, and the wire token lets a standby's machine refuse a stale frame.
 ///
 /// The inbound half is validated by the machine: await() feeds each reply
-/// through session.on_frame(), which raises the typed rejection (Nack,
-/// Error, wrong txn, fenced vote, digest mismatch) or ProtocolError itself.
+/// through session.on_frame(), which raises the typed rejection (Error,
+/// wrong txn, fenced vote, digest mismatch) or ProtocolError itself.
 CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
                                  SourceSession& session,
                                  std::chrono::milliseconds deadline, std::uint64_t txn,
@@ -63,7 +63,7 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
   } catch (const KilledError&) {
     throw;
   } catch (const Error&) {
-    // A destination that vetoes the handoff sends its Error/Nack and then
+    // A destination that vetoes the handoff sends its Error and then
     // drops the channel; our Prepare can hit the dead pipe before the
     // pump delivers the veto. The frame survives the close in the pipe's
     // buffer, so grace-wait for it and prefer the destination's cause
@@ -74,7 +74,7 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
       try {
         inbox.await(std::chrono::milliseconds(50));
       } catch (const MigrationError& veto) {
-        // on_frame turned the pending Error/Nack into its typed rejection.
+        // on_frame turned the pending Error into its typed rejection.
         cause = std::make_exception_ptr(veto);
         vetoed = true;
       } catch (...) {
@@ -551,8 +551,8 @@ TxnResult run_pipelined_transaction(
   }
 
   // --- retries, on one budget ----------------------------------------------
-  // A destination that merely lost its link resumes from its acked
-  // watermark. A dead one fails over to the standbys, once. Past both —
+  // A destination that merely lost its link resumes from the chunk count
+  // it announces in ResumeHello. A dead one fails over to the standbys, once. Past both —
   // or after a veto, which ends an incarnation but not the transaction —
   // the stream replays from chunk 0 to a fresh primary incarnation from
   // wiring.connect(), which votes anew before anything is committed.
@@ -573,7 +573,7 @@ TxnResult run_pipelined_transaction(
                         state == SessionState::Prepared || state == SessionState::Resuming;
     if (attempts_used < total_attempts && linked && dest != nullptr &&
         dest->host.resumable()) {
-      // --- resume: retransmit only past the acked watermark
+      // --- resume: retransmit only past the destination's chunk count
       backoff.wait();
       const std::string label = next_attempt();
       CoordinatorMetrics::get().retries.add(1);
@@ -616,7 +616,7 @@ TxnResult run_pipelined_transaction(
                wiring.connect_standby != nullptr) {
       // --- destination failover: re-target the stream at each standby.
       // A terminal session is excluded on purpose: a destination that
-      // REJECTED the handoff (Nack, digest mismatch) made a protocol
+      // REJECTED the handoff (Error, digest mismatch) made a protocol
       // decision, and a standby would just re-earn it.
       failed_over = true;
       const Clock::time_point declared_dead = Clock::now();

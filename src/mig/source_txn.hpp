@@ -24,11 +24,11 @@ enum class TxnResult : std::uint8_t {
 /// `wiring.connect()` and, with options.pipeline, streams chunks while the
 /// collection DFS is still walking the graph; with pipeline off (or
 /// dedup) it collects first and then sends the retained stream. A
-/// destination that lost its link resumes from its acked watermark; a
-/// dead or vetoing one is replaced by a fresh primary incarnation from
-/// `wiring.connect()`, replayed from chunk 0, that votes anew. Restoration
-/// is bracketed by the two-phase commit, so the source journals Commit
-/// only after a real PrepareAck. The protocol's legality is enforced by a
+/// destination that lost its link resumes from the chunk count its
+/// ResumeHello announces; a dead or vetoing one is replaced by a fresh
+/// primary incarnation from `wiring.connect()`, replayed from chunk 0,
+/// that votes anew. Restoration is bracketed by the two-phase commit, so
+/// the source journals Commit only after a real PrepareAck. The protocol's legality is enforced by a
 /// SourceSession machine on this side and a DestSession machine inside
 /// each DestinationHost; `wiring.session_id` names both.
 ///

@@ -20,6 +20,7 @@ const char* fault_kind_name(FaultKind kind) noexcept {
     case FaultKind::Truncate: return "truncate";
     case FaultKind::CorruptMasked: return "corrupt-masked";
     case FaultKind::Kill: return "kill";
+    case FaultKind::KillOnRecv: return "kill-on-recv";
   }
   return "?";
 }
@@ -55,7 +56,8 @@ void FaultyChannel::send(std::span<const std::uint8_t> data) {
   }
   const std::uint64_t begin = sent_;
   const std::uint64_t end = begin + data.size();
-  if (plan_.kind == FaultKind::Kill || !armed() || fired_ || end <= plan_.offset) {
+  if (plan_.kind == FaultKind::Kill || plan_.kind == FaultKind::KillOnRecv || !armed() ||
+      fired_ || end <= plan_.offset) {
     sent_ = end;
     inner_->send(data);
     ++frames_;
@@ -125,13 +127,28 @@ void FaultyChannel::send(std::span<const std::uint8_t> data) {
       ++frames_;
       return;
     }
-    case FaultKind::Kill:  // handled above (frame-counted, not byte-counted)
-    case FaultKind::None:  // unreachable: armed() excludes None
+    case FaultKind::Kill:        // handled above (frame-counted, not byte-counted)
+    case FaultKind::KillOnRecv:  // fires in recv()
+    case FaultKind::None:        // unreachable: armed() excludes None
       break;
   }
   sent_ = end;
   inner_->send(data);
   ++frames_;
+}
+
+void FaultyChannel::recv(std::span<std::uint8_t> out) {
+  if (plan_.kind == FaultKind::KillOnRecv && armed() && !fired_ &&
+      received_ + out.size() > plan_.offset) {
+    fired_ = true;
+    state_->firings += 1;
+    dead_ = true;
+    inner_->abort();
+    throw KilledError("injected crash: endpoint killed after receiving " +
+                      std::to_string(received_) + " bytes");
+  }
+  inner_->recv(out);
+  received_ += out.size();
 }
 
 void FaultyChannel::close() {

@@ -2,7 +2,8 @@
 //
 // FaultyChannel decorates a ByteChannel's send path and injects exactly
 // the failures a real network produces — disconnects, corruption, stalls,
-// truncated frames — at a byte offset fixed by a FaultPlan, so every
+// truncated frames — at a byte offset fixed by a FaultPlan (and, for
+// KillOnRecv, its receive path at a received-byte offset), so every
 // failure mode the coordinator must survive is reproducible in CI. A plan
 // fires a bounded number of times (shared across reconnect attempts via
 // FaultState), which lets tests script "attempt 1 fails, attempt 2 is
@@ -34,6 +35,12 @@ enum class FaultKind : std::uint8_t {
   /// falls to the intent journals. One send() is one protocol frame, so
   /// frame_offset scripts a crash at an exact protocol state.
   Kill,
+  /// Process death on the receive path, the mirror of Disconnect's send
+  /// offset: once `offset` bytes were received intact, the recv that
+  /// would read past them throws hpm::KilledError and tears the channel
+  /// down. A frame boundary as `offset` kills an endpoint after exactly
+  /// the frames it holds, e.g. a destination mid-stream after chunk i.
+  KillOnRecv,
 };
 
 /// Human-readable fault name ("disconnect", "corrupt", ...).
@@ -41,7 +48,9 @@ const char* fault_kind_name(FaultKind kind) noexcept;
 
 struct FaultPlan {
   FaultKind kind = FaultKind::None;
-  std::uint64_t offset = 0;   ///< sent-byte offset (per attempt) where the fault triggers
+  /// Sent-byte offset (per attempt) where the fault triggers; received
+  /// bytes for KillOnRecv.
+  std::uint64_t offset = 0;
   std::uint64_t length = 1;   ///< corrupted span for Corrupt
   double stall_seconds = 0.5; ///< sleep duration for Stall
   /// Kill only: frames (send() calls) delivered intact before the crash.
@@ -83,7 +92,7 @@ class FaultyChannel final : public ByteChannel {
         state_(state ? std::move(state) : std::make_shared<FaultState>()) {}
 
   void send(std::span<const std::uint8_t> data) override;
-  void recv(std::span<std::uint8_t> out) override { inner_->recv(out); }
+  void recv(std::span<std::uint8_t> out) override;
   void set_timeout(std::chrono::milliseconds timeout) override {
     timeout_ = timeout;
     inner_->set_timeout(timeout);
@@ -103,6 +112,7 @@ class FaultyChannel final : public ByteChannel {
   std::shared_ptr<FaultState> state_;
   std::uint64_t sent_ = 0;     ///< bytes pushed through this channel instance
   std::uint64_t frames_ = 0;   ///< send() calls completed on this instance
+  std::uint64_t received_ = 0; ///< bytes recv() delivered on this instance
   std::chrono::milliseconds timeout_{0};  ///< mirror of the configured deadline
   bool fired_ = false;         ///< this instance already applied its fault
   bool dead_ = false;          ///< post-Disconnect: swallow I/O, skip orderly close

@@ -74,9 +74,9 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   if (raw_type < 1 || raw_type > kMaxMsgType) {
     throw NetError("malformed frame: unknown message type " + std::to_string(raw_type));
   }
-  if (raw_type == 16 || raw_type == 17) {
+  if (raw_type == 6 || raw_type == 10 || raw_type == 16 || raw_type == 17) {
     throw NetError("malformed frame: reserved message type " + std::to_string(raw_type) +
-                   " (a protocol-v6 heartbeat)");
+                   " (a retired frame)");
   }
   StreamDigest digest;
   digest.update(type);
@@ -168,17 +168,6 @@ StateEndInfo decode_state_end(const Bytes& payload) {
   info.total_bytes = get_u64_be(payload.data() + 4);
   info.digest = get_u64_be(payload.data() + 12);
   return info;
-}
-
-Bytes encode_state_ack(std::uint32_t next_seq) {
-  Bytes payload(4);
-  put_u32_be(payload.data(), next_seq);
-  return payload;
-}
-
-std::uint32_t decode_state_ack(const Bytes& payload) {
-  if (payload.size() != 4) throw NetError("malformed StateAck payload");
-  return get_u32_be(payload.data());
 }
 
 Bytes encode_txn_token(const TxnTokenInfo& info) {

@@ -6,8 +6,8 @@
 // so protocol errors are detected instead of mis-parsed. Every frame
 // carries a 4-byte seal over header+payload (the StreamDigest folded to 32
 // bits, seal_frame), so a transfer corrupted in flight surfaces as a
-// NetError at the frame boundary — and can be nacked and retransmitted —
-// instead of being mis-restored into a live process.
+// NetError at the frame boundary instead of being mis-restored into a
+// live process.
 #pragma once
 
 #include <cstdint>
@@ -19,46 +19,49 @@ namespace hpm::net {
 
 /// Version of the coordinator's wire protocol, announced in the first
 /// byte of the Hello payload. Bumped to 2 when the frame trailer and Nack
-/// were introduced, to 3 for the transactional handoff (chunk acks,
-/// resume, Prepare/Commit/Abort, digest-bearing StateEnd), to 4 for
-/// session-tagged frame headers (N concurrent migrations multiplexed
-/// over one channel; that layout is gone, with no bump, because a channel
-/// with one session never carried it), to 5 for destination failover (an incarnation
-/// fencing token rides StateBegin, Prepare/Commit/Abort, and
-/// PrepareAck), to 6 for Digest v2 (the StateEnd digest and manifest
-/// addresses are the multi-lane StreamDigest, and the stream trailer is
-/// its u64), to 7 when the Ping/Pong heartbeat frames were retired
-/// (tags 16 and 17 are reserved and rejected), and to 8 when the frame
-/// trailer changed from CRC-32 to the folded StreamDigest seal; a mismatch
-/// aborts the attempt before any state moves.
-inline constexpr std::uint8_t kProtocolVersion = 8;
+/// were introduced, to 3 for the transactional handoff (chunk acks, resume,
+/// Prepare/Commit/Abort, digest-bearing StateEnd), to 4 for session-tagged
+/// frame headers (N concurrent migrations multiplexed over one channel;
+/// that layout is gone, with no bump, because a channel with one session
+/// never carried it), to 5 for destination failover (an incarnation
+/// fencing token rides StateBegin, Prepare/Commit/Abort, and PrepareAck),
+/// to 6 for Digest v2 (the StateEnd digest and manifest addresses are the
+/// multi-lane StreamDigest, and the stream trailer is its u64), to 7 when
+/// the Ping/Pong heartbeat frames were retired (tags 16 and 17 are
+/// reserved and rejected), to 8 when the frame trailer changed from CRC-32
+/// to the folded StreamDigest seal, and to 9 when the destination's Nack
+/// and chunk-watermark ack were retired (tags 6 and 10 are reserved and
+/// rejected: a resume restarts from the count the destination announces
+/// in ResumeHello); a mismatch aborts the attempt before any state moves.
+inline constexpr std::uint8_t kProtocolVersion = 9;
 
 /// Message type tags used by the migration coordinator.
 enum class MsgType : std::uint8_t {
   Hello = 1,       ///< destination announces readiness (payload: version byte + arch name)
   State = 2,       ///< the migration stream produced by collection (monolithic)
   Ack = 3,         ///< destination confirms successful restoration
-  Error = 4,       ///< destination reports a restoration failure (payload: text)
+  Error = 4,       ///< destination rejects the handoff, in any state (payload: text)
   Shutdown = 5,    ///< orderly teardown without migration
-  Nack = 6,        ///< destination rejects a damaged frame; sender should retransmit
+  // 6 is reserved: Nack, up to protocol v8; every destination failure
+  // now answers Error.
   StateBegin = 7,  ///< pipelined transfer opens (payload: u32 chunk size + u64 txn id)
   StateChunk = 8,  ///< one stream slice (payload: u32 seq + bytes; frame seal covers it)
   StateEnd = 9,    ///< pipelined transfer closes (u32 chunks, u64 bytes, u64 digest)
-  StateAck = 10,   ///< destination acks a chunk watermark (payload: u32 next expected seq)
+  // 10 is reserved: the chunk-watermark ack, up to protocol v8.
   Prepare = 11,    ///< source asks: restoration verified? ready to own? (payload: u64 txn)
   PrepareAck = 12, ///< destination votes yes (payload: u64 txn + u64 its stream digest)
   Commit = 13,     ///< source relinquishes ownership — point of no return (u64 txn)
   Abort = 14,      ///< source cancels the handoff after Prepare (u64 txn)
   ResumeHello = 15,///< destination re-announces mid-stream (version + u64 txn + u32 next seq)
   // 16 and 17 are reserved: the protocol-v6 Ping/Pong heartbeat frames.
-  // No port accepts them (recv_message fails them as malformed).
+  // No port accepts a reserved tag (recv_message fails it as malformed).
   ManifestBegin = 18,  ///< dedup: source announces the chunk address list (u64 txn + totals)
   ManifestChunk = 19,  ///< dedup: one batch of ordered chunk addresses
   ManifestAck = 20,    ///< dedup: destination's codec choice + miss index set
 };
 
 /// Highest tag recv_message accepts; anything outside [1, kMaxMsgType],
-/// or a reserved tag (16, 17), is a malformed frame.
+/// or a reserved tag (6, 10, 16, 17), is a malformed frame.
 inline constexpr std::uint8_t kMaxMsgType = 20;
 
 struct Message {
@@ -173,14 +176,11 @@ Bytes encode_state_chunk_coded(std::uint32_t seq, std::uint8_t codec_tag,
                                std::span<const std::uint8_t> body);
 
 /// --- transactional handoff payloads --------------------------------------
-/// StateAck carries the destination's receive watermark (the next sequence
-/// number it expects); Prepare/Commit/Abort carry the transaction id;
-/// PrepareAck adds the destination's own stream digest so the source can
-/// cross-check before committing; ResumeHello re-opens a transaction on a
-/// fresh channel at the given watermark.
-
-Bytes encode_state_ack(std::uint32_t next_seq);
-std::uint32_t decode_state_ack(const Bytes& payload);
+/// Prepare/Commit/Abort carry the transaction id; PrepareAck adds the
+/// destination's own stream digest so the source can cross-check before
+/// committing; ResumeHello re-opens a transaction on a fresh channel at
+/// the destination's receive watermark (the next sequence number it
+/// expects).
 
 /// Transaction id plus the destination incarnation it addresses — the
 /// payload of Prepare/Commit/Abort. A destination whose incarnation

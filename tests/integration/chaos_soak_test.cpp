@@ -3,8 +3,9 @@
 // promises:
 //
 //   * no hangs  — every round converges: a wedged session's per-IO
-//     deadline (io_timeout_seconds) fires and it resumes from its acked
-//     watermark (ctest TIMEOUT is only the backstop);
+//     deadline (io_timeout_seconds) fires and it resumes from the chunk
+//     count its destination announces (ctest TIMEOUT is only the
+//     backstop);
 //   * exactly one owner — every journaled transaction recovers to a
 //     single, unambiguous owner;
 //   * sibling isolation — sessions running alongside a victim finish
@@ -170,8 +171,9 @@ TEST(ChaosSoak, RandomizedRoundsConvergeAndSiblingsMatch) {
 TEST(ChaosSoak, WedgedSessionResumesOnceItsDeadlineFires) {
   // A blackholed source port errors on nothing: sends vanish and recvs
   // starve. The victim's per-IO deadline is the only thing that ends the
-  // wait; the session then resumes from its acked watermark on fresh
-  // channels while its siblings, which set no deadline, migrate untouched.
+  // wait; the session then resumes from its destination's chunk count on
+  // fresh channels while its siblings, which set no deadline, migrate
+  // untouched.
   const std::string journal_dir =
       "/tmp/hpm_chaos_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
@@ -231,7 +233,7 @@ TEST(ChaosSoak, ADriverFailurePropagatesToTheCaller) {
 // still streaming, disconnected, or in doubt. Its contract: a journal
 // whose transaction has not logged completion is never collected, no
 // matter how often the sweeper runs — a premature unlink would erase the
-// watermark a resume (or a failover's arbitration) depends on.
+// intent a resume (or a failover's arbitration) depends on.
 
 TEST(JournalGc, ABeginOnlyJournalSurvivesEverySweep) {
   namespace fs = std::filesystem;
@@ -242,7 +244,7 @@ TEST(JournalGc, ABeginOnlyJournalSurvivesEverySweep) {
   fs::create_directories(dir);
 
   // Transaction A is mid-flight: intent opened, no decision yet. Its
-  // Begin record IS the live watermark recovery replays from.
+  // Begin record IS the live intent recovery replays from.
   constexpr std::uint64_t kLive = 7001;
   const std::string live_src = dir + "/" + mig::keyed_source_journal_name(kLive);
   {
@@ -289,16 +291,15 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
           .string();
   fs::remove_all(dir);
 
-  // A resumable migration that provably spends time with a live
-  // watermark: its port is severed mid-stream, the session reconnects
-  // and resumes from the acked chunk. The sweeper hammers the directory
-  // the whole time.
+  // A resumable migration that provably spends time mid-stream: its port
+  // is severed after a dozen port operations, the session reconnects and
+  // resumes from the chunk count its destination announces. The sweeper
+  // hammers the directory the whole time.
   apps::BitonicResult result;
   std::vector<SessionJob> jobs(1);
   jobs[0].options = bitonic_options(kSeeds[0], &result);
   jobs[0].options.journal_dir = dir;
   jobs[0].options.max_retries = 2;
-  jobs[0].options.ack_every_chunks = 1;
   jobs[0].sever_after_frames = 12;  // mid-stream of ~47 chunks
 
   std::atomic<bool> done{false};
@@ -324,7 +325,7 @@ TEST(JournalGc, RacingASweeperAgainstAResumableSessionLosesGracefully) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, serial_sum(kSeeds[0]));
 
-  // While the watermark was live the journal was untouchable; completion
+  // While the transfer was live the journal was untouchable; completion
   // is the only thing that makes it sweepable, and then exactly once —
   // either the hammer caught the completed pair, or our final sweep does.
   const std::uint64_t txn = outcomes[0].report.txn_id;

@@ -4,8 +4,10 @@
 // (sends and recvs alike) through on the session's first binding and
 // fails every later one. Sweeping n from 0 until the cut no longer
 // disturbs the run visits every protocol step of a small bitonic
-// migration: before the Hello is read, before StateBegin, mid-stream,
-// around each watermark ack, in the prepare phase and around the commit.
+// migration: before the Hello is read, before StateBegin, after each
+// chunk, in the prepare phase and around the commit (the destination
+// sends nothing mid-stream, so a resume restarts from the chunk count its
+// ResumeHello announces).
 // Every cut must leave the destination owning the workload with the same
 // result and the same stream digest as an uncut run, and journal
 // arbitration must name exactly one owner. Every cut before the Commit
@@ -35,9 +37,8 @@ RunOptions small_bitonic(Transport transport, apps::BitonicResult* result) {
   RunOptions options;
   options.transport = transport;
   options.pipeline = true;
-  // ~6 KB of stream in ~6 chunks, acked every 2: few frames, every kind.
+  // ~6 KB of stream in ~6 chunks: few frames, every kind.
   options.chunk_bytes = 1024;
-  options.ack_every_chunks = 2;
   options.register_types = apps::bitonic_register_types;
   options.program = [result](MigContext& ctx) {
     apps::bitonic_program(ctx, 6, 9, result);

@@ -2,8 +2,8 @@
 //
 // Five suites:
 //  - FailoverMatrix: the primary destination is killed at each protocol
-//    state — before its Hello, streaming (early / mid / after its last
-//    chunk ack), casting its vote, and mid-manifest-negotiation — and the
+//    state — sending its Hello, after its Hello, after every chunk it
+//    receives, casting its vote, and mid-manifest-negotiation — and the
 //    migration must complete on the standby under incarnation 2 with a
 //    restored state bit-identical to a fault-free run, while journal
 //    arbitration names exactly one committed owner. The post-commit kill
@@ -18,8 +18,8 @@
 //    incarnation is rejected by the source machine.
 //  - WedgedFailover: a wedged (blackholed) session with a standby
 //    configured is ended by its per-IO deadline and resumes on its
-//    primary from the acked watermark, instead of degrading to local
-//    completion.
+//    primary from the chunk count the primary announces, instead of
+//    degrading to local completion.
 //  - FailoverDial: a standby that cannot be dialed is tried exactly
 //    1 + max_retries times, counted as a dial failure, and skipped for the
 //    next candidate.
@@ -27,6 +27,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -43,6 +44,13 @@ namespace {
 
 constexpr std::uint64_t kTxn = 91;
 constexpr std::uint32_t kChunkBytes = 512;
+
+/// Wire framing constants of the message layer: type(1)+len(4) header,
+/// seal(4) trailer; StateBegin's payload is 16 bytes, a StateChunk's the
+/// u32 seq plus the chunk's bytes.
+constexpr std::uint64_t kFrameOverhead = 9;
+constexpr std::uint64_t kStateBeginWire = kFrameOverhead + 16;
+constexpr std::uint64_t kChunkFrameOverhead = kFrameOverhead + 4;
 
 /// Fault-free ground truth for the matrix workload, computed once per
 /// process: the digest certifies bit-identical restored state, the sum is
@@ -64,7 +72,6 @@ RunOptions base_options(apps::BitonicResult& result) {
   options.migrate_at_poll = 50;
   options.pipeline = true;
   options.chunk_bytes = kChunkBytes;
-  options.ack_every_chunks = 1;  // one StateAck per chunk: dense kill points
   options.io_timeout_seconds = 1.0;  // a dead primary is declared fast
   return options;
 }
@@ -88,6 +95,17 @@ const Baseline& baseline() {
   return b;
 }
 
+/// Kill the primary once it has received chunk `i` whole (i = 0: right
+/// after StateBegin, before any chunk): the recv of the next frame dies.
+net::FaultPlan killed_after_chunk(std::uint64_t i) {
+  const std::uint64_t chunk_bytes =
+      std::min<std::uint64_t>(i * kChunkBytes, baseline().stream_bytes);
+  net::FaultPlan plan;
+  plan.kind = net::FaultKind::KillOnRecv;
+  plan.offset = kStateBeginWire + i * kChunkFrameOverhead + chunk_bytes;
+  return plan;
+}
+
 class FailoverMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -101,10 +119,11 @@ class FailoverMatrix : public ::testing::Test {
 
   /// The matrix shape: the streaming transactional run of base_options()
   /// plus journals and ONE cold standby, no resume budget — a dead
-  /// primary must fail over, not resume. The destination's frame schedule
-  /// is fully determined: frame 0 Hello, frames 1..chunks StateAck,
-  /// chunks+1 PrepareAck, chunks+2 final Ack — so kill_after(i) scripts
-  /// the primary's death at an exact protocol state.
+  /// primary must fail over, not resume. The destination's schedule is
+  /// fully determined: it sends frame 0 Hello, 1 PrepareAck, 2 final Ack,
+  /// so kill_after(n) scripts its death at a send, and it receives
+  /// StateBegin, then one StateChunk per chunk, so a KillOnRecv offset at
+  /// a frame boundary (killed_after_chunk) scripts its death mid-stream.
   RunOptions matrix_options(apps::BitonicResult& result) {
     RunOptions options = base_options(result);
     options.max_retries = 0;
@@ -115,14 +134,14 @@ class FailoverMatrix : public ::testing::Test {
     return options;
   }
 
-  /// Kill the primary at destination frame `dest_frame`; the standby must
-  /// finish the migration with a bit-identical restore, and arbitration
-  /// must name exactly one committed owner: incarnation 2.
-  void run_killed_at(std::uint64_t dest_frame, const char* state_label) {
-    SCOPED_TRACE(std::string("primary killed ") + state_label);
+  /// Kill the primary by `plan`; the standby must finish the migration
+  /// with a bit-identical restore, and arbitration must name exactly one
+  /// committed owner: incarnation 2.
+  void run_killed(const net::FaultPlan& plan, const std::string& state_label) {
+    SCOPED_TRACE("primary killed " + state_label);
     apps::BitonicResult result;
     RunOptions options = matrix_options(result);
-    options.dest_fault_plan = net::FaultPlan::kill_after(dest_frame);
+    options.dest_fault_plan = plan;
 
     const MigrationReport report = run_migration(options);
     EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
@@ -165,28 +184,31 @@ class FailoverMatrix : public ::testing::Test {
 };
 
 TEST_F(FailoverMatrix, PrimaryKilledBeforeHello) {
-  // Frame 0 is the primary's Hello: the source never rendezvouses, runs
+  // Send 0 is the primary's Hello: the source never rendezvouses, runs
   // the program sink-less, and hands the retained stream to the standby.
-  run_killed_at(0, "sending its Hello");
+  run_killed(net::FaultPlan::kill_after(0), "sending its Hello");
 }
 
-TEST_F(FailoverMatrix, PrimaryKilledStreamingEarly) {
-  run_killed_at(1, "sending its first chunk ack (streaming, early)");
-}
-
-TEST_F(FailoverMatrix, PrimaryKilledStreamingMid) {
-  run_killed_at(1 + baseline().chunks / 2, "mid chunk-stream");
-}
-
-TEST_F(FailoverMatrix, PrimaryKilledAfterItsLastChunkAck) {
-  run_killed_at(baseline().chunks, "sending its final chunk ack");
+TEST_F(FailoverMatrix, PrimaryKilledAfterEveryChunk) {
+  // Received-byte 0: the Hello went out and the primary dies awaiting
+  // StateBegin. Then every frame boundary of the chunk stream, from right
+  // after StateBegin to right after the last chunk (StateEnd unread).
+  net::FaultPlan after_hello;
+  after_hello.kind = net::FaultKind::KillOnRecv;
+  after_hello.offset = 0;
+  run_killed(after_hello, "after its Hello, before StateBegin");
+  for (std::uint64_t i = 0; i <= baseline().chunks; ++i) {
+    run_killed(killed_after_chunk(i),
+               "after chunk " + std::to_string(i) + " of " +
+                   std::to_string(baseline().chunks));
+  }
 }
 
 TEST_F(FailoverMatrix, PrimaryKilledCastingItsVote) {
   // The primary journaled Prepared under incarnation 1 and died sending
-  // PrepareAck; the standby's Committed(2) must win arbitration over the
-  // stale prepared journal.
-  run_killed_at(baseline().chunks + 1, "sending PrepareAck");
+  // PrepareAck (send 1); the standby's Committed(2) must win arbitration
+  // over the stale prepared journal.
+  run_killed(net::FaultPlan::kill_after(1), "sending PrepareAck");
 }
 
 TEST_F(FailoverMatrix, ReplayFromTheDiskSpilledRetainedStream) {
@@ -195,8 +217,7 @@ TEST_F(FailoverMatrix, ReplayFromTheDiskSpilledRetainedStream) {
   apps::BitonicResult result;
   RunOptions options = matrix_options(result);
   options.retain_dir = (root_ / "retain").string();
-  options.dest_fault_plan =
-      net::FaultPlan::kill_after(1 + baseline().chunks / 2);
+  options.dest_fault_plan = killed_after_chunk(1 + baseline().chunks / 2);
 
   const MigrationReport report = run_migration(options);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
@@ -209,11 +230,11 @@ TEST_F(FailoverMatrix, ReplayFromTheDiskSpilledRetainedStream) {
 
 TEST_F(FailoverMatrix, PostCommitDeathIsNotFailedOver) {
   // The primary received Commit, journaled Committed, ran the workload —
-  // and died sending the confirmation Ack. At-most-once: the standby must
-  // NOT be dialed; the primary owns the process.
+  // and died sending the confirmation Ack (send 2). At-most-once: the
+  // standby must NOT be dialed; the primary owns the process.
   apps::BitonicResult result;
   RunOptions options = matrix_options(result);
-  options.dest_fault_plan = net::FaultPlan::kill_after(baseline().chunks + 2);
+  options.dest_fault_plan = net::FaultPlan::kill_after(2);
 
   const MigrationReport report = run_migration(options);
   EXPECT_EQ(report.outcome, MigrationOutcome::CommittedUnconfirmed);
@@ -263,7 +284,7 @@ TEST_F(FailoverMatrix, SecondStandbyWinsWhenTheFirstDiesToo) {
   DestinationCandidate second;
   second.name = "standby-b";
   options.failover.standbys.push_back(second);
-  options.dest_fault_plan = net::FaultPlan::kill_after(1 + baseline().chunks / 2);
+  options.dest_fault_plan = killed_after_chunk(1 + baseline().chunks / 2);
 
   const MigrationReport report = run_migration(options);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
@@ -302,8 +323,7 @@ TEST_F(FailoverMatrix, WarmStandbyReceivesOnlyMisses) {
   apps::BitonicResult result;
   RunOptions options = matrix_options(result);
   options.failover.standbys[0].chunk_cache_dir = standby_store;
-  options.dest_fault_plan =
-      net::FaultPlan::kill_after(1 + baseline().chunks / 2);
+  options.dest_fault_plan = killed_after_chunk(1 + baseline().chunks / 2);
 
   const MigrationReport report = run_migration(options);
   EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
@@ -418,8 +438,8 @@ TEST(WedgedFailover, WedgedSessionResumesInsteadOfDegrading) {
   // Same wedge as the chaos soak's — a blackholed source port that errors
   // on nothing — but with a standby configured. The per-IO deadline ends
   // the wait; the primary destination parked on its own deadline and is
-  // still resumable, so the session resumes there from its acked
-  // watermark rather than failing over or degrading.
+  // still resumable, so the session resumes there from the chunk count
+  // it announces rather than failing over or degrading.
   const std::string journal_dir =
       "/tmp/hpm_failover_wedge_" + std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);

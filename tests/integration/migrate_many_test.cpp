@@ -2,8 +2,8 @@
 // sessions, each on its own exclusive channels, and every session must be
 // observationally identical to the same migration run alone through
 // run_migration — same workload result, same logical stream — even while
-// one of the sessions is killed mid-stream and resumes from its acked
-// watermark as the others proceed.
+// one of the sessions is killed mid-stream and resumes from its
+// destination's chunk count as the others proceed.
 //
 // The fleet API is named only through the hpm/migrate.hpp facade, so a
 // missing re-export fails this suite's build.

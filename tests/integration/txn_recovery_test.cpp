@@ -8,9 +8,10 @@
 //    from the journals alone.
 //  - JournalLayout: successive run_migration()s into one journal_dir are
 //    keyed by their txn ids, so listing, recovery and GC see each one.
-//  - Resume: a mid-stream disconnect resumes from the acked chunk
-//    watermark; the net.* byte counters prove only the tail was
-//    retransmitted, and the restored state is identical to a clean run.
+//  - Resume: a mid-stream disconnect resumes from the chunk count the
+//    destination announces in its ResumeHello; the net.* byte counters
+//    prove only the tail was retransmitted, and the restored state is
+//    identical to a clean run.
 //  - Digest: a single-byte corruption of the canonical stream that passes
 //    the frame seal (CorruptMasked) is caught by the end-to-end digest
 //    before the destination may vote; the vetoed incarnation is replaced
@@ -53,10 +54,10 @@ class TxnTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// Transactional pipelined bitonic run with the crash-matrix shape:
-  /// one chunk, no watermark acks, no retries — so every source
-  /// frame index names one protocol state (0 StateBegin, 1 StateChunk,
-  /// 2 StateEnd, 3 Prepare, 4 Commit) and every destination frame index
-  /// too (0 Hello, 1 PrepareAck, 2 final Ack).
+  /// one chunk, no retries — so every source frame index names one
+  /// protocol state (0 StateBegin, 1 StateChunk, 2 StateEnd, 3 Prepare,
+  /// 4 Commit) and every destination frame index too (0 Hello,
+  /// 1 PrepareAck, 2 final Ack).
   RunOptions matrix_options(apps::BitonicResult& result) {
     RunOptions options;
     options.register_types = apps::bitonic_register_types;
@@ -66,7 +67,6 @@ class TxnTest : public ::testing::Test {
     options.migrate_at_poll = 50;
     options.pipeline = true;
     options.chunk_bytes = 1u << 20;  // the whole stream in one chunk
-    options.ack_every_chunks = 0;    // no StateAck frames
     options.max_retries = 0;         // the matrix studies the crash, not retries
     options.journal_dir = dir_.string();
     return options;
@@ -222,7 +222,6 @@ RunOptions streaming_options(apps::BitonicResult& result) {
   options.migrate_at_poll = 50;
   options.pipeline = true;
   options.chunk_bytes = 512;
-  options.ack_every_chunks = 1;  // densest watermark
   return options;
 }
 

@@ -244,15 +244,6 @@ TEST(Message, HostileLengthPrefixIsRejectedBeforeAllocation) {
   EXPECT_THROW(recv_message(*b), NetError);
 }
 
-TEST(Message, NackRoundTrips) {
-  auto [a, b] = MemChannel::make_pair();
-  const std::string reason = "frame seal mismatch";
-  send_message(*a, MsgType::Nack, Bytes(reason.begin(), reason.end()));
-  const Message msg = recv_message(*b);
-  EXPECT_EQ(msg.type, MsgType::Nack);
-  EXPECT_EQ(std::string(msg.payload.begin(), msg.payload.end()), reason);
-}
-
 /// Append `seal` big-endian: a frame's 4-byte trailer.
 void put_trailer(Bytes& frame, std::uint32_t seal) {
   for (int shift = 24; shift >= 0; shift -= 8) {
@@ -297,10 +288,12 @@ TEST(Message, IntactHandCraftedFramePassesTheFrameSeal) {
   EXPECT_EQ(msg.payload, payload);
 }
 
-TEST(Message, ReservedHeartbeatTagsAreRejected) {
-  // Tags 16 and 17 were the protocol-v6 Ping/Pong frames: reserved now,
-  // so even an intact frame carrying one is malformed.
-  for (const std::uint8_t reserved : {std::uint8_t{16}, std::uint8_t{17}}) {
+TEST(Message, RetiredTagsAreRejected) {
+  // Tags 6 and 10 were Nack and StateAck up to protocol v8, 16 and 17 the
+  // protocol-v6 Ping/Pong frames: reserved now, so even an intact frame
+  // carrying one is malformed.
+  for (const std::uint8_t reserved :
+       {std::uint8_t{6}, std::uint8_t{10}, std::uint8_t{16}, std::uint8_t{17}}) {
     SCOPED_TRACE("tag " + std::to_string(reserved));
     auto [a, b] = MemChannel::make_pair();
     a->send(frame_bytes(static_cast<MsgType>(reserved), make_payload(12)));
@@ -515,6 +508,41 @@ TEST(FaultyChannel, DisconnectFaultBreaksBothEnds) {
   EXPECT_THROW(b->recv(in), NetError);  // only 8 bytes arrived, then EOF
   EXPECT_THROW(faulty.send(out), NetError);
   EXPECT_NO_THROW(faulty.close());  // dead channel: close is a quiet no-op
+}
+
+TEST(FaultyChannel, KillOnRecvFiresOncePerFiringAtItsOffset) {
+  // Three bindings share a firing budget of 2: the first two endpoints
+  // die after exactly `offset` received bytes, the third receives cleanly.
+  FaultPlan plan;
+  plan.kind = FaultKind::KillOnRecv;
+  plan.offset = 20;
+  plan.max_firings = 2;
+  auto state = std::make_shared<FaultState>();
+  const Bytes out = make_payload(32);
+  for (int binding = 0; binding < 3; ++binding) {
+    SCOPED_TRACE("binding " + std::to_string(binding));
+    auto [a, b] = MemChannel::make_pair();
+    FaultyChannel faulty(std::move(b), plan, state);
+    a->send(out);
+    faulty.send(out);  // the send path is untouched
+    Bytes head(20);
+    faulty.recv(head);  // exactly up to the offset: delivered
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), out.begin()));
+    Bytes rest(12);
+    if (binding < 2) {
+      EXPECT_THROW(faulty.recv(rest), KilledError);
+      EXPECT_THROW(faulty.send(out), NetError);  // a dead endpoint sends nothing
+      Bytes sent(32);
+      a->recv(sent);  // what it sent before dying still arrives...
+      EXPECT_EQ(sent, out);
+      Bytes more(1);
+      EXPECT_THROW(a->recv(more), NetError);  // ...then the peer sees the crash
+    } else {
+      EXPECT_NO_THROW(faulty.recv(rest));  // budget spent: a clean binding
+      EXPECT_TRUE(std::equal(rest.begin(), rest.end(), out.begin() + 20));
+    }
+    EXPECT_EQ(state->firings, std::min(binding + 1, 2));
+  }
 }
 
 TEST(FaultyChannel, TruncateSwallowsTheTailThenClosesCleanly) {

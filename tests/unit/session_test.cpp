@@ -2,8 +2,10 @@
 // (state, frame) pair of both machines is enumerated against the
 // transition tables in session.cpp. The error taxonomy is the contract:
 // an illegal pair poisons the session into Aborted and raises
-// hpm::ProtocolError; a protocol-legal failure (Nack/Error frames, txn or
+// hpm::ProtocolError; a protocol-legal failure (an Error frame, txn or
 // digest or version mismatch) aborts with hpm::MigrationError instead.
+// The retired tags (6 Nack, 10 StateAck) are rows too: no machine state
+// accepts them, so each poisons the session like any illegal frame.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +33,6 @@ net::Message make_frame(net::MsgType type) {
   switch (type) {
     case net::MsgType::Hello: m.payload = {net::kProtocolVersion}; break;
     case net::MsgType::State: m.payload = {1, 2, 3}; break;
-    case net::MsgType::Nack:
     case net::MsgType::Error: m.payload = {'x'}; break;
     case net::MsgType::StateBegin:
       m.payload = net::encode_state_begin({.chunk_bytes = 1024, .txn_id = kTxn});
@@ -44,7 +45,6 @@ net::Message make_frame(net::MsgType type) {
     case net::MsgType::StateEnd:
       m.payload = net::encode_state_end({.chunk_count = 1, .total_bytes = 2, .digest = 5});
       break;
-    case net::MsgType::StateAck: m.payload = net::encode_state_ack(5); break;
     case net::MsgType::Prepare:
     case net::MsgType::Commit:
     case net::MsgType::Abort: m.payload = net::encode_txn_token({.txn_id = kTxn}); break;
@@ -59,11 +59,15 @@ net::Message make_frame(net::MsgType type) {
   return m;
 }
 
+/// Retired tags, reserved since protocol v9: Nack and StateAck.
+constexpr auto kRetiredNack = static_cast<net::MsgType>(6);
+constexpr auto kRetiredStateAck = static_cast<net::MsgType>(10);
+
 const net::MsgType kAllTypes[] = {
     net::MsgType::Hello,     net::MsgType::State,    net::MsgType::Ack,
-    net::MsgType::Error,     net::MsgType::Shutdown, net::MsgType::Nack,
+    net::MsgType::Error,     net::MsgType::Shutdown, kRetiredNack,
     net::MsgType::StateBegin, net::MsgType::StateChunk, net::MsgType::StateEnd,
-    net::MsgType::StateAck,  net::MsgType::Prepare,  net::MsgType::PrepareAck,
+    kRetiredStateAck,        net::MsgType::Prepare,  net::MsgType::PrepareAck,
     net::MsgType::Commit,    net::MsgType::Abort,    net::MsgType::ResumeHello,
 };
 
@@ -126,27 +130,20 @@ std::vector<Cell> source_table() {
             cell = {from, t, Want::Legal, SessionState::Streaming};
           }
           break;
-        case net::MsgType::StateAck:
-          // Watermark folding while live, straggler no-op after the verdict;
-          // only the pre-stream states treat it as hostile.
-          if (from != SessionState::Idle && from != SessionState::Hello) {
-            cell = {from, t, Want::Legal, from};
-          }
-          break;
         case net::MsgType::PrepareAck:
           if (from == SessionState::Prepared) cell = {from, t, Want::Legal, from};
           break;
         case net::MsgType::Ack:
           if (from == SessionState::Committed) cell = {from, t, Want::Legal, from};
           break;
-        case net::MsgType::Nack:
         case net::MsgType::Error:
-          // A failure report is part of the protocol anywhere before the
-          // verdict — the handoff failed, the protocol did not.
+          // The one failure report, part of the protocol anywhere before
+          // the verdict (Resuming included) — the handoff failed, the
+          // protocol did not.
           if (!terminal) cell = {from, t, Want::MigrationErr, SessionState::Aborted};
           break;
         default:
-          break;  // the destination-direction frames are never legal here
+          break;  // source-direction frames and retired tags: never legal here
       }
       table.push_back(cell);
     }
@@ -179,12 +176,15 @@ TEST(SourceSessionTable, EveryStateFramePairBehavesPerTheTable) {
 }
 
 TEST(SourceSessionTable, SemanticChecksRejectWithMigrationError) {
-  {  // version skew in Hello
+  {  // version skew in Hello: a v8 peer still speaks Nack/StateAck
     SourceSession s(next_session_id(), kTxn);
     net::Message hello = make_frame(net::MsgType::Hello);
-    hello.payload[0] = net::kProtocolVersion - 1;
+    ASSERT_EQ(net::kProtocolVersion, 9);
+    hello.payload[0] = 8;
     EXPECT_THROW(s.on_frame(hello), MigrationError);
     EXPECT_EQ(s.state(), SessionState::Aborted);
+    EXPECT_NE(s.abort_reason().find("destination speaks v8"), std::string::npos)
+        << s.abort_reason();
   }
   {  // ResumeHello for a foreign transaction
     SourceSession s(next_session_id(), kTxn);
@@ -213,19 +213,6 @@ TEST(SourceSessionTable, SemanticChecksRejectWithMigrationError) {
     EXPECT_THROW(s.on_frame(ack), MigrationError);
     EXPECT_NE(s.abort_reason().find("digest mismatch"), std::string::npos);
   }
-}
-
-TEST(SourceSessionTable, StateAckFoldsTheWatermarkMonotonically) {
-  SourceSession s(next_session_id(), kTxn);
-  drive_source(s, SessionState::Streaming);
-  net::Message ack;
-  ack.type = net::MsgType::StateAck;
-  ack.payload = net::encode_state_ack(8);
-  s.on_frame(ack);
-  EXPECT_EQ(s.acked_watermark(), 8u);
-  ack.payload = net::encode_state_ack(4);  // late, lower: must not regress
-  s.on_frame(ack);
-  EXPECT_EQ(s.acked_watermark(), 8u);
 }
 
 TEST(SourceSessionTable, OutOfOrderLocalEventsAreProtocolErrors) {
@@ -319,7 +306,7 @@ std::vector<std::pair<DestFrom, std::vector<Cell>>> dest_table() {
           }
           break;
         default:
-          break;  // the source-direction frames are never legal here
+          break;  // destination-direction frames and retired tags: never legal here
       }
       cells.push_back(cell);
     }

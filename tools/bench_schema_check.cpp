@@ -4,9 +4,14 @@
 //     "schema":  "hpm-bench-v1",
 //     "bench":   "<non-empty name>",
 //     "smoke":   true|false,
+//     "host":    {"nproc": num >= 1, "cpu_model": str, "compiler": str,
+//                 "build_type": str}                 (strings non-empty),
 //     "results": [ {"name": str, "value": num, "unit": str}, ... ]  (>= 1),
 //     "metrics": { "counters": {...}, "gauges": {...}, "histograms": {...} }
 //   }
+//
+// The host stamp is required: a figure without the machine and build it
+// was measured on cannot be compared with anything.
 //
 // A report whose "bench" is "dedup" must additionally carry the
 // dedup'd-transfer headline rows (first_run.stream_bytes,
@@ -74,6 +79,20 @@ int main(int argc, char** argv) {
   const Value* smoke = root->get("smoke");
   if (!smoke || smoke->kind != Value::Kind::Bool) {
     return complain(path, "\"smoke\" must be a boolean");
+  }
+  const Value* host = root->get("host");
+  if (!host || host->kind != Value::Kind::Object) {
+    return complain(path, "\"host\" must be an object (the host stamp)");
+  }
+  const Value* nproc = host->get("nproc");
+  if (!nproc || nproc->kind != Value::Kind::Number || nproc->number < 1) {
+    return complain(path, "host.nproc must be a number >= 1");
+  }
+  for (const char* field : {"cpu_model", "compiler", "build_type"}) {
+    const Value* v = host->get(field);
+    if (!v || v->kind != Value::Kind::String || v->text.empty()) {
+      return complain(path, std::string("host.") + field + " must be a non-empty string");
+    }
   }
   const Value* results = root->get("results");
   if (!results || results->kind != Value::Kind::Array || results->items.empty()) {
