@@ -32,7 +32,6 @@ class ChunkQueue {
     can_push_.wait(lk, [&] { return q_.size() < capacity_ || poisoned_; });
     if (poisoned_) return;
     q_.push_back(std::move(chunk));
-    ++pushed_;
     PipelineMetrics::get().queue_depth.set(static_cast<std::int64_t>(q_.size()));
     can_pop_.notify_one();
   }
@@ -65,11 +64,6 @@ class ChunkQueue {
     can_push_.notify_all();
   }
 
-  [[nodiscard]] std::uint32_t pushed() const {
-    std::lock_guard lk(mu_);
-    return pushed_;
-  }
-
   [[nodiscard]] std::optional<net::StateEndInfo> end_info() const {
     std::lock_guard lk(mu_);
     return end_;
@@ -81,7 +75,6 @@ class ChunkQueue {
   std::condition_variable can_pop_;
   std::deque<Bytes> q_;
   std::size_t capacity_;
-  std::uint32_t pushed_ = 0;
   bool closed_ = false;
   bool poisoned_ = false;
   std::optional<net::StateEndInfo> end_;

@@ -110,11 +110,6 @@ bool DestinationHost::finished() const {
   return finished_;
 }
 
-bool DestinationHost::committed() const {
-  std::lock_guard lk(mu_);
-  return committed_;
-}
-
 MessagePort* DestinationHost::current() const {
   std::lock_guard lk(mu_);
   return port_.get();
@@ -502,8 +497,6 @@ void DestinationHost::record_committed(std::uint64_t txn, std::uint64_t digest,
   journal_.append({JournalRecordType::Committed, txn, digest, session_.incarnation(),
                    std::move(note)});
   TxnMetrics::get().dest_committed.add(1);
-  std::lock_guard lk(mu_);
-  committed_ = true;
 }
 
 }  // namespace hpm::mig

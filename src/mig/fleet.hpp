@@ -44,10 +44,11 @@ struct SessionJob {
   RunOptions options;
 
   /// Deterministic mid-stream kill: cut this session's source-side port
-  /// after it has carried this many frames on its FIRST binding (-1 =
-  /// never). The session then reconnects on fresh channels and resumes
-  /// from the chunk count its destination announces while the other
-  /// sessions proceed untouched.
+  /// after this many port operations — sends and recvs alike, in the
+  /// source's one fixed order — on its FIRST binding (-1 = never). The
+  /// session then reconnects on fresh channels and resumes from the chunk
+  /// count its destination announces while the other sessions proceed
+  /// untouched.
   std::int64_t sever_after_frames = -1;
 
   /// Deterministic mid-stream WEDGE: after this many port operations on

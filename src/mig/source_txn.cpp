@@ -7,7 +7,6 @@
 
 #include "mig/chunk_queue.hpp"
 #include "mig/chunk_store.hpp"
-#include "mig/control_inbox.hpp"
 #include "mig/dest_host.hpp"
 #include "mig/endpoint_util.hpp"
 #include "mig/mig_metrics.hpp"
@@ -31,6 +30,26 @@ std::chrono::milliseconds commit_grace(std::chrono::milliseconds t) {
   return t.count() > 0 ? 4 * t : t;
 }
 
+/// The destination's next frame, read on the protocol thread and
+/// validated by session.on_frame(), which raises the typed rejection
+/// (Error, wrong txn, fenced vote, digest mismatch) or ProtocolError
+/// itself. `wait` bounds this one recv (zero = unbounded); the per-IO
+/// deadline `io` is back in force for whatever the port does next.
+net::Message await_reply(MessagePort& port, SourceSession& session,
+                         std::chrono::milliseconds io, std::chrono::milliseconds wait) {
+  port.set_timeout(wait);
+  net::Message msg;
+  try {
+    msg = port.recv();
+  } catch (...) {
+    port.set_timeout(io);
+    throw;
+  }
+  port.set_timeout(io);
+  session.on_frame(msg);
+  return msg;
+}
+
 /// The decision half of the handoff, run by the source after StateEnd.
 /// Every pre-Commit failure journals Abort BEFORE rethrowing (so an
 /// in-doubt destination resolves consistently); once the Commit record is
@@ -43,18 +62,15 @@ std::chrono::milliseconds commit_grace(std::chrono::milliseconds t) {
 /// so post-crash arbitration knows WHICH destination the source committed
 /// to, and the wire token lets a standby's machine refuse a stale frame.
 ///
-/// The inbound half is validated by the machine: await() feeds each reply
-/// through session.on_frame(), which raises the typed rejection (Error,
-/// wrong txn, fenced vote, digest mismatch) or ProtocolError itself.
-CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
-                                 SourceSession& session,
+/// The inbound half is validated by the machine (await_reply).
+CommitResult source_commit_phase(MessagePort& port, SourceSession& session,
                                  std::chrono::milliseconds deadline, std::uint64_t txn,
                                  std::uint64_t digest, Journal& journal) {
   const std::uint32_t inc = session.incarnation();
   try {
     session.prepare_sent();
     port.send(net::MsgType::Prepare, net::encode_txn_token({txn, inc}));
-    const net::Message reply = inbox.await(commit_grace(deadline));
+    const net::Message reply = await_reply(port, session, deadline, commit_grace(deadline));
     if (reply.type != net::MsgType::PrepareAck) {
       // on_frame already vetted it; anything it let through that is not
       // the vote is a protocol breach.
@@ -65,20 +81,20 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
   } catch (const Error&) {
     // A destination that vetoes the handoff sends its Error and then
     // drops the channel; our Prepare can hit the dead pipe before the
-    // pump delivers the veto. The frame survives the close in the pipe's
-    // buffer, so grace-wait for it and prefer the destination's cause
-    // over our own send failure.
+    // veto is read. The frame survives the close in the pipe's buffer, so
+    // grace-wait for it and prefer the destination's cause over our own
+    // send failure.
     std::exception_ptr cause = std::current_exception();
     bool vetoed = session.terminal();  // on_frame already rejected the vote
     if (!vetoed) {
       try {
-        inbox.await(std::chrono::milliseconds(50));
+        await_reply(port, session, deadline, std::chrono::milliseconds(50));
       } catch (const MigrationError& veto) {
         // on_frame turned the pending Error into its typed rejection.
         cause = std::make_exception_ptr(veto);
         vetoed = true;
       } catch (...) {
-        // Nothing queued; the original failure stands.
+        // Nothing readable; the original failure stands.
       }
     }
     journal.append({JournalRecordType::Abort, txn, digest, inc, "prepare phase failed"});
@@ -105,7 +121,7 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
   session.commit_decided();
   try {
     port.send(net::MsgType::Commit, net::encode_txn_token({txn, inc}));
-    const net::Message fin = inbox.await(commit_grace(deadline));
+    const net::Message fin = await_reply(port, session, deadline, commit_grace(deadline));
     if (fin.type == net::MsgType::Ack) {
       journal.append({JournalRecordType::Done, txn, digest, inc, ""});
       return CommitResult::Confirmed;
@@ -145,7 +161,6 @@ TxnResult run_pipelined_transaction(
 
   SourceSession session(wiring.session_id, txn);
   std::unique_ptr<MessagePort> src_port;
-  std::unique_ptr<ControlInbox> inbox;
   /// The incarnation the stream currently addresses.
   std::unique_ptr<Destination> dest;
   /// Some incarnation ran the workload (fencing lets at most one).
@@ -164,10 +179,6 @@ TxnResult run_pipelined_transaction(
   /// Tear the current destination down completely, so no straggler of it
   /// can race the next incarnation's frames.
   auto close_destination = [&] {
-    if (inbox != nullptr) {
-      inbox->stop();
-      inbox.reset();  // the pump must be gone before its port is
-    }
     if (dest != nullptr) {
       dest->host.close();
       dest->host.join();
@@ -198,16 +209,11 @@ TxnResult run_pipelined_transaction(
   auto join_sender = [&] {
     if (sender.joinable()) sender.join();
   };
-  /// Stop the pump (which aborts the port) so a blocked peer wakes and
-  /// the port can be replaced or destroyed.
+  /// Abort the port so a peer blocked on it wakes with an error.
   auto fail_channel = [&] {
-    if (inbox != nullptr) {
-      inbox->stop();
-    } else if (src_port != nullptr) {
-      try {
-        src_port->abort();
-      } catch (...) {
-      }
+    try {
+      if (src_port != nullptr) src_port->abort();
+    } catch (...) {
     }
   };
   /// Record a lost physical binding in the machine — from the states where
@@ -271,7 +277,7 @@ TxnResult run_pipelined_transaction(
     src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
   };
 
-  /// Dedup negotiation + residual transfer on the CURRENT port/inbox:
+  /// Dedup negotiation + residual transfer on the CURRENT port:
   /// announce the manifest, learn the destination's miss set, ship only
   /// the misses (codec-compressed when it pays), then StateEnd. Run
   /// against every destination configured with a chunk store — the
@@ -307,7 +313,8 @@ TxnResult run_pipelined_transaction(
 
     // The destination loads (and digest-verifies) every candidate hit
     // before answering, so the wait is compute-bounded like a vote.
-    const net::Message ackmsg = inbox->await(commit_grace(deadline));
+    const net::Message ackmsg =
+        await_reply(*src_port, session, deadline, commit_grace(deadline));
     if (ackmsg.type != net::MsgType::ManifestAck) {
       throw ProtocolError("expected ManifestAck during manifest negotiation");
     }
@@ -356,19 +363,33 @@ TxnResult run_pipelined_transaction(
     report.dedup_wire_bytes = wire;
   };
 
+  /// Journal Begin, then send StateBegin, to incarnation `inc`:
+  /// write-ahead, so the incarnation exists on disk before any frame names
+  /// it on the wire.
+  auto begin_stream = [&](std::uint32_t inc, const std::string& note) {
+    src_journal.append({JournalRecordType::Begin, txn, 0, inc, note});
+    src_port->send(net::MsgType::StateBegin,
+                   net::encode_state_begin({options.chunk_bytes, txn, inc}));
+  };
+
+  /// The commit phase on the current port: unless it throws, the attempt
+  /// succeeded, confirmed or not.
+  auto commit_phase = [&] {
+    unconfirmed = source_commit_phase(*src_port, session, deadline, txn, digest,
+                                      src_journal) == CommitResult::Unconfirmed;
+    attempt_ok = true;
+  };
+
   /// The collect-first transfer to the current destination incarnation:
-  /// Begin journaled write-ahead (the incarnation exists on disk before
-  /// any frame names it on the wire), StateBegin, then the manifest
-  /// negotiation or the whole stream, then the commit phase.
+  /// StateBegin, then the manifest negotiation or the whole stream, then
+  /// the commit phase.
   auto send_collected = [&](const std::string& note) {
     const std::uint32_t inc = session.incarnation();
     {
       obs::Span tx_span("mig.tx");
       tx_span.arg("transport", std::string(net::transport_name(options.transport)));
       tx_span.arg("incarnation", std::uint64_t{inc});
-      src_journal.append({JournalRecordType::Begin, txn, 0, inc, note});
-      src_port->send(net::MsgType::StateBegin,
-                     net::encode_state_begin({options.chunk_bytes, txn, inc}));
+      begin_stream(inc, note);
       if (!dest->options.chunk_cache_dir.empty()) {
         negotiate_and_send();
       } else {
@@ -376,10 +397,7 @@ TxnResult run_pipelined_transaction(
       }
       measured_tx += tx_span.finish();
     }
-    const CommitResult r =
-        source_commit_phase(*src_port, *inbox, session, deadline, txn, digest, src_journal);
-    unconfirmed = (r == CommitResult::Unconfirmed);
-    attempt_ok = true;
+    commit_phase();
   };
 
   /// Record a failed attempt and stop its port, classifying a source crash.
@@ -403,7 +421,6 @@ TxnResult run_pipelined_transaction(
       open_destination(dest_options, inc, std::move(fresh.destination));
       session.on_frame(src_port->recv());  // the new incarnation's own Hello
       session.begin_streaming();
-      inbox = std::make_unique<ControlInbox>(*src_port, session);
       send_collected(label);
     } catch (const Error& e) {
       attempt_failed(label, e);
@@ -428,10 +445,7 @@ TxnResult run_pipelined_transaction(
     // sender thread never starts, and a bounded queue would block
     // collection at capacity.
     const bool overlap = rendezvoused && options.pipeline && !dedup;
-    if (rendezvoused) {
-      session.begin_streaming();
-      inbox = std::make_unique<ControlInbox>(*src_port, session);
-    }
+    if (rendezvoused) session.begin_streaming();
 
     if (overlap) sender = std::thread([&] {
       try {
@@ -444,11 +458,7 @@ TxnResult run_pipelined_transaction(
             tx_span = std::make_unique<obs::Span>("mig.tx");
             tx_span->arg("transport",
                          std::string(net::transport_name(options.transport)));
-            // Write-ahead: the transaction exists on disk before any
-            // frame names it on the wire.
-            src_journal.append({JournalRecordType::Begin, txn, 0, 1, "source"});
-            src_port->send(net::MsgType::StateBegin,
-                           net::encode_state_begin({options.chunk_bytes, txn, 1}));
+            begin_stream(1, "source");
           }
           src_port->send(net::MsgType::StateChunk, net::encode_state_chunk(seq++, chunk));
           pm.chunks.add(1);
@@ -504,9 +514,8 @@ TxnResult run_pipelined_transaction(
       if (rendezvoused) src_port->send(net::MsgType::Shutdown, {});
       session.abort_decided("no migration was triggered");
     } else {
-      // Stream-derived, NOT queue.pushed(): a poisoned queue undercounts
-      // (push drops silently after a sender failure), and a resume's
-      // StateEnd must describe the whole fixed-size chunking.
+      // Stream-derived: a resume's StateEnd must describe the whole
+      // fixed-size chunking.
       end.chunk_count = static_cast<std::uint32_t>((stream.size() + cb - 1) / cb);
       end.total_bytes = stream.size();
       end.digest = digest;
@@ -515,10 +524,7 @@ TxnResult run_pipelined_transaction(
         queue.close(end);
         join_sender();
         if (sender_error != nullptr) std::rethrow_exception(sender_error);
-        const CommitResult r = source_commit_phase(*src_port, *inbox, session, deadline,
-                                                   txn, digest, src_journal);
-        unconfirmed = (r == CommitResult::Unconfirmed);
-        attempt_ok = true;
+        commit_phase();
       } else if (rendezvoused) {
         if (dedup) pipeline_start = Clock::now();
         send_collected("source");
@@ -586,10 +592,6 @@ TxnResult run_pipelined_transaction(
                                           ": destination no longer accepts a resume channel");
           continue;
         }
-        if (inbox != nullptr) {
-          inbox->stop();
-          inbox.reset();  // the pump must be gone before its port is
-        }
         src_port = std::move(fresh.source);
         src_port->set_timeout(deadline);
         session.on_frame(src_port->recv());  // ResumeHello: version/txn/bound-checked
@@ -597,7 +599,6 @@ TxnResult run_pipelined_transaction(
         ResumeMetrics::get().attempts.add(1);
         ResumeMetrics::get().chunks_skipped.add(next_seq);
         report.resumed_from_seq = static_cast<std::int64_t>(next_seq);
-        inbox = std::make_unique<ControlInbox>(*src_port, session);
         {
           obs::Span tx_span("mig.tx");
           tx_span.arg("transport", std::string(net::transport_name(options.transport)));
@@ -605,10 +606,7 @@ TxnResult run_pipelined_transaction(
           send_chunks(next_seq, !dest->options.chunk_cache_dir.empty());
           measured_tx += tx_span.finish();
         }
-        const CommitResult r = source_commit_phase(*src_port, *inbox, session, deadline,
-                                                   txn, digest, src_journal);
-        unconfirmed = (r == CommitResult::Unconfirmed);
-        attempt_ok = true;
+        commit_phase();
       } catch (const Error& e) {
         attempt_failed(label, e);
       }

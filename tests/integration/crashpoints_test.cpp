@@ -2,18 +2,20 @@
 //
 // SessionJob::sever_after_frames = n lets exactly n port operations
 // (sends and recvs alike) through on the session's first binding and
-// fails every later one. Sweeping n from 0 until the cut no longer
-// disturbs the run visits every protocol step of a small bitonic
-// migration: before the Hello is read, before StateBegin, after each
-// chunk, in the prepare phase and around the commit (the destination
-// sends nothing mid-stream, so a resume restarts from the chunk count its
-// ResumeHello announces).
+// fails every later one. The source performs them in one fixed order —
+// recv Hello, send StateBegin, each StateChunk, StateEnd, Prepare, recv
+// PrepareAck, send Commit, recv Ack — so each n names one protocol step.
+// Sweeping n from 0 until the cut no longer disturbs the run visits every
+// step of a small bitonic migration (the destination sends nothing
+// mid-stream, so a resume restarts from the chunk count its ResumeHello
+// announces).
 // Every cut must leave the destination owning the workload with the same
 // result and the same stream digest as an uncut run, and journal
 // arbitration must name exactly one owner. Every cut before the Commit
 // record must migrate confirmed; a cut after it can only end
-// CommittedUnconfirmed. The window before StateBegin is reached by a
-// fixed n here, so it no longer takes machine load to exercise it.
+// CommittedUnconfirmed. A cut from the first StateChunk through StateEnd
+// (n = 2 .. chunks + 2) loses exactly the frames past the n - 2 chunks
+// delivered, so one resume from chunk n - 2 finishes the handoff.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -60,6 +62,7 @@ TEST_P(CrashPoints, EveryCutMigratesToTheUncutResult) {
                                   std::to_string(::getpid());
   std::filesystem::remove_all(journal_dir);
 
+  const std::int64_t chunks = static_cast<std::int64_t>((uncut.stream_bytes + 1023) / 1024);
   std::int64_t cut = 0;
   int unconfirmed = 0;
   for (; cut < kMaxCut; ++cut) {
@@ -94,6 +97,12 @@ TEST_P(CrashPoints, EveryCutMigratesToTheUncutResult) {
       EXPECT_TRUE(unconfirmed == 0 || undisturbed)
           << "a cut after the Commit record was retried";
     }
+    if (cut >= 2 && cut <= chunks + 2) {
+      // Cut on a StateChunk or on StateEnd: one resume past the chunks
+      // that made it through.
+      EXPECT_EQ(r.attempts, 2) << causes;
+      EXPECT_EQ(r.resumed_from_seq, cut - 2) << causes;
+    }
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.sum_after, uncut_result.sum_after);
     EXPECT_EQ(r.stream_digest, uncut.stream_digest);
@@ -108,11 +117,10 @@ TEST_P(CrashPoints, EveryCutMigratesToTheUncutResult) {
   }
   EXPECT_LT(cut, kMaxCut) << "the cut still fired after " << kMaxCut << " frames";
   // The sweep walked the whole stream, not just the handshake.
-  const std::int64_t chunks = static_cast<std::int64_t>((uncut.stream_bytes + 1023) / 1024);
   EXPECT_GT(cut, chunks + 2);
-  // Only the Commit frame and the Ack owed for it lie past the Commit
+  // Exactly the Commit frame and the Ack owed for it lie past the Commit
   // record.
-  EXPECT_LE(unconfirmed, 2);
+  EXPECT_EQ(unconfirmed, 2);
   std::filesystem::remove_all(journal_dir);
 }
 

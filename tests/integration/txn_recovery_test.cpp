@@ -1,6 +1,6 @@
 // The transactional handoff, attacked at every phase boundary.
 //
-// Five suites:
+// Five areas:
 //  - TxnRecovery: the crash matrix. An injected process death (KilledError)
 //    at each protocol state — mid-chunk-stream, pre-Prepare, post-Commit,
 //    dest post-Prepared, dest post-Committed — after which exactly one
@@ -12,11 +12,11 @@
 //    destination announces in its ResumeHello; the net.* byte counters
 //    prove only the tail was retransmitted, and the restored state is
 //    identical to a clean run.
-//  - Digest: a single-byte corruption of the canonical stream that passes
-//    the frame seal (CorruptMasked) is caught by the end-to-end digest
-//    before the destination may vote; the vetoed incarnation is replaced
-//    by a fresh one that votes on the clean replay, and only that vote is
-//    committed.
+//  - Digest / DigestVeto: a single-byte corruption of the canonical stream
+//    that passes the frame seal (CorruptMasked) is caught by the
+//    end-to-end digest before the destination may vote; the vetoed
+//    incarnation is replaced by a fresh one that votes on the clean
+//    replay, and only that vote is committed (Memory and Socket).
 //  - DeadDestination: a host that dies after accepting a resume port
 //    answers that port instead of leaving the source waiting on it.
 #include <gtest/gtest.h>
@@ -336,13 +336,18 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
 }
 
-TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
+class DigestVeto : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(DigestVeto, VetoedIncarnationIsReplacedByOneThatVotes) {
   // A veto ends incarnation 1, not the transaction: the retry replays the
   // retained stream to incarnation 2, and the source commits only after
   // that destination's PrepareAck. Both sides journal the digest the
-  // collection computed, and arbitration names incarnation 2 alone.
+  // collection computed, and arbitration names incarnation 2 alone. The
+  // "digest" cause must survive the destination's close on either
+  // transport: the source reads the Error frame left in the channel.
   apps::BitonicResult probe_result;
   RunOptions probe = streaming_options(probe_result);
+  probe.transport = GetParam();
   const MigrationReport p = run_migration(probe);
   ASSERT_EQ(p.outcome, MigrationOutcome::Migrated);
   const std::uint64_t stream = p.stream_bytes;
@@ -352,17 +357,22 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
 
   apps::BitonicResult result;
   RunOptions options = streaming_options(result);
+  options.transport = GetParam();
   options.fault_plan.kind = net::FaultKind::CorruptMasked;
   options.fault_plan.offset =
       kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
   options.journal_dir = (std::filesystem::temp_directory_path() /
-                         ("hpm_digest_veto_" + std::to_string(::getpid())))
+                         ("hpm_digest_veto_" + std::string(net::transport_name(GetParam())) +
+                          "_" + std::to_string(::getpid())))
                             .string();
   std::filesystem::remove_all(options.journal_dir);
   const MigrationReport report = run_migration(options);
   ASSERT_EQ(report.outcome, MigrationOutcome::Migrated);
   ASSERT_EQ(report.attempts, 2);
   EXPECT_EQ(report.dest_incarnation, 2u);
+  ASSERT_EQ(report.failure_causes.size(), 1u);
+  EXPECT_NE(report.failure_causes[0].find("digest"), std::string::npos)
+      << "caught by: " << report.failure_causes[0];
   EXPECT_EQ(report.stream_digest, p.stream_digest);
   EXPECT_TRUE(result.ok());
 
@@ -397,6 +407,12 @@ TEST(Digest, VetoedIncarnationIsReplacedByOneThatVotes) {
   EXPECT_TRUE(v.completed) << v.reason;
   std::filesystem::remove_all(options.journal_dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(MemAndSocket, DigestVeto,
+                         ::testing::Values(Transport::Memory, Transport::Socket),
+                         [](const ::testing::TestParamInfo<Transport>& p) {
+                           return std::string(net::transport_name(p.param));
+                         });
 
 TEST(Digest, CleanStreamsCarryTheDigestEndToEnd) {
   apps::BitonicResult result;
