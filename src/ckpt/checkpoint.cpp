@@ -130,8 +130,12 @@ CheckpointInfo inspect(const std::string& path) { return unwrap(read_file(path))
 
 std::size_t seed_chunk_cache(const std::string& ckpt_path, const std::string& cache_dir,
                              std::size_t chunk_bytes, std::uint64_t cache_budget) {
-  if (chunk_bytes == 0) throw Error("seed_chunk_cache: chunk_bytes must be positive");
-  const Unwrapped file = unwrap(read_file(ckpt_path));
+  if (chunk_bytes == 0 || chunk_bytes > msrm::kMaxLeafBytes) {
+    throw Error("seed_chunk_cache: chunk_bytes must lie in [1, " +
+                std::to_string(msrm::kMaxLeafBytes) + "]");
+  }
+  Unwrapped file = unwrap(read_file(ckpt_path));
+  msrm::reseal_stream(file.stream, static_cast<std::uint32_t>(chunk_bytes));
   mig::ChunkStore store(cache_dir, cache_budget);
   store.open();
   std::size_t inserted = 0;

@@ -51,11 +51,13 @@ CheckpointInfo inspect(const std::string& path);
 
 /// Seed a migration chunk cache (a `mig::ChunkStore` directory, see
 /// DESIGN.md §15) with the canonical chunks of the checkpoint's embedded
-/// stream, sliced at `chunk_bytes` — the same chunking the dedup'd
-/// transfer announces in its manifest. A migration of the checkpointed
-/// process whose `RunOptions::{chunk_cache_dir,chunk_bytes}` match then
-/// answers its manifest from the checkpoint: checkpoint rounds and
-/// migrations hit the same cache. Returns the number of chunks inserted.
+/// stream, re-sealed at leaf size `chunk_bytes` (msrm::reseal_stream: the
+/// header and trailer name the leaf size) and sliced at it — the same
+/// stream and chunking the dedup'd transfer announces in its manifest. A
+/// migration of the checkpointed process whose
+/// `RunOptions::{chunk_cache_dir,chunk_bytes}` match then answers its
+/// manifest from the checkpoint: checkpoint rounds and migrations hit the
+/// same cache. Returns the number of chunks inserted.
 std::size_t seed_chunk_cache(const std::string& ckpt_path, const std::string& cache_dir,
                              std::size_t chunk_bytes,
                              std::uint64_t cache_budget = 256ull << 20);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,30 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x48434B49;  // "HCKI"
 constexpr std::uint16_t kVersion = 2;  // v1 carried the CRC-32 stream trailer
+
+/// A chain file's trailer: msrm's trailer tag and the StreamDigest of
+/// every byte before it. (Chain files are not migration streams and keep
+/// the one-piece seal streams had up to grammar v3.)
+void seal_file(xdr::Encoder& enc) {
+  const std::uint64_t digest = StreamDigest::of(enc.bytes());
+  enc.put_u8(msrm::kTrailerTag);
+  enc.put_u64(digest);
+}
+
+/// Check a chain file's trailer and return the bytes it seals; throws
+/// hpm::WireError on damage or truncation.
+std::span<const std::uint8_t> check_file(std::span<const std::uint8_t> file) {
+  if (file.size() < msrm::kTrailerBytes) {
+    throw WireError("checkpoint file too short to be sealed");
+  }
+  const std::size_t body = file.size() - msrm::kTrailerBytes;
+  std::uint64_t stored = 0;
+  for (std::size_t i = 1; i < msrm::kTrailerBytes; ++i) stored = (stored << 8) | file[body + i];
+  if (file[body] != msrm::kTrailerTag || stored != StreamDigest::of(file.first(body))) {
+    throw WireError("checkpoint file seal mismatch: file damaged or truncated");
+  }
+  return file.first(body);
+}
 
 Bytes read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -112,7 +137,7 @@ Chain load_chain(const std::string& prefix, std::uint64_t last_seq) {
   Chain chain;
   for (std::uint64_t seq = 0; seq <= last_seq; ++seq) {
     const Bytes file = read_file(chain_path(prefix, seq));
-    const auto payload = msrm::check_stream(file);
+    const auto payload = check_file(file);
     xdr::Decoder dec(payload);
     if (dec.get_u32() != kMagic) throw WireError("not an incremental checkpoint file");
     if (dec.get_u16() != kVersion) throw WireError("unsupported incremental version");
@@ -330,7 +355,7 @@ IncrementalStats IncrementalCheckpointer::capture(mig::MigContext& ctx) {
     enc.put_u32(static_cast<std::uint32_t>(c.content.size()));
     enc.put_bytes(c.content.data(), c.content.size());
   }
-  msrm::finish_stream(enc);
+  seal_file(enc);
   const Bytes file = enc.take();
   write_file(chain_path(prefix_, next_seq_), file);
 

@@ -1,6 +1,7 @@
 #include "common/digest.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -26,12 +27,15 @@ inline std::uint64_t lane_round(std::uint64_t acc, std::uint64_t w) noexcept {
   return std::rotl(acc + w * kP2, 31) * kP1;
 }
 
+std::atomic<std::uint64_t> g_hashed_bytes{0};
+
 }  // namespace
 
 void StreamDigest::update(std::span<const std::uint8_t> bytes) noexcept {
   const std::uint8_t* p = bytes.data();
   std::size_t left = bytes.size();
   if (left == 0) return;
+  g_hashed_bytes.fetch_add(left, std::memory_order_relaxed);
   const std::size_t fill = total_ % kStripe;
   total_ += left;
   if (fill != 0) {
@@ -56,6 +60,10 @@ void StreamDigest::update(std::span<const std::uint8_t> bytes) noexcept {
   }
   lane_[0] = a, lane_[1] = b, lane_[2] = c, lane_[3] = d;
   if (left != 0) std::memcpy(carry_, p, left);
+}
+
+std::uint64_t StreamDigest::hashed_bytes() noexcept {
+  return g_hashed_bytes.load(std::memory_order_relaxed);
 }
 
 std::uint64_t StreamDigest::value() const noexcept {

@@ -1,7 +1,8 @@
-// The one integrity hash (Digest v2): it seals the migration stream's
-// trailer, is the end-to-end digest, names dedup chunks, seals frames and
-// journal records (folded to 32 bits) and detects changed blocks between
-// incremental checkpoints.
+// The one integrity hash (Digest v2): it digests the migration stream's
+// leaves (whose root seals the trailer and is the end-to-end digest, and
+// each of which names a dedup chunk and seals its StateChunk frame), seals
+// the other frames and journal records (folded to 32 bits) and detects
+// changed blocks between incremental checkpoints.
 #pragma once
 
 #include <cstddef>
@@ -10,13 +11,13 @@
 
 namespace hpm {
 
-/// The stream's one hash: the trailer seal (digest of the payload), the
-/// end-to-end digest (of the whole stream, trailer included) and the chunk
-/// address (mig::ChunkAddr, DESIGN.md §15 — stable only because the
-/// canonical stream is deterministic for a given process state). The
-/// source taps collection chunk by chunk and the destination hashes bytes
-/// as its decoder pulls them in; each reads the payload value just before
-/// the trailer and hashes on through it, so each side walks the stream once.
+/// The stream's one hash. A leaf digest d_i (one chunk of the canonical
+/// stream, msrm/stream.hpp) is computed once per side — by the collect tap
+/// on the source, while receiving the StateChunk frame on the destination —
+/// and every check derives from it: the frame seal, the dedup chunk address
+/// (mig::ChunkAddr, DESIGN.md §15 — stable only because the canonical
+/// stream is deterministic for a given process state), and the leaf root
+/// that seals the trailer and is the end-to-end digest.
 ///
 /// Four independent 64-bit lanes over 32-byte stripes, each round
 /// `acc = rotl(acc + w*P2, 31) * P1` (xxHash64's round and primes), words
@@ -35,6 +36,11 @@ class StreamDigest {
     d.update(bytes);
     return d.value();
   }
+
+  /// Bytes every StreamDigest in this process has been fed so far (one
+  /// relaxed add per update() call): bytes hashed per migration over its
+  /// stream bytes is the pass count DESIGN.md §10 bounds.
+  [[nodiscard]] static std::uint64_t hashed_bytes() noexcept;
 
  private:
   static constexpr std::size_t kStripe = 32;

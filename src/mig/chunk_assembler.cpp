@@ -1,6 +1,7 @@
 #include "mig/chunk_assembler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -9,12 +10,15 @@ namespace hpm::mig {
 /// Reserve ahead so the append below cannot trigger a per-chunk
 /// reallocation: when the backing store is about to run out, grow it in
 /// one move to the larger of double the current capacity and a 16-chunk
-/// stride of the announced chunk size. Either bound keeps the total
-/// number of regrowths logarithmic in the stream size.
+/// stride of the announced chunk size, capped at 64 MiB so a large (or
+/// hostile) announced size reserves no more than that ahead of the bytes
+/// that arrived. Either bound keeps the total number of regrowths
+/// logarithmic in the stream size.
 void ChunkAssembler::reserve_for_locked(std::size_t incoming) {
   const std::size_t needed = data_.size() + incoming;
   if (needed <= data_.capacity()) return;
-  const std::size_t stride = static_cast<std::size_t>(chunk_hint_) * 16;
+  const std::size_t stride =
+      std::min(static_cast<std::size_t>(chunk_bytes_) * 16, std::size_t{64} << 20);
   data_.reserve(std::max({needed, data_.capacity() * 2, data_.size() + stride}));
   ++growths_;
 }
@@ -27,63 +31,64 @@ void ChunkAssembler::fail_locked(std::string reason) {
   cv_.notify_all();
 }
 
-void ChunkAssembler::append(std::uint32_t seq, std::span<const std::uint8_t> bytes) {
+void ChunkAssembler::append(std::uint32_t seq, std::span<const std::uint8_t> bytes,
+                            std::uint64_t digest) {
   std::lock_guard lk(mu_);
   if (failed_) return;  // late chunks after a failure are drained, not kept
+  const std::size_t next = addrs_.size();
   if (complete_) {
     fail_locked("protocol violation: StateChunk " + std::to_string(seq) +
                 " arrived after StateEnd");
     throw ProtocolError(reason_);
   }
-  if (seq < chunks_) {
+  if (seq < next) {
     fail_locked("duplicate or replayed chunk: seq " + std::to_string(seq) +
-                " already assembled (next expected " + std::to_string(chunks_) + ")");
+                " already assembled (next expected " + std::to_string(next) + ")");
     throw ProtocolError(reason_);
   }
-  if (seq > chunks_) {
-    fail_locked("chunk sequence gap: expected " + std::to_string(chunks_) + ", got " +
+  if (seq > next) {
+    fail_locked("chunk sequence gap: expected " + std::to_string(next) + ", got " +
                 std::to_string(seq));
     throw ProtocolError(reason_);
   }
   reserve_for_locked(bytes.size());
   data_.insert(data_.end(), bytes.begin(), bytes.end());
-  if (manifest_mode_ && chunks_ < pending_.size() && pending_have_[chunks_]) {
+  addrs_.push_back({digest, static_cast<std::uint32_t>(bytes.size())});
+  if (manifest_mode_ && next < held_.size() && held_[next].have) {
     // A raw resume retransmit superseded a held hit; drop the copy.
-    pending_have_[chunks_] = false;
-    Bytes().swap(pending_[chunks_]);
+    held_[next] = Held{};
   }
-  ++chunks_;
   if (manifest_mode_ && splice_enabled_) splice_pending_locked();
   cv_.notify_all();
 }
 
 void ChunkAssembler::splice_pending_locked() {
-  while (chunks_ < pending_.size() && pending_have_[chunks_]) {
-    Bytes body = std::move(pending_[chunks_]);
-    pending_have_[chunks_] = false;
-    reserve_for_locked(body.size());
-    data_.insert(data_.end(), body.begin(), body.end());
-    ++chunks_;
+  while (addrs_.size() < held_.size() && held_[addrs_.size()].have) {
+    Held hit = std::exchange(held_[addrs_.size()], Held{});
+    reserve_for_locked(hit.body.size());
+    data_.insert(data_.end(), hit.body.begin(), hit.body.end());
+    addrs_.push_back(hit.addr);
   }
 }
 
 std::vector<std::uint32_t> ChunkAssembler::begin_manifest(const std::vector<ChunkAddr>& addrs,
                                                           ChunkStore& store) {
   std::lock_guard lk(mu_);
-  if (manifest_mode_ || chunks_ != 0 || complete_) {
+  if (manifest_mode_ || !addrs_.empty() || complete_) {
     fail_locked("protocol violation: manifest announced mid-stream");
     throw ProtocolError(reason_);
   }
   manifest_mode_ = true;
-  pending_.resize(addrs.size());
-  pending_have_.assign(addrs.size(), false);
+  held_.resize(addrs.size());
   std::vector<std::uint32_t> misses;
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     // load() checks the record header and recomputes the body digest, so
     // a corrupted entry becomes a miss (and is unlinked) right here —
-    // the re-request happens inside the same negotiation.
-    if (store.load(addrs[i], pending_[i])) {
-      pending_have_[i] = true;
+    // the re-request happens inside the same negotiation. A hit's body
+    // hashes to its address: that address is its digest.
+    if (store.load(addrs[i], held_[i].body)) {
+      held_[i].addr = addrs[i];
+      held_[i].have = true;
     } else {
       misses.push_back(static_cast<std::uint32_t>(i));
     }
@@ -105,8 +110,9 @@ void ChunkAssembler::finish(const net::StateEndInfo& info) {
     fail_locked("protocol violation: second StateEnd for one stream");
     throw ProtocolError(reason_);
   }
-  if (info.chunk_count != chunks_) {
-    fail_locked("stream ended after " + std::to_string(chunks_) + " chunks, sender reports " +
+  if (info.chunk_count != addrs_.size()) {
+    fail_locked("stream ended after " + std::to_string(addrs_.size()) +
+                " chunks, sender reports " +
                 std::to_string(info.chunk_count));
     return;
   }
@@ -143,7 +149,12 @@ std::uint64_t ChunkAssembler::await_complete() {
 
 std::uint32_t ChunkAssembler::chunks_received() const {
   std::lock_guard lk(mu_);
-  return chunks_;
+  return static_cast<std::uint32_t>(addrs_.size());
+}
+
+std::vector<ChunkAddr> ChunkAssembler::chunk_addrs() const {
+  std::lock_guard lk(mu_);
+  return addrs_;
 }
 
 net::StateEndInfo ChunkAssembler::end_info() const {

@@ -7,6 +7,11 @@
 // internal vector, the consumer copies out of it under the lock — so the
 // design is clean under TSan by construction, not by annotation.
 //
+// Each assembled chunk keeps its address (StreamDigest and length) as the
+// producer learned it — from the frame receive, the store's verified load
+// or put() — so the restorer derives the stream's leaf root without
+// hashing the chunks again.
+//
 // Any producer-side failure (frame seal mismatch, sequence violation,
 // hostile StateEnd totals) poisons the assembler; the consumer's next
 // fetch() rethrows it as a NetError, which the destination answers with
@@ -31,35 +36,40 @@ namespace hpm::mig {
 
 class ChunkAssembler {
  public:
-  /// `chunk_bytes_hint` is the StateBegin-announced chunk size. The
-  /// assembly buffer is reserved ahead in multi-chunk strides of it, so
-  /// appending a chunk reuses the same backing store instead of paying a
-  /// reallocation (and the copy of everything assembled so far) per
-  /// StateChunk — the alloc churn that used to show up against
-  /// `mig.pipeline.*` chunk rates. 0 = no hint; growth is still geometric.
-  explicit ChunkAssembler(std::uint32_t chunk_bytes_hint = 0)
-      : chunk_hint_(chunk_bytes_hint) {}
+  /// `chunk_bytes` is the StateBegin-announced chunk size: the leaf size
+  /// the stream's header must name (0 = none announced, which no stream
+  /// header matches). The assembly buffer is reserved ahead in
+  /// multi-chunk strides of it, so appending a chunk reuses the same
+  /// backing store instead of paying a reallocation (and the copy of
+  /// everything assembled so far) per StateChunk — the alloc churn that
+  /// used to show up against `mig.pipeline.*` chunk rates. With 0, growth
+  /// is still geometric.
+  explicit ChunkAssembler(std::uint32_t chunk_bytes = 0) : chunk_bytes_(chunk_bytes) {}
+
+  [[nodiscard]] std::uint32_t chunk_bytes() const noexcept { return chunk_bytes_; }
 
   /// --- producer side (rx thread) -----------------------------------------
 
-  /// Append one chunk's bytes. Chunks must arrive in exact sequence order
+  /// Append one chunk's bytes and `digest`, their StreamDigest as the
+  /// caller already took it. Chunks must arrive in exact sequence order
   /// (the channel is ordered; a gap means a dropped frame, a duplicate a
   /// replayed one). Any violation — including a chunk after StateEnd —
   /// poisons the assembler and throws hpm::ProtocolError. In manifest
   /// mode, "next expected" skips over indices spliced from the store, so
   /// wire chunks carry only the negotiated misses — and after
   /// mark_resumed(), any not-yet-assembled index, hit or miss.
-  void append(std::uint32_t seq, std::span<const std::uint8_t> bytes);
+  void append(std::uint32_t seq, std::span<const std::uint8_t> bytes, std::uint64_t digest);
 
   /// --- dedup manifest mode -------------------------------------------------
 
   /// Arm manifest mode with the source's ordered chunk address list.
   /// Every address the store can produce (digest-verified load — a
   /// corrupted entry silently degrades to a miss and is unlinked) is held
-  /// for local splicing; the returned ascending index list is the miss
-  /// set the destination must request over the wire. Leading hits are
-  /// spliced immediately; later ones as the wire fills the gaps before
-  /// them. Must be called before any append; may be called only once.
+  /// for local splicing, its verified address standing as its digest; the
+  /// returned ascending index list is the miss set the destination must
+  /// request over the wire. Leading hits are spliced immediately; later
+  /// ones as the wire fills the gaps before them. Must be called before any
+  /// append; may be called only once.
   std::vector<std::uint32_t> begin_manifest(const std::vector<ChunkAddr>& addrs,
                                             ChunkStore& store);
 
@@ -71,10 +81,9 @@ class ChunkAssembler {
   /// Orderly end of stream: verifies the chunk count and byte total
   /// against what actually arrived and retains `info`. Its end-to-end
   /// digest is not checked here — transport validates structure, msrm
-  /// validates content: the restoring MigContext digests the bytes as
-  /// fetch() hands them to its decoder and compares at the migration
-  /// point. A mismatch or a second StateEnd poisons the assembler
-  /// instead of completing it.
+  /// validates content: the restoring MigContext builds the root from
+  /// chunk_addrs() and compares at the migration point. A mismatch or a
+  /// second StateEnd poisons the assembler instead of completing it.
   void finish(const net::StateEndInfo& info);
 
   /// Poison the assembler: every waiting or future consumer call throws
@@ -95,6 +104,10 @@ class ChunkAssembler {
 
   [[nodiscard]] std::uint32_t chunks_received() const;
 
+  /// The address (digest and length) of every chunk assembled so far, in
+  /// stream order.
+  [[nodiscard]] std::vector<ChunkAddr> chunk_addrs() const;
+
   /// The StateEnd that completed the stream (valid once await_complete()
   /// returned): carries the source's end-to-end digest.
   [[nodiscard]] net::StateEndInfo end_info() const;
@@ -113,22 +126,26 @@ class ChunkAssembler {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   Bytes data_;
-  std::uint32_t chunk_hint_ = 0;
+  std::uint32_t chunk_bytes_ = 0;
   std::uint64_t growths_ = 0;
   net::StateEndInfo end_;
-  std::uint32_t chunks_ = 0;
+  std::vector<ChunkAddr> addrs_;  ///< one per assembled chunk
   bool complete_ = false;
   bool failed_ = false;
   std::string reason_;
 
   // Manifest mode: cache-hit bodies waiting for the assembly prefix to
-  // reach their index. `pending_have_[i]` marks a held hit; the body is
-  // released as soon as it is spliced (or superseded by a raw resume
-  // retransmit) so peak memory stays one stream, not two.
+  // reach their index. A held hit's body is released as soon as it is
+  // spliced (or superseded by a raw resume retransmit) so peak memory
+  // stays one stream, not two.
+  struct Held {
+    Bytes body;
+    ChunkAddr addr;
+    bool have = false;
+  };
   bool manifest_mode_ = false;
   bool splice_enabled_ = true;
-  std::vector<Bytes> pending_;
-  std::vector<bool> pending_have_;
+  std::vector<Held> held_;
 };
 
 }  // namespace hpm::mig

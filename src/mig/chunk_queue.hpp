@@ -19,6 +19,13 @@
 
 namespace hpm::mig {
 
+/// One collected chunk and the StreamDigest the collect tap took of it,
+/// which seals its StateChunk frame.
+struct QueuedChunk {
+  Bytes bytes;
+  std::uint64_t digest = 0;
+};
+
 /// Back-pressure by design: push() blocks while the queue is full, so a
 /// slow link throttles collection instead of buffering the heap twice.
 /// poison() (sender died, or teardown) turns pushes into drops so
@@ -27,7 +34,7 @@ class ChunkQueue {
  public:
   explicit ChunkQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  void push(Bytes chunk) {
+  void push(QueuedChunk chunk) {
     std::unique_lock lk(mu_);
     can_push_.wait(lk, [&] { return q_.size() < capacity_ || poisoned_; });
     if (poisoned_) return;
@@ -37,7 +44,7 @@ class ChunkQueue {
   }
 
   /// False once the queue is closed and drained.
-  bool pop(Bytes& out) {
+  bool pop(QueuedChunk& out) {
     std::unique_lock lk(mu_);
     can_pop_.wait(lk, [&] { return !q_.empty() || closed_; });
     if (q_.empty()) return false;
@@ -73,7 +80,7 @@ class ChunkQueue {
   mutable std::mutex mu_;
   std::condition_variable can_push_;
   std::condition_variable can_pop_;
-  std::deque<Bytes> q_;
+  std::deque<QueuedChunk> q_;
   std::size_t capacity_;
   bool closed_ = false;
   bool poisoned_ = false;

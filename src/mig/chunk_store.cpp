@@ -234,14 +234,14 @@ bool ChunkStore::load(const ChunkAddr& addr, Bytes& out) {
   return true;
 }
 
-void ChunkStore::put(std::span<const std::uint8_t> body) {
+ChunkAddr ChunkStore::put(std::span<const std::uint8_t> body) {
   std::lock_guard lk(mu_);
   const ChunkAddr addr = address_of(body);
   const std::string name = file_name(addr);
   auto it = index_.find(name);
   if (it != index_.end()) {
     touch_locked(it->second, name);
-    return;
+    return addr;
   }
 
   Bytes record(kEntryHeader + body.size());
@@ -270,6 +270,7 @@ void ChunkStore::put(std::span<const std::uint8_t> body) {
   bytes_ += e.file_bytes;
   index_.emplace(name, e);
   evict_to_locked(max_bytes_);
+  return addr;
 }
 
 void ChunkStore::evict_to_locked(std::uint64_t budget) {

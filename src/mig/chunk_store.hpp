@@ -4,9 +4,11 @@
 // A chunk's address is the StreamDigest of its canonical body plus
 // the body length — stable across runs because the canonical stream is
 // deterministic for a given process state (logical block ids, not raw
-// addresses). Entries named by an earlier digest (FNV-1a, protocol v5)
-// keep their record layout but can never be asked for again, so they age
-// out by LRU. The store is a directory of addressed chunk files with an
+// addresses). It is the digest the collect tap takes of the chunk (the
+// stream's leaf digest d_i), so a manifest names chunks at no extra
+// cost. Entries named by an earlier digest (FNV-1a, protocol v5) keep
+// their record layout but can never be asked for again, so they age out
+// by LRU. The store is a directory of addressed chunk files with an
 // in-memory index and LRU eviction to a byte budget. Durability mirrors
 // the intent journal's hardening: every record is fsync'd, open()
 // tolerates torn entries (dropped, not fatal), and load() checks the
@@ -76,11 +78,12 @@ class ChunkStore {
   /// false — a corrupted cache entry is a miss, never bad bytes.
   bool load(const ChunkAddr& addr, Bytes& out);
 
-  /// Insert (or LRU-touch) a body under its own computed address. The
-  /// record is fsync'd before put() returns; call sync_dir() once after a
-  /// batch of puts to make the directory entries themselves durable.
-  /// Evicts least-recently-used entries down to the byte budget.
-  void put(std::span<const std::uint8_t> body);
+  /// Insert (or LRU-touch) a body under its own computed address, and
+  /// return that address. The record is fsync'd before put() returns; call
+  /// sync_dir() once after a batch of puts to make the directory entries
+  /// themselves durable. Evicts least-recently-used entries down to the
+  /// byte budget.
+  ChunkAddr put(std::span<const std::uint8_t> body);
 
   /// fsync the store directory (after a batch of puts or unlinks), the
   /// same way journal GC pins its unlinks.

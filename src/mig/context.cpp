@@ -139,11 +139,6 @@ ExecutionState MigContext::snapshot_execution_state() const {
   return state;
 }
 
-void MigContext::set_collect_sink(std::size_t chunk_bytes, xdr::Encoder::SinkFn sink) {
-  collect_chunk_ = chunk_bytes;
-  collect_sink_ = std::move(sink);
-}
-
 void MigContext::do_migration(std::uint32_t label) {
   obs::Span span("mig.collect");
   const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
@@ -152,17 +147,17 @@ void MigContext::do_migration(std::uint32_t label) {
   // growth a non-event even for multi-megabyte heaps.
   xdr::Encoder enc(space_.msrlt().tracked_bytes() +
                    space_.msrlt().block_count() * 32 + 4096);
-  // End-to-end digest tap: accumulate over exactly the bytes that leave
-  // through the sink (the canonical stream in chunk order), or one-shot
-  // over the retained stream when collection is not streamed.
-  StreamDigest digest;
-  if (collect_sink_) {
-    enc.set_sink(collect_chunk_, [this, &digest](std::span<const std::uint8_t> bytes) {
-      digest.update(bytes);
-      collect_sink_(bytes);
-    });
-  }
-  msrm::write_header(enc, {space_.arch().name, types_->signature()});
+  // The collect tap: every leaf-sized slice is hashed once, while it is
+  // cache-hot, and handed on with its digest to the sink (if any). That
+  // digest seals the slice's StateChunk, names it in a dedup manifest and
+  // is its leaf in the root below.
+  chunk_digests_.clear();
+  enc.set_sink(leaf_bytes_, [this](std::span<const std::uint8_t> bytes) {
+    const std::uint64_t digest = StreamDigest::of(bytes);
+    chunk_digests_.push_back(digest);
+    if (collect_sink_) collect_sink_(bytes, digest);
+  });
+  msrm::write_header(enc, {space_.arch().name, types_->signature(), leaf_bytes_});
   // Ship the TI table so the destination can adopt shell types interned by
   // source code it will skip during restoration.
   types_->encode(enc);
@@ -181,19 +176,14 @@ void MigContext::do_migration(std::uint32_t label) {
     for (const LocalVar& var : globals_) collector.save_variable(var.addr);
   }
 
-  // One hash pass per stream: the digest already covers everything the
-  // tap saw (or, unstreamed, the payload hashed here), so sealing the
-  // trailer only adds the unflushed remainder.
-  std::size_t hashed = enc.flushed();
-  if (!collect_sink_) {
-    digest.update({enc.bytes().data(), enc.size()});
-    hashed = enc.size();
-  }
-  msrm::finish_stream(enc, digest, hashed);
-  enc.flush_sink();  // sub-chunk remainder (incl. the trailer) goes out too
+  // Every slice the tap has seen so far is a whole payload leaf, so
+  // sealing hashes only the unflushed tail leaf; the slice that then
+  // carries the tail and the trailer out is hashed by the tap once more.
+  // (A trailer put that flushes a slice grows chunk_digests_ only after
+  // finish_stream has read the leaves.)
+  collect_digest_ = msrm::finish_stream(enc, chunk_digests_);
+  enc.flush_sink();
   stream_ = enc.take();
-  if (!collect_sink_) digest.update({stream_.data() + hashed, stream_.size() - hashed});
-  collect_digest_ = digest.value();
   span.arg("stream_bytes", std::uint64_t{stream_.size()});
   metrics_.collect_seconds = span.finish();
   metrics_.stream_bytes = stream_.size();
@@ -222,31 +212,37 @@ void MigContext::begin_restore_streaming(ChunkAssembler& assembler) {
   restore_span_ = std::make_unique<obs::Span>("mig.restore");
   restore_before_ = obs::Registry::process().snapshot();
   restore_stream_.clear();
-  restore_digest_ = StreamDigest{};
-  restore_hashed_ = 0;
   // The decoder starts empty and pulls bytes from the assembler on
   // demand; restore_stream_ is consumer-owned, so the rebase after each
-  // fetch is single-threaded. Each refill also feeds the end-to-end
-  // digest while the fetched bytes are cache-hot; the checks themselves
-  // run at the migration point, once the whole stream has arrived.
+  // fetch is single-threaded. The end-to-end checks run at the migration
+  // point, once the whole stream has arrived, from the digests the rx
+  // thread took of each chunk as it received it.
   dec_.emplace(std::span<const std::uint8_t>{});
   dec_->set_refill([this](std::size_t min_total) {
     if (!assembler_->fetch(restore_stream_, min_total)) return false;
     dec_->rebase({restore_stream_.data(), restore_stream_.size()});
-    hash_fetched();
     return true;
   });
   restore_from_decoder();
 }
 
-void MigContext::hash_fetched() {
-  // Hold back the last kTrailerBytes: they may be the trailer, and the
-  // trailer check needs the digest's value as it stood just before it.
+std::uint64_t MigContext::restored_root() const {
   const std::size_t size = restore_stream_.size();
-  const std::size_t upto = size > msrm::kTrailerBytes ? size - msrm::kTrailerBytes : 0;
-  if (upto <= restore_hashed_) return;
-  restore_digest_.update({restore_stream_.data() + restore_hashed_, upto - restore_hashed_});
-  restore_hashed_ = upto;
+  const std::span<const std::uint8_t> payload(
+      restore_stream_.data(), size > msrm::kTrailerBytes ? size - msrm::kTrailerBytes : 0);
+  // Chunk i is leaf i while chunks are whole leaves and end before the
+  // trailer; a source that chunked otherwise only costs the hashing.
+  const std::vector<ChunkAddr> chunks = assembler_->chunk_addrs();
+  std::vector<std::uint64_t> leaves;
+  leaves.reserve(chunks.size());
+  for (const ChunkAddr& c : chunks) {
+    if (c.length != restore_leaf_bytes_ ||
+        (leaves.size() + 1) * std::size_t{restore_leaf_bytes_} > payload.size()) {
+      break;
+    }
+    leaves.push_back(c.digest);
+  }
+  return msrm::leaf_root(payload, restore_leaf_bytes_, leaves);
 }
 
 /// Shared restore prologue: header, type table, execution state, restorer,
@@ -258,6 +254,12 @@ void MigContext::restore_from_decoder() {
   // the tables only converge once the destination has re-executed its
   // prologues down to the migration point.
   header_signature_ = header.ti_signature;
+  restore_leaf_bytes_ = header.leaf_bytes;
+  if (assembler_ != nullptr && header.leaf_bytes != assembler_->chunk_bytes()) {
+    throw WireError("stream leaf size " + std::to_string(header.leaf_bytes) +
+                    " disagrees with the announced chunk size " +
+                    std::to_string(assembler_->chunk_bytes()));
+  }
   {
     const ti::TypeTable source_table = ti::TypeTable::decode(*dec_);
     if (source_table.signature() != header_signature_) {
@@ -334,23 +336,19 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     // stream against our own — FIRST, so corruption that slipped past
     // every frame seal is named for what it is — then run the whole-buffer
     // path's trailer check. Exactly the 9-byte trailer may stay undecoded.
-    // The refills already hashed all but the tail, and the trailer's seal
-    // is the digest's own value just before the trailer.
+    // The root comes from the digests the rx thread took of each chunk; of
+    // the stream's bytes only the tail leaf is hashed again here.
     const std::uint64_t total = assembler_->await_complete();
     while (restore_stream_.size() < total && assembler_->fetch(restore_stream_, total)) {
     }
     dec_->rebase({restore_stream_.data(), restore_stream_.size()});
-    hash_fetched();
-    const std::uint64_t payload_digest = restore_digest_.value();
-    restore_digest_.update(
-        {restore_stream_.data() + restore_hashed_, restore_stream_.size() - restore_hashed_});
-    restored_digest = restore_digest_.value();
+    restored_digest = restored_root();
     if (restored_digest != assembler_->end_info().digest) {
       throw MigrationError(
           "end-to-end digest mismatch: canonical stream damaged between "
           "collection and restoration despite intact frame seals");
     }
-    msrm::check_stream(restore_stream_, payload_digest);
+    msrm::check_stream(restore_stream_, restored_digest);
     if (dec_->remaining() != msrm::kTrailerBytes) {
       throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
                            " bytes after the last record (expected the 9-byte trailer)");

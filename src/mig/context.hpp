@@ -18,6 +18,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "mig/frame.hpp"
@@ -164,19 +166,38 @@ class MigContext {
   /// a second full-size copy.
   [[nodiscard]] Bytes take_stream() noexcept { return std::move(stream_); }
 
-  /// End-to-end digest (StreamDigest) of the last collected stream,
-  /// accumulated chunk-by-chunk as collection streams through the sink
-  /// (or in one pass after an unstreamed collection); the same pass's
-  /// value just before the trailer seals it. Carried in StateEnd and
-  /// re-verified on the destination before it may vote in the commit
-  /// phase.
+  /// End-to-end digest of the last collected stream: the root of its leaf
+  /// digests (msrm::leaf_root), built from the collect tap's chunk digests
+  /// plus the tail leaf, and the value its trailer seals. Carried in
+  /// StateEnd and re-derived on the destination before it may vote in the
+  /// commit phase.
   [[nodiscard]] std::uint64_t stream_digest() const noexcept { return collect_digest_; }
 
+  /// StreamDigest of each `leaf_bytes` slice of the last collected stream,
+  /// in order (slice i = stream()[i*leaf, (i+1)*leaf), the last one short
+  /// and holding the trailer): taken once, as collection produced each
+  /// slice, to seal its StateChunk and name it in a dedup manifest.
+  [[nodiscard]] const std::vector<std::uint64_t>& chunk_digests() const noexcept {
+    return chunk_digests_;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> take_chunk_digests() noexcept {
+    return std::move(chunk_digests_);
+  }
+
+  /// Leaf size (stream grammar v4) of every later collection, with a sink
+  /// or without: the chunk size the stream will travel in.
+  /// msrm::kDefaultLeafBytes until set.
+  void set_leaf_bytes(std::uint32_t leaf_bytes) noexcept { leaf_bytes_ = leaf_bytes; }
+
+  /// One collected chunk and the StreamDigest the collect tap took of it.
+  using ChunkSink =
+      std::function<void(std::span<const std::uint8_t> chunk, std::uint64_t digest)>;
+
   /// Pipelined collection: stream the encoded state through `sink` in
-  /// `chunk_bytes` slices while the collection DFS is still walking the
+  /// leaf-sized slices while the collection DFS is still walking the
   /// graph. Install before the program starts. The full stream is still
   /// retained (stream()) so a failed transfer can be resumed or replayed.
-  void set_collect_sink(std::size_t chunk_bytes, xdr::Encoder::SinkFn sink);
+  void set_collect_sink(ChunkSink sink) { collect_sink_ = std::move(sink); }
 
   /// --- restoration --------------------------------------------------------
   /// Parse and validate a migration stream; the caller then re-runs the
@@ -185,9 +206,11 @@ class MigContext {
 
   /// Streaming variant: decode the stream incrementally as chunks land in
   /// `assembler` (which must outlive restoration). Blocks whenever the
-  /// decoder outruns the network. End-to-end checks (digest, trailer seal,
-  /// byte totals) run once the stream completes, at the migration
-  /// poll-point.
+  /// decoder outruns the network. The header's leaf size must equal the
+  /// assembler's announced chunk size (hpm::WireError otherwise).
+  /// End-to-end checks (the leaf root from the assembler's chunk digests
+  /// against StateEnd's digest, the trailer seal, byte totals) run once the
+  /// stream completes, at the migration poll-point.
   void begin_restore_streaming(ChunkAssembler& assembler);
 
   /// Transactional handoff hook, streaming restores only: invoked at the
@@ -222,8 +245,10 @@ class MigContext {
                  std::uint32_t count);
   void do_migration(std::uint32_t label);
   void restore_from_decoder();
-  /// Feed restore_digest_ every fetched byte except the last five.
-  void hash_fetched();
+  /// Leaf root of the chunked stream now in restore_stream_: the
+  /// assembler's chunk digests for every chunk that is a whole leaf, the
+  /// rest (the tail leaf) hashed here.
+  std::uint64_t restored_root() const;
   void finish_restore(Frame& frame, std::uint32_t label);
   void bind_saved(const SavedVar& saved, const LocalVar& dest);
 
@@ -241,8 +266,9 @@ class MigContext {
 
   Mode mode_ = Mode::Normal;
   Bytes stream_;
-  std::size_t collect_chunk_ = 0;
-  xdr::Encoder::SinkFn collect_sink_;
+  std::uint32_t leaf_bytes_ = msrm::kDefaultLeafBytes;
+  ChunkSink collect_sink_;
+  std::vector<std::uint64_t> chunk_digests_;
   std::uint64_t collect_digest_ = 0;
   std::function<void(std::uint64_t)> commit_gate_;
 
@@ -250,10 +276,7 @@ class MigContext {
   ChunkAssembler* assembler_ = nullptr;  ///< non-null while restoring a chunked stream
   obs::MetricsSnapshot restore_before_;
   Bytes restore_stream_;
-  /// End-to-end digest of restore_stream_[0, restore_hashed_), fed by
-  /// the chunked restore's refills (hash_fetched).
-  StreamDigest restore_digest_;
-  std::size_t restore_hashed_ = 0;
+  std::uint32_t restore_leaf_bytes_ = 0;  ///< the restored stream's header leaf size
   std::optional<xdr::Decoder> dec_;
   std::unique_ptr<msrm::Restorer> restorer_;
   ExecutionState exec_;

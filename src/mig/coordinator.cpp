@@ -118,6 +118,7 @@ MigrationReport run_spool_migration(const RunOptions& options) {
     options.register_types(types);
     MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
+    ctx.set_leaf_bytes(options.chunk_bytes);
     const bool collected = run_source_program(options, ctx);
     report.source_polls = ctx.poll_count();
     if (!collected) return report;  // ran to completion without migrating
@@ -179,6 +180,11 @@ MigrationReport observed_run(const RunOptions& options, std::uint32_t session, B
 void require_program(const RunOptions& options, const char* entry) {
   if (!options.register_types || !options.program) {
     throw MigrationError(std::string(entry) + " requires register_types and program");
+  }
+  // The chunk size is the stream's leaf size, which its header carries.
+  if (options.chunk_bytes == 0 || options.chunk_bytes > msrm::kMaxLeafBytes) {
+    throw MigrationError(std::string(entry) + " requires chunk_bytes in [1, " +
+                         std::to_string(msrm::kMaxLeafBytes) + "]");
   }
 }
 

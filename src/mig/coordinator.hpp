@@ -98,8 +98,11 @@ struct RunOptions {
   /// so it always spools the collected stream and ignores this flag.
   bool pipeline = false;
 
-  /// Chunk payload size of the transaction's StateChunks.
-  std::uint32_t chunk_bytes = 64 * 1024;
+  /// Chunk payload size of the transaction's StateChunks, and the leaf
+  /// size of the stream every transport collects (stream grammar v4): its
+  /// root, the reported stream_digest, depends on it. Must lie in
+  /// [1, msrm::kMaxLeafBytes].
+  std::uint32_t chunk_bytes = msrm::kDefaultLeafBytes;
 
   /// --- fault tolerance ----------------------------------------------------
 
@@ -148,8 +151,9 @@ struct RunOptions {
   /// list (ManifestBegin/ManifestChunk), the destination answers with the
   /// indices its persistent ChunkStore in that directory cannot produce
   /// (ManifestAck), and only those misses travel as StateChunks — cache
-  /// hits are spliced locally. The StateEnd digest still verifies the
-  /// reassembled stream end to end, so a poisoned cache can never be
+  /// hits are spliced locally. The destination checks the StateEnd digest
+  /// against the root of its own digests of every chunk, received or
+  /// verified by the store's load(), so a poisoned cache can never be
   /// restored. Dedup collects the full stream before sending (the
   /// manifest needs every address), forfeiting collect/tx overlap in
   /// exchange for the byte savings.
@@ -241,11 +245,13 @@ struct MigrationReport {
   /// (0 = no transaction ran: File).
   std::uint64_t txn_id = 0;
 
-  /// End-to-end StreamDigest of the canonical stream (0 = no stream
-  /// was collected), reported on every path, File included. When a
-  /// transaction migrated, the destination
-  /// verified its reassembled stream against this value before voting, so
-  /// equal digests across two runs certify bit-identical restored state.
+  /// End-to-end digest of the canonical stream, the root of its leaf
+  /// digests (0 = no stream was collected), reported on every path, File
+  /// included. When a transaction migrated, the destination checked it
+  /// before voting against the root of its own digests of every chunk as
+  /// it was received or loaded, so equal digests across two runs at one
+  /// `chunk_bytes` (the leaf size) certify that both destinations got the
+  /// same stream (the assembly after that is trusted: DESIGN.md §15).
   std::uint64_t stream_digest = 0;
 
   /// --- failover accounting (failover.standbys set; 0 otherwise) ------------

@@ -305,7 +305,10 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
       try {
         const std::uint32_t seq = net::decode_state_chunk_seq(msg.payload);
         if (!manifest_announced) {
-          assembler.append(seq, std::span<const std::uint8_t>(msg.payload).subspan(4));
+          // The digest recv_message took to check the seal is the chunk's
+          // leaf digest: the restorer's root is built from it.
+          assembler.append(seq, std::span<const std::uint8_t>(msg.payload).subspan(4),
+                           msg.body_digest);
         } else {
           // Dedup framing: u32 seq | u8 codec tag | body.
           if (msg.payload.size() < 5) throw NetError("coded chunk: short payload");
@@ -323,16 +326,23 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
           } else if (tag != 0) {
             throw NetError("coded chunk: unknown codec tag");
           }
+          // The frame's body digest covers the tag and the coded bytes, so
+          // the decoded chunk's digest comes from put(), which hashes the
+          // body to address it — self-addressing, so a lying manifest
+          // cannot poison the cache (DESIGN.md §15). Caching is
+          // best-effort: a full disk must not fail the migration, only the
+          // next run's dedup.
+          std::uint64_t digest = 0;
+          bool addressed = false;
           if (store != nullptr) {
-            // Best-effort: a full disk must not fail the migration, only
-            // the next run's dedup. put() self-addresses the body, so a
-            // lying manifest cannot poison the cache (DESIGN.md §15).
             try {
-              store->put(body);
+              digest = store->put(body).digest;
+              addressed = true;
             } catch (...) {
             }
           }
-          assembler.append(seq, body);
+          if (!addressed) digest = StreamDigest::of(body);
+          assembler.append(seq, body, digest);
         }
       } catch (const NetError&) {
         // ProtocolError from the assembler (already poisoned with the

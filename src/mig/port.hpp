@@ -30,6 +30,11 @@ class MessagePort {
   virtual ~MessagePort() = default;
 
   virtual void send(net::MsgType type, std::span<const std::uint8_t> payload) = 0;
+  /// One StateChunk sealed from `body_digest`, the body's StreamDigest the
+  /// caller holds (net::send_state_chunk): the same frame send() would
+  /// make of encode_state_chunk(seq, body), without hashing the body.
+  virtual void send_chunk(std::uint32_t seq, std::span<const std::uint8_t> body,
+                          std::uint64_t body_digest) = 0;
   virtual net::Message recv() = 0;
 
   /// Deadline for each subsequent send/recv (0 = block without bound).
@@ -56,6 +61,10 @@ class DirectPort final : public MessagePort {
   void send(net::MsgType type, std::span<const std::uint8_t> payload) override {
     net::send_message(*ch_, type, payload);
   }
+  void send_chunk(std::uint32_t seq, std::span<const std::uint8_t> body,
+                  std::uint64_t body_digest) override {
+    net::send_state_chunk(*ch_, seq, body, body_digest);
+  }
   net::Message recv() override { return net::recv_message(*ch_); }
   void set_timeout(std::chrono::milliseconds timeout) override { ch_->set_timeout(timeout); }
   void close() override { ch_->close(); }
@@ -80,6 +89,11 @@ class SeveringPort final : public MessagePort {
   void send(net::MsgType type, std::span<const std::uint8_t> payload) override {
     spend();
     inner_->send(type, payload);
+  }
+  void send_chunk(std::uint32_t seq, std::span<const std::uint8_t> body,
+                  std::uint64_t body_digest) override {
+    spend();
+    inner_->send_chunk(seq, body, body_digest);
   }
   net::Message recv() override {
     spend();
@@ -120,6 +134,10 @@ class BlackholePort final : public MessagePort {
 
   void send(net::MsgType type, std::span<const std::uint8_t> payload) override {
     if (spend()) inner_->send(type, payload);
+  }
+  void send_chunk(std::uint32_t seq, std::span<const std::uint8_t> body,
+                  std::uint64_t body_digest) override {
+    if (spend()) inner_->send_chunk(seq, body, body_digest);
   }
 
   net::Message recv() override {

@@ -13,10 +13,18 @@ namespace hpm::mig {
 
 RetainedStream::~RetainedStream() { release(); }
 
-void RetainedStream::set(Bytes stream) {
+void RetainedStream::set(Bytes stream, std::vector<std::uint64_t> chunk_digests) {
   release();
   memory_ = std::move(stream);
+  chunk_digests_ = std::move(chunk_digests);
   size_ = memory_.size();
+}
+
+std::uint64_t RetainedStream::chunk_digest(std::uint64_t seq) const {
+  if (seq >= chunk_digests_.size()) {
+    throw MigrationError("retained stream holds no digest for chunk " + std::to_string(seq));
+  }
+  return chunk_digests_[seq];
 }
 
 void RetainedStream::spill(const std::string& path) {
@@ -88,6 +96,7 @@ void RetainedStream::release() {
     path_.clear();
   }
   memory_ = Bytes();
+  chunk_digests_.clear();
   size_ = 0;
 }
 

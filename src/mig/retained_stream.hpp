@@ -10,12 +10,15 @@
 // and can spill them to an fsync'd file (RunOptions::retain_dir), after
 // which reads are served by pread and the heap copy is freed. Either way
 // the chunk math is identical: the stream is an immutable byte array
-// from the moment collection finishes.
+// from the moment collection finishes. The collect tap's chunk digests stay
+// in memory beside it (8 bytes per chunk), so a replay seals its frames
+// and a manifest names its chunks without hashing the stream again.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/hexdump.hpp"
 
@@ -34,8 +37,13 @@ class RetainedStream {
   RetainedStream(const RetainedStream&) = delete;
   RetainedStream& operator=(const RetainedStream&) = delete;
 
-  /// Adopt the collected stream (memory mode).
-  void set(Bytes stream);
+  /// Adopt the collected stream (memory mode) and the StreamDigest of each
+  /// of its chunks, in order (MigContext::chunk_digests()).
+  void set(Bytes stream, std::vector<std::uint64_t> chunk_digests);
+
+  /// The collect tap's digest of chunk `seq`. Throws hpm::MigrationError
+  /// past the last one.
+  [[nodiscard]] std::uint64_t chunk_digest(std::uint64_t seq) const;
 
   /// Write the retained bytes to `path` (fsync'd), then free the heap
   /// copy: reads switch to pread against the spill file. Throws
@@ -64,6 +72,7 @@ class RetainedStream {
 
  private:
   Bytes memory_;
+  std::vector<std::uint64_t> chunk_digests_;
   std::string path_;
   int fd_ = -1;
   std::uint64_t size_ = 0;

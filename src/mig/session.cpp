@@ -3,6 +3,11 @@
 #include <cstdio>
 
 #include "mig/mig_metrics.hpp"
+#include "msrm/stream.hpp"
+
+// Every leaf size a stream header may name fits one StateChunk frame: the
+// body plus its u32 seq and the dedup codec tag stay under the frame cap.
+static_assert(std::size_t{hpm::msrm::kMaxLeafBytes} + 5 == hpm::net::kMaxFramePayload);
 
 namespace hpm::mig {
 
@@ -114,6 +119,12 @@ void SessionMachine::reject_locked(std::string why) {
   abort_reason_ = why;
   transition_locked(SessionState::Aborted);
   throw MigrationError(why);
+}
+
+void SessionMachine::hostile_locked(std::string why) {
+  abort_reason_ = why;
+  transition_locked(SessionState::Aborted);
+  throw ProtocolError(why);
 }
 
 /// ---- SourceSession --------------------------------------------------------
@@ -341,6 +352,15 @@ SessionState DestSession::on_frame(const net::Message& frame) {
     case net::MsgType::StateBegin:
       if (state_ != SessionState::Hello) illegal_locked(frame.type);
       begin_ = net::decode_state_begin(frame.payload);
+      // The chunk size is the stream's leaf size and sizes the assembly
+      // buffer's reserve stride: a zero or over-cap one is refused before
+      // anything is allocated for it.
+      if (begin_.chunk_bytes == 0 || begin_.chunk_bytes > msrm::kMaxLeafBytes) {
+        hostile_locked(std::string(role_) + " session " + std::to_string(id_) +
+                       ": StateBegin announces chunk size " +
+                       std::to_string(begin_.chunk_bytes) + " outside [1, " +
+                       std::to_string(msrm::kMaxLeafBytes) + "]");
+      }
       txn_ = begin_.txn_id;
       transition_locked(SessionState::Streaming);
       break;
@@ -385,15 +405,11 @@ SessionState DestSession::on_frame(const net::Message& frame) {
       // buggy, the same taxonomy as a chunk sequence gap.
       if (batch.first_index != manifest_seen_ ||
           batch.entries.size() > manifest_total_ - manifest_seen_) {
-        const std::string why = std::string(role_) + " session " + std::to_string(id_) +
-                                ": ManifestChunk batch at index " +
-                                std::to_string(batch.first_index) + " (" +
-                                std::to_string(batch.entries.size()) + " entries) out of " +
-                                std::to_string(manifest_total_) + " does not follow index " +
-                                std::to_string(manifest_seen_);
-        abort_reason_ = why;
-        transition_locked(SessionState::Aborted);
-        throw ProtocolError(why);
+        hostile_locked(std::string(role_) + " session " + std::to_string(id_) +
+                       ": ManifestChunk batch at index " + std::to_string(batch.first_index) +
+                       " (" + std::to_string(batch.entries.size()) + " entries) out of " +
+                       std::to_string(manifest_total_) + " does not follow index " +
+                       std::to_string(manifest_seen_));
       }
       manifest_seen_ += static_cast<std::uint32_t>(batch.entries.size());
       break;

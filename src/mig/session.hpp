@@ -94,6 +94,9 @@ class SessionMachine {
   [[noreturn]] void illegal_event_locked(const char* event);
   /// Poison into Aborted and throw MigrationError(why).
   [[noreturn]] void reject_locked(std::string why);
+  /// Poison into Aborted and throw ProtocolError(why): a frame whose
+  /// content no correct peer sends.
+  [[noreturn]] void hostile_locked(std::string why);
 
   mutable std::mutex mu_;
   SessionState state_ = SessionState::Idle;

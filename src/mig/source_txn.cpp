@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "mig/chunk_queue.hpp"
-#include "mig/chunk_store.hpp"
 #include "mig/dest_host.hpp"
 #include "mig/endpoint_util.hpp"
 #include "mig/mig_metrics.hpp"
@@ -196,7 +195,9 @@ TxnResult run_pipelined_transaction(
   CoordinatorMetrics::get().attempts.add(1);
   report.attempts = 1;
 
-  const std::size_t cb = std::max<std::size_t>(1, options.chunk_bytes);
+  // The chunk size is also the stream's leaf size (grammar v4):
+  // run_migration has checked it lies in [1, msrm::kMaxLeafBytes].
+  const std::uint32_t cb = options.chunk_bytes;
   // Dedup'd transfer (DESIGN.md §15): the manifest needs every chunk
   // address up front, so the stream is collected in full before anything
   // but StateBegin goes out — no sender thread, no collect sink. With
@@ -247,15 +248,16 @@ TxnResult run_pipelined_transaction(
 
   // Chunk reads go through the retained stream so memory-resident and
   // disk-spilled streams replay identically; the buffer is reused by the
-  // strictly sequential send loops.
+  // strictly sequential send loops. Each chunk is sealed and named by the
+  // digest the collect tap took of it, kept beside the retained stream.
   Bytes chunk_buf;
+  auto chunk_len = [&](std::uint64_t seq) {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(cb, stream.size() - seq * cb));
+  };
   auto read_chunk = [&](std::uint64_t seq) -> std::span<const std::uint8_t> {
-    const std::uint64_t off = seq * cb;
-    const auto len = static_cast<std::size_t>(
-        std::min<std::uint64_t>(cb, stream.size() - off));
-    chunk_buf.resize(len);
-    stream.read(off, chunk_buf);
-    return {chunk_buf.data(), len};
+    chunk_buf.resize(chunk_len(seq));
+    stream.read(seq * cb, chunk_buf);
+    return chunk_buf;
   };
 
   /// Chunks [from, end) of the retained stream, then StateEnd, on the
@@ -268,9 +270,11 @@ TxnResult run_pipelined_transaction(
     for (std::uint64_t seq = from; seq < end.chunk_count; ++seq) {
       const std::span<const std::uint8_t> body = read_chunk(seq);
       const auto seq32 = static_cast<std::uint32_t>(seq);
-      src_port->send(net::MsgType::StateChunk,
-                     coded ? net::encode_state_chunk_coded(seq32, 0, body)
-                           : net::encode_state_chunk(seq32, body));
+      if (coded) {
+        src_port->send(net::MsgType::StateChunk, net::encode_state_chunk_coded(seq32, 0, body));
+      } else {
+        src_port->send_chunk(seq32, body, stream.chunk_digest(seq));
+      }
       pm.chunks.add(1);
       pm.chunk_bytes.record(static_cast<double>(body.size()));
     }
@@ -289,8 +293,7 @@ TxnResult run_pipelined_transaction(
     const std::uint8_t caps = codec_caps_of(options.wire_codec);
     std::uint64_t wire = 0;
     {
-      const Bytes payload =
-          net::encode_manifest_begin({txn, nchunks, options.chunk_bytes, caps});
+      const Bytes payload = net::encode_manifest_begin({txn, nchunks, cb, caps});
       wire += payload.size();
       src_port->send(net::MsgType::ManifestBegin, payload);
     }
@@ -298,8 +301,9 @@ TxnResult run_pipelined_transaction(
     batch.reserve(net::kManifestEntriesPerFrame);
     std::uint32_t batch_first = 0;
     for (std::uint32_t i = 0; i < nchunks; ++i) {
-      const ChunkAddr addr = ChunkStore::address_of(read_chunk(i));
-      batch.push_back({addr.digest, addr.length});
+      // Chunk i's address is the collect tap's digest of it: naming costs
+      // no pass over the stream.
+      batch.push_back({stream.chunk_digest(i), chunk_len(i)});
       if (batch.size() == net::kManifestEntriesPerFrame || i + 1 == nchunks) {
         const Bytes payload = net::encode_manifest_chunk(batch_first, batch);
         wire += payload.size();
@@ -368,8 +372,7 @@ TxnResult run_pipelined_transaction(
   /// it on the wire.
   auto begin_stream = [&](std::uint32_t inc, const std::string& note) {
     src_journal.append({JournalRecordType::Begin, txn, 0, inc, note});
-    src_port->send(net::MsgType::StateBegin,
-                   net::encode_state_begin({options.chunk_bytes, txn, inc}));
+    src_port->send(net::MsgType::StateBegin, net::encode_state_begin({cb, txn, inc}));
   };
 
   /// The commit phase on the current port: unless it throws, the attempt
@@ -451,7 +454,7 @@ TxnResult run_pipelined_transaction(
       try {
         PipelineMetrics& pm = PipelineMetrics::get();
         std::unique_ptr<obs::Span> tx_span;
-        Bytes chunk;
+        QueuedChunk chunk;
         std::uint32_t seq = 0;
         while (queue.pop(chunk)) {
           if (tx_span == nullptr) {
@@ -460,9 +463,9 @@ TxnResult run_pipelined_transaction(
                          std::string(net::transport_name(options.transport)));
             begin_stream(1, "source");
           }
-          src_port->send(net::MsgType::StateChunk, net::encode_state_chunk(seq++, chunk));
+          src_port->send_chunk(seq++, chunk.bytes, chunk.digest);
           pm.chunks.add(1);
-          pm.chunk_bytes.record(static_cast<double>(chunk.size()));
+          pm.chunk_bytes.record(static_cast<double>(chunk.bytes.size()));
         }
         if (const auto e = queue.end_info()) {
           src_port->send(net::MsgType::StateEnd, net::encode_state_end(*e));
@@ -478,10 +481,11 @@ TxnResult run_pipelined_transaction(
     options.register_types(types);
     MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
+    ctx.set_leaf_bytes(cb);
     if (overlap) {
-      ctx.set_collect_sink(options.chunk_bytes, [&](std::span<const std::uint8_t> bytes) {
+      ctx.set_collect_sink([&](std::span<const std::uint8_t> bytes, std::uint64_t d) {
         if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();
-        queue.push(Bytes(bytes.begin(), bytes.end()));
+        queue.push({Bytes(bytes.begin(), bytes.end()), d});
       });
     }
     try {
@@ -491,7 +495,8 @@ TxnResult run_pipelined_transaction(
       throw;
     }
     if (collected) {
-      stream.set(ctx.take_stream());  // retained for resumes, retries, failover
+      // Retained, with its chunk digests, for resumes, retries, failover.
+      stream.set(ctx.take_stream(), ctx.take_chunk_digests());
       digest = ctx.stream_digest();
       report.stream_digest = digest;
       report.stream_bytes = stream.size();

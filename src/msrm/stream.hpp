@@ -3,8 +3,12 @@
 // Grammar (canonical encoding throughout):
 //
 //   Stream  := Header ...payload... Trailer
-//   Header  := u32 'HPMG' | u16 version | str source-arch | u64 ti-signature
-//   Trailer := u8 0x7E | u64 StreamDigest(everything before the trailer)
+//   Header  := u32 'HPMG' | u16 version | u64 leaf-bytes | str source-arch
+//              | u64 ti-signature
+//   Trailer := u8 0x7E | u64 LeafRoot(Header ...payload...)
+//
+//   LeafRoot(P) := StreamDigest(be64 d_0 | be64 d_1 | ... | be64 d_n-1)
+//   d_i         := StreamDigest(P[i*L, min((i+1)*L, |P|)))   L = leaf-bytes
 //
 //   PtrVal  := u8 PNULL
 //            | u8 PREF  u64 block-id u64 leaf-ordinal
@@ -33,8 +37,19 @@
 // reference to its block, every prefix of the payload is decodable — the
 // property the chunked/pipelined transfer of src/mig relies on to start
 // restoration before the stream ends. The chunking itself lives in the
-// message layer (net::MsgType::StateBegin/StateChunk/StateEnd); chunk
-// boundaries are byte-positional and carry no grammar significance.
+// message layer (net::MsgType::StateBegin/StateChunk/StateEnd): chunk i
+// is the stream's bytes [i*L, (i+1)*L), so every chunk wholly before the
+// trailer is a leaf, and the digest a side takes of a chunk (the collect
+// tap's, the frame receiver's) is the leaf digest the root is built from.
+// Only the last, partial leaf shares its chunk with the trailer and is
+// hashed once more on its own. The root depends on L: two streams of one
+// process state have equal roots only at equal leaf size.
+//
+// leaf-bytes is a u64 although it never exceeds kMaxLeafBytes: an 8-byte
+// field keeps the header's length, and so every payload word's offset
+// from its chunk start, the same modulo 8 as in v3. The dedup codec
+// (mig/wire_codec) deltas 8-byte words counted from each chunk's start;
+// a 4-byte field would misalign every double and u64 it sees.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +64,18 @@ namespace hpm::msrm {
 
 inline constexpr std::uint32_t kMagic = 0x48504D47;  // "HPMG"
 // v2 added the self-describing FlatBody tag for pointer-free PNEW bodies;
-// v3 seals the stream with the u64 StreamDigest (v2's trailer was CRC-32).
-inline constexpr std::uint16_t kVersion = 3;
+// v3 sealed the stream with the u64 StreamDigest (v2's trailer was CRC-32);
+// v4 adds the header's u64 leaf size and seals with the root of the leaf
+// digests (v3's trailer digested the payload in one piece).
+inline constexpr std::uint16_t kVersion = 4;
+
+/// Leaf size of a stream collected without a chunked transfer in view
+/// (checkpoints, and the default RunOptions::chunk_bytes).
+inline constexpr std::uint32_t kDefaultLeafBytes = 64 * 1024;
+/// Largest leaf size a header may name: the most body one StateChunk frame
+/// carries under net's frame cap (2^28 payload bytes, less the u32 seq and
+/// the dedup codec tag).
+inline constexpr std::uint32_t kMaxLeafBytes = (1u << 28) - 5;
 
 /// Pointer-value tags.
 enum : std::uint8_t {
@@ -66,30 +91,50 @@ enum : std::uint8_t {
 };
 
 inline constexpr std::uint8_t kTrailerTag = 0x7E;
-inline constexpr std::size_t kTrailerBytes = 9;  ///< tag + u64 payload digest
+inline constexpr std::size_t kTrailerBytes = 9;  ///< tag + u64 leaf root
 
 struct StreamHeader {
   std::string source_arch;
   std::uint64_t ti_signature = 0;
+  std::uint32_t leaf_bytes = kDefaultLeafBytes;
 };
 
+/// Throws hpm::WireError for a leaf size outside [1, kMaxLeafBytes].
 void write_header(xdr::Encoder& enc, const StreamHeader& header);
 
-/// Reads and validates magic + version; throws hpm::WireError on mismatch.
+/// Reads and validates magic, version and leaf size; throws
+/// hpm::WireError on a mismatch.
 StreamHeader read_header(xdr::Decoder& dec);
 
-/// Append the trailer; call once, after all payload. `prefix` is a digest
-/// that has already seen the stream's first `prefix_len` bytes (the
-/// collect tap's), so only the bytes after them are hashed here.
-void finish_stream(xdr::Encoder& enc, StreamDigest prefix = {}, std::size_t prefix_len = 0);
+/// read_header over the start of `stream`, recording nothing under
+/// `xdr.decode.*` (the stream's own decoder counts it).
+StreamHeader read_header(std::span<const std::uint8_t> stream);
+
+/// LeafRoot of `payload` cut into `leaf_bytes` leaves. The first
+/// known.size() leaves are whole leaves whose digests the caller already
+/// holds; only the bytes after them are hashed here. Throws hpm::WireError
+/// for a leaf size outside [1, kMaxLeafBytes].
+std::uint64_t leaf_root(std::span<const std::uint8_t> payload, std::uint32_t leaf_bytes,
+                        std::span<const std::uint64_t> known = {});
+
+/// Append the trailer after all payload (the encoder holds the whole
+/// stream from its header on) and return the root it seals. `known` are
+/// digests of leading whole leaves, as for leaf_root.
+std::uint64_t finish_stream(xdr::Encoder& enc, std::span<const std::uint64_t> known = {});
 
 /// Validate the trailer and return the payload span (header included,
 /// trailer excluded). Throws hpm::WireError on corruption or truncation.
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream);
 
-/// Same checks against a `payload_digest` the caller computed over every
-/// byte but the last kTrailerBytes in its own pass over the stream.
+/// Same checks against a `root` the caller derived from its own leaf
+/// digests of the payload.
 std::span<const std::uint8_t> check_stream(std::span<const std::uint8_t> stream,
-                                           std::uint64_t payload_digest);
+                                           std::uint64_t root);
+
+/// Rewrite a valid stream's header to leaf size `leaf_bytes` and re-seal
+/// it: the payload after the header does not depend on the leaf size, so
+/// this yields the stream a collection at that leaf size would have made.
+/// Throws hpm::WireError if `stream` does not check.
+void reseal_stream(Bytes& stream, std::uint32_t leaf_bytes);
 
 }  // namespace hpm::msrm

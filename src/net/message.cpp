@@ -41,36 +41,79 @@ std::uint32_t get_u32_be(const std::uint8_t* in) {
          (static_cast<std::uint32_t>(in[2]) << 8) | static_cast<std::uint32_t>(in[3]);
 }
 
+/// Payload bytes before a StateChunk's body: the u32 seq.
+constexpr std::size_t kSeqBytes = 4;
+/// A StateChunk frame's sealed head: type, length and seq.
+constexpr std::size_t kChunkHead = 5 + kSeqBytes;
+
+/// The seal of a StateChunk frame from its head and its body's digest.
+std::uint32_t chunk_seal(std::span<const std::uint8_t, kChunkHead> head,
+                         std::uint64_t body_digest) noexcept {
+  std::array<std::uint8_t, kChunkHead + 8> sealed{};
+  std::memcpy(sealed.data(), head.data(), kChunkHead);
+  for (int i = 0; i < 8; ++i) {
+    sealed[kChunkHead + i] = static_cast<std::uint8_t>(body_digest >> (56 - 8 * i));
+  }
+  return fold32(StreamDigest::of(sealed));
+}
+
+/// Acquire a pooled frame of `payload_len` payload bytes with its type and
+/// length written; the caller fills the payload, seals and ships it.
+Bytes open_frame(MsgType type, std::size_t payload_len) {
+  Bytes frame = BufferPool::process().acquire(5 + payload_len + 4);
+  frame[0] = static_cast<std::uint8_t>(type);
+  put_u32_be(frame.data() + 1, static_cast<std::uint32_t>(payload_len));
+  return frame;
+}
+
+void ship_frame(ByteChannel& ch, Bytes frame) {
+  const std::size_t total = frame.size();
+  ch.send(frame);
+  BufferPool::process().release(std::move(frame));
+  FrameMetrics& m = FrameMetrics::get();
+  m.sent.add(1);
+  m.bytes_sent.add(total);
+}
+
 }  // namespace
 
 void seal_frame(std::span<std::uint8_t> frame) noexcept {
   const std::size_t body = frame.size() - 4;
-  put_u32_be(frame.data() + body, fold32(StreamDigest::of(frame.first(body))));
+  std::uint32_t seal = 0;
+  if (frame[0] == static_cast<std::uint8_t>(MsgType::StateChunk) && body >= kChunkHead) {
+    const std::uint64_t d = StreamDigest::of(frame.subspan(kChunkHead, body - kChunkHead));
+    seal = chunk_seal(frame.first<kChunkHead>(), d);
+  } else {
+    seal = fold32(StreamDigest::of(frame.first(body)));
+  }
+  put_u32_be(frame.data() + body, seal);
 }
 
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload) {
   // One pooled buffer and a single channel send per frame: chunked
   // transfers emit thousands of frames per migration, so per-frame
   // allocation and triple syscalls both matter.
-  const std::size_t total = 5 + payload.size() + 4;
-  BufferPool& pool = BufferPool::process();
-  Bytes frame = pool.acquire(total);
-  frame[0] = static_cast<std::uint8_t>(type);
-  put_u32_be(frame.data() + 1, static_cast<std::uint32_t>(payload.size()));
+  Bytes frame = open_frame(type, payload.size());
   if (!payload.empty()) std::memcpy(frame.data() + 5, payload.data(), payload.size());
   seal_frame(frame);
-  ch.send(frame);
-  pool.release(std::move(frame));
-  FrameMetrics& m = FrameMetrics::get();
-  m.sent.add(1);
-  m.bytes_sent.add(total);
+  ship_frame(ch, std::move(frame));
+}
+
+void send_state_chunk(ByteChannel& ch, std::uint32_t seq, std::span<const std::uint8_t> body,
+                      std::uint64_t body_digest) {
+  Bytes frame = open_frame(MsgType::StateChunk, kSeqBytes + body.size());
+  put_u32_be(frame.data() + 5, seq);
+  if (!body.empty()) std::memcpy(frame.data() + kChunkHead, body.data(), body.size());
+  put_u32_be(frame.data() + frame.size() - 4,
+             chunk_seal(std::span<const std::uint8_t>(frame).first<kChunkHead>(), body_digest));
+  ship_frame(ch, std::move(frame));
 }
 
 Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   // The type byte is vetted before anything else of the frame is read.
-  std::array<std::uint8_t, 1> type{};
-  ch.recv(type);
-  const std::uint8_t raw_type = type[0];
+  std::array<std::uint8_t, 5> head{};
+  ch.recv(std::span(head).first(1));
+  const std::uint8_t raw_type = head[0];
   if (raw_type < 1 || raw_type > kMaxMsgType) {
     throw NetError("malformed frame: unknown message type " + std::to_string(raw_type));
   }
@@ -78,12 +121,8 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload) {
     throw NetError("malformed frame: reserved message type " + std::to_string(raw_type) +
                    " (a retired frame)");
   }
-  StreamDigest digest;
-  digest.update(type);
-  std::array<std::uint8_t, 4> len_be{};
-  ch.recv(len_be);
-  digest.update(len_be);
-  const std::uint32_t len = get_u32_be(len_be.data());
+  ch.recv(std::span(head).subspan(1));
+  const std::uint32_t len = get_u32_be(head.data() + 1);
   // Validate the (possibly hostile or corrupted) length prefix before a
   // single byte is allocated for it.
   if (len > max_payload) {
@@ -94,17 +133,31 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   msg.type = static_cast<MsgType>(raw_type);
   msg.payload.resize(len);
   if (len > 0) ch.recv(msg.payload);
-  digest.update(msg.payload);
   std::array<std::uint8_t, 4> trailer{};
   ch.recv(trailer);
-  if (get_u32_be(trailer.data()) != fold32(digest.value())) {
+  // One pass over the payload either way: a StateChunk's body digest is
+  // both what its seal folds in and what the receiver keeps.
+  std::uint32_t seal = 0;
+  if (msg.type == MsgType::StateChunk && len >= kSeqBytes) {
+    msg.body_digest = StreamDigest::of(std::span(msg.payload).subspan(kSeqBytes));
+    std::array<std::uint8_t, kChunkHead> chunk_head{};
+    std::memcpy(chunk_head.data(), head.data(), head.size());
+    std::memcpy(chunk_head.data() + head.size(), msg.payload.data(), kSeqBytes);
+    seal = chunk_seal(chunk_head, msg.body_digest);
+  } else {
+    StreamDigest digest;
+    digest.update(head);
+    digest.update(msg.payload);
+    seal = fold32(digest.value());
+  }
+  if (get_u32_be(trailer.data()) != seal) {
     FrameMetrics::get().seal_failures.add(1);
     throw NetError("frame seal mismatch: " + std::to_string(len) +
                    "-byte payload damaged in transit");
   }
   FrameMetrics& m = FrameMetrics::get();
   m.recv.add(1);
-  m.bytes_recv.add(type.size() + len_be.size() + msg.payload.size() + trailer.size());
+  m.bytes_recv.add(head.size() + msg.payload.size() + trailer.size());
   return msg;
 }
 

@@ -5,7 +5,8 @@
 // turns the raw byte stream into those messages with an explicit type tag
 // so protocol errors are detected instead of mis-parsed. Every frame
 // carries a 4-byte seal over header+payload (the StreamDigest folded to 32
-// bits, seal_frame), so a transfer corrupted in flight surfaces as a
+// bits, seal_frame; a StateChunk's seal folds its body's digest in
+// instead of the body), so a transfer corrupted in flight surfaces as a
 // NetError at the frame boundary instead of being mis-restored into a
 // live process.
 #pragma once
@@ -29,11 +30,19 @@ namespace hpm::net {
 /// multi-lane StreamDigest, and the stream trailer is its u64), to 7 when
 /// the Ping/Pong heartbeat frames were retired (tags 16 and 17 are
 /// reserved and rejected), to 8 when the frame trailer changed from CRC-32
-/// to the folded StreamDigest seal, and to 9 when the destination's Nack
+/// to the folded StreamDigest seal, to 9 when the destination's Nack
 /// and chunk-watermark ack were retired (tags 6 and 10 are reserved and
 /// rejected: a resume restarts from the count the destination announces
-/// in ResumeHello); a mismatch aborts the attempt before any state moves.
-inline constexpr std::uint8_t kProtocolVersion = 9;
+/// in ResumeHello), and to 10 when a StateChunk's seal became the fold of
+/// its header and its body's digest (seal_frame) and the stream it carries
+/// moved to grammar v4, whose root of chunk digests is the StateEnd and
+/// PrepareAck digest; a mismatch aborts the attempt before any state moves.
+inline constexpr std::uint8_t kProtocolVersion = 10;
+
+/// recv_message's default payload cap: far below the u32 length field's
+/// range, so a hostile or corrupted prefix cannot drive a multi-GiB
+/// allocation.
+inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 28;
 
 /// Message type tags used by the migration coordinator.
 enum class MsgType : std::uint8_t {
@@ -67,37 +76,47 @@ inline constexpr std::uint8_t kMaxMsgType = 20;
 struct Message {
   MsgType type;
   Bytes payload;
+  /// StateChunk frames only: StreamDigest of the body, payload[4..]
+  /// (every byte after the seq), taken while the frame was received.
+  std::uint64_t body_digest = 0;
 };
 
 /// Write a frame's seal in place: its last 4 bytes become the big-endian
-/// fold32(StreamDigest) of every byte before them. Every sent frame is
-/// sealed here, and so is a frame FaultyChannel's CorruptMasked damages
-/// below the seal. `frame` must hold at least the 4 seal bytes.
+/// fold32(StreamDigest) of every byte before them — or, for a StateChunk
+/// frame carrying its seq, fold32(StreamDigest(type | length | seq |
+/// be64 StreamDigest(body))). Every sent frame is sealed by this
+/// rule, and so is a frame FaultyChannel's CorruptMasked damages below the
+/// seal. `frame` must hold at least the 4 seal bytes.
 void seal_frame(std::span<std::uint8_t> frame) noexcept;
 
 /// Send one framed message in the one frame layout: u8 type, u32 length
-/// (big-endian), payload, u32 seal over everything preceding it
-/// (seal_frame). A channel carries one migration session, so frames
-/// carry no session tag. The frame is
+/// (big-endian), payload, u32 seal (seal_frame). A channel carries one
+/// migration session, so frames carry no session tag. The frame is
 /// assembled in a pooled buffer and shipped with a single channel send.
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload);
 
+/// Send one StateChunk (seq, then `body`) sealed from `body_digest`, the
+/// StreamDigest of `body` its caller already holds: the body is copied
+/// once, into the pooled frame, and not hashed here.
+void send_state_chunk(ByteChannel& ch, std::uint32_t seq, std::span<const std::uint8_t> body,
+                      std::uint64_t body_digest);
+
 /// Receive one framed message; throws hpm::NetError on malformed frames,
 /// oversized length prefixes (checked BEFORE any allocation), or a seal
-/// mismatch. The default cap is far below the u32 length field's range so
-/// a hostile or corrupted prefix cannot drive a multi-GiB allocation.
-Message recv_message(ByteChannel& ch, std::size_t max_payload = 1ull << 28);
+/// mismatch. A StateChunk's body digest, taken in the same pass that
+/// checks its seal, comes back in Message::body_digest.
+Message recv_message(ByteChannel& ch, std::size_t max_payload = kMaxFramePayload);
 
 /// --- chunked state transfer payloads -------------------------------------
 /// StateBegin/StateChunk/StateEnd frame the pipelined stream: each chunk
 /// carries a sequence number (gap/reorder detection on top of the frame
-/// seal); StateEnd carries the totals plus the end-to-end digest over the
-/// *entire* canonical stream (StreamDigest), which the destination
-/// computes as its decoder pulls the chunks in and must match before it
-/// may vote in the commit phase.
+/// seal); StateEnd carries the totals plus the end-to-end digest, the root
+/// of the canonical stream's leaf digests (msrm::leaf_root), which the
+/// destination derives from the chunk digests it took on receipt and must
+/// match before it may vote in the commit phase.
 
 struct StateBeginInfo {
-  std::uint32_t chunk_bytes = 0;
+  std::uint32_t chunk_bytes = 0;  ///< every chunk but the last; the stream's leaf size
   std::uint64_t txn_id = 0;  ///< transaction the journals arbitrate on
   /// Destination incarnation (fencing token): 1 for the primary, k+1 for
   /// the k-th standby a failover re-targeted the stream to. The
@@ -109,7 +128,7 @@ struct StateBeginInfo {
 struct StateEndInfo {
   std::uint32_t chunk_count = 0;
   std::uint64_t total_bytes = 0;
-  std::uint64_t digest = 0;  ///< StreamDigest of the whole canonical stream
+  std::uint64_t digest = 0;  ///< leaf root of the canonical stream (grammar v4)
 };
 
 Bytes encode_state_begin(const StateBeginInfo& info);
@@ -194,7 +213,7 @@ TxnTokenInfo decode_txn_token(const Bytes& payload);
 
 struct PrepareAckInfo {
   std::uint64_t txn_id = 0;
-  std::uint64_t digest = 0;  ///< destination-computed StreamDigest
+  std::uint64_t digest = 0;  ///< the leaf root the destination derived
   std::uint32_t incarnation = 1;  ///< echoes the StateBegin fencing token
 };
 Bytes encode_prepare_ack(const PrepareAckInfo& info);

@@ -45,7 +45,7 @@ Bytes Encoder::take() noexcept {
 }
 
 Decoder::~Decoder() {
-  if (pos_ > 0) {
+  if (counted_ && pos_ > 0) {
     WireMetrics& m = WireMetrics::get();
     m.decode_bytes.add(pos_);
     m.decode_streams.add(1);

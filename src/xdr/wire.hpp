@@ -109,6 +109,10 @@ class Decoder {
   using RefillFn = std::function<bool(std::size_t min_total)>;
 
   explicit Decoder(std::span<const std::uint8_t> data) noexcept : data_(data) {}
+  /// `counted = false` records nothing under `xdr.decode.*`: for a peek at
+  /// a header ahead of the decoder that reads the whole stream.
+  Decoder(std::span<const std::uint8_t> data, bool counted) noexcept
+      : data_(data), counted_(counted) {}
   Decoder(const void* data, std::size_t len) noexcept
       : data_(static_cast<const std::uint8_t*>(data), len) {}
   /// Records the bytes consumed under `xdr.decode.bytes` /
@@ -152,6 +156,7 @@ class Decoder {
   void need(std::size_t n);
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  bool counted_ = true;
   RefillFn refill_;
 };
 

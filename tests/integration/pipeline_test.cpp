@@ -32,6 +32,9 @@ TEST_P(PipelineTransport, PipelinedRunMatchesTheSerialRun) {
   apps::BitonicResult serial_result;
   RunOptions serial;
   serial.transport = GetParam();
+  // The chunk size is the stream's leaf size, which the header and the
+  // root name (grammar v4): both runs use the same one.
+  serial.chunk_bytes = 2048;
   const MigrationReport s = run_bitonic(serial, serial_result);
   ASSERT_EQ(s.outcome, MigrationOutcome::Migrated);
   ASSERT_TRUE(serial_result.ok());
@@ -117,6 +120,7 @@ TEST(Pipeline, FileAndPipelinedMemoryReportTheSameDigest) {
   RunOptions file;
   file.transport = Transport::File;
   file.spool_path = "/tmp/hpm_pipeline_digest_spool.bin";
+  file.chunk_bytes = 2048;  // the spooled stream's leaf size, as the chunked one's
   const MigrationReport f = run_bitonic(file, file_result);
   ASSERT_EQ(f.outcome, MigrationOutcome::Migrated);
 

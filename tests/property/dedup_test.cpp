@@ -16,12 +16,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/workload.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "hpm/migrate.hpp"
 #include "mig/chunk_store.hpp"  // internal unit: ChunkStore::read_run_stats
+#include "mig/fleet.hpp"        // internal unit: run_session over a recording port
 
 namespace hpm::mig {
 namespace {
@@ -293,6 +297,95 @@ TEST(Dedup, LinkFailureMidStreamResumesRaw) {
   ASSERT_EQ(plain_report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(out.fingerprint, plain_out.fingerprint);
   EXPECT_EQ(report.stream_digest, plain_report.stream_digest);
+  fs::remove_all(cache);
+}
+
+/// Forwards to the source's port and records what crosses it: every
+/// address the manifest announces and the body of every StateChunk (a
+/// dedup'd transfer frames chunks as seq | codec tag | body).
+class RecordingPort final : public MessagePort {
+ public:
+  RecordingPort(std::unique_ptr<MessagePort> inner, std::vector<ChunkAddr>& manifest,
+                std::map<std::uint32_t, Bytes>& chunks)
+      : inner_(std::move(inner)), manifest_(manifest), chunks_(chunks) {}
+
+  void send(net::MsgType type, std::span<const std::uint8_t> payload) override {
+    if (type == net::MsgType::ManifestChunk) {
+      for (const net::ManifestEntry& e :
+           net::decode_manifest_chunk(Bytes(payload.begin(), payload.end())).entries) {
+        manifest_.push_back({e.digest, e.length});
+      }
+    } else if (type == net::MsgType::StateChunk) {
+      EXPECT_EQ(payload[4], 0) << "raw chunks only: no codec was offered";
+      chunks_[net::decode_state_chunk_seq(Bytes(payload.begin(), payload.begin() + 4))] =
+          Bytes(payload.begin() + 5, payload.end());
+    }
+    inner_->send(type, payload);
+  }
+  void send_chunk(std::uint32_t seq, std::span<const std::uint8_t> body,
+                  std::uint64_t body_digest) override {
+    chunks_[seq] = Bytes(body.begin(), body.end());
+    inner_->send_chunk(seq, body, body_digest);
+  }
+  net::Message recv() override { return inner_->recv(); }
+  void set_timeout(std::chrono::milliseconds timeout) override { inner_->set_timeout(timeout); }
+  void close() override { inner_->close(); }
+  void abort() override { inner_->abort(); }
+
+ private:
+  std::unique_ptr<MessagePort> inner_;
+  std::vector<ChunkAddr>& manifest_;
+  std::map<std::uint32_t, Bytes>& chunks_;
+};
+
+TEST(Dedup, ManifestNamesEveryChunkByItsStoreAddress) {
+  // The source names chunk i by the digest its collect tap took of it.
+  // That must be exactly ChunkStore::address_of(chunk_i), the name put()
+  // files a body under (and every store filled before protocol v10 used),
+  // or no earlier store could answer a manifest. A cold run misses every
+  // chunk, so every chunk crosses the wire next to its announced address.
+  const std::string cache = fresh_cache_dir("names");
+  GraphOutcome out;
+  RunOptions options;
+  options.chunk_cache_dir = cache;
+  options.register_types = apps::workload_register_types;
+  options.program = [&out](MigContext& ctx) { two_graph_program(ctx, 17, 120, 23, 0, &out); };
+  options.pipeline = true;
+  options.chunk_bytes = 512;
+  options.migrate_at_poll = 3;
+  std::vector<ChunkAddr> manifest;
+  std::map<std::uint32_t, Bytes> chunks;
+  const SessionWiring plain = exclusive_wiring(options, 9301);
+  SessionWiring wiring = plain;
+  wiring.connect = [&] {
+    PortPair pair = plain.connect();
+    pair.source = std::make_unique<RecordingPort>(std::move(pair.source), manifest, chunks);
+    return pair;
+  };
+  const MigrationReport cold = run_session(options, wiring);
+  ASSERT_EQ(cold.outcome, MigrationOutcome::Migrated);
+  ASSERT_TRUE(out.done);
+  ASSERT_EQ(cold.dedup_miss_chunks, cold.dedup_manifest_chunks);
+  ASSERT_EQ(manifest.size(), cold.dedup_manifest_chunks);
+  ASSERT_EQ(chunks.size(), manifest.size());
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < manifest.size(); ++i) {
+    EXPECT_EQ(manifest[i], ChunkStore::address_of(chunks.at(i))) << "chunk " << i;
+    total += chunks.at(i).size();
+  }
+  EXPECT_EQ(total, cold.stream_bytes);
+
+  // The store those puts filled answers the whole manifest of the next
+  // migration of the same process.
+  GraphOutcome again;
+  RunOptions warm;
+  warm.chunk_cache_dir = cache;
+  const MigrationReport report = run_two_graph(warm, 120, 23, 0, again);
+  ASSERT_EQ(report.outcome, MigrationOutcome::Migrated);
+  ASSERT_TRUE(again.done);
+  EXPECT_EQ(report.dedup_miss_chunks, 0u);
+  EXPECT_EQ(report.dedup_hit_chunks, manifest.size());
+  EXPECT_EQ(report.stream_digest, cold.stream_digest);
   fs::remove_all(cache);
 }
 

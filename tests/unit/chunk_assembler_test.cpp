@@ -5,8 +5,14 @@
 // the assembler so the consumer fails instead of decoding garbage.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "mig/chunk_assembler.hpp"
 
@@ -14,6 +20,11 @@ namespace hpm::mig {
 namespace {
 
 Bytes bytes_of(std::initializer_list<std::uint8_t> init) { return Bytes(init); }
+
+/// Append a chunk with its own digest, as the rx thread hands it over.
+void append(ChunkAssembler& a, std::uint32_t seq, std::span<const std::uint8_t> bytes) {
+  a.append(seq, bytes, StreamDigest::of(bytes));
+}
 
 net::StateEndInfo end_info(std::uint32_t chunks, std::uint64_t total,
                            std::uint64_t digest = 0) {
@@ -26,8 +37,8 @@ net::StateEndInfo end_info(std::uint32_t chunks, std::uint64_t total,
 
 TEST(ChunkAssembler, OrderedChunksRoundTrip) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1, 2, 3}));
-  a.append(1, bytes_of({4, 5}));
+  append(a, 0, bytes_of({1, 2, 3}));
+  append(a, 1, bytes_of({4, 5}));
   a.finish(end_info(2, 5, 0x1234));
   EXPECT_EQ(a.await_complete(), 5u);
   EXPECT_EQ(a.chunks_received(), 2u);
@@ -41,8 +52,8 @@ TEST(ChunkAssembler, OrderedChunksRoundTrip) {
 
 TEST(ChunkAssembler, DuplicateSequenceIsAProtocolError) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1}));
-  EXPECT_THROW(a.append(0, bytes_of({1})), ProtocolError);
+  append(a, 0, bytes_of({1}));
+  EXPECT_THROW(append(a, 0, bytes_of({1})), ProtocolError);
   // Poisoned: the consumer sees the failure, not a partial stream.
   Bytes out;
   EXPECT_THROW(a.fetch(out, 1), NetError);
@@ -50,26 +61,26 @@ TEST(ChunkAssembler, DuplicateSequenceIsAProtocolError) {
 
 TEST(ChunkAssembler, SequenceGapIsAProtocolError) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1}));
-  EXPECT_THROW(a.append(2, bytes_of({2})), ProtocolError);
+  append(a, 0, bytes_of({1}));
+  EXPECT_THROW(append(a, 2, bytes_of({2})), ProtocolError);
   EXPECT_THROW(a.await_complete(), NetError);
 }
 
 TEST(ChunkAssembler, OutOfOrderFirstChunkIsAProtocolError) {
   ChunkAssembler a;
-  EXPECT_THROW(a.append(3, bytes_of({1})), ProtocolError);
+  EXPECT_THROW(append(a, 3, bytes_of({1})), ProtocolError);
 }
 
 TEST(ChunkAssembler, ChunkAfterStateEndIsAProtocolError) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1}));
+  append(a, 0, bytes_of({1}));
   a.finish(end_info(1, 1));
-  EXPECT_THROW(a.append(1, bytes_of({2})), ProtocolError);
+  EXPECT_THROW(append(a, 1, bytes_of({2})), ProtocolError);
 }
 
 TEST(ChunkAssembler, SecondStateEndIsAProtocolError) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1}));
+  append(a, 0, bytes_of({1}));
   a.finish(end_info(1, 1));
   EXPECT_THROW(a.finish(end_info(1, 1)), ProtocolError);
 }
@@ -78,14 +89,14 @@ TEST(ChunkAssembler, HostileChunkCountPoisons) {
   // StateEnd claims more chunks than arrived: the stream must not be
   // treated as complete.
   ChunkAssembler a;
-  a.append(0, bytes_of({1, 2}));
+  append(a, 0, bytes_of({1, 2}));
   a.finish(end_info(7, 2));
   EXPECT_THROW(a.await_complete(), NetError);
 }
 
 TEST(ChunkAssembler, HostileByteTotalPoisons) {
   ChunkAssembler a;
-  a.append(0, bytes_of({1, 2}));
+  append(a, 0, bytes_of({1, 2}));
   a.finish(end_info(1, 9999));
   Bytes out;
   EXPECT_THROW(a.fetch(out, 1), NetError);
@@ -105,7 +116,7 @@ TEST(ChunkAssembler, ScratchBufferIsReusedAcrossChunks) {
     for (std::uint32_t i = 0; i < kChunk; ++i) {
       chunk[i] = static_cast<std::uint8_t>(seq + i);
     }
-    a.append(seq, chunk);
+    append(a, seq, chunk);
     total += kChunk;
   }
   a.finish(end_info(kChunks, total));
@@ -124,6 +135,32 @@ TEST(ChunkAssembler, ScratchBufferIsReusedAcrossChunks) {
   }
 }
 
+TEST(ChunkAssembler, EveryChunkKeepsTheAddressItArrivedWith) {
+  // The restorer builds the stream root from these: a wire chunk keeps
+  // the digest its producer took, a spliced hit its verified address.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("hpm_assembler_addrs_" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  ChunkStore store(dir);
+  store.open();
+  const Bytes hit = bytes_of({9, 8, 7});
+  const ChunkAddr hit_addr = store.put(hit);
+  const Bytes miss = bytes_of({1, 2});
+  const ChunkAddr miss_addr = ChunkStore::address_of(miss);
+
+  ChunkAssembler a(3);
+  const std::vector<std::uint32_t> misses = a.begin_manifest({miss_addr, hit_addr}, store);
+  ASSERT_EQ(misses, std::vector<std::uint32_t>{0});
+  EXPECT_TRUE(a.chunk_addrs().empty()) << "the hit waits for the miss before it";
+  a.append(0, miss, 0x5EED);  // the producer's digest is taken as given
+  const std::vector<ChunkAddr> addrs = a.chunk_addrs();
+  ASSERT_EQ(addrs.size(), 2u);
+  EXPECT_EQ(addrs[0], (ChunkAddr{0x5EED, 2}));
+  EXPECT_EQ(addrs[1], hit_addr);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ChunkAssembler, FailUnblocksAWaitingConsumer) {
   ChunkAssembler a;
   std::thread consumer([&] {
@@ -140,7 +177,7 @@ TEST(ChunkAssembler, AppendAfterFailIsSilent) {
   // throw from the already-poisoned assembler.
   ChunkAssembler a;
   a.fail("poisoned first");
-  a.append(0, bytes_of({1}));  // no throw
+  append(a, 0, bytes_of({1}));  // no throw
   EXPECT_THROW(a.await_complete(), NetError);
 }
 

@@ -231,12 +231,17 @@ TEST(MigContext, RestoreRejectsTruncatedStream) {
   EXPECT_THROW(dst.begin_restore(cut), WireError);
 }
 
-/// Collect counter_program at poll 7, streaming through a sink of
-/// `chunk_bytes` (0 = no sink); the sink's chunks land in *chunks.
-void collect_counter(MigContext& src, std::size_t chunk_bytes, std::vector<Bytes>* chunks) {
-  if (chunk_bytes != 0) {
-    src.set_collect_sink(chunk_bytes, [chunks](std::span<const std::uint8_t> bytes) {
+/// Collect counter_program at poll 7 at leaf size `chunk_bytes`, streaming
+/// through a sink when `chunks` is non-null: the sink's chunks land in
+/// *chunks and the digests it was handed in *digests.
+void collect_counter(MigContext& src, std::uint32_t chunk_bytes, std::vector<Bytes>* chunks,
+                     std::vector<std::uint64_t>* digests = nullptr) {
+  src.set_leaf_bytes(chunk_bytes);
+  if (chunks != nullptr) {
+    src.set_collect_sink([chunks, digests](std::span<const std::uint8_t> bytes,
+                                           std::uint64_t digest) {
       chunks->emplace_back(bytes.begin(), bytes.end());
+      if (digests != nullptr) digests->push_back(digest);
     });
   }
   src.set_migrate_at_poll(7);
@@ -245,40 +250,53 @@ void collect_counter(MigContext& src, std::size_t chunk_bytes, std::vector<Bytes
 }
 
 TEST(MigContext, StreamedCollectionSealsAndDigestsLikeTheUnstreamedOne) {
-  // The tap's running digest seals the trailer and its final value is
-  // the report's: both must equal a one-shot pass over the whole stream,
-  // for chunk sizes below, around and above the 32-byte digest stripe
-  // and the stream itself (all-remainder).
+  // At one leaf size, a streamed and an unstreamed collection make the
+  // same stream, the same chunk digests and the same root, which is the
+  // leaf root of the stream's payload; the sink hands out exactly the
+  // stream in chunk_bytes slices, each with its StreamDigest. Leaf sizes
+  // run below, around and above the 32-byte digest stripe and the stream
+  // itself (all-remainder).
   ti::TypeTable t;
-  MigContext plain(t);
-  collect_counter(plain, 0, nullptr);
-  const Bytes& want = plain.stream();
-  EXPECT_NO_THROW(msrm::check_stream(want));
-  EXPECT_EQ(plain.stream_digest(), StreamDigest::of(want));
-  for (const std::size_t chunk : {1u, 5u, 9u, 16u, 17u, 32u, 33u, 64u, 1u << 20}) {
+  for (const std::uint32_t chunk : {1u, 5u, 9u, 16u, 17u, 32u, 33u, 64u, 1u << 20}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    MigContext plain(t);
+    collect_counter(plain, chunk, nullptr);
+    const Bytes& want = plain.stream();
+    EXPECT_NO_THROW(msrm::check_stream(want));
+    EXPECT_EQ(msrm::read_header(want).leaf_bytes, chunk);
+    EXPECT_EQ(plain.stream_digest(),
+              msrm::leaf_root(std::span(want).first(want.size() - msrm::kTrailerBytes), chunk));
+
     std::vector<Bytes> chunks;
+    std::vector<std::uint64_t> digests;
     MigContext src(t);
-    collect_counter(src, chunk, &chunks);
-    EXPECT_EQ(src.stream(), want) << "chunk " << chunk;
-    EXPECT_EQ(src.stream_digest(), plain.stream_digest()) << "chunk " << chunk;
+    collect_counter(src, chunk, &chunks, &digests);
+    EXPECT_EQ(src.stream(), want);
+    EXPECT_EQ(src.stream_digest(), plain.stream_digest());
+    EXPECT_EQ(src.chunk_digests(), plain.chunk_digests());
+    EXPECT_EQ(digests, src.chunk_digests());
     Bytes joined;
-    for (const Bytes& c : chunks) joined.insert(joined.end(), c.begin(), c.end());
-    EXPECT_EQ(joined, want) << "chunk " << chunk;
+    ASSERT_EQ(chunks.size(), (want.size() + chunk - 1) / chunk);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      EXPECT_EQ(digests[i], StreamDigest::of(chunks[i])) << "chunk " << i;
+      joined.insert(joined.end(), chunks[i].begin(), chunks[i].end());
+    }
+    EXPECT_EQ(joined, want);
   }
 }
 
-/// Restore `chunks` through a ChunkAssembler whose StateEnd announces
-/// `digest`; returns the digest the commit gate saw. Throws whatever the
-/// restore throws.
+/// Restore `chunks` through a ChunkAssembler announcing `chunk_bytes`
+/// whose StateEnd carries `digest`; returns the digest the commit gate
+/// saw. Throws whatever the restore throws.
 std::uint64_t restore_chunked(ti::TypeTable& t, const std::vector<Bytes>& chunks,
-                              std::uint64_t digest, bool threaded) {
-  ChunkAssembler assembler;
+                              std::uint32_t chunk_bytes, std::uint64_t digest, bool threaded) {
+  ChunkAssembler assembler(chunk_bytes);
   std::uint64_t total = 0;
   for (const Bytes& c : chunks) total += c.size();
   const net::StateEndInfo end{static_cast<std::uint32_t>(chunks.size()), total, digest};
   auto produce = [&] {
     for (std::uint32_t i = 0; i < chunks.size(); ++i) {
-      assembler.append(i, chunks[i]);
+      assembler.append(i, chunks[i], StreamDigest::of(chunks[i]));
       if (threaded) std::this_thread::yield();
     }
     assembler.finish(end);
@@ -305,17 +323,17 @@ std::uint64_t restore_chunked(ti::TypeTable& t, const std::vector<Bytes>& chunks
   return gated;
 }
 
-TEST(MigContext, ChunkedRestoreDigestsAsItFetches) {
-  // Refills feed the destination digest incrementally; whatever the
-  // chunking and however fetches interleave with arrivals, the digest
-  // handed to the commit gate is the source's.
+TEST(MigContext, ChunkedRestoreDerivesTheRootFromChunkDigests) {
+  // Whatever the chunking and however fetches interleave with arrivals,
+  // the root handed to the commit gate is the source's.
   ti::TypeTable t;
-  for (const std::size_t chunk : {1u, 9u, 16u, 33u, 4096u}) {
+  for (const std::uint32_t chunk : {1u, 9u, 16u, 33u, 4096u}) {
     std::vector<Bytes> chunks;
     MigContext src(t);
     collect_counter(src, chunk, &chunks);
     for (const bool threaded : {false, true}) {
-      EXPECT_EQ(restore_chunked(t, chunks, src.stream_digest(), threaded), src.stream_digest())
+      EXPECT_EQ(restore_chunked(t, chunks, chunk, src.stream_digest(), threaded),
+                src.stream_digest())
           << "chunk " << chunk << " threaded " << threaded;
     }
   }
@@ -326,19 +344,35 @@ TEST(MigContext, ChunkedRestoreChecksDigestFirstThenTrailer) {
   std::vector<Bytes> chunks;
   MigContext src(t);
   collect_counter(src, 16, &chunks);
-  Bytes stream = src.stream();
 
-  // A damaged trailer seal against the source's digest: the digest check
-  // runs first and names the damage.
+  // A damaged trailer seal against a digest that disagrees with the
+  // stream: the digest check runs first and names the damage.
   std::vector<Bytes> bad_trailer = chunks;
   bad_trailer.back().back() ^= 0x01;
-  EXPECT_THROW(restore_chunked(t, bad_trailer, src.stream_digest(), false), MigrationError);
+  EXPECT_THROW(restore_chunked(t, bad_trailer, 16, src.stream_digest() ^ 1, false),
+               MigrationError);
 
-  // The same damage with a digest forged to match it: the trailer check,
-  // fed the payload digest from the same pass, still objects.
-  stream.back() ^= 0x01;
-  EXPECT_THROW(restore_chunked(t, bad_trailer, StreamDigest::of(stream), false),
-               WireError);
+  // The same damage against the digest the payload does have (the root
+  // covers the payload, not the trailer): the trailer check, fed that
+  // same root, still objects.
+  EXPECT_THROW(restore_chunked(t, bad_trailer, 16, src.stream_digest(), false), WireError);
+}
+
+TEST(MigContext, ChunkedRestoreRefusesALeafSizeOtherThanTheAnnouncedChunkSize) {
+  // The header's leaf size must be StateBegin's chunk size: the root the
+  // destination builds from its chunk digests means nothing otherwise.
+  ti::TypeTable t;
+  std::vector<Bytes> chunks;
+  MigContext src(t);
+  collect_counter(src, 16, &chunks);
+  for (const std::uint32_t announced : {8u, 17u, 64u * 1024}) {
+    try {
+      restore_chunked(t, chunks, announced, src.stream_digest(), false);
+      ADD_FAILURE() << "announced " << announced << ": restore accepted";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("disagrees"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(MigContext, RestoredHeapBlocksCanBeFreedNormally) {

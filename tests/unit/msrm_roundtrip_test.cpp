@@ -3,6 +3,7 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <new>
 #include <vector>
 
@@ -473,34 +474,158 @@ TEST_F(RoundTrip, StreamSealDetectsCorruptionAndTruncation) {
   EXPECT_THROW(check_stream(tiny), WireError);
 }
 
-TEST_F(RoundTrip, TrailerFromARunningDigestMatchesTheOneShotSeal) {
-  // The collect tap seals the stream from its running digest over the
-  // flushed prefix plus the unflushed rest; every split must give the
-  // bytes the one-shot finish_stream gives.
-  xdr::Encoder whole;
-  write_header(whole, {"native", 42});
-  for (std::uint32_t i = 0; i < 100; ++i) whole.put_u32(i * 2654435761u);
-  const Bytes payload = whole.bytes();
-  finish_stream(whole);
-  const Bytes sealed = whole.take();
-  ASSERT_EQ(sealed.size(), payload.size() + kTrailerBytes);
-  for (std::size_t prefix = 0; prefix <= payload.size(); prefix += 7) {
-    xdr::Encoder enc;
-    enc.put_bytes(payload.data(), payload.size());
-    StreamDigest tap;
-    tap.update({payload.data(), prefix});
-    finish_stream(enc, tap, prefix);
-    EXPECT_EQ(enc.bytes(), sealed) << "prefix " << prefix;
+/// Leaf digests of `payload` cut at `leaf`, computed leaf by leaf.
+std::vector<std::uint64_t> leaf_digests(const Bytes& payload, std::size_t leaf) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t off = 0; off < payload.size(); off += leaf) {
+    const std::size_t len = std::min(leaf, payload.size() - off);
+    out.push_back(StreamDigest::of(std::span<const std::uint8_t>(payload).subspan(off, len)));
   }
-  // The trailer is the tag and the big-endian payload digest.
-  const std::uint64_t payload_digest = StreamDigest::of(payload);
-  EXPECT_EQ(sealed[payload.size()], kTrailerTag);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(sealed[payload.size() + 1 + i],
-              static_cast<std::uint8_t>(payload_digest >> (56 - 8 * i)));
+  return out;
+}
+
+TEST_F(RoundTrip, TrailerFromKnownLeavesMatchesTheOneShotSeal) {
+  // The collect tap seals the stream from the digests it already took of
+  // the flushed whole leaves plus the unflushed rest; every split must give
+  // the bytes the one-shot finish_stream gives, for leaf sizes below,
+  // around and above the 32-byte digest stripe and the stream itself.
+  for (const std::uint32_t leaf : {1u, 7u, 32u, 33u, 100u, 4096u}) {
+    SCOPED_TRACE("leaf " + std::to_string(leaf));
+    xdr::Encoder whole;
+    write_header(whole, {"native", 42, leaf});
+    for (std::uint32_t i = 0; i < 100; ++i) whole.put_u32(i * 2654435761u);
+    const Bytes payload = whole.bytes();
+    const std::uint64_t root = finish_stream(whole);
+    const Bytes sealed = whole.take();
+    ASSERT_EQ(sealed.size(), payload.size() + kTrailerBytes);
+    const std::vector<std::uint64_t> leaves = leaf_digests(payload, leaf);
+    for (std::size_t known = 0; known * leaf <= payload.size(); known += 3) {
+      xdr::Encoder enc;
+      enc.put_bytes(payload.data(), payload.size());
+      EXPECT_EQ(finish_stream(enc, std::span(leaves).first(known)), root) << "known " << known;
+      EXPECT_EQ(enc.bytes(), sealed) << "known " << known;
+    }
+    // The trailer is the tag and the big-endian root: a StreamDigest over
+    // the big-endian leaf digests.
+    Bytes list;
+    for (const std::uint64_t d : leaves) {
+      for (int i = 0; i < 8; ++i) list.push_back(static_cast<std::uint8_t>(d >> (56 - 8 * i)));
+    }
+    EXPECT_EQ(root, StreamDigest::of(list));
+    EXPECT_EQ(sealed[payload.size()], kTrailerTag);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(sealed[payload.size() + 1 + i], static_cast<std::uint8_t>(root >> (56 - 8 * i)));
+    }
+    EXPECT_EQ(check_stream(sealed, root).size(), payload.size());
+    EXPECT_THROW(check_stream(sealed, root ^ 1u), WireError);
   }
-  EXPECT_EQ(check_stream(sealed, payload_digest).size(), payload.size());
-  EXPECT_THROW(check_stream(sealed, payload_digest ^ 1u), WireError);
+}
+
+TEST_F(RoundTrip, TheRootDependsOnTheLeafSizeAndResealMovesBetweenThem) {
+  xdr::Encoder enc;
+  write_header(enc, {"native", 42, 64});
+  for (std::uint32_t i = 0; i < 300; ++i) enc.put_u32(i);
+  finish_stream(enc);
+  const Bytes at64 = enc.take();
+  Bytes at100 = at64;
+  reseal_stream(at100, 100);
+  ASSERT_EQ(at100.size(), at64.size());
+  EXPECT_NO_THROW(check_stream(at100));
+  EXPECT_EQ(read_header(at100).leaf_bytes, 100u);
+  // Only the header's leaf size and the trailer differ.
+  const std::size_t body_from = 14;
+  EXPECT_TRUE(std::equal(at64.begin() + body_from, at64.end() - kTrailerBytes,
+                         at100.begin() + body_from));
+  EXPECT_FALSE(std::equal(at64.end() - kTrailerBytes, at64.end(), at100.end() - kTrailerBytes));
+  reseal_stream(at100, 64);
+  EXPECT_EQ(at100, at64);
+  Bytes damaged = at64;
+  damaged[20] ^= 1;
+  EXPECT_THROW(reseal_stream(damaged, 100), WireError);
+}
+
+/// A header with an arbitrary leaf-size field, and a stream sealed over it
+/// as if that leaf size were legal.
+Bytes stream_with_leaf_field(std::uint64_t leaf_field) {
+  xdr::Encoder enc;
+  write_header(enc, {"native", 42, 64});
+  for (std::uint32_t i = 0; i < 32; ++i) enc.put_u32(i);
+  finish_stream(enc);
+  Bytes stream = enc.take();
+  for (int i = 0; i < 8; ++i) {
+    stream[6 + i] = static_cast<std::uint8_t>(leaf_field >> (56 - 8 * i));
+  }
+  return stream;
+}
+
+TEST_F(RoundTrip, HostileLeafSizesAreTypedErrors) {
+  // A zero leaf size would divide by zero or loop forever; one above the
+  // frame cap names a chunk no StateChunk can carry. Both are refused by
+  // the header checks before any leaf is cut.
+  for (const std::uint64_t leaf : {std::uint64_t{0}, std::uint64_t{kMaxLeafBytes} + 1,
+                                   std::uint64_t{0xFFFFFFFFu}, std::uint64_t{1} << 32,
+                                   ~std::uint64_t{0}}) {
+    SCOPED_TRACE("leaf " + std::to_string(leaf));
+    const Bytes stream = stream_with_leaf_field(leaf);
+    EXPECT_THROW(check_stream(stream), WireError);
+    EXPECT_THROW(check_stream(stream, 0), WireError);
+    EXPECT_THROW(read_header(stream), WireError);
+    xdr::Decoder dec(stream);
+    EXPECT_THROW(read_header(dec), WireError);
+    if (leaf <= 0xFFFFFFFFu) {
+      const auto narrow = static_cast<std::uint32_t>(leaf);
+      EXPECT_THROW(leaf_root(stream, narrow), WireError);
+      xdr::Encoder enc;
+      EXPECT_THROW(write_header(enc, {"native", 42, narrow}), WireError);
+    }
+  }
+  EXPECT_NO_THROW(check_stream(stream_with_leaf_field(64)));
+  xdr::Encoder enc;
+  EXPECT_NO_THROW(write_header(enc, {"native", 42, kMaxLeafBytes}));
+}
+
+TEST_F(RoundTrip, AVersion3StreamIsRefusedByItsVersion) {
+  // A stream as grammar v3 wrote it (a checkpoint from before v4): no leaf
+  // size in the header, the trailer a one-piece digest of the payload.
+  xdr::Encoder enc;
+  enc.put_u32(kMagic);
+  enc.put_u16(3);
+  enc.put_string("native");
+  enc.put_u64(42);
+  for (std::uint32_t i = 0; i < 64; ++i) enc.put_u32(i);
+  const std::uint64_t v3_seal = StreamDigest::of(enc.bytes());
+  enc.put_u8(kTrailerTag);
+  enc.put_u64(v3_seal);
+  const Bytes v3 = enc.take();
+  for (const auto& check : {+[](const Bytes& b) { check_stream(b); },
+                            +[](const Bytes& b) {
+                              xdr::Decoder dec(b);
+                              read_header(dec);
+                            }}) {
+    try {
+      check(v3);
+      ADD_FAILURE() << "a v3 stream was accepted";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported stream version 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(RoundTrip, TheLeafSizeFieldKeepsPayloadWordsEightByteAligned) {
+  // The dedup codec deltas 8-byte words counted from each chunk's start,
+  // so a header whose length moved by other than a multiple of 8 against
+  // v3's would misalign every double after it.
+  for (const char* arch : {"", "native", "lp64-be-ieee754"}) {
+    xdr::Encoder v3;
+    v3.put_u32(kMagic);
+    v3.put_u16(3);
+    v3.put_string(arch);
+    v3.put_u64(42);
+    xdr::Encoder v4;
+    write_header(v4, {arch, 42, 64});
+    EXPECT_EQ((v4.size() - v3.size()) % 8, 0u) << arch;
+  }
 }
 
 TEST_F(RoundTrip, EverySingleBitFlipFailsTheSeal) {

@@ -447,6 +447,42 @@ TEST(Message, EveryShortCorruptionOfARepresentativeFrameIsATypedError) {
   }
 }
 
+TEST(Message, ASealedChunkSendIsTheFrameSendMessageMakes) {
+  // send_state_chunk seals from the digest its caller holds; the frame is
+  // byte-for-byte the one send_message makes of encode_state_chunk, and
+  // the receiver hands back that same body digest.
+  Bytes slice(1000);
+  for (std::size_t i = 0; i < slice.size(); ++i) slice[i] = static_cast<std::uint8_t>(i * 7);
+  const std::uint64_t digest = StreamDigest::of(slice);
+  CaptureChannel sealed;
+  send_state_chunk(sealed, 42, slice, digest);
+  CaptureChannel encoded;
+  send_message(encoded, MsgType::StateChunk, encode_state_chunk(42, slice));
+  EXPECT_EQ(sealed.bytes, encoded.bytes);
+  ReplayChannel replay(sealed.bytes);
+  const Message msg = recv_message(replay);
+  EXPECT_EQ(msg.type, MsgType::StateChunk);
+  EXPECT_EQ(decode_state_chunk_seq(msg.payload), 42u);
+  EXPECT_EQ(msg.body_digest, digest);
+  EXPECT_TRUE(std::equal(msg.payload.begin() + 4, msg.payload.end(), slice.begin()));
+
+  // The seal is the chunk rule's: a body digest that does not match the
+  // body fails it, and so does a chunk sealed whole, as protocol v9 did.
+  CaptureChannel lying;
+  send_state_chunk(lying, 42, slice, digest ^ 1);
+  ReplayChannel lie(lying.bytes);
+  EXPECT_THROW(recv_message(lie), NetError);
+  const Bytes v9 = frame_bytes(MsgType::StateChunk, encode_state_chunk(42, slice));
+  ASSERT_TRUE(std::equal(v9.begin(), v9.end() - 4, sealed.bytes.begin()));
+  ReplayChannel old(v9);
+  try {
+    recv_message(old);
+    FAIL() << "a whole-sealed StateChunk was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("seal"), std::string::npos) << e.what();
+  }
+}
+
 TEST(FaultyChannel, CorruptMaskedReSealsTheFrameItDamages) {
   // Damage below the seal: the frame passes the framing layer with one
   // payload byte changed, which only the end-to-end digest can catch.

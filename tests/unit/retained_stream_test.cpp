@@ -7,12 +7,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <cstring>
+#include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "mig/retained_stream.hpp"
 
@@ -29,6 +32,17 @@ Bytes pattern_stream(std::size_t n) {
   return b;
 }
 
+/// The StreamDigest of each `chunk`-byte slice of `stream`, as the collect
+/// tap hands them over.
+std::vector<std::uint64_t> chunk_digests(const Bytes& stream, std::size_t chunk) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t off = 0; off < stream.size(); off += chunk) {
+    out.push_back(StreamDigest::of(
+        std::span(stream).subspan(off, std::min(chunk, stream.size() - off))));
+  }
+  return out;
+}
+
 std::string temp_spill_path(const char* tag) {
   return (std::filesystem::temp_directory_path() /
           ("hpm_retained_" + std::string(tag) + "_" + std::to_string(::getpid()) +
@@ -38,22 +52,26 @@ std::string temp_spill_path(const char* tag) {
 
 TEST(RetainedStream, MemoryModeServesEveryReadShape) {
   const Bytes stream = pattern_stream(10'000);
+  constexpr std::size_t kChunk = 512;
+  const std::vector<std::uint64_t> digests = chunk_digests(stream, kChunk);
   RetainedStream r;
-  r.set(Bytes(stream));
+  r.set(Bytes(stream), digests);
   EXPECT_EQ(r.size(), stream.size());
   EXPECT_FALSE(r.empty());
   EXPECT_FALSE(r.spilled());
 
   EXPECT_EQ(r.materialize(), stream);
 
-  // Chunk-at-a-time, including the short tail (the sender's loop).
-  constexpr std::size_t kChunk = 512;
+  // Chunk-at-a-time, including the short tail (the sender's loop), each
+  // with the digest it was set with.
   for (std::size_t off = 0; off < stream.size(); off += kChunk) {
     const std::size_t n = std::min(kChunk, stream.size() - off);
     Bytes out(n);
     r.read(off, out);
     EXPECT_EQ(0, std::memcmp(out.data(), stream.data() + off, n)) << "offset " << off;
+    EXPECT_EQ(r.chunk_digest(off / kChunk), digests[off / kChunk]) << "offset " << off;
   }
+  EXPECT_THROW((void)r.chunk_digest(digests.size()), MigrationError);
 
   // A resume tail from an unaligned watermark.
   Bytes tail(stream.size() - 777);
@@ -63,9 +81,11 @@ TEST(RetainedStream, MemoryModeServesEveryReadShape) {
 
 TEST(RetainedStream, SpillPreservesBytesAndFreesNothingVisible) {
   const Bytes stream = pattern_stream(65'536 + 37);  // unaligned size
+  constexpr std::size_t kChunk = 4096;
+  const std::vector<std::uint64_t> digests = chunk_digests(stream, kChunk);
   const std::string path = temp_spill_path("roundtrip");
   RetainedStream r;
-  r.set(Bytes(stream));
+  r.set(Bytes(stream), digests);
   r.spill(path);
   EXPECT_TRUE(r.spilled());
   EXPECT_EQ(r.spill_path(), path);
@@ -73,14 +93,15 @@ TEST(RetainedStream, SpillPreservesBytesAndFreesNothingVisible) {
   ASSERT_TRUE(std::filesystem::exists(path));
   EXPECT_EQ(std::filesystem::file_size(path), stream.size());
 
-  // Every read shape again, now served by pread.
+  // Every read shape again, now served by pread; the digests stay in
+  // memory for the replay's seals.
   EXPECT_EQ(r.materialize(), stream);
-  constexpr std::size_t kChunk = 4096;
   for (std::size_t off = 0; off < stream.size(); off += kChunk) {
     const std::size_t n = std::min(kChunk, stream.size() - off);
     Bytes out(n);
     r.read(off, out);
     EXPECT_EQ(0, std::memcmp(out.data(), stream.data() + off, n)) << "offset " << off;
+    EXPECT_EQ(r.chunk_digest(off / kChunk), digests[off / kChunk]) << "offset " << off;
   }
   Bytes tail(stream.size() - 12'345);
   r.read(12'345, tail);
@@ -98,7 +119,7 @@ TEST(RetainedStream, SpillPreservesBytesAndFreesNothingVisible) {
 TEST(RetainedStream, OutOfRangeReadsFailLoudly) {
   const Bytes stream = pattern_stream(1000);
   RetainedStream r;
-  r.set(Bytes(stream));
+  r.set(Bytes(stream), chunk_digests(stream, 512));
   Bytes out(8);
   EXPECT_THROW(r.read(1000 - 4, out), MigrationError);  // tail overrun
   EXPECT_THROW(r.read(1'000'000, out), MigrationError);  // far past the end
@@ -114,7 +135,7 @@ TEST(RetainedStream, ATruncatedSpillFileFailsTheReadNotTheRestore) {
   const Bytes stream = pattern_stream(8192);
   const std::string path = temp_spill_path("truncated");
   RetainedStream r;
-  r.set(Bytes(stream));
+  r.set(Bytes(stream), chunk_digests(stream, 512));
   r.spill(path);
   // Simulate on-disk damage: the replay source lost its tail. A read into
   // the missing region must throw, never hand back short or stale bytes.
@@ -136,8 +157,9 @@ TEST(RetainedStream, ReleaseIsIdempotentAndEmptyStreamsAreNoops) {
   r.release();
   r.release();
 
+  const Bytes small = pattern_stream(64);
   RetainedStream m;
-  m.set(pattern_stream(64));
+  m.set(Bytes(small), chunk_digests(small, 512));
   const std::string path = temp_spill_path("idem");
   m.spill(path);
   m.release();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mig/session.hpp"
+#include "msrm/stream.hpp"
 #include "net/message.hpp"
 
 namespace hpm::mig {
@@ -176,14 +177,15 @@ TEST(SourceSessionTable, EveryStateFramePairBehavesPerTheTable) {
 }
 
 TEST(SourceSessionTable, SemanticChecksRejectWithMigrationError) {
-  {  // version skew in Hello: a v8 peer still speaks Nack/StateAck
+  {  // version skew in Hello: a v9 peer seals StateChunks whole and
+     // speaks stream grammar v3
     SourceSession s(next_session_id(), kTxn);
     net::Message hello = make_frame(net::MsgType::Hello);
-    ASSERT_EQ(net::kProtocolVersion, 9);
-    hello.payload[0] = 8;
+    ASSERT_EQ(net::kProtocolVersion, 10);
+    hello.payload[0] = 9;
     EXPECT_THROW(s.on_frame(hello), MigrationError);
     EXPECT_EQ(s.state(), SessionState::Aborted);
-    EXPECT_NE(s.abort_reason().find("destination speaks v8"), std::string::npos)
+    EXPECT_NE(s.abort_reason().find("destination speaks v9"), std::string::npos)
         << s.abort_reason();
   }
   {  // ResumeHello for a foreign transaction
@@ -365,6 +367,27 @@ TEST(DestSessionTable, LearnsTheTransactionFromStateBeginAndEnforcesIt) {
   prepare.payload = net::encode_txn_token({.txn_id = kTxn + 7});
   EXPECT_THROW(d.on_frame(prepare), MigrationError);
   EXPECT_EQ(d.state(), SessionState::Aborted);
+}
+
+TEST(DestSessionTable, StateBeginWithAHostileChunkSizeIsAProtocolError) {
+  // The chunk size is the stream's leaf size and sizes the assembly
+  // buffer's reserve: zero, or more than one StateChunk frame can carry, is
+  // refused before anything is allocated for it.
+  for (const std::uint32_t chunk : {0u, msrm::kMaxLeafBytes + 1, 0xFFFFFFFFu}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    DestSession d(next_session_id());
+    d.announce();
+    net::Message begin = make_frame(net::MsgType::StateBegin);
+    begin.payload = net::encode_state_begin({.chunk_bytes = chunk, .txn_id = kTxn});
+    EXPECT_THROW(d.on_frame(begin), ProtocolError);
+    EXPECT_EQ(d.state(), SessionState::Aborted);
+    EXPECT_NE(d.abort_reason().find("chunk size"), std::string::npos) << d.abort_reason();
+  }
+  DestSession d(next_session_id());
+  d.announce();
+  net::Message begin = make_frame(net::MsgType::StateBegin);
+  begin.payload = net::encode_state_begin({.chunk_bytes = msrm::kMaxLeafBytes, .txn_id = kTxn});
+  EXPECT_EQ(d.on_frame(begin), SessionState::Streaming);
 }
 
 TEST(DestSessionTable, CountsChunksAndRefinesStreamingWithStateEnd) {
