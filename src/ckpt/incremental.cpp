@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/endian.hpp"
 #include "msrm/stream.hpp"
 #include "ti/leaf.hpp"
 #include "xdr/value.hpp"
@@ -34,9 +35,8 @@ std::span<const std::uint8_t> check_file(std::span<const std::uint8_t> file) {
     throw WireError("checkpoint file too short to be sealed");
   }
   const std::size_t body = file.size() - msrm::kTrailerBytes;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 1; i < msrm::kTrailerBytes; ++i) stored = (stored << 8) | file[body + i];
-  if (file[body] != msrm::kTrailerTag || stored != StreamDigest::of(file.first(body))) {
+  if (file[body] != msrm::kTrailerTag ||
+      get_u64_be(file.data() + body + 1) != StreamDigest::of(file.first(body))) {
     throw WireError("checkpoint file seal mismatch: file damaged or truncated");
   }
   return file.first(body);

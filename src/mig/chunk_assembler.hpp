@@ -1,10 +1,10 @@
 // ChunkAssembler: destination-side reassembly for the pipelined transfer.
 //
-// The coordinator's rx thread appends StateChunk payloads as they arrive;
-// the restoring thread pulls newly available bytes into its own buffer
-// (the decoder's backing store) through fetch(). The two sides never
-// share a mutable buffer: the producer writes only the assembler's
-// internal vector, the consumer copies out of it under the lock — so the
+// The coordinator's rx thread appends each chunk, kept by move where it
+// already lies (the received payload, a store hit's body, a decoded miss)
+// as one *segment*; the restoring thread decodes straight out of the
+// segments. It takes segment i under the lock and reads it outside: a
+// segment never moves and its bytes never change once appended, so the
 // design is clean under TSan by construction, not by annotation.
 //
 // Each assembled chunk keeps its address (StreamDigest and length) as the
@@ -14,7 +14,7 @@
 //
 // Any producer-side failure (frame seal mismatch, sequence violation,
 // hostile StateEnd totals) poisons the assembler; the consumer's next
-// fetch() rethrows it as a NetError, which the destination answers with
+// segment() rethrows it as a NetError, which the destination answers with
 // Error — one retryable failure, never a hang. Sequence and totals
 // violations throw the typed hpm::ProtocolError on the producer side too,
 // so the rx loop can distinguish a hostile/buggy peer from a damaged
@@ -38,27 +38,23 @@ class ChunkAssembler {
  public:
   /// `chunk_bytes` is the StateBegin-announced chunk size: the leaf size
   /// the stream's header must name (0 = none announced, which no stream
-  /// header matches). The assembly buffer is reserved ahead in
-  /// multi-chunk strides of it, so appending a chunk reuses the same
-  /// backing store instead of paying a reallocation (and the copy of
-  /// everything assembled so far) per StateChunk — the alloc churn that
-  /// used to show up against `mig.pipeline.*` chunk rates. With 0, growth
-  /// is still geometric.
+  /// header matches).
   explicit ChunkAssembler(std::uint32_t chunk_bytes = 0) : chunk_bytes_(chunk_bytes) {}
 
   [[nodiscard]] std::uint32_t chunk_bytes() const noexcept { return chunk_bytes_; }
 
   /// --- producer side (rx thread) -----------------------------------------
 
-  /// Append one chunk's bytes and `digest`, their StreamDigest as the
-  /// caller already took it. Chunks must arrive in exact sequence order
-  /// (the channel is ordered; a gap means a dropped frame, a duplicate a
-  /// replayed one). Any violation — including a chunk after StateEnd —
-  /// poisons the assembler and throws hpm::ProtocolError. In manifest
-  /// mode, "next expected" skips over indices spliced from the store, so
-  /// wire chunks carry only the negotiated misses — and after
-  /// mark_resumed(), any not-yet-assembled index, hit or miss.
-  void append(std::uint32_t seq, std::span<const std::uint8_t> bytes, std::uint64_t digest);
+  /// Append one chunk, bytes[offset..] (a payload keeps its seq in front),
+  /// and `digest`, its StreamDigest as the caller already took it. Chunks
+  /// must arrive in exact sequence order (the channel is ordered; a gap
+  /// means a dropped frame, a duplicate a replayed one). Any violation —
+  /// including a chunk after StateEnd — poisons the assembler and throws
+  /// hpm::ProtocolError. In manifest mode, "next expected" skips over
+  /// indices spliced from the store, so wire chunks carry only the
+  /// negotiated misses — and after mark_resumed(), any not-yet-assembled
+  /// index, hit or miss.
+  void append(std::uint32_t seq, Bytes bytes, std::size_t offset, std::uint64_t digest);
 
   /// --- dedup manifest mode -------------------------------------------------
 
@@ -92,11 +88,11 @@ class ChunkAssembler {
 
   /// --- consumer side (restore thread) ------------------------------------
 
-  /// Append to `out` (which must hold a prefix of the stream) every byte
-  /// beyond out.size(), blocking until at least `min_total` bytes exist
-  /// or the stream completes. Returns true if `out` grew, false when the
-  /// stream is complete and exhausted. Throws hpm::NetError if poisoned.
-  bool fetch(Bytes& out, std::size_t min_total);
+  /// Segment `i` of the stream (chunk i's bytes), blocking until it has
+  /// arrived or the stream completed without it (false). A segment, once
+  /// appended, never moves: `out` stays valid as long as the assembler.
+  /// Throws hpm::NetError if poisoned.
+  bool segment(std::size_t i, std::span<const std::uint8_t>& out);
 
   /// Block until finish() or fail(); returns the total byte count on
   /// success, throws hpm::NetError on failure.
@@ -112,32 +108,30 @@ class ChunkAssembler {
   /// returned): carries the source's end-to-end digest.
   [[nodiscard]] net::StateEndInfo end_info() const;
 
-  /// How many times the assembly buffer's backing store was regrown.
-  /// The invariant (asserted by the unit test): O(log chunks), never
-  /// O(chunks) — appending must reuse the scratch buffer, not reallocate
-  /// per StateChunk.
-  [[nodiscard]] std::uint64_t alloc_growths() const;
-
  private:
+  /// One assembled chunk: bytes[offset..] of a buffer it arrived in.
+  struct Segment {
+    Bytes bytes;
+    std::size_t offset = 0;
+    ChunkAddr addr;
+  };
+
   void fail_locked(std::string reason);
-  void reserve_for_locked(std::size_t incoming);
   void splice_pending_locked();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  Bytes data_;
+  std::vector<Segment> segments_;
+  std::uint64_t total_ = 0;  ///< bytes assembled
   std::uint32_t chunk_bytes_ = 0;
-  std::uint64_t growths_ = 0;
   net::StateEndInfo end_;
-  std::vector<ChunkAddr> addrs_;  ///< one per assembled chunk
   bool complete_ = false;
   bool failed_ = false;
   std::string reason_;
 
   // Manifest mode: cache-hit bodies waiting for the assembly prefix to
-  // reach their index. A held hit's body is released as soon as it is
-  // spliced (or superseded by a raw resume retransmit) so peak memory
-  // stays one stream, not two.
+  // reach their index, each moved into its segment when spliced (or
+  // dropped when a raw resume retransmit supersedes it).
   struct Held {
     Bytes body;
     ChunkAddr addr;

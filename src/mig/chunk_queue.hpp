@@ -1,6 +1,10 @@
 // Bounded handoff between the collecting thread (producer) and the
 // sender thread of the pipelined transfer.
 //
+// The queue carries spans into the collection's own buffer, which never
+// moves (MigContext::set_collect_sink): the frame send reads each chunk in
+// place. The owner joins the sender before that buffer can go.
+//
 // The dedup'd path (RunOptions::chunk_cache_dir, DESIGN.md §15) does not
 // use this queue: manifest negotiation needs the full stream's addresses
 // before anything is sent, so the source collects to completion and
@@ -13,16 +17,17 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "mig/mig_metrics.hpp"
 #include "net/message.hpp"
 
 namespace hpm::mig {
 
-/// One collected chunk and the StreamDigest the collect tap took of it,
-/// which seals its StateChunk frame.
+/// One collected chunk, in place, and the StreamDigest the collect tap
+/// took of it, which seals its StateChunk frame.
 struct QueuedChunk {
-  Bytes bytes;
+  std::span<const std::uint8_t> bytes;
   std::uint64_t digest = 0;
 };
 

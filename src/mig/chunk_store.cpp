@@ -2,6 +2,8 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/endian.hpp"
 #include "common/error.hpp"
 
 namespace hpm::mig {
@@ -27,26 +30,6 @@ namespace {
 // fails open()'s size check and is unlinked as torn.
 constexpr std::uint32_t kEntryMagic = 0x48504D43;  // "HPMC"
 constexpr std::size_t kEntryHeader = 4 + 8 + 4;
-
-void put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>((v >> (8 * (3 - i))) & 0xFFu);
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>((v >> (8 * (7 - i))) & 0xFFu);
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | in[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-  return v;
-}
 
 /// "<16-hex digest>-<length>.chunk" → address, or false for foreign files
 /// (the stats file, editor droppings) which open() must simply ignore.
@@ -206,30 +189,36 @@ bool ChunkStore::load(const ChunkAddr& addr, Bytes& out) {
   auto it = index_.find(name);
   if (it == index_.end()) return false;
 
-  Bytes record(kEntryHeader + addr.length);
-  std::FILE* f = std::fopen((dir_ + "/" + name).c_str(), "rb");
-  bool ok = f != nullptr;
+  // One read of the header and, straight into `out`, the body: the
+  // chunk's own buffer, which the destination keeps as its segment, so
+  // nothing copies the body after the read.
+  std::uint8_t head[kEntryHeader];
+  out.resize(addr.length);
+  const std::uint64_t size = kEntryHeader + std::uint64_t{addr.length};
+  const int fd = ::open((dir_ + "/" + name).c_str(), O_RDONLY | O_CLOEXEC);
+  bool ok = fd >= 0;
   if (ok) {
-    ok = std::fread(record.data(), 1, record.size(), f) == record.size() &&
-         std::fgetc(f) == EOF;  // exact size: a grown file is damage too
-    std::fclose(f);
+    // Exact size: a grown file is damage too.
+    struct stat st {};
+    iovec parts[2] = {{head, kEntryHeader}, {out.data(), out.size()}};
+    ok = ::fstat(fd, &st) == 0 && static_cast<std::uint64_t>(st.st_size) == size &&
+         static_cast<std::uint64_t>(::preadv(fd, parts, 2, 0)) == size;
+    ::close(fd);
   }
   if (ok) {
-    ok = get_u32(record.data()) == kEntryMagic && get_u64(record.data() + 4) == addr.digest &&
-         get_u32(record.data() + 12) == addr.length;
+    ok = get_u32_be(head) == kEntryMagic && get_u64_be(head + 4) == addr.digest &&
+         get_u32_be(head + 12) == addr.length;
   }
   if (ok) {
     // Recompute the body digest: a damaged or deliberately poisoned body
     // must miss.
-    const std::span<const std::uint8_t> body(record.data() + kEntryHeader, addr.length);
-    ok = StreamDigest::of(body) == addr.digest;
+    ok = StreamDigest::of(out) == addr.digest;
   }
   if (!ok) {
+    out.clear();
     drop_locked(name, /*unlink_file=*/true);
     return false;
   }
-  out.assign(record.begin() + static_cast<std::ptrdiff_t>(kEntryHeader),
-             record.begin() + static_cast<std::ptrdiff_t>(kEntryHeader + addr.length));
   touch_locked(it->second, name);
   return true;
 }
@@ -245,9 +234,9 @@ ChunkAddr ChunkStore::put(std::span<const std::uint8_t> body) {
   }
 
   Bytes record(kEntryHeader + body.size());
-  put_u32(record.data(), kEntryMagic);
-  put_u64(record.data() + 4, addr.digest);
-  put_u32(record.data() + 12, addr.length);
+  put_u32_be(record.data(), kEntryMagic);
+  put_u64_be(record.data() + 4, addr.digest);
+  put_u32_be(record.data() + 12, addr.length);
   if (!body.empty()) std::memcpy(record.data() + kEntryHeader, body.data(), body.size());
 
   // Plain POSIX stdio, journal-style: the record must be on disk before

@@ -1,5 +1,6 @@
 #include "mig/context.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "mig/chunk_assembler.hpp"
@@ -143,10 +144,12 @@ void MigContext::do_migration(std::uint32_t label) {
   obs::Span span("mig.collect");
   const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
   // Pre-size from the MSRLT: the stream carries every reachable block's
-  // bytes plus bounded per-record framing, so this estimate makes encoder
-  // growth a non-event even for multi-megabyte heaps.
-  xdr::Encoder enc(space_.msrlt().tracked_bytes() +
-                   space_.msrlt().block_count() * 32 + 4096);
+  // bytes plus bounded per-record framing. A pointer-dense state can
+  // outgrow the estimate; the encoder, a member, then keeps the buffers
+  // the sink's spans point into for the context's life, thrown or not.
+  collect_enc_ = xdr::Encoder(space_.msrlt().tracked_bytes() +
+                              space_.msrlt().block_count() * 32 + 4096);
+  xdr::Encoder& enc = collect_enc_;
   // The collect tap: every leaf-sized slice is hashed once, while it is
   // cache-hot, and handed on with its digest to the sink (if any). That
   // digest seals the slice's StateChunk, names it in a dedup manifest and
@@ -211,38 +214,47 @@ void MigContext::begin_restore_streaming(ChunkAssembler& assembler) {
   assembler_ = &assembler;
   restore_span_ = std::make_unique<obs::Span>("mig.restore");
   restore_before_ = obs::Registry::process().snapshot();
-  restore_stream_.clear();
-  // The decoder starts empty and pulls bytes from the assembler on
-  // demand; restore_stream_ is consumer-owned, so the rebase after each
-  // fetch is single-threaded. The end-to-end checks run at the migration
-  // point, once the whole stream has arrived, from the digests the rx
-  // thread took of each chunk as it received it.
+  // The decoder starts empty and reads the received chunks in place, one
+  // segment at a time, blocking in the assembler whenever it outruns the
+  // network. The end-to-end checks run at the migration point, once the
+  // whole stream has arrived, from the digests the rx thread took of each
+  // chunk as it received it.
   dec_.emplace(std::span<const std::uint8_t>{});
-  dec_->set_refill([this](std::size_t min_total) {
-    if (!assembler_->fetch(restore_stream_, min_total)) return false;
-    dec_->rebase({restore_stream_.data(), restore_stream_.size()});
+  dec_->set_refill([this, next = std::size_t{0}](std::size_t) mutable {
+    std::span<const std::uint8_t> segment;
+    if (!assembler_->segment(next, segment)) return false;
+    ++next;
+    dec_->next_segment(segment);
     return true;
   });
   restore_from_decoder();
 }
 
-std::uint64_t MigContext::restored_root() const {
-  const std::size_t size = restore_stream_.size();
-  const std::span<const std::uint8_t> payload(
-      restore_stream_.data(), size > msrm::kTrailerBytes ? size - msrm::kTrailerBytes : 0);
-  // Chunk i is leaf i while chunks are whole leaves and end before the
-  // trailer; a source that chunked otherwise only costs the hashing.
+std::uint64_t MigContext::restored_root(std::uint64_t total) const {
+  // Chunk i must be leaf i: every whole leaf before the trailer is named
+  // by its chunk's digest, and the tail leaf, a prefix of its chunk, is
+  // hashed here where it lies.
+  const std::uint64_t payload = total > msrm::kTrailerBytes ? total - msrm::kTrailerBytes : 0;
+  const std::uint64_t leaf = restore_leaf_bytes_;
   const std::vector<ChunkAddr> chunks = assembler_->chunk_addrs();
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (i + 1 < chunks.size() ? chunks[i].length != leaf : chunks[i].length > leaf) {
+      throw WireError("chunk " + std::to_string(i) + " of " + std::to_string(chunks[i].length) +
+                      " bytes is not leaf " + std::to_string(i) + " of the stream");
+    }
+  }
   std::vector<std::uint64_t> leaves;
   leaves.reserve(chunks.size());
-  for (const ChunkAddr& c : chunks) {
-    if (c.length != restore_leaf_bytes_ ||
-        (leaves.size() + 1) * std::size_t{restore_leaf_bytes_} > payload.size()) {
-      break;
+  for (std::size_t i = 0; i * leaf < payload; ++i) {
+    if ((i + 1) * leaf <= payload) {
+      leaves.push_back(chunks[i].digest);
+      continue;
     }
-    leaves.push_back(c.digest);
+    std::span<const std::uint8_t> tail;
+    assembler_->segment(i, tail);
+    leaves.push_back(StreamDigest::of(tail.first(payload - i * leaf)));
   }
-  return msrm::leaf_root(payload, restore_leaf_bytes_, leaves);
+  return msrm::leaf_root({}, restore_leaf_bytes_, leaves);
 }
 
 /// Shared restore prologue: header, type table, execution state, restorer,
@@ -329,40 +341,42 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
     }
   }
   std::uint64_t restored_digest = 0;
+  std::uint64_t stream_bytes = restore_stream_.size();
   if (assembler_ != nullptr) {
     // Chunked stream: wait for the orderly end (the assembler has already
-    // verified chunk count and byte total), pull every remaining byte,
-    // compare the end-to-end digest the source computed over the canonical
-    // stream against our own — FIRST, so corruption that slipped past
-    // every frame seal is named for what it is — then run the whole-buffer
-    // path's trailer check. Exactly the 9-byte trailer may stay undecoded.
-    // The root comes from the digests the rx thread took of each chunk; of
-    // the stream's bytes only the tail leaf is hashed again here.
+    // verified chunk count and byte total), compare the end-to-end digest
+    // the source computed over the canonical stream against our own —
+    // FIRST, so corruption that slipped past every frame seal is named for
+    // what it is. The root comes from the digests the rx thread took of
+    // each chunk; of the stream's bytes only the tail leaf is hashed again
+    // here. Exactly the 9-byte trailer may stay undecoded: the decoder
+    // reads it last, for the whole-buffer path's trailer check.
     const std::uint64_t total = assembler_->await_complete();
-    while (restore_stream_.size() < total && assembler_->fetch(restore_stream_, total)) {
-    }
-    dec_->rebase({restore_stream_.data(), restore_stream_.size()});
-    restored_digest = restored_root();
+    restored_digest = restored_root(total);
     if (restored_digest != assembler_->end_info().digest) {
       throw MigrationError(
           "end-to-end digest mismatch: canonical stream damaged between "
           "collection and restoration despite intact frame seals");
     }
-    msrm::check_stream(restore_stream_, restored_digest);
-    if (dec_->remaining() != msrm::kTrailerBytes) {
-      throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
+    if (total - dec_->position() != msrm::kTrailerBytes) {
+      throw MigrationError("migration stream has " +
+                           std::to_string(total - dec_->position()) +
                            " bytes after the last record (expected the 9-byte trailer)");
     }
+    std::array<std::uint8_t, msrm::kTrailerBytes> trailer{};
+    dec_->get_bytes(trailer.data(), trailer.size());
+    msrm::check_stream(trailer, restored_digest);
+    stream_bytes = total;
   } else if (!dec_->at_end()) {
     throw MigrationError("migration stream has " + std::to_string(dec_->remaining()) +
                          " undecoded bytes after restoration");
   }
 
-  restore_span_->arg("stream_bytes", std::uint64_t{restore_stream_.size()});
+  restore_span_->arg("stream_bytes", stream_bytes);
   metrics_.restore_seconds = restore_span_->finish();
   restore_span_.reset();
   metrics_.restore = obs::Registry::process().snapshot().delta_since(restore_before_);
-  metrics_.stream_bytes = restore_stream_.size();
+  metrics_.stream_bytes = stream_bytes;
 
   const bool streamed = assembler_ != nullptr;
   mode_ = Mode::Normal;

@@ -197,6 +197,8 @@ class MigContext {
   /// leaf-sized slices while the collection DFS is still walking the
   /// graph. Install before the program starts. The full stream is still
   /// retained (stream()) so a failed transfer can be resumed or replayed.
+  /// Each slice never moves: the sink may queue it as a span while this
+  /// context and the collected stream (or what take_stream() moved) live.
   void set_collect_sink(ChunkSink sink) { collect_sink_ = std::move(sink); }
 
   /// --- restoration --------------------------------------------------------
@@ -245,10 +247,9 @@ class MigContext {
                  std::uint32_t count);
   void do_migration(std::uint32_t label);
   void restore_from_decoder();
-  /// Leaf root of the chunked stream now in restore_stream_: the
-  /// assembler's chunk digests for every chunk that is a whole leaf, the
-  /// rest (the tail leaf) hashed here.
-  std::uint64_t restored_root() const;
+  /// Leaf root of the `total`-byte chunked stream in the assembler: its
+  /// chunk digests for the whole leaves, the tail leaf hashed here.
+  std::uint64_t restored_root(std::uint64_t total) const;
   void finish_restore(Frame& frame, std::uint32_t label);
   void bind_saved(const SavedVar& saved, const LocalVar& dest);
 
@@ -265,6 +266,7 @@ class MigContext {
   std::uint64_t poll_count_ = 0;
 
   Mode mode_ = Mode::Normal;
+  xdr::Encoder collect_enc_;  ///< the last collection's encoder (keeps grown-out buffers)
   Bytes stream_;
   std::uint32_t leaf_bytes_ = msrm::kDefaultLeafBytes;
   ChunkSink collect_sink_;
@@ -275,7 +277,7 @@ class MigContext {
   // Restore-side state.
   ChunkAssembler* assembler_ = nullptr;  ///< non-null while restoring a chunked stream
   obs::MetricsSnapshot restore_before_;
-  Bytes restore_stream_;
+  Bytes restore_stream_;  ///< begin_restore's whole stream (a chunked one stays in the assembler)
   std::uint32_t restore_leaf_bytes_ = 0;  ///< the restored stream's header leaf size
   std::optional<xdr::Decoder> dec_;
   std::unique_ptr<msrm::Restorer> restorer_;

@@ -306,26 +306,27 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
         const std::uint32_t seq = net::decode_state_chunk_seq(msg.payload);
         if (!manifest_announced) {
           // The digest recv_message took to check the seal is the chunk's
-          // leaf digest: the restorer's root is built from it.
-          assembler.append(seq, std::span<const std::uint8_t>(msg.payload).subspan(4),
-                           msg.body_digest);
+          // leaf digest: the restorer's root is built from it. The payload
+          // itself becomes the chunk's segment, behind its seq.
+          assembler.append(seq, std::move(msg.payload), 4, msg.body_digest);
         } else {
           // Dedup framing: u32 seq | u8 codec tag | body.
           if (msg.payload.size() < 5) throw NetError("coded chunk: short payload");
           const std::uint8_t tag = msg.payload[4];
-          const std::span<const std::uint8_t> wire =
-              std::span<const std::uint8_t>(msg.payload).subspan(5);
-          Bytes decoded;
-          std::span<const std::uint8_t> body = wire;
+          Bytes chunk = std::move(msg.payload);
+          std::size_t offset = 5;
           if (tag == static_cast<std::uint8_t>(WireCodec::VarintDelta)) {
             if (seq >= manifest.size()) {
               throw NetError("coded chunk names an index outside the manifest");
             }
-            decoded = codec_decode(wire, manifest[seq].length);
-            body = decoded;
+            chunk = codec_decode(std::span<const std::uint8_t>(chunk).subspan(5),
+                                 manifest[seq].length);
+            offset = 0;
           } else if (tag != 0) {
             throw NetError("coded chunk: unknown codec tag");
           }
+          const std::span<const std::uint8_t> body =
+              std::span<const std::uint8_t>(chunk).subspan(offset);
           // The frame's body digest covers the tag and the coded bytes, so
           // the decoded chunk's digest comes from put(), which hashes the
           // body to address it — self-addressing, so a lying manifest
@@ -342,7 +343,7 @@ void DestinationHost::rx_loop(ChunkAssembler& assembler, std::uint64_t txn,
             }
           }
           if (!addressed) digest = StreamDigest::of(body);
-          assembler.append(seq, body, digest);
+          assembler.append(seq, std::move(chunk), offset, digest);
         }
       } catch (const NetError&) {
         // ProtocolError from the assembler (already poisoned with the

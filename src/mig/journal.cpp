@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "common/digest.hpp"
+#include "common/endian.hpp"
 #include "common/error.hpp"
 #include "common/hexdump.hpp"
 
@@ -39,18 +40,6 @@ void put_u32_be(Bytes& out, std::uint32_t v) {
 
 void put_u64_be(Bytes& out, std::uint64_t v) {
   for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-std::uint32_t get_u32_be(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | in[i];
-  return v;
-}
-
-std::uint64_t get_u64_be(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-  return v;
 }
 
 Bytes encode_record(const JournalRecord& record) {

@@ -82,6 +82,14 @@ void RetainedStream::read(std::uint64_t offset, std::span<std::uint8_t> out) con
   }
 }
 
+std::span<const std::uint8_t> RetainedStream::view(std::uint64_t offset, std::size_t len,
+                                                   Bytes& scratch) const {
+  if (fd_ < 0 && offset + len <= size_) return {memory_.data() + offset, len};
+  scratch.resize(len);
+  read(offset, scratch);
+  return scratch;
+}
+
 Bytes RetainedStream::materialize() const {
   Bytes out(size_);
   read(0, out);

@@ -57,6 +57,11 @@ class RetainedStream {
   /// errors (a truncated spill must fail loudly, not replay garbage).
   void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
+  /// `[offset, offset+len)` of the stream: a view of the memory copy, or
+  /// once spilled, read into `scratch` (same errors as read()).
+  [[nodiscard]] std::span<const std::uint8_t> view(std::uint64_t offset, std::size_t len,
+                                                   Bytes& scratch) const;
+
   /// The whole stream as a fresh in-memory copy — local completion
   /// restores from a contiguous buffer.
   [[nodiscard]] Bytes materialize() const;

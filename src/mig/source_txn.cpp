@@ -247,17 +247,15 @@ TxnResult run_pipelined_transaction(
   Clock::time_point pipeline_start{};
 
   // Chunk reads go through the retained stream so memory-resident and
-  // disk-spilled streams replay identically; the buffer is reused by the
-  // strictly sequential send loops. Each chunk is sealed and named by the
-  // digest the collect tap took of it, kept beside the retained stream.
+  // disk-spilled streams replay identically (a view, or a read into the
+  // buffer the sequential send loops reuse). Each chunk is sealed and
+  // named by the collect tap's digest of it, kept beside the stream.
   Bytes chunk_buf;
   auto chunk_len = [&](std::uint64_t seq) {
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(cb, stream.size() - seq * cb));
   };
-  auto read_chunk = [&](std::uint64_t seq) -> std::span<const std::uint8_t> {
-    chunk_buf.resize(chunk_len(seq));
-    stream.read(seq * cb, chunk_buf);
-    return chunk_buf;
+  auto read_chunk = [&](std::uint64_t seq) {
+    return stream.view(seq * cb, chunk_len(seq), chunk_buf);
   };
 
   /// Chunks [from, end) of the retained stream, then StateEnd, on the
@@ -480,12 +478,23 @@ TxnResult run_pipelined_transaction(
     ti::TypeTable types;
     options.register_types(types);
     MigContext ctx(types);
+    // The sender reads queued chunks in place, in ctx's collection buffers:
+    // on every way out of this scope it is stopped before ctx goes.
+    struct StopSender {
+      ChunkQueue& queue;
+      std::thread& sender;
+      ~StopSender() {
+        queue.poison();
+        queue.close(std::nullopt);
+        if (sender.joinable()) sender.join();
+      }
+    } stop_before_ctx{queue, sender};
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_leaf_bytes(cb);
     if (overlap) {
       ctx.set_collect_sink([&](std::span<const std::uint8_t> bytes, std::uint64_t d) {
         if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();
-        queue.push({Bytes(bytes.begin(), bytes.end()), d});
+        queue.push({bytes, d});
       });
     }
     try {
@@ -502,9 +511,18 @@ TxnResult run_pipelined_transaction(
       report.stream_bytes = stream.size();
       report.collect_seconds = ctx.metrics().collect_seconds;
       report.source_arch = ctx.space().arch().name;
+      // Stream-derived: a resume's StateEnd must describe the whole
+      // fixed-size chunking.
+      end.chunk_count = static_cast<std::uint32_t>((stream.size() + cb - 1) / cb);
+      end.total_bytes = stream.size();
+      end.digest = digest;
+      session.set_stream(end.chunk_count, digest);
+      queue.close(end);
+      join_sender();
       if (!options.retain_dir.empty()) {
         // The spill is the transaction's ONLY replay source once it
-        // lands; it must exist before the heap copy is freed.
+        // lands; it must exist before the heap copy is freed — and the
+        // sender, joined above, has stopped reading that copy.
         std::error_code ec;
         std::filesystem::create_directories(options.retain_dir, ec);
         stream.spill(options.retain_dir + "/retained-" + std::to_string(txn) +
@@ -519,15 +537,7 @@ TxnResult run_pipelined_transaction(
       if (rendezvoused) src_port->send(net::MsgType::Shutdown, {});
       session.abort_decided("no migration was triggered");
     } else {
-      // Stream-derived: a resume's StateEnd must describe the whole
-      // fixed-size chunking.
-      end.chunk_count = static_cast<std::uint32_t>((stream.size() + cb - 1) / cb);
-      end.total_bytes = stream.size();
-      end.digest = digest;
-      session.set_stream(end.chunk_count, digest);
       if (overlap) {
-        queue.close(end);
-        join_sender();
         if (sender_error != nullptr) std::rethrow_exception(sender_error);
         commit_phase();
       } else if (rendezvoused) {

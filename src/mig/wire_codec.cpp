@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/endian.hpp"
 #include "common/error.hpp"
 
 namespace hpm::mig {
@@ -14,16 +15,6 @@ std::uint64_t zigzag(std::int64_t v) {
 
 std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-std::uint64_t read_u64_be(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-  return v;
-}
-
-void write_u64_be(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>((v >> (8 * (7 - i))) & 0xFFu);
 }
 
 void put_varint(Bytes& out, std::uint64_t v) {
@@ -73,7 +64,7 @@ Bytes codec_encode(std::span<const std::uint8_t> body) {
   out.reserve(body.size() + body.size() / 4 + 16);
   std::uint64_t prev = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t word = read_u64_be(body.data() + w * 8);
+    const std::uint64_t word = get_u64_be(body.data() + w * 8);
     put_varint(out, zigzag(static_cast<std::int64_t>(word - prev)));
     prev = word;
   }
@@ -90,7 +81,7 @@ Bytes codec_decode(std::span<const std::uint8_t> coded, std::size_t expected_len
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t delta = get_varint(coded, pos);
     prev += static_cast<std::uint64_t>(unzigzag(delta));
-    write_u64_be(out.data() + w * 8, prev);
+    put_u64_be(out.data() + w * 8, prev);
   }
   if (coded.size() - pos != tail) {
     throw NetError("coded chunk: length mismatch (" + std::to_string(coded.size() - pos) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/endian.hpp"
 #include "common/error.hpp"
 
 namespace hpm::msrm {
@@ -21,11 +22,7 @@ std::uint64_t stored_root(std::span<const std::uint8_t> stream) {
   if (stream[payload_len] != kTrailerTag) {
     throw WireError("stream trailer tag missing (truncated transfer?)");
   }
-  std::uint64_t stored = 0;
-  for (std::size_t i = 1; i < kTrailerBytes; ++i) {
-    stored = (stored << 8) | stream[payload_len + i];
-  }
-  return stored;
+  return get_u64_be(stream.data() + payload_len + 1);
 }
 
 }  // namespace
@@ -68,7 +65,7 @@ std::uint64_t leaf_root(std::span<const std::uint8_t> payload, std::uint32_t lea
   StreamDigest root;
   const auto add = [&root](std::uint64_t leaf) {
     std::uint8_t be[8];
-    for (int i = 0; i < 8; ++i) be[i] = static_cast<std::uint8_t>(leaf >> (56 - 8 * i));
+    put_u64_be(be, leaf);
     root.update(be);
   };
   for (const std::uint64_t d : known) add(d);

@@ -8,8 +8,27 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace hpm::net {
+
+/// One span of a gathered send.
+using ConstBytes = std::span<const std::uint8_t>;
+
+/// Total bytes of a gathered send.
+inline std::size_t total_size(std::span<const ConstBytes> parts) noexcept {
+  std::size_t total = 0;
+  for (const ConstBytes part : parts) total += part.size();
+  return total;
+}
+
+/// The parts of a gathered send stitched into one buffer (one copy).
+inline std::vector<std::uint8_t> gather(std::span<const ConstBytes> parts) {
+  std::vector<std::uint8_t> out;
+  out.reserve(total_size(parts));
+  for (const ConstBytes part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
 
 /// Blocking, reliable, ordered byte stream between a migration source and
 /// destination. Implementations: MemChannel (in-process), FileChannel
@@ -20,7 +39,13 @@ class ByteChannel {
 
   /// Send all `data.size()` bytes; throws hpm::NetError on failure, or
   /// hpm::TimeoutError when a deadline is set and the peer stops draining.
-  virtual void send(std::span<const std::uint8_t> data) = 0;
+  virtual void send(ConstBytes data) = 0;
+
+  /// Send the concatenation of `parts` as one unit: the message layer
+  /// ships each frame (head, payload, seal) in one call, which a fault
+  /// decorator counts as one frame. Transports send the parts where they
+  /// lie; this default stitches them into one buffer.
+  virtual void sendv(std::span<const ConstBytes> parts) { send(gather(parts)); }
 
   /// Receive exactly `out.size()` bytes; throws hpm::NetError on failure
   /// or premature end of stream, hpm::TimeoutError when a deadline is set

@@ -37,10 +37,11 @@ FaultPlan FaultPlan::random(std::uint64_t seed) {
   return plan;
 }
 
-void FaultyChannel::send(std::span<const std::uint8_t> data) {
+void FaultyChannel::sendv(std::span<const ConstBytes> parts) {
   if (dead_) throw NetError("send on disconnected FaultyChannel");
+  const std::size_t size = total_size(parts);
   if (truncating_) {
-    sent_ += data.size();
+    sent_ += size;
     ++frames_;
     return;  // the fault already swallowed the tail of the stream
   }
@@ -55,28 +56,30 @@ void FaultyChannel::send(std::span<const std::uint8_t> data) {
                       std::to_string(frames_ + 1));
   }
   const std::uint64_t begin = sent_;
-  const std::uint64_t end = begin + data.size();
+  const std::uint64_t end = begin + size;
   if (plan_.kind == FaultKind::Kill || plan_.kind == FaultKind::KillOnRecv || !armed() ||
       fired_ || end <= plan_.offset) {
     sent_ = end;
-    inner_->send(data);
+    inner_->sendv(parts);
     ++frames_;
     return;
   }
 
-  // The fault offset lies inside (or at the end of) this send.
+  // The fault offset lies inside (or at the end of) this send: the frame
+  // is stitched whole, so offsets count across its parts.
   fired_ = true;
   state_->firings += 1;
   const std::size_t clean = static_cast<std::size_t>(plan_.offset - begin);
+  std::vector<std::uint8_t> frame = gather(parts);
   switch (plan_.kind) {
     case FaultKind::Disconnect:
-      if (clean > 0) inner_->send(data.first(clean));
+      if (clean > 0) inner_->send(std::span(frame).first(clean));
       dead_ = true;
       inner_->abort();
       throw NetError("injected fault: disconnect after " + std::to_string(plan_.offset) +
                      " bytes");
     case FaultKind::Truncate:
-      if (clean > 0) inner_->send(data.first(clean));
+      if (clean > 0) inner_->send(std::span(frame).first(clean));
       truncating_ = true;
       sent_ = end;
       ++frames_;
@@ -100,40 +103,36 @@ void FaultyChannel::send(std::span<const std::uint8_t> data) {
       }
       std::this_thread::sleep_for(std::chrono::duration<double>(plan_.stall_seconds));
       sent_ = end;
-      inner_->send(data);
+      inner_->sendv(parts);
       ++frames_;
       return;
     case FaultKind::Corrupt: {
-      std::vector<std::uint8_t> mangled(data.begin(), data.end());
-      const std::size_t stop =
-          std::min<std::uint64_t>(clean + plan_.length, mangled.size());
-      for (std::size_t i = clean; i < stop; ++i) mangled[i] ^= 0xA5u;
+      const std::size_t stop = std::min<std::uint64_t>(clean + plan_.length, frame.size());
+      for (std::size_t i = clean; i < stop; ++i) frame[i] ^= 0xA5u;
       sent_ = end;
-      inner_->send(mangled);
+      inner_->send(frame);
       ++frames_;
       return;
     }
-    case FaultKind::CorruptMasked: {
+    case FaultKind::CorruptMasked:
       // Flip the payload byte, then re-seal the frame so the framing
       // layer accepts the damage. Valid because the message layer ships
-      // exactly one frame per send().
-      std::vector<std::uint8_t> mangled(data.begin(), data.end());
-      if (mangled.size() >= 10 && clean >= 5 && clean < mangled.size() - 4) {
-        mangled[clean] ^= 0xA5u;
-        seal_frame(mangled);
+      // exactly one frame per send.
+      if (frame.size() >= 10 && clean >= 5 && clean < frame.size() - 4) {
+        frame[clean] ^= 0xA5u;
+        seal_frame(frame);
       }
       sent_ = end;
-      inner_->send(mangled);
+      inner_->send(frame);
       ++frames_;
       return;
-    }
     case FaultKind::Kill:        // handled above (frame-counted, not byte-counted)
     case FaultKind::KillOnRecv:  // fires in recv()
     case FaultKind::None:        // unreachable: armed() excludes None
       break;
   }
   sent_ = end;
-  inner_->send(data);
+  inner_->sendv(parts);
   ++frames_;
 }
 

@@ -29,7 +29,8 @@ enum class FaultKind : std::uint8_t {
   /// only an end-to-end digest can catch it. Relies on the message layer
   /// shipping one whole frame per send() call.
   CorruptMasked,
-  /// Process death: after `frame_offset` successful send() calls, the
+  /// Process death: after `frame_offset` successful sends (a gathered
+  /// sendv() is one send), the
   /// next send throws hpm::KilledError and tears the channel down. The
   /// "crashed" endpoint runs no recovery code of its own — arbitration
   /// falls to the intent journals. One send() is one protocol frame, so
@@ -91,7 +92,9 @@ class FaultyChannel final : public ByteChannel {
         plan_(plan),
         state_(state ? std::move(state) : std::make_shared<FaultState>()) {}
 
-  void send(std::span<const std::uint8_t> data) override;
+  void send(ConstBytes data) override { sendv({&data, 1}); }
+  /// One call is one frame; byte offsets count across its parts.
+  void sendv(std::span<const ConstBytes> parts) override;
   void recv(std::span<std::uint8_t> out) override;
   void set_timeout(std::chrono::milliseconds timeout) override {
     timeout_ = timeout;

@@ -44,13 +44,15 @@ FileWriterChannel::~FileWriterChannel() {
   }
 }
 
-void FileWriterChannel::send(std::span<const std::uint8_t> data) {
+void FileWriterChannel::sendv(std::span<const ConstBytes> parts) {
   if (file_ == nullptr) throw NetError("send on closed FileWriterChannel");
-  if (std::fwrite(data.data(), 1, data.size(), file_) != data.size()) {
-    throw NetError("short write to spool file " + path_);
+  for (const ConstBytes part : parts) {
+    if (!part.empty() && std::fwrite(part.data(), 1, part.size(), file_) != part.size()) {
+      throw NetError("short write to spool file " + path_);
+    }
   }
   if (std::fflush(file_) != 0) throw NetError("fflush failed on " + path_);
-  FileMetrics::get().bytes_sent.add(data.size());
+  FileMetrics::get().bytes_sent.add(total_size(parts));
 }
 
 void FileReaderChannel::send(std::span<const std::uint8_t>) {

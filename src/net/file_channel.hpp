@@ -19,7 +19,9 @@ class FileWriterChannel final : public ByteChannel {
   explicit FileWriterChannel(std::string path);
   ~FileWriterChannel() override;
 
-  void send(std::span<const std::uint8_t> data) override;
+  void send(ConstBytes data) override { sendv({&data, 1}); }
+  /// The parts written in order, then one flush.
+  void sendv(std::span<const ConstBytes> parts) override;
   void recv(std::span<std::uint8_t> out) override;  // always throws
   void set_timeout(std::chrono::milliseconds) override {}  // writes never block
   void close() override;

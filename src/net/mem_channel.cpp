@@ -25,10 +25,11 @@ struct MemMetrics {
 
 namespace detail {
 
-void MemPipe::write(std::span<const std::uint8_t> data) {
+void MemPipe::write(std::span<const ConstBytes> parts) {
+  std::vector<std::uint8_t> unit = gather(parts);
   std::lock_guard lk(mu_);
   if (closed_) throw NetError("write on closed MemPipe");
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  if (!unit.empty()) units_.push_back(std::move(unit));
   cv_.notify_all();
 }
 
@@ -38,7 +39,7 @@ void MemPipe::read(std::span<std::uint8_t> out, std::chrono::milliseconds timeou
   std::size_t got = 0;
   std::unique_lock lk(mu_);
   while (got < out.size()) {
-    const auto ready = [this] { return head_ < buf_.size() || closed_; };
+    const auto ready = [this] { return !units_.empty() || closed_; };
     if (bounded) {
       if (!cv_.wait_until(lk, deadline, ready)) {
         throw TimeoutError("MemPipe recv timed out with " +
@@ -47,16 +48,17 @@ void MemPipe::read(std::span<std::uint8_t> out, std::chrono::milliseconds timeou
     } else {
       cv_.wait(lk, ready);
     }
-    if (head_ == buf_.size() && closed_) {
+    if (units_.empty()) {
       throw NetError("MemPipe closed with " + std::to_string(out.size() - got) +
                      " bytes outstanding");
     }
-    const std::size_t take = std::min(out.size() - got, buf_.size() - head_);
-    std::memcpy(out.data() + got, buf_.data() + head_, take);
+    const std::vector<std::uint8_t>& front = units_.front();
+    const std::size_t take = std::min(out.size() - got, front.size() - head_);
+    std::memcpy(out.data() + got, front.data() + head_, take);
     got += take;
     head_ += take;
-    if (head_ == buf_.size()) {
-      buf_.clear();
+    if (head_ == front.size()) {
+      units_.pop_front();
       head_ = 0;
     }
   }
@@ -78,9 +80,9 @@ std::pair<std::unique_ptr<MemChannel>, std::unique_ptr<MemChannel>> MemChannel::
   return {std::move(a), std::move(b)};
 }
 
-void MemChannel::send(std::span<const std::uint8_t> data) {
-  out_->write(data);
-  MemMetrics::get().bytes_sent.add(data.size());
+void MemChannel::sendv(std::span<const ConstBytes> parts) {
+  out_->write(parts);
+  MemMetrics::get().bytes_sent.add(total_size(parts));
 }
 
 void MemChannel::recv(std::span<std::uint8_t> out) {

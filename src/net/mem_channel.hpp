@@ -1,12 +1,13 @@
 // In-process byte pipe for thread-to-thread migration experiments.
 //
-// A MemPipe owns one unidirectional buffer; MemChannel::make_pair() wires
-// two endpoints so the migration source thread and destination thread can
-// run the real send/recv protocol without a kernel socket.
+// A MemPipe owns one unidirectional queue of sends; MemChannel::make_pair()
+// wires two endpoints so the migration source thread and destination
+// thread can run the real send/recv protocol without a kernel socket.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -21,19 +22,20 @@ namespace detail {
 /// Thread-safe unidirectional byte queue with blocking reads.
 class MemPipe {
  public:
-  void write(std::span<const std::uint8_t> data);
+  /// Queue the concatenation of `parts` as one unit: one copy in.
+  void write(std::span<const ConstBytes> parts);
   /// Blocks until `out` is filled; a zero timeout blocks without bound,
   /// otherwise throws hpm::TimeoutError once the deadline passes.
   void read(std::span<std::uint8_t> out, std::chrono::milliseconds timeout);
   void close();
 
  private:
-  // Contiguous ring-ish buffer: bytes [head_, buf_.size()) are pending.
-  // Reads memcpy whole spans instead of popping a deque byte-by-byte;
-  // the buffer is compacted whenever it drains.
+  // One unit per write (a whole frame from the message layer), read from
+  // head_ on and freed once read: each byte is copied once in and once
+  // out, and nothing regrows while the reader lags.
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::uint8_t> buf_;
+  std::deque<std::vector<std::uint8_t>> units_;
   std::size_t head_ = 0;
   bool closed_ = false;
 };
@@ -47,7 +49,8 @@ class MemChannel final : public ByteChannel {
   /// the other.
   static std::pair<std::unique_ptr<MemChannel>, std::unique_ptr<MemChannel>> make_pair();
 
-  void send(std::span<const std::uint8_t> data) override;
+  void send(ConstBytes data) override { sendv({&data, 1}); }
+  void sendv(std::span<const ConstBytes> parts) override;
   void recv(std::span<std::uint8_t> out) override;
   void set_timeout(std::chrono::milliseconds timeout) override { timeout_ = timeout; }
   void close() override;

@@ -4,8 +4,8 @@
 #include <cstring>
 
 #include "common/digest.hpp"
+#include "common/endian.hpp"
 #include "common/error.hpp"
-#include "net/buffer_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace hpm::net {
@@ -28,19 +28,6 @@ struct FrameMetrics {
   }
 };
 
-void put_u32_be(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>((v >> 24) & 0xFFu);
-  out[1] = static_cast<std::uint8_t>((v >> 16) & 0xFFu);
-  out[2] = static_cast<std::uint8_t>((v >> 8) & 0xFFu);
-  out[3] = static_cast<std::uint8_t>(v & 0xFFu);
-}
-
-std::uint32_t get_u32_be(const std::uint8_t* in) {
-  return (static_cast<std::uint32_t>(in[0]) << 24) |
-         (static_cast<std::uint32_t>(in[1]) << 16) |
-         (static_cast<std::uint32_t>(in[2]) << 8) | static_cast<std::uint32_t>(in[3]);
-}
-
 /// Payload bytes before a StateChunk's body: the u32 seq.
 constexpr std::size_t kSeqBytes = 4;
 /// A StateChunk frame's sealed head: type, length and seq.
@@ -51,62 +38,68 @@ std::uint32_t chunk_seal(std::span<const std::uint8_t, kChunkHead> head,
                          std::uint64_t body_digest) noexcept {
   std::array<std::uint8_t, kChunkHead + 8> sealed{};
   std::memcpy(sealed.data(), head.data(), kChunkHead);
-  for (int i = 0; i < 8; ++i) {
-    sealed[kChunkHead + i] = static_cast<std::uint8_t>(body_digest >> (56 - 8 * i));
-  }
+  put_u64_be(sealed.data() + kChunkHead, body_digest);
   return fold32(StreamDigest::of(sealed));
 }
 
-/// Acquire a pooled frame of `payload_len` payload bytes with its type and
-/// length written; the caller fills the payload, seals and ships it.
-Bytes open_frame(MsgType type, std::size_t payload_len) {
-  Bytes frame = BufferPool::process().acquire(5 + payload_len + 4);
-  frame[0] = static_cast<std::uint8_t>(type);
-  put_u32_be(frame.data() + 1, static_cast<std::uint32_t>(payload_len));
-  return frame;
+/// The seal of a frame with this 5-byte head and payload (seal_frame's
+/// rule). For a StateChunk, its body's digest lands in `body_digest`: one
+/// pass over the payload either way.
+std::uint32_t frame_seal(std::span<const std::uint8_t, 5> head,
+                         std::span<const std::uint8_t> payload,
+                         std::uint64_t& body_digest) noexcept {
+  if (head[0] == static_cast<std::uint8_t>(MsgType::StateChunk) &&
+      payload.size() >= kSeqBytes) {
+    body_digest = StreamDigest::of(payload.subspan(kSeqBytes));
+    std::array<std::uint8_t, kChunkHead> chunk_head{};
+    std::memcpy(chunk_head.data(), head.data(), head.size());
+    std::memcpy(chunk_head.data() + head.size(), payload.data(), kSeqBytes);
+    return chunk_seal(chunk_head, body_digest);
+  }
+  StreamDigest digest;
+  digest.update(head);
+  digest.update(payload);
+  return fold32(digest.value());
 }
 
-void ship_frame(ByteChannel& ch, Bytes frame) {
-  const std::size_t total = frame.size();
-  ch.send(frame);
-  BufferPool::process().release(std::move(frame));
+/// Ship one frame as a single gathered send — head, payload, seal where
+/// they lie, so the payload is not copied into a frame buffer.
+void ship_frame(ByteChannel& ch, std::span<const std::uint8_t> head,
+                std::span<const std::uint8_t> payload, std::uint32_t seal) {
+  std::array<std::uint8_t, 4> trailer{};
+  put_u32_be(trailer.data(), seal);
+  const std::array<ConstBytes, 3> parts{head, payload, trailer};
+  ch.sendv(parts);
   FrameMetrics& m = FrameMetrics::get();
   m.sent.add(1);
-  m.bytes_sent.add(total);
+  m.bytes_sent.add(head.size() + payload.size() + trailer.size());
 }
 
 }  // namespace
 
 void seal_frame(std::span<std::uint8_t> frame) noexcept {
   const std::size_t body = frame.size() - 4;
-  std::uint32_t seal = 0;
-  if (frame[0] == static_cast<std::uint8_t>(MsgType::StateChunk) && body >= kChunkHead) {
-    const std::uint64_t d = StreamDigest::of(frame.subspan(kChunkHead, body - kChunkHead));
-    seal = chunk_seal(frame.first<kChunkHead>(), d);
-  } else {
-    seal = fold32(StreamDigest::of(frame.first(body)));
-  }
-  put_u32_be(frame.data() + body, seal);
+  std::uint64_t body_digest = 0;
+  put_u32_be(frame.data() + body,
+             body < 5 ? fold32(StreamDigest::of(frame.first(body)))
+                      : frame_seal(frame.first<5>(), frame.subspan(5, body - 5), body_digest));
 }
 
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload) {
-  // One pooled buffer and a single channel send per frame: chunked
-  // transfers emit thousands of frames per migration, so per-frame
-  // allocation and triple syscalls both matter.
-  Bytes frame = open_frame(type, payload.size());
-  if (!payload.empty()) std::memcpy(frame.data() + 5, payload.data(), payload.size());
-  seal_frame(frame);
-  ship_frame(ch, std::move(frame));
+  std::array<std::uint8_t, 5> head{};
+  head[0] = static_cast<std::uint8_t>(type);
+  put_u32_be(head.data() + 1, static_cast<std::uint32_t>(payload.size()));
+  std::uint64_t body_digest = 0;
+  ship_frame(ch, head, payload, frame_seal(head, payload, body_digest));
 }
 
 void send_state_chunk(ByteChannel& ch, std::uint32_t seq, std::span<const std::uint8_t> body,
                       std::uint64_t body_digest) {
-  Bytes frame = open_frame(MsgType::StateChunk, kSeqBytes + body.size());
-  put_u32_be(frame.data() + 5, seq);
-  if (!body.empty()) std::memcpy(frame.data() + kChunkHead, body.data(), body.size());
-  put_u32_be(frame.data() + frame.size() - 4,
-             chunk_seal(std::span<const std::uint8_t>(frame).first<kChunkHead>(), body_digest));
-  ship_frame(ch, std::move(frame));
+  std::array<std::uint8_t, kChunkHead> head{};
+  head[0] = static_cast<std::uint8_t>(MsgType::StateChunk);
+  put_u32_be(head.data() + 1, static_cast<std::uint32_t>(kSeqBytes + body.size()));
+  put_u32_be(head.data() + 5, seq);
+  ship_frame(ch, head, body, chunk_seal(head, body_digest));
 }
 
 Message recv_message(ByteChannel& ch, std::size_t max_payload) {
@@ -135,22 +128,9 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   if (len > 0) ch.recv(msg.payload);
   std::array<std::uint8_t, 4> trailer{};
   ch.recv(trailer);
-  // One pass over the payload either way: a StateChunk's body digest is
-  // both what its seal folds in and what the receiver keeps.
-  std::uint32_t seal = 0;
-  if (msg.type == MsgType::StateChunk && len >= kSeqBytes) {
-    msg.body_digest = StreamDigest::of(std::span(msg.payload).subspan(kSeqBytes));
-    std::array<std::uint8_t, kChunkHead> chunk_head{};
-    std::memcpy(chunk_head.data(), head.data(), head.size());
-    std::memcpy(chunk_head.data() + head.size(), msg.payload.data(), kSeqBytes);
-    seal = chunk_seal(chunk_head, msg.body_digest);
-  } else {
-    StreamDigest digest;
-    digest.update(head);
-    digest.update(msg.payload);
-    seal = fold32(digest.value());
-  }
-  if (get_u32_be(trailer.data()) != seal) {
+  // A StateChunk's body digest is both what its seal folds in and what
+  // the receiver keeps.
+  if (get_u32_be(trailer.data()) != frame_seal(head, msg.payload, msg.body_digest)) {
     FrameMetrics::get().seal_failures.add(1);
     throw NetError("frame seal mismatch: " + std::to_string(len) +
                    "-byte payload damaged in transit");
@@ -160,22 +140,6 @@ Message recv_message(ByteChannel& ch, std::size_t max_payload) {
   m.bytes_recv.add(head.size() + msg.payload.size() + trailer.size());
   return msg;
 }
-
-namespace {
-
-void put_u64_be(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>((v >> (8 * (7 - i))) & 0xFFu);
-  }
-}
-
-std::uint64_t get_u64_be(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
-  return v;
-}
-
-}  // namespace
 
 Bytes encode_state_begin(const StateBeginInfo& info) {
   Bytes payload(16);

@@ -91,13 +91,14 @@ void seal_frame(std::span<std::uint8_t> frame) noexcept;
 
 /// Send one framed message in the one frame layout: u8 type, u32 length
 /// (big-endian), payload, u32 seal (seal_frame). A channel carries one
-/// migration session, so frames carry no session tag. The frame is
-/// assembled in a pooled buffer and shipped with a single channel send.
+/// migration session, so frames carry no session tag. The frame goes out
+/// as one gathered channel send (ByteChannel::sendv) of head, payload and
+/// seal: the payload is not copied here.
 void send_message(ByteChannel& ch, MsgType type, std::span<const std::uint8_t> payload);
 
 /// Send one StateChunk (seq, then `body`) sealed from `body_digest`, the
-/// StreamDigest of `body` its caller already holds: the body is copied
-/// once, into the pooled frame, and not hashed here.
+/// StreamDigest of `body` its caller already holds: the body is neither
+/// copied nor hashed here, only sent in place behind the frame head.
 void send_state_chunk(ByteChannel& ch, std::uint32_t seq, std::span<const std::uint8_t> body,
                       std::uint64_t body_digest);
 

@@ -12,7 +12,7 @@ double SimulatedLink::transfer_seconds(std::uint64_t bytes) const noexcept {
   return latency_s + wire_bytes * 8.0 / bandwidth_bps;
 }
 
-void ThrottledChannel::send(std::span<const std::uint8_t> data) {
+void ThrottledChannel::sendv(std::span<const ConstBytes> parts) {
   // A frame that starts while the link is still busy streams back-to-back
   // with its predecessor, so its propagation delay overlaps the
   // predecessor's transmission — only an idle link charges latency again.
@@ -27,7 +27,7 @@ void ThrottledChannel::send(std::span<const std::uint8_t> data) {
   const auto slack = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(link_.latency_s + 2e-3));
   const bool streaming = now < busy_until_ + slack;
-  double dt = link_.transfer_seconds(data.size());
+  double dt = link_.transfer_seconds(total_size(parts));
   if (streaming) dt -= link_.latency_s;
   modeled_send_s_ += dt;
   const auto start = streaming ? busy_until_ : now;
@@ -35,7 +35,7 @@ void ThrottledChannel::send(std::span<const std::uint8_t> data) {
       start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(dt));
   std::this_thread::sleep_until(busy_until_);
-  inner_->send(data);
+  inner_->sendv(parts);
 }
 
 void ThrottledChannel::recv(std::span<std::uint8_t> out) { inner_->recv(out); }

@@ -38,7 +38,8 @@ class ThrottledChannel final : public ByteChannel {
   ThrottledChannel(std::unique_ptr<ByteChannel> inner, SimulatedLink link)
       : inner_(std::move(inner)), link_(link) {}
 
-  void send(std::span<const std::uint8_t> data) override;
+  void send(ConstBytes data) override { sendv({&data, 1}); }
+  void sendv(std::span<const ConstBytes> parts) override;
   void recv(std::span<std::uint8_t> out) override;
   void set_timeout(std::chrono::milliseconds timeout) override {
     inner_->set_timeout(timeout);

@@ -4,10 +4,13 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -65,23 +68,40 @@ SocketChannel::~SocketChannel() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SocketChannel::send(std::span<const std::uint8_t> data) {
+void SocketChannel::sendv(std::span<const ConstBytes> parts) {
   if (fd_ < 0 || closed_.load(std::memory_order_acquire)) {
     throw NetError("send on closed SocketChannel");
   }
   const bool bounded = timeout_.count() > 0;
   const auto deadline = Clock::now() + timeout_;
+  // The unsent tail of the parts; a short write advances into it.
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (const ConstBytes part : parts) {
+    if (!part.empty()) iov.push_back({const_cast<std::uint8_t*>(part.data()), part.size()});
+  }
+  std::size_t next = 0;
   std::size_t sent = 0;
   try {
-    while (sent < data.size()) {
+    while (next < iov.size()) {
       wait_ready(fd_, POLLOUT, bounded, deadline, "send");
-      const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
-                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      msghdr msg{};
+      msg.msg_iov = iov.data() + next;
+      msg.msg_iovlen = iov.size() - next;  // a frame is 2 or 3 parts
+      const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
         fail("send");
       }
       sent += static_cast<std::size_t>(n);
+      for (std::size_t left = static_cast<std::size_t>(n); left > 0;) {
+        iovec& v = iov[next];
+        const std::size_t step = std::min(left, v.iov_len);
+        v.iov_base = static_cast<std::uint8_t*>(v.iov_base) + step;
+        v.iov_len -= step;
+        left -= step;
+        if (v.iov_len == 0) ++next;
+      }
     }
   } catch (const TimeoutError&) {
     SocketMetrics::get().timeouts.add(1);

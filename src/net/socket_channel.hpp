@@ -24,7 +24,9 @@ class SocketChannel final : public ByteChannel {
   SocketChannel(const SocketChannel&) = delete;
   SocketChannel& operator=(const SocketChannel&) = delete;
 
-  void send(std::span<const std::uint8_t> data) override;
+  void send(ConstBytes data) override { sendv({&data, 1}); }
+  /// One writev-style sendmsg per readiness wake-up, across the parts.
+  void sendv(std::span<const ConstBytes> parts) override;
   void recv(std::span<std::uint8_t> out) override;
   void set_timeout(std::chrono::milliseconds timeout) override { timeout_ = timeout; }
   void close() override;

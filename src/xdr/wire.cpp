@@ -1,8 +1,11 @@
 #include "xdr/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
+#include "common/endian.hpp"
 #include "obs/metrics.hpp"
 
 namespace hpm::xdr {
@@ -45,22 +48,25 @@ Bytes Encoder::take() noexcept {
 }
 
 Decoder::~Decoder() {
-  if (counted_ && pos_ > 0) {
+  if (counted_ && position() > 0) {
     WireMetrics& m = WireMetrics::get();
-    m.decode_bytes.add(pos_);
+    m.decode_bytes.add(position());
     m.decode_streams.add(1);
   }
 }
 
 void Encoder::put_u16(std::uint16_t v) {
+  room(2);
   put_be(buf_, v);
   if (sink_) maybe_flush();
 }
 void Encoder::put_u32(std::uint32_t v) {
+  room(4);
   put_be(buf_, v);
   if (sink_) maybe_flush();
 }
 void Encoder::put_u64(std::uint64_t v) {
+  room(8);
   put_be(buf_, v);
   if (sink_) maybe_flush();
 }
@@ -70,6 +76,7 @@ void Encoder::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Encoder::put_bytes(const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
+  room(len);
   buf_.insert(buf_.end(), p, p + len);
   if (sink_) maybe_flush();
 }
@@ -85,9 +92,14 @@ void Encoder::patch_u32(std::size_t offset, std::uint32_t v) {
   if (offset < flushed_) {
     throw WireError("patch_u32 below sink watermark: bytes already flushed");
   }
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[offset + i] = static_cast<std::uint8_t>((v >> (8 * (3 - i))) & 0xFFu);
-  }
+  put_u32_be(buf_.data() + offset, v);
+}
+
+void Encoder::regrow(std::size_t n) {
+  Bytes bigger;
+  bigger.reserve(std::max(2 * buf_.capacity(), buf_.size() + n));
+  bigger.assign(buf_.begin(), buf_.end());
+  retired_.push_back(std::exchange(buf_, std::move(bigger)));
 }
 
 void Encoder::set_sink(std::size_t chunk_bytes, SinkFn fn) {
@@ -115,61 +127,50 @@ void Encoder::flush_sink() {
   sink_chunk_ = 0;
 }
 
-void Decoder::need(std::size_t n) {
-  while (pos_ + n > data_.size()) {
-    if (refill_ && refill_(pos_ + n)) continue;
-    throw WireError("truncated stream: need " + std::to_string(n) + " bytes at offset " +
-                    std::to_string(pos_) + ", have " + std::to_string(data_.size() - pos_));
+void Decoder::truncated(std::size_t n) const {
+  throw WireError("truncated stream: need " + std::to_string(n) + " bytes at offset " +
+                  std::to_string(position()) + ", have " + std::to_string(remaining()));
+}
+
+bool Decoder::advance(std::size_t wanted) {
+  while (refill_ && refill_(wanted)) {
+    if (!data_.empty()) return true;
+  }
+  return false;
+}
+
+void Decoder::get_bytes(void* out, std::size_t n) {
+  // A bounded decoder fails before it consumes anything.
+  if (!refill_ && n > remaining()) truncated(n);
+  auto* dst = static_cast<std::uint8_t*>(out);
+  while (n > 0) {
+    if (pos_ == data_.size() && !advance(n)) truncated(n);
+    const std::size_t k = std::min(n, remaining());
+    std::memcpy(dst, data_.data() + pos_, k);
+    pos_ += k;
+    dst += k;
+    n -= k;
   }
 }
 
-std::uint8_t Decoder::get_u8() {
-  need(1);
-  return data_[pos_++];
-}
-
 std::uint8_t Decoder::peek_u8() {
-  need(1);
+  if (pos_ == data_.size() && !advance(1)) truncated(1);
   return data_[pos_];
-}
-
-std::uint16_t Decoder::get_u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Decoder::get_u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Decoder::get_u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 8;
-  return v;
-}
-
-float Decoder::get_f32() { return std::bit_cast<float>(get_u32()); }
-double Decoder::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-void Decoder::get_bytes(void* out, std::size_t len) {
-  need(len);
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
 }
 
 std::string Decoder::get_string() {
   const std::uint32_t len = get_u32();
-  need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
+  if (!refill_ && len > remaining()) truncated(len);
+  // Appended segment by segment, so a hostile length allocates no more
+  // than the bytes that actually arrive.
+  std::string s;
+  for (std::size_t left = len; left > 0;) {
+    if (pos_ == data_.size() && !advance(left)) truncated(left);
+    const std::size_t k = std::min<std::size_t>(left, remaining());
+    s.append(reinterpret_cast<const char*>(data_.data() + pos_), k);
+    pos_ += k;
+    left -= k;
+  }
   return s;
 }
 

@@ -6,6 +6,7 @@
 // workloads (linpack matrices) stream densely.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -29,6 +30,11 @@ namespace hpm::xdr {
 /// advances), so `bytes()`/`take()` still see the complete stream — the
 /// pipelined coordinator relies on that to retry serially from the
 /// retained copy.
+///
+/// A chunk handed to the sink never moves: with a sink armed, a buffer
+/// that must grow is copied into a larger one and kept until the encoder
+/// dies. So a sink may queue spans while the encoder and the Bytes take()
+/// returns both live.
 class Encoder {
  public:
   using SinkFn = std::function<void(std::span<const std::uint8_t>)>;
@@ -37,6 +43,7 @@ class Encoder {
   explicit Encoder(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
 
   void put_u8(std::uint8_t v) {
+    room(1);
     buf_.push_back(v);
     if (sink_) maybe_flush();
   }
@@ -80,13 +87,16 @@ class Encoder {
   /// disarm it. No-op when no sink is armed.
   void flush_sink();
 
-  /// Bytes already handed to the sink (the flush watermark).
-  [[nodiscard]] std::size_t flushed() const noexcept { return flushed_; }
-
  private:
   void maybe_flush();
+  /// Make room for `n` more bytes without moving a flushed chunk.
+  void room(std::size_t n) {
+    if (sink_ && buf_.capacity() - buf_.size() < n) [[unlikely]] regrow(n);
+  }
+  void regrow(std::size_t n);
 
   Bytes buf_;
+  std::vector<Bytes> retired_;  ///< superseded buffers a sink may still point into
   SinkFn sink_;
   std::size_t sink_chunk_ = 0;
   std::size_t flushed_ = 0;
@@ -96,17 +106,19 @@ class Encoder {
 /// Every read past the end throws hpm::WireError.
 ///
 /// An optional *refill* callback turns the decoder into an incremental
-/// consumer: when a read would run past the end, the callback is asked
-/// to extend the underlying buffer (blocking until more bytes arrive)
-/// and `rebase()` the span; only if it returns false does the decoder
-/// throw. The streaming restore path uses this to decode chunks as they
-/// land.
+/// consumer of a stream that arrives in segments (the received chunks of
+/// a pipelined transfer): when a read runs past the end of the current
+/// segment, the callback hands over the next one with next_segment().
+/// Only if it returns false does the decoder throw. A read that straddles
+/// segments is copied piecewise: get_bytes() straight into its output,
+/// a primitive through a few stitched bytes.
 class Decoder {
  public:
-  /// Called with the minimum total span size required to satisfy the
-  /// pending read. Must grow the underlying storage, call rebase(), and
-  /// return true — or return false to signal the stream truly ended.
-  using RefillFn = std::function<bool(std::size_t min_total)>;
+  /// Called once the current segment is consumed, with the bytes the
+  /// pending read still needs. Must call next_segment() with the stream's
+  /// next segment (blocking until it exists) and return true, or return
+  /// false to signal the stream truly ended.
+  using RefillFn = std::function<bool(std::size_t wanted)>;
 
   explicit Decoder(std::span<const std::uint8_t> data) noexcept : data_(data) {}
   /// `counted = false` records nothing under `xdr.decode.*`: for a peek at
@@ -119,22 +131,32 @@ class Decoder {
   /// `xdr.decode.streams` (untouched decoders record nothing).
   ~Decoder();
 
-  std::uint8_t get_u8();
-  std::uint16_t get_u16();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
+  std::uint8_t get_u8() {
+    if (pos_ < data_.size()) [[likely]] return data_[pos_++];
+    std::uint8_t v = 0;
+    get_bytes(&v, 1);
+    return v;
+  }
+  std::uint16_t get_u16() { return static_cast<std::uint16_t>(get_be<2>()); }
+  std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_be<4>()); }
+  std::uint64_t get_u64() { return get_be<8>(); }
   std::int8_t get_i8() { return static_cast<std::int8_t>(get_u8()); }
   std::int16_t get_i16() { return static_cast<std::int16_t>(get_u16()); }
   std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  float get_f32();
-  double get_f64();
+  float get_f32() { return std::bit_cast<float>(get_u32()); }
+  double get_f64() { return std::bit_cast<double>(get_u64()); }
   bool get_bool() { return get_u8() != 0; }
 
+  /// Copies piecewise across segments, refilling as each runs out: the
+  /// slow path of every read.
   void get_bytes(void* out, std::size_t len);
   std::string get_string();
 
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+  /// Bytes consumed since the start of the stream, across segments.
+  [[nodiscard]] std::size_t position() const noexcept { return base_ + pos_; }
+  /// Bytes left in the current segment: what is left to decode when
+  /// bounded().
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
   /// True when the current view is the whole stream (no refill armed), so
@@ -148,14 +170,36 @@ class Decoder {
   /// disarm.
   void set_refill(RefillFn fn) { refill_ = std::move(fn); }
 
-  /// Swap in a new (typically longer) view of the same logical stream.
-  /// The consumed prefix must be unchanged; the read position is kept.
-  void rebase(std::span<const std::uint8_t> data) noexcept { data_ = data; }
+  /// Continue the stream in `segment`, once the current one is consumed;
+  /// position() keeps counting from the stream's start.
+  void next_segment(std::span<const std::uint8_t> segment) noexcept {
+    base_ += data_.size();
+    data_ = segment;
+    pos_ = 0;
+  }
 
  private:
-  void need(std::size_t n);
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
+  template <std::size_t N>
+  std::uint64_t get_be() {
+    const std::uint8_t* p = data_.data() + pos_;
+    std::uint8_t stitched[N];
+    if (pos_ + N <= data_.size()) [[likely]] {
+      pos_ += N;
+    } else {
+      get_bytes(stitched, N);
+      p = stitched;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i) v = (v << 8) | p[i];
+    return v;
+  }
+  /// Move to the next non-empty segment; false at the end of the stream.
+  bool advance(std::size_t wanted);
+  [[noreturn]] void truncated(std::size_t n) const;
+
+  std::span<const std::uint8_t> data_;  ///< the current segment
+  std::size_t pos_ = 0;                 ///< read position in data_
+  std::size_t base_ = 0;                ///< stream offset of data_[0]
   bool counted_ = true;
   RefillFn refill_;
 };

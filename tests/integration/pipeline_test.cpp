@@ -150,5 +150,77 @@ TEST(Pipeline, SingleChunkStateStillRoundTrips) {
   EXPECT_EQ(report.metrics.counter("mig.pipeline.chunks"), 1u);
 }
 
+/// One heap array of kPointers pointers, all to one int: each 8-byte
+/// pointer encodes as a 17-byte PREF, so the stream grows to about twice
+/// the tracked bytes, past the pre-size do_migration reserves for its
+/// encoder (tracked bytes + 32 per block + 4 KiB). The encoder must then
+/// grow while the sender still holds queued spans of its buffer.
+constexpr std::uint32_t kPointers = 20000;
+
+struct DenseResult {
+  std::uint64_t presize = 0;  ///< the source's encoder reservation
+  bool ok = false;
+};
+
+void pointer_dense_program(MigContext& ctx, DenseResult* out) {
+  HPM_FUNCTION(ctx);
+  int* target = nullptr;
+  int** table = nullptr;
+  std::uint32_t i = 0;
+  HPM_LOCAL(ctx, target);
+  HPM_LOCAL(ctx, table);
+  HPM_LOCAL(ctx, i);
+  HPM_BODY(ctx);
+  target = ctx.heap_alloc<int>(1, "target");
+  *target = 7;
+  table = ctx.heap_alloc<int*>(kPointers, "table");
+  for (i = 0; i < kPointers; ++i) table[i] = target;
+  out->presize = ctx.space().msrlt().tracked_bytes() + ctx.space().msrlt().block_count() * 32 +
+                 4096;
+  HPM_POLL(ctx, 1);
+  out->ok = *target == 7;
+  for (i = 0; i < kPointers; ++i) out->ok = out->ok && table[i] == target;
+  ctx.heap_free(table);
+  ctx.heap_free(target);
+  HPM_BODY_END(ctx);
+}
+
+class EncoderOverflow : public ::testing::TestWithParam<Transport> {};
+
+TEST_P(EncoderOverflow, AStreamThatOutgrowsItsPresizeStillRestoresBitIdentically) {
+  const auto migrate = [](bool pipeline, DenseResult& result) {
+    RunOptions options;
+    options.transport = GetParam();
+    options.pipeline = pipeline;
+    options.chunk_bytes = 4096;
+    // A throttled 100 Mb/s link keeps the sender the bottleneck, so the
+    // queue is full of spans of the encoder's buffer when it grows.
+    options.throttle = true;
+    options.register_types = [](ti::TypeTable&) {};
+    options.program = [&result](MigContext& ctx) { pointer_dense_program(ctx, &result); };
+    options.migrate_at_poll = 1;
+    return run_migration(options);
+  };
+  DenseResult serial_result;
+  const MigrationReport serial = migrate(false, serial_result);
+  ASSERT_EQ(serial.outcome, MigrationOutcome::Migrated);
+  ASSERT_TRUE(serial_result.ok);
+
+  DenseResult piped_result;
+  const MigrationReport piped = migrate(true, piped_result);
+  ASSERT_EQ(piped.outcome, MigrationOutcome::Migrated);
+  EXPECT_EQ(piped.attempts, 1);
+  EXPECT_TRUE(piped_result.ok);
+  EXPECT_GT(piped.stream_bytes, piped_result.presize) << "the encoder never had to grow";
+  EXPECT_EQ(piped.stream_bytes, serial.stream_bytes);
+  EXPECT_EQ(piped.stream_digest, serial.stream_digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(MemAndSocket, EncoderOverflow,
+                         ::testing::Values(Transport::Memory, Transport::Socket),
+                         [](const ::testing::TestParamInfo<Transport>& param_info) {
+                           return std::string(net::transport_name(param_info.param));
+                         });
+
 }  // namespace
 }  // namespace hpm::mig

@@ -15,12 +15,14 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/linpack.hpp"
 #include "apps/workload.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "hpm/migrate.hpp"
@@ -269,6 +271,34 @@ TEST(Dedup, WireCodecPreservesBitIdenticalRestore) {
   ASSERT_EQ(coded_report.outcome, MigrationOutcome::Migrated);
   EXPECT_EQ(coded_out.fingerprint, plain_out.fingerprint);
   EXPECT_EQ(coded_report.stream_digest, plain_report.stream_digest);
+  fs::remove_all(cache);
+}
+
+TEST(Dedup, TheColdCodecRunKeepsItsWireBytes) {
+  // The codec deltas 8-byte words counted from each chunk's start, so it
+  // pays on linpack's doubles only while the stream keeps them 8-byte
+  // aligned to the chunk grid. A change that shifts them (a header field
+  // of 4 bytes rather than 8 did) or weakens the codec sends more: the
+  // bound is the cold run's wire bytes as measured, plus 5%.
+  constexpr std::uint64_t kMeasuredWireBytes = 434128;
+  const std::string cache = fresh_cache_dir("codec_gate");
+  apps::LinpackResult result;
+  RunOptions options;
+  options.register_types = apps::linpack_register_types;
+  options.program = [&result](MigContext& ctx) { apps::linpack_program(ctx, 250, 1, &result); };
+  options.migrate_at_poll = 1;
+  options.pipeline = true;
+  options.chunk_bytes = 16 * 1024;
+  options.chunk_cache_dir = cache;
+  options.wire_codec = WireCodec::VarintDelta;
+  const MigrationReport report = run_migration(options);
+  ASSERT_EQ(report.outcome, MigrationOutcome::Migrated);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(report.dedup_hit_chunks, 0u);
+  std::printf("cold codec run: %llu wire bytes for a %llu-byte stream\n",
+              static_cast<unsigned long long>(report.dedup_wire_bytes),
+              static_cast<unsigned long long>(report.stream_bytes));
+  EXPECT_LE(report.dedup_wire_bytes, kMeasuredWireBytes + kMeasuredWireBytes / 20);
   fs::remove_all(cache);
 }
 

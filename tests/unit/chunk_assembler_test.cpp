@@ -23,7 +23,17 @@ Bytes bytes_of(std::initializer_list<std::uint8_t> init) { return Bytes(init); }
 
 /// Append a chunk with its own digest, as the rx thread hands it over.
 void append(ChunkAssembler& a, std::uint32_t seq, std::span<const std::uint8_t> bytes) {
-  a.append(seq, bytes, StreamDigest::of(bytes));
+  a.append(seq, Bytes(bytes.begin(), bytes.end()), 0, StreamDigest::of(bytes));
+}
+
+/// Every segment the complete stream holds, joined.
+Bytes joined(ChunkAssembler& a) {
+  Bytes out;
+  std::span<const std::uint8_t> segment;
+  for (std::size_t i = 0; a.segment(i, segment); ++i) {
+    out.insert(out.end(), segment.begin(), segment.end());
+  }
+  return out;
 }
 
 net::StateEndInfo end_info(std::uint32_t chunks, std::uint64_t total,
@@ -44,10 +54,9 @@ TEST(ChunkAssembler, OrderedChunksRoundTrip) {
   EXPECT_EQ(a.chunks_received(), 2u);
   EXPECT_EQ(a.end_info().digest, 0x1234u);
 
-  Bytes out;
-  EXPECT_TRUE(a.fetch(out, 5));
-  EXPECT_EQ(out, bytes_of({1, 2, 3, 4, 5}));
-  EXPECT_FALSE(a.fetch(out, 5)) << "stream complete and exhausted";
+  EXPECT_EQ(joined(a), bytes_of({1, 2, 3, 4, 5}));
+  std::span<const std::uint8_t> segment;
+  EXPECT_FALSE(a.segment(2, segment)) << "stream complete and exhausted";
 }
 
 TEST(ChunkAssembler, DuplicateSequenceIsAProtocolError) {
@@ -55,8 +64,8 @@ TEST(ChunkAssembler, DuplicateSequenceIsAProtocolError) {
   append(a, 0, bytes_of({1}));
   EXPECT_THROW(append(a, 0, bytes_of({1})), ProtocolError);
   // Poisoned: the consumer sees the failure, not a partial stream.
-  Bytes out;
-  EXPECT_THROW(a.fetch(out, 1), NetError);
+  std::span<const std::uint8_t> segment;
+  EXPECT_THROW(a.segment(0, segment), NetError);
 }
 
 TEST(ChunkAssembler, SequenceGapIsAProtocolError) {
@@ -98,39 +107,42 @@ TEST(ChunkAssembler, HostileByteTotalPoisons) {
   ChunkAssembler a;
   append(a, 0, bytes_of({1, 2}));
   a.finish(end_info(1, 9999));
-  Bytes out;
-  EXPECT_THROW(a.fetch(out, 1), NetError);
+  std::span<const std::uint8_t> segment;
+  EXPECT_THROW(a.segment(0, segment), NetError);
 }
 
-TEST(ChunkAssembler, ScratchBufferIsReusedAcrossChunks) {
-  // The assembly buffer must grow geometrically (seeded by the chunk-size
-  // hint from StateBegin), not reallocate per chunk: appending N chunks
-  // may cost at most O(log N) growths, and the reassembled stream is
-  // byte-identical regardless.
+TEST(ChunkAssembler, ASegmentOnceAppendedNeverMoves) {
+  // The restorer decodes in place from a segment while the rx thread keeps
+  // appending, so a segment's bytes must stay where they arrived: the
+  // payload buffer itself (kept by move, behind its seq), at the same
+  // address after hundreds of later appends.
   constexpr std::uint32_t kChunk = 64;
   constexpr std::uint32_t kChunks = 256;
   ChunkAssembler a(kChunk);
-  Bytes chunk(kChunk);
+  std::vector<const std::uint8_t*> arrived;
   std::uint64_t total = 0;
   for (std::uint32_t seq = 0; seq < kChunks; ++seq) {
+    Bytes payload(4 + kChunk);
     for (std::uint32_t i = 0; i < kChunk; ++i) {
-      chunk[i] = static_cast<std::uint8_t>(seq + i);
+      payload[4 + i] = static_cast<std::uint8_t>(seq + i);
     }
-    append(a, seq, chunk);
+    arrived.push_back(payload.data() + 4);
+    const std::uint64_t digest = StreamDigest::of(std::span(payload).subspan(4));
+    a.append(seq, std::move(payload), 4, digest);
     total += kChunk;
+    std::span<const std::uint8_t> first;
+    ASSERT_TRUE(a.segment(0, first));
+    ASSERT_EQ(first.data(), arrived[0]) << "after " << seq + 1 << " appends";
   }
   a.finish(end_info(kChunks, total));
   EXPECT_EQ(a.await_complete(), total);
-  // The invariant: far fewer allocations than chunks (geometric growth).
-  EXPECT_LT(a.alloc_growths(), 10u);
-  EXPECT_LT(a.alloc_growths(), kChunks / 8);
-
-  Bytes out;
-  ASSERT_TRUE(a.fetch(out, total));
-  ASSERT_EQ(out.size(), total);
   for (std::uint32_t seq = 0; seq < kChunks; ++seq) {
+    std::span<const std::uint8_t> segment;
+    ASSERT_TRUE(a.segment(seq, segment));
+    ASSERT_EQ(segment.data(), arrived[seq]) << "segment " << seq << " moved";
+    ASSERT_EQ(segment.size(), kChunk);
     for (std::uint32_t i = 0; i < kChunk; ++i) {
-      ASSERT_EQ(out[seq * kChunk + i], static_cast<std::uint8_t>(seq + i));
+      ASSERT_EQ(segment[i], static_cast<std::uint8_t>(seq + i));
     }
   }
 }
@@ -153,7 +165,7 @@ TEST(ChunkAssembler, EveryChunkKeepsTheAddressItArrivedWith) {
   const std::vector<std::uint32_t> misses = a.begin_manifest({miss_addr, hit_addr}, store);
   ASSERT_EQ(misses, std::vector<std::uint32_t>{0});
   EXPECT_TRUE(a.chunk_addrs().empty()) << "the hit waits for the miss before it";
-  a.append(0, miss, 0x5EED);  // the producer's digest is taken as given
+  a.append(0, miss, 0, 0x5EED);  // the producer's digest is taken as given
   const std::vector<ChunkAddr> addrs = a.chunk_addrs();
   ASSERT_EQ(addrs.size(), 2u);
   EXPECT_EQ(addrs[0], (ChunkAddr{0x5EED, 2}));
@@ -164,8 +176,8 @@ TEST(ChunkAssembler, EveryChunkKeepsTheAddressItArrivedWith) {
 TEST(ChunkAssembler, FailUnblocksAWaitingConsumer) {
   ChunkAssembler a;
   std::thread consumer([&] {
-    Bytes out;
-    EXPECT_THROW(a.fetch(out, 100), NetError);  // blocks until poisoned
+    std::span<const std::uint8_t> segment;
+    EXPECT_THROW(a.segment(0, segment), NetError);  // blocks until poisoned
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   a.fail("link died");

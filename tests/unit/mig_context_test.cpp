@@ -296,7 +296,7 @@ std::uint64_t restore_chunked(ti::TypeTable& t, const std::vector<Bytes>& chunks
   const net::StateEndInfo end{static_cast<std::uint32_t>(chunks.size()), total, digest};
   auto produce = [&] {
     for (std::uint32_t i = 0; i < chunks.size(); ++i) {
-      assembler.append(i, chunks[i], StreamDigest::of(chunks[i]));
+      assembler.append(i, chunks[i], 0, StreamDigest::of(chunks[i]));
       if (threaded) std::this_thread::yield();
     }
     assembler.finish(end);

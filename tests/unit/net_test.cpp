@@ -483,6 +483,154 @@ TEST(Message, ASealedChunkSendIsTheFrameSendMessageMakes) {
   }
 }
 
+/// A StateChunk frame as the parts send_state_chunk hands sendv (head,
+/// body in place, seal), and the same frame contiguous.
+struct GatheredFrame {
+  explicit GatheredFrame(std::size_t body_bytes) : body(make_payload(body_bytes)) {
+    CaptureChannel capture;  // the default sendv: the parts stitched
+    send_state_chunk(capture, 3, body, StreamDigest::of(body));
+    contiguous = capture.bytes;
+    const std::span<const std::uint8_t> frame(contiguous);
+    head.assign(frame.begin(), frame.begin() + 9);
+    seal.assign(frame.end() - 4, frame.end());
+  }
+  [[nodiscard]] std::vector<ConstBytes> parts() const { return {head, ConstBytes{}, body, seal}; }
+
+  Bytes body;
+  Bytes contiguous;
+  Bytes head;
+  Bytes seal;
+};
+
+TEST(Gather, AGatheredSendPutsTheContiguousFrameOnEveryTransport) {
+  // 1 MiB of body outruns a socket's buffer, so writev returns short and
+  // the send resumes mid-part; the empty part is skipped.
+  const GatheredFrame frame(1 << 20);
+  const auto check = [&](ByteChannel& tx, ByteChannel& rx, const char* name) {
+    SCOPED_TRACE(name);
+    std::thread sender([&] {
+      tx.sendv(frame.parts());
+      tx.send(frame.contiguous);
+      send_state_chunk(tx, 3, frame.body, StreamDigest::of(frame.body));
+    });
+    Bytes gathered(frame.contiguous.size());
+    Bytes contiguous(frame.contiguous.size());
+    rx.recv(gathered);
+    rx.recv(contiguous);
+    const Message msg = recv_message(rx);
+    sender.join();
+    EXPECT_EQ(gathered, frame.contiguous);
+    EXPECT_EQ(contiguous, frame.contiguous);
+    EXPECT_EQ(msg.body_digest, StreamDigest::of(frame.body));
+  };
+  {
+    auto [a, b] = MemChannel::make_pair();
+    check(*a, *b, "memory");
+  }
+  {
+    SocketListener listener;
+    std::unique_ptr<SocketChannel> server;
+    std::thread acceptor([&] { server = listener.accept(); });
+    auto client = connect_to(listener.port());
+    acceptor.join();
+    check(*client, *server, "socket");
+  }
+  {
+    const std::string path = "/tmp/hpm_net_test_gather.bin";
+    std::remove(path.c_str());
+    std::remove((path + ".done").c_str());
+    FileWriterChannel writer(path);
+    FileReaderChannel reader(path);
+    check(writer, reader, "file");
+    writer.close();
+    std::remove(path.c_str());
+    std::remove((path + ".done").c_str());
+  }
+}
+
+/// Everything `rx` delivers until its peer's end of stream.
+Bytes drain(ByteChannel& rx) {
+  Bytes got;
+  std::uint8_t byte = 0;
+  for (;;) {
+    try {
+      rx.recv({&byte, 1});
+    } catch (const NetError&) {
+      return got;
+    }
+    got.push_back(byte);
+  }
+}
+
+TEST(Gather, FaultOffsetsCountBytesAcrossTheParts) {
+  // Every byte-offset fault, at every offset of a frame and again past it,
+  // lands on the same byte whether the frame went out contiguous or in
+  // parts: the peer receives the same bytes and the sender sees the same
+  // outcome.
+  const GatheredFrame frame(23);  // 9 + 23 + 4 = 36 bytes
+  for (const FaultKind kind :
+       {FaultKind::Disconnect, FaultKind::Corrupt, FaultKind::Truncate, FaultKind::Stall}) {
+    for (std::uint64_t offset = 0; offset <= 2 * frame.contiguous.size(); ++offset) {
+      SCOPED_TRACE(std::string(fault_kind_name(kind)) + " at " + std::to_string(offset));
+      FaultPlan plan;
+      plan.kind = kind;
+      plan.offset = offset;
+      plan.length = 3;
+      plan.stall_seconds = 0.0001;
+      const auto run = [&](bool gathered) {
+        auto [a, b] = MemChannel::make_pair();
+        FaultyChannel faulty(std::move(a), plan);
+        std::string outcome = "ok";
+        for (int i = 0; i < 2; ++i) {
+          try {
+            if (gathered) {
+              faulty.sendv(frame.parts());
+            } else {
+              faulty.send(frame.contiguous);
+            }
+          } catch (const NetError& e) {
+            outcome = e.what();
+          }
+        }
+        faulty.close();
+        return std::make_pair(outcome, drain(*b));
+      };
+      EXPECT_EQ(run(true), run(false));
+    }
+  }
+}
+
+TEST(Gather, KillCountsOneGatheredSendAsOneFrame) {
+  const GatheredFrame frame(64);
+  auto [a, b] = MemChannel::make_pair();
+  FaultyChannel faulty(std::move(a), FaultPlan::kill_after(2));
+  faulty.sendv(frame.parts());
+  faulty.sendv(frame.parts());
+  EXPECT_THROW(faulty.sendv(frame.parts()), KilledError);
+  Bytes both(2 * frame.contiguous.size());
+  b->recv(both);  // the two frames before the crash arrived whole
+  EXPECT_TRUE(std::equal(frame.contiguous.begin(), frame.contiguous.end(), both.begin()));
+  Bytes more(1);
+  EXPECT_THROW(b->recv(more), NetError);
+}
+
+TEST(Gather, CorruptMaskedReSealsAGatheredFrame) {
+  const GatheredFrame frame(64);
+  FaultPlan plan;
+  plan.kind = FaultKind::CorruptMasked;
+  plan.offset = 9 + 10;  // body byte 10: in the body part
+  auto [a, b] = MemChannel::make_pair();
+  FaultyChannel faulty(std::move(a), plan);
+  send_state_chunk(faulty, 3, frame.body, StreamDigest::of(frame.body));
+  const Message msg = recv_message(*b);
+  ASSERT_EQ(msg.payload.size(), 4 + frame.body.size());
+  for (std::size_t i = 0; i < frame.body.size(); ++i) {
+    const std::uint8_t want =
+        i == 10 ? static_cast<std::uint8_t>(frame.body[i] ^ 0xA5u) : frame.body[i];
+    EXPECT_EQ(msg.payload[4 + i], want) << "at " << i;
+  }
+}
+
 TEST(FaultyChannel, CorruptMaskedReSealsTheFrameItDamages) {
   // Damage below the seal: the frame passes the framing layer with one
   // payload byte changed, which only the end-to-end digest can catch.
