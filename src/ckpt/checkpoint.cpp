@@ -1,9 +1,11 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
 #include <span>
 
+#include "common/durable_file.hpp"
+#include "common/endian.hpp"
 #include "mig/chunk_store.hpp"
 #include "msrm/stream.hpp"
 #include "xdr/wire.hpp"
@@ -14,45 +16,15 @@ namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x48434B50;  // "HCKP"
 
-Bytes read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw Error("cannot open checkpoint file: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(static_cast<std::size_t>(size));
-  const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (got != data.size()) throw Error("short read from checkpoint file: " + path);
-  return data;
-}
-
-void write_file(const std::string& path, const Bytes& data) {
-  // Write to a sidecar and rename so a crash mid-write never leaves a
-  // truncated file under the real name.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot create checkpoint file: " + tmp);
-  const std::size_t put = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (put != data.size()) {
-    std::remove(tmp.c_str());
-    throw Error("short write to checkpoint file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw Error("cannot move checkpoint into place: " + path);
-  }
-}
-
 /// Preamble := u32 magic | u64 sequence | u32 state-length; the migration
-/// stream (with its own seal) follows.
-Bytes wrap(std::uint64_t sequence, const Bytes& stream) {
-  xdr::Encoder enc(stream.size() + 16);
-  enc.put_u32(kCkptMagic);
-  enc.put_u64(sequence);
-  enc.put_u32(static_cast<std::uint32_t>(stream.size()));
-  enc.put_bytes(stream.data(), stream.size());
-  return enc.take();
+/// stream (with its own seal) follows. Written as the first part of the
+/// file, so the stream itself is never copied.
+std::array<std::uint8_t, 16> preamble(std::uint64_t sequence, const Bytes& stream) {
+  std::array<std::uint8_t, 16> out{};
+  put_u32_be(out.data(), kCkptMagic);
+  put_u64_be(out.data() + 4, sequence);
+  put_u32_be(out.data() + 12, static_cast<std::uint32_t>(stream.size()));
+  return out;
 }
 
 struct Unwrapped {
@@ -98,7 +70,7 @@ CheckpointInfo checkpoint_run(const std::function<void(ti::TypeTable&)>& registe
     throw MigrationError("program completed before reaching checkpoint poll " +
                          std::to_string(at_poll));
   }
-  write_file(path, wrap(sequence, ctx.stream()));
+  durable::replace(path, {preamble(sequence, ctx.stream()), ctx.stream()});
 
   // Phase 2: keep running — restore into a fresh context and finish, so
   // the caller observes checkpoint-and-continue semantics.
@@ -117,7 +89,7 @@ CheckpointInfo checkpoint_run(const std::function<void(ti::TypeTable&)>& registe
 CheckpointInfo restart_run(const std::function<void(ti::TypeTable&)>& register_types,
                            const std::function<void(mig::MigContext&)>& program,
                            const std::string& path) {
-  const Unwrapped file = unwrap(read_file(path));
+  const Unwrapped file = unwrap(durable::read_all(path));
   ti::TypeTable types;
   register_types(types);
   mig::MigContext ctx(types);
@@ -126,7 +98,9 @@ CheckpointInfo restart_run(const std::function<void(ti::TypeTable&)>& register_t
   return file.info;
 }
 
-CheckpointInfo inspect(const std::string& path) { return unwrap(read_file(path)).info; }
+CheckpointInfo inspect(const std::string& path) {
+  return unwrap(durable::read_all(path)).info;
+}
 
 std::size_t seed_chunk_cache(const std::string& ckpt_path, const std::string& cache_dir,
                              std::size_t chunk_bytes, std::uint64_t cache_budget) {
@@ -134,7 +108,7 @@ std::size_t seed_chunk_cache(const std::string& ckpt_path, const std::string& ca
     throw Error("seed_chunk_cache: chunk_bytes must lie in [1, " +
                 std::to_string(msrm::kMaxLeafBytes) + "]");
   }
-  Unwrapped file = unwrap(read_file(ckpt_path));
+  Unwrapped file = unwrap(durable::read_all(ckpt_path));
   msrm::reseal_stream(file.stream, static_cast<std::uint32_t>(chunk_bytes));
   mig::ChunkStore store(cache_dir, cache_budget);
   store.open();

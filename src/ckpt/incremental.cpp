@@ -1,12 +1,12 @@
 #include "ckpt/incremental.hpp"
 
-#include <cstdio>
 #include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/durable_file.hpp"
 #include "common/endian.hpp"
 #include "msrm/stream.hpp"
 #include "ti/leaf.hpp"
@@ -40,31 +40,6 @@ std::span<const std::uint8_t> check_file(std::span<const std::uint8_t> file) {
     throw WireError("checkpoint file seal mismatch: file damaged or truncated");
   }
   return file.first(body);
-}
-
-Bytes read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw Error("cannot open incremental checkpoint: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(static_cast<std::size_t>(size));
-  const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (got != data.size()) throw Error("short read: " + path);
-  return data;
-}
-
-void write_file(const std::string& path, const Bytes& data) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot create: " + tmp);
-  const std::size_t put = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (put != data.size() || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("cannot write: " + path);
-  }
 }
 
 std::string chain_path(const std::string& prefix, std::uint64_t seq) {
@@ -136,7 +111,7 @@ struct Chain {
 Chain load_chain(const std::string& prefix, std::uint64_t last_seq) {
   Chain chain;
   for (std::uint64_t seq = 0; seq <= last_seq; ++seq) {
-    const Bytes file = read_file(chain_path(prefix, seq));
+    const Bytes file = durable::read_all(chain_path(prefix, seq));
     const auto payload = check_file(file);
     xdr::Decoder dec(payload);
     if (dec.get_u32() != kMagic) throw WireError("not an incremental checkpoint file");
@@ -357,7 +332,7 @@ IncrementalStats IncrementalCheckpointer::capture(mig::MigContext& ctx) {
   }
   seal_file(enc);
   const Bytes file = enc.take();
-  write_file(chain_path(prefix_, next_seq_), file);
+  durable::replace(chain_path(prefix_, next_seq_), {file});
 
   stats.total_blocks = current.size();
   stats.written_blocks = changed.size();

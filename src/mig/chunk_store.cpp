@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/durable_file.hpp"
 #include "common/endian.hpp"
 #include "common/error.hpp"
 
@@ -138,7 +139,7 @@ void ChunkStore::open() {
     if (!parse_name(f.name, f.addr)) continue;
     f.file_bytes = de.file_size(ec);
     if (ec || f.file_bytes != kEntryHeader + f.addr.length) {
-      fs::remove(de.path(), ec);  // torn entry: tolerate by dropping
+      durable::remove(de.path().string());  // torn entry: tolerate by dropping
       continue;
     }
     f.mtime = de.last_write_time(ec);
@@ -174,12 +175,12 @@ void ChunkStore::touch_locked(Entry& e, const std::string& name) {
   e.lru = lru_.begin();
 }
 
-void ChunkStore::drop_locked(std::string name, bool unlink_file) {
+void ChunkStore::drop_locked(std::string name) {
   auto it = index_.find(name);
   if (it == index_.end()) return;
   bytes_ -= it->second.file_bytes;
   lru_.erase(it->second.lru);
-  if (unlink_file) ::unlink((dir_ + "/" + name).c_str());
+  durable::remove(dir_ + "/" + name);
   index_.erase(it);
 }
 
@@ -216,7 +217,7 @@ bool ChunkStore::load(const ChunkAddr& addr, Bytes& out) {
   }
   if (!ok) {
     out.clear();
-    drop_locked(name, /*unlink_file=*/true);
+    drop_locked(name);
     return false;
   }
   touch_locked(it->second, name);
@@ -233,28 +234,18 @@ ChunkAddr ChunkStore::put(std::span<const std::uint8_t> body) {
     return addr;
   }
 
-  Bytes record(kEntryHeader + body.size());
-  put_u32_be(record.data(), kEntryMagic);
-  put_u64_be(record.data() + 4, addr.digest);
-  put_u32_be(record.data() + 12, addr.length);
-  if (!body.empty()) std::memcpy(record.data() + kEntryHeader, body.data(), body.size());
-
-  // Plain POSIX stdio, journal-style: the record must be on disk before
-  // put() returns; a torn write is dropped at the next open().
-  std::FILE* f = std::fopen((dir_ + "/" + name).c_str(), "wb");
-  if (f == nullptr) throw Error("chunk store: cannot write " + dir_ + "/" + name);
-  const bool ok = std::fwrite(record.data(), 1, record.size(), f) == record.size() &&
-                  std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    ::unlink((dir_ + "/" + name).c_str());
-    throw Error("chunk store: short write to " + dir_ + "/" + name);
-  }
+  // Header and body go to disk as two parts: the body is never copied
+  // into a record buffer. A torn write is dropped at the next open().
+  std::uint8_t head[kEntryHeader];
+  put_u32_be(head, kEntryMagic);
+  put_u64_be(head + 4, addr.digest);
+  put_u32_be(head + 12, addr.length);
+  durable::write_new(dir_ + "/" + name, {head, body});
 
   lru_.push_front(name);
   Entry e;
   e.addr = addr;
-  e.file_bytes = record.size();
+  e.file_bytes = kEntryHeader + body.size();
   e.lru = lru_.begin();
   bytes_ += e.file_bytes;
   index_.emplace(name, e);
@@ -265,16 +256,14 @@ ChunkAddr ChunkStore::put(std::span<const std::uint8_t> body) {
 void ChunkStore::evict_to_locked(std::uint64_t budget) {
   // Never evict the most-recently-used entry: a single over-budget chunk
   // stays cached rather than thrashing.
-  while (bytes_ > budget && lru_.size() > 1) drop_locked(lru_.back(), /*unlink_file=*/true);
+  while (bytes_ > budget && lru_.size() > 1) drop_locked(lru_.back());
 }
 
 void ChunkStore::sync_dir() {
+  // Best effort, like caching itself: an entry whose name a crash loses
+  // is a miss on the next run, never bad bytes.
   std::lock_guard lk(mu_);
-  const int dir_fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  durable::sync_dir(dir_);
 }
 
 std::size_t ChunkStore::gc(std::uint64_t budget) {
@@ -283,7 +272,7 @@ std::size_t ChunkStore::gc(std::uint64_t budget) {
     std::lock_guard lk(mu_);
     const bool locked = lock_dir();
     while (bytes_ > budget && !lru_.empty()) {
-      drop_locked(lru_.back(), /*unlink_file=*/true);
+      drop_locked(lru_.back());
       ++evicted;
     }
     if (locked) unlock_dir();
@@ -304,16 +293,16 @@ std::uint64_t ChunkStore::bytes() const {
 
 void ChunkStore::note_run(std::uint64_t manifest_chunks, std::uint64_t hits,
                           std::uint64_t misses) {
+  const std::string text = "hpm-chunk-cache-v1\nmanifest " + std::to_string(manifest_chunks) +
+                           "\nhits " + std::to_string(hits) + "\nmisses " +
+                           std::to_string(misses) + "\n";
   std::lock_guard lk(mu_);
-  std::FILE* f = std::fopen((dir_ + "/last-run.stats").c_str(), "wb");
-  if (f == nullptr) return;  // stats are advisory; never fail a migration
-  std::fprintf(f, "hpm-chunk-cache-v1\nmanifest %llu\nhits %llu\nmisses %llu\n",
-               static_cast<unsigned long long>(manifest_chunks),
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses));
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
+  try {
+    durable::write_new(dir_ + "/last-run.stats",
+                       {{reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}});
+  } catch (const Error&) {
+    // Stats are advisory; never fail a migration.
+  }
 }
 
 ChunkStore::RunStats ChunkStore::read_run_stats(const std::string& dir) {
@@ -327,11 +316,7 @@ ChunkStore::RunStats ChunkStore::read_run_stats(const std::string& dir) {
                   std::strcmp(header, "hpm-chunk-cache-v1") == 0;
   std::fclose(f);
   if (!ok) return stats;
-  stats.valid = true;
-  stats.manifest_chunks = manifest;
-  stats.hits = hits;
-  stats.misses = misses;
-  return stats;
+  return {true, manifest, hits, misses};
 }
 
 }  // namespace hpm::mig

@@ -9,12 +9,10 @@
 // cost. Entries named by an earlier digest (FNV-1a, protocol v5) keep
 // their record layout but can never be asked for again, so they age out
 // by LRU. The store is a directory of addressed chunk files with an
-// in-memory index and LRU eviction to a byte budget. Durability mirrors
-// the intent journal's hardening: every record is fsync'd, open()
-// tolerates torn entries (dropped, not fatal), and load() checks the
-// record's header against the address and re-derives the body digest, so
-// a damaged or poisoned entry degrades to a cache miss instead of
-// corrupting a restore.
+// in-memory index and LRU eviction to a byte budget. Records are written
+// by durable::write_new, open() drops torn entries, and load() checks the
+// header against the address and re-derives the body digest, so a damaged
+// or poisoned entry degrades to a cache miss, never a bad restore.
 #pragma once
 
 #include <cstdint>
@@ -130,7 +128,7 @@ class ChunkStore {
   void touch_locked(Entry& e, const std::string& name);
   /// By value: callers pass the LRU tail's own string, which erasing the
   /// list node would otherwise destroy mid-call.
-  void drop_locked(std::string name, bool unlink_file);
+  void drop_locked(std::string name);
   void evict_to_locked(std::uint64_t budget);
 
   std::string dir_;

@@ -255,7 +255,7 @@ MigrationReport run_session(const RunOptions& options, const SessionWiring& wiri
         src_journal.append(
             {JournalRecordType::Abort, txn, 0, 1, "degraded to local completion"});
         TxnMetrics::get().aborts.add(1);
-        complete_locally(options, report, retained.materialize());
+        complete_locally(options, report, retained.take());
         break;
     }
     return report;

@@ -176,15 +176,6 @@ struct RunOptions {
   /// The journals carry the incarnation so arbitration names exactly one
   /// committed owner and a revived stale destination is fenced.
   FailoverPolicy failover;
-
-  /// Directory for the disk spill of the retained stream. Non-empty: the
-  /// collected stream is written (fsync'd) to
-  /// "<retain_dir>/retained-<txn>.stream" once collection finishes and
-  /// the heap copy is freed — resume and failover replay from the file,
-  /// so a long standby wait cannot die with source memory pressure.
-  /// Empty = the retained stream stays in memory (the pre-failover
-  /// behavior).
-  std::string retain_dir;
 };
 
 /// Final fate of the workload for one run_migration() call.

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
 #include <thread>
 
+#include "common/durable_file.hpp"
 #include "mig/coordinator.hpp"
 #include "net/faulty_channel.hpp"
 #include "net/message.hpp"
@@ -69,8 +69,8 @@ inline bool run_source_program(const RunOptions& options, MigContext& ctx) {
 }
 
 inline void remove_spool(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".done").c_str());
+  durable::remove(path);
+  durable::remove(path + ".done");
 }
 
 /// Deletes the spool (and its ".done" marker) when the run ends — orderly

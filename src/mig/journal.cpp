@@ -1,15 +1,11 @@
 #include "mig/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "common/digest.hpp"
+#include "common/durable_file.hpp"
 #include "common/endian.hpp"
 #include "common/error.hpp"
 #include "common/hexdump.hpp"
@@ -73,22 +69,20 @@ const char* journal_record_name(JournalRecordType type) noexcept {
 void Journal::append(const JournalRecord& record) {
   if (path_.empty()) return;  // null journal: nothing durable was promised
   std::lock_guard lk(mu_);
-  const Bytes bytes = encode_record(record);
-  // Plain POSIX stdio: the record must be on disk (fsync) before the
-  // caller acts on the decision it encodes — that IS write-ahead logging.
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) throw MigrationError("cannot open intent journal " + path_);
-  const bool wrote = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-                     std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!wrote) throw MigrationError("cannot append to intent journal " + path_);
+  // The record must be on disk before the caller acts on the decision it
+  // encodes — that IS write-ahead logging.
+  try {
+    durable::append(path_, {encode_record(record)});
+  } catch (const Error& e) {
+    throw MigrationError("cannot append to intent journal: " + std::string(e.what()));
+  }
 }
 
 std::vector<JournalRecord> Journal::replay(const std::string& path) {
   std::vector<JournalRecord> records;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return records;  // missing journal = no recorded intent
-  Bytes file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return records;  // no journal = no recorded intent
+  const Bytes file = durable::read_all(path);
   std::size_t pos = 0;
   while (file.size() - pos >= 4) {
     const std::uint8_t* p = file.data() + pos;
@@ -228,23 +222,14 @@ std::vector<std::uint64_t> gc_completed_txn_journals(const std::string& journal_
   std::vector<std::uint64_t> swept;
   for (const std::uint64_t txn : list_journaled_txns(journal_dir)) {
     if (!recover(journal_dir, txn).completed) continue;  // live, in-doubt, or aborted: keep
-    std::error_code ec;
-    std::filesystem::remove(journal_dir + "/" + keyed_source_journal_name(txn), ec);
-    for (const std::string& dst : dest_journal_paths(journal_dir, txn)) {
-      std::filesystem::remove(dst, ec);
-    }
+    durable::remove(journal_dir + "/" + keyed_source_journal_name(txn));
+    for (const std::string& dst : dest_journal_paths(journal_dir, txn)) durable::remove(dst);
     swept.push_back(txn);
   }
-  if (!swept.empty()) {
-    // The unlinks live in the DIRECTORY's data; sync it so the removals
-    // are as durable as the appends were. (Without this, a crash can
-    // bring a completed transaction's journals back from the dead and
-    // recovery would re-arbitrate a handoff that already finished.)
-    const int dir_fd = ::open(journal_dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dir_fd >= 0) {
-      ::fsync(dir_fd);
-      ::close(dir_fd);
-    }
+  // Unsynced, a crash can bring the journals back and recovery would
+  // re-arbitrate a handoff that already finished.
+  if (!swept.empty() && !durable::sync_dir(journal_dir)) {
+    throw MigrationError("cannot sync journal directory " + journal_dir + " after GC");
   }
   return swept;
 }

@@ -57,7 +57,7 @@ struct JournalRecord {
 /// Append-only write-ahead log. A default-constructed Journal is the
 /// in-memory null journal: append() records nothing durable (used when
 /// RunOptions::journal_dir is unset), replay() of its empty path yields
-/// nothing. With a path, every append is flushed and fsync'd before
+/// nothing. With a path, every append is fsync'd (durable::append) before
 /// returning, so a record that append() returned for survives a crash.
 class Journal {
  public:
@@ -116,14 +116,11 @@ std::vector<std::string> dest_journal_paths(const std::string& journal_dir,
 std::vector<std::uint64_t> list_journaled_txns(const std::string& journal_dir,
                                                std::vector<std::string>* skipped = nullptr);
 
-/// Garbage-collect the keyed journal pairs of COMPLETED transactions: a
-/// pair whose verdict is "Done recorded" has nothing left to recover, so
-/// both files are unlinked and the directory itself is fsync'd — without
-/// the directory sync a crash right after the unlink can resurrect the
-/// old directory entries, and a resurrected source-<txn>.journal would
-/// make a long-dead transaction look recoverable again. Returns the
-/// transaction ids swept, ascending. In-doubt or aborted pairs are never
-/// touched.
+/// Garbage-collect the keyed journal pairs of COMPLETED transactions
+/// ("Done recorded": nothing left to recover): both files are unlinked and
+/// the directory is fsync'd, so a crash cannot bring them back. Returns the
+/// transaction ids swept, ascending; throws hpm::MigrationError if the
+/// directory cannot be synced. In-doubt or aborted pairs are never touched.
 std::vector<std::uint64_t> gc_completed_txn_journals(const std::string& journal_dir);
 
 enum class TxnOwner : std::uint8_t { None, Source, Destination };

@@ -1,7 +1,6 @@
 #include "mig/source_txn.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -246,16 +245,10 @@ TxnResult run_pipelined_transaction(
   net::StateEndInfo end;
   Clock::time_point pipeline_start{};
 
-  // Chunk reads go through the retained stream so memory-resident and
-  // disk-spilled streams replay identically (a view, or a read into the
-  // buffer the sequential send loops reuse). Each chunk is sealed and
-  // named by the collect tap's digest of it, kept beside the stream.
-  Bytes chunk_buf;
+  // Chunks are views of the retained stream, each sealed and named by the
+  // collect tap's digest of it, kept beside the stream.
   auto chunk_len = [&](std::uint64_t seq) {
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(cb, stream.size() - seq * cb));
-  };
-  auto read_chunk = [&](std::uint64_t seq) {
-    return stream.view(seq * cb, chunk_len(seq), chunk_buf);
   };
 
   /// Chunks [from, end) of the retained stream, then StateEnd, on the
@@ -266,7 +259,7 @@ TxnResult run_pipelined_transaction(
   auto send_chunks = [&](std::uint64_t from, bool coded) {
     PipelineMetrics& pm = PipelineMetrics::get();
     for (std::uint64_t seq = from; seq < end.chunk_count; ++seq) {
-      const std::span<const std::uint8_t> body = read_chunk(seq);
+      const auto body = stream.bytes().subspan(seq * cb, chunk_len(seq));
       const auto seq32 = static_cast<std::uint32_t>(seq);
       if (coded) {
         src_port->send(net::MsgType::StateChunk, net::encode_state_chunk_coded(seq32, 0, body));
@@ -336,7 +329,7 @@ TxnResult run_pipelined_transaction(
 
     PipelineMetrics& pm = PipelineMetrics::get();
     for (const std::uint32_t idx : ack.misses) {
-      const std::span<const std::uint8_t> body = read_chunk(idx);
+      const auto body = stream.bytes().subspan(idx * cb, chunk_len(idx));
       Bytes payload;
       if (codec == WireCodec::VarintDelta) {
         Bytes coded = codec_encode(body);
@@ -519,15 +512,6 @@ TxnResult run_pipelined_transaction(
       session.set_stream(end.chunk_count, digest);
       queue.close(end);
       join_sender();
-      if (!options.retain_dir.empty()) {
-        // The spill is the transaction's ONLY replay source once it
-        // lands; it must exist before the heap copy is freed — and the
-        // sender, joined above, has stopped reading that copy.
-        std::error_code ec;
-        std::filesystem::create_directories(options.retain_dir, ec);
-        stream.spill(options.retain_dir + "/retained-" + std::to_string(txn) +
-                     ".stream");
-      }
     }
     report.source_polls = ctx.poll_count();
 

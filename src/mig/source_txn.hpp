@@ -44,8 +44,7 @@ enum class TxnResult : std::uint8_t {
 /// Each destination incarnation journals to options.journal_dir under
 /// keyed_dest_journal_name(txn, incarnation) (no journal_dir = journaling
 /// off). On return `stream` holds the
-/// retained canonical stream (resident or spilled per options.retain_dir);
-/// the caller materializes it for local completion.
+/// retained canonical stream; the caller takes it for local completion.
 TxnResult run_pipelined_transaction(
     const RunOptions& options, MigrationReport& report, RetainedStream& stream,
     const SessionWiring& wiring, std::chrono::milliseconds deadline, Journal& src_journal,

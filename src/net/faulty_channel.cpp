@@ -66,11 +66,13 @@ void FaultyChannel::sendv(std::span<const ConstBytes> parts) {
   }
 
   // The fault offset lies inside (or at the end of) this send: the frame
-  // is stitched whole, so offsets count across its parts.
+  // is stitched whole, so offsets count across its parts. A stall only
+  // delays the parts and needs no stitched frame.
   fired_ = true;
   state_->firings += 1;
   const std::size_t clean = static_cast<std::size_t>(plan_.offset - begin);
-  std::vector<std::uint8_t> frame = gather(parts);
+  std::vector<std::uint8_t> frame;
+  if (plan_.kind != FaultKind::Stall) frame = gather(parts);
   switch (plan_.kind) {
     case FaultKind::Disconnect:
       if (clean > 0) inner_->send(std::span(frame).first(clean));

@@ -211,23 +211,6 @@ TEST_F(FailoverMatrix, PrimaryKilledCastingItsVote) {
   run_killed(net::FaultPlan::kill_after(1), "sending PrepareAck");
 }
 
-TEST_F(FailoverMatrix, ReplayFromTheDiskSpilledRetainedStream) {
-  // Same mid-stream kill, but the retained stream lives in a spill file:
-  // the failover replay must read [0, end) back off disk bit-identically.
-  apps::BitonicResult result;
-  RunOptions options = matrix_options(result);
-  options.retain_dir = (root_ / "retain").string();
-  options.dest_fault_plan = killed_after_chunk(1 + baseline().chunks / 2);
-
-  const MigrationReport report = run_migration(options);
-  EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
-  EXPECT_EQ(report.failovers, 1);
-  EXPECT_EQ(report.dest_incarnation, 2u);
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.sum_after, baseline().sum);
-  EXPECT_EQ(report.stream_digest, baseline().digest);
-}
-
 TEST_F(FailoverMatrix, PostCommitDeathIsNotFailedOver) {
   // The primary received Commit, journaled Committed, ran the workload —
   // and died sending the confirmation Ack (send 2). At-most-once: the

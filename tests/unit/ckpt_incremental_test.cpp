@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -288,6 +289,19 @@ TEST(Incremental, AFileFromBeforeDigestV2IsATypedError) {
 
 TEST(Incremental, MissingChainFileIsReported) {
   EXPECT_THROW(synthesize_stream("/tmp/hpm_inc_missing", 0), Error);
+  long out = 0;
+  auto program = [&out](mig::MigContext& c) { mutating_program(c, 10, &out); };
+  EXPECT_THROW(restart_incremental(register_cell, program, "/tmp/hpm_inc_missing", 0), Error);
+}
+
+TEST(Incremental, ADirectoryNamedLikeAChainFileIsATypedError) {
+  const std::string prefix = "/tmp/hpm_inc_dir_named";
+  std::filesystem::create_directories(prefix + ".0");
+  EXPECT_THROW(synthesize_stream(prefix, 0), Error);
+  long out = 0;
+  auto program = [&out](mig::MigContext& c) { mutating_program(c, 10, &out); };
+  EXPECT_THROW(restart_incremental(register_cell, program, prefix, 0), Error);
+  std::filesystem::remove(prefix + ".0");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -122,6 +123,26 @@ TEST(Checkpoint, MissingAndCorruptFilesAreRejected) {
   EXPECT_THROW(restart_run([](ti::TypeTable&) {},
                            [&r](mig::MigContext& ctx) { sum_program(ctx, 20, &r); }, path),
                WireError);
+}
+
+TEST(Checkpoint, ADirectoryOrAMissingPathIsATypedError) {
+  // A directory opens, and its "size" is no file length: the read must
+  // refuse it by type, not size a buffer from it.
+  const std::string dir = "/tmp/hpm_ckpt_a_directory.ckpt";
+  std::filesystem::create_directories(dir);
+  const std::string missing = "/tmp/hpm_ckpt_never_written.ckpt";
+  std::remove(missing.c_str());
+  for (const std::string& path : {dir, missing}) {
+    EXPECT_THROW(inspect(path), Error) << path;
+    Accumulator acc;
+    EXPECT_THROW(restart_run([](ti::TypeTable&) {},
+                             [&acc](mig::MigContext& ctx) { sum_program(ctx, 20, &acc); },
+                             path),
+                 Error)
+        << path;
+    EXPECT_EQ(acc.completed, 0) << path;
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(Checkpoint, AFileFromBeforeDigestV2IsATypedError) {

@@ -30,6 +30,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/incremental.hpp"
+#include "common/durable_file.hpp"
 #include "hpm/migrate.hpp"
 #include "mig/chunk_store.hpp"
 #include "mig/journal.hpp"
@@ -55,15 +56,6 @@ int usage() {
   return 2;
 }
 
-hpm::Bytes read_file(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw hpm::Error(std::string("cannot open ") + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string s = buf.str();
-  return hpm::Bytes(s.begin(), s.end());
-}
-
 int cmd_ckpt_info(const char* path) {
   const hpm::ckpt::CheckpointInfo info = hpm::ckpt::inspect(path);
   std::printf("checkpoint   : %s\n", path);
@@ -74,7 +66,7 @@ int cmd_ckpt_info(const char* path) {
 }
 
 int cmd_ckpt_dump(const char* path, bool verbose) {
-  const hpm::Bytes file = read_file(path);
+  const hpm::Bytes file = hpm::durable::read_all(path);
   // Unwrap the checkpoint preamble by hand: magic, sequence, length.
   hpm::xdr::Decoder dec(file);
   if (dec.get_u32() != 0x48434B50) throw hpm::WireError("not a checkpoint file");
